@@ -7,8 +7,10 @@ inline; they are also echoed into the benchmark's ``extra_info``).
 
 from __future__ import annotations
 
+import json
 import os
-from typing import Optional
+from pathlib import Path
+from typing import Dict, Optional
 
 import pytest
 
@@ -35,6 +37,13 @@ def env_cache():
     from repro.harness.parallel import ResultCache
 
     return ResultCache(cache_dir)
+
+
+def golden_cells() -> Dict[str, Dict[str, dict]]:
+    """Case id -> config name -> cells of the committed golden verdict
+    corpus (``tests/data/golden_corpus.json``)."""
+    path = Path(__file__).resolve().parents[1] / "tests" / "data" / "golden_corpus.json"
+    return json.loads(path.read_text())["cases"]
 
 
 def run_once(benchmark, fn):

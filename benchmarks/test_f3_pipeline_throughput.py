@@ -1,39 +1,35 @@
-"""F3 — analysis-pipeline throughput: epoch fast path + batching vs legacy.
+"""F3 — analysis-pipeline throughput: events per analysis-second.
 
 Sweeps the 120-case dr_test suite and the 13 PARSEC stand-ins under
-``helgrind-lib`` (spin off) and ``helgrind-lib-spin7`` (spin on), each
-measured under both the shipping pipeline (epoch fast path + batched
-event delivery) and the pre-optimization reference
-(``epoch_fast_path=False, batched=False``).
+``helgrind-lib`` (spin off) and ``helgrind-lib-spin7`` (spin on) at each
+workload's own seed.  Throughput is events per second of *analysis
+time* (detector wall-clock minus the bare interpreter baseline — the F2
+accounting).  Every row's report fingerprint must equal its cell in the
+golden verdict corpus (``tests/data/golden_corpus.json``): a throughput
+number from a pipeline that changed verdicts would be meaningless.
 
-Throughput is events per second of *analysis time* (detector wall-clock
-minus the bare interpreter baseline — the F2 accounting); the acceptance
-bar is a >=1.5x pipeline speedup on the t1 suite, with byte-identical
-reports on every single row.  Results are written to
-``BENCH_pipeline.json`` (set ``REPRO_BENCH_OUT=`` to skip) and compared
-against the committed copy when one exists: a >30% events/sec regression
-fails the run.
-
+Results are written to ``BENCH_pipeline.json`` (set ``REPRO_BENCH_OUT=``
+to skip) and compared against the committed copy when one exists: a
+>30% wall events/sec regression on the t1 suite fails the run.
 ``REPRO_PERF_SUBSET=N`` caps both sweeps at N workloads for the CI
-perf-smoke job; the speedup bar is only enforced on the full sweep
-(small subsets are timer-noise dominated), the regression gate and the
-report-identity oracle always are.
+perf-smoke job.
 """
 
 import os
 
-from repro.detectors import ToolConfig
 from repro.harness.perf import (
-    load_pipeline_baseline,
+    load_baseline,
     measure_pipeline,
     pipeline_summary,
     write_pipeline_bench,
 )
+from repro.harness.registry import resolve_tool
 from repro.harness.tables import format_table
 
-from benchmarks.conftest import run_once
+from benchmarks.conftest import golden_cells, run_once
 
-TOOLS = (ToolConfig.helgrind_lib(), ToolConfig.helgrind_lib_spin(7))
+#: golden-corpus config name -> configuration
+TOOLS = {name: resolve_tool(name) for name in ("helgrind-lib", "helgrind-lib-spin")}
 BASELINE = os.path.join(os.path.dirname(__file__), "..", "BENCH_pipeline.json")
 
 
@@ -48,12 +44,13 @@ def test_f3_pipeline_throughput(benchmark, suite120, parsec13):
     parsec = parsec13[:subset] if subset else parsec13
 
     def sweep():
-        # min-of-3 per variant: the analysis-time denominator is small
-        # relative to interpreter wall-clock, so per-run timer noise
-        # needs squeezing out before the subtraction.
+        # min-of-3: the analysis-time denominator is small relative to
+        # interpreter wall-clock, so per-run timer noise needs squeezing
+        # out before the subtraction.
+        tools = list(TOOLS.values())
         return {
-            "t1_suite": measure_pipeline(suite, TOOLS, repeats=3),
-            "parsec": measure_pipeline(parsec, TOOLS, repeats=3),
+            "t1_suite": measure_pipeline(suite, tools, repeats=3),
+            "parsec": measure_pipeline(parsec, tools, repeats=3),
         }
 
     groups = run_once(benchmark, sweep)
@@ -63,38 +60,31 @@ def test_f3_pipeline_throughput(benchmark, suite120, parsec13):
         s = pipeline_summary(rows)
         print(
             format_table(
-                ["Tool", "Workloads", "Events", "fast ev/s", "legacy ev/s", "speedup"],
+                ["Tool", "Workloads", "Events", "ev/s", "wall ev/s"],
                 _tool_rows(rows),
                 title=f"F3 {name} — pipeline throughput "
-                f"(overall {s['speedup']:.2f}x, wall {s['wall_speedup']:.2f}x)",
+                f"({s['events_per_s']:.0f} events per analysis-second)",
             )
         )
-        benchmark.extra_info[f"{name}_speedup"] = round(s["speedup"], 3)
-        benchmark.extra_info[f"{name}_fast_events_per_s"] = round(
-            s["fast_events_per_s"], 1
-        )
+        benchmark.extra_info[f"{name}_events_per_s"] = round(s["events_per_s"], 1)
 
-    # The optimization must be invisible in the reports — every row.
-    mismatched = [
-        (r.workload, r.tool)
-        for rows in groups.values()
+    golden = golden_cells()
+    names = {cfg.name: name for name, cfg in TOOLS.items()}
+    moved = [
+        (group, r.workload, r.tool)
+        for group, rows in groups.items()
         for r in rows
-        if not r.reports_match
+        if r.fingerprint
+        != golden[f"{'suite' if group == 't1_suite' else 'parsec'}/{r.workload}"][
+            names[r.tool]
+        ]["live"]["fingerprint"]
     ]
-    assert not mismatched, f"fast pipeline changed reports: {mismatched}"
-
-    suite_summary = pipeline_summary(groups["t1_suite"])
-    if not subset:
-        # Acceptance bar: >=1.5x events/sec on the t1 suite sweep.
-        assert suite_summary["speedup"] >= 1.5, (
-            f"pipeline speedup {suite_summary['speedup']:.2f}x below the "
-            f"1.5x acceptance bar"
-        )
+    assert not moved, f"reports differ from the golden corpus: {moved}"
 
     out = os.environ.get("REPRO_BENCH_OUT", None)
     if out is None:
         out = BASELINE if not subset else ""
-    baseline = load_pipeline_baseline(BASELINE)
+    baseline = load_baseline(BASELINE)
     if out:
         write_pipeline_bench(out, groups)
         print(f"wrote {os.path.abspath(out)}")
@@ -109,12 +99,11 @@ def test_f3_pipeline_throughput(benchmark, suite120, parsec13):
     # still sinks when the pipeline regresses.
     committed = _baseline_throughput(baseline, "t1_suite", groups["t1_suite"])
     if committed is not None:
-        rows = groups["t1_suite"]
-        current = sum(r.events for r in rows) / sum(r.fast_s for r in rows)
+        current = pipeline_summary(groups["t1_suite"])["wall_events_per_s"]
         benchmark.extra_info["baseline_wall_events_per_s"] = round(committed, 1)
         benchmark.extra_info["wall_events_per_s"] = round(current, 1)
         assert current >= 0.7 * committed, (
-            f"fast pipeline throughput regressed >30%: "
+            f"pipeline throughput regressed >30%: "
             f"{current:.0f} ev/s vs committed {committed:.0f} ev/s (wall)"
         )
 
@@ -127,16 +116,20 @@ def _baseline_throughput(baseline, group, measured_rows):
     if not baseline:
         return None
     wanted = {(r.workload, r.tool) for r in measured_rows}
-    events = fast_s = 0.0
+    events = run_s = 0.0
     hits = 0
     for row in baseline.get("rows", ()):
-        if row.get("group") == group and (row["workload"], row["tool"]) in wanted:
+        if (
+            row.get("group") == group
+            and (row["workload"], row["tool"]) in wanted
+            and "run_s" in row
+        ):
             events += row["events"]
-            fast_s += row["fast_s"]
+            run_s += row["run_s"]
             hits += 1
-    if hits < len(wanted) or fast_s <= 0:
+    if hits < len(wanted) or run_s <= 0:
         return None
-    return events / fast_s
+    return events / run_s
 
 
 def _tool_rows(rows):
@@ -151,9 +144,8 @@ def _tool_rows(rows):
                 tool,
                 len(tool_rows),
                 s["events"],
-                f"{s['fast_events_per_s']:.0f}",
-                f"{s['legacy_events_per_s']:.0f}",
-                f"{s['speedup']:.2f}x",
+                f"{s['events_per_s']:.0f}",
+                f"{s['wall_events_per_s']:.0f}",
             ]
         )
     return out

@@ -28,7 +28,7 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Optional, Set
 
 from repro.isa.program import CodeLocation
-from repro.detectors.base import VectorClockAlgorithm
+from repro.detectors.base import VectorClockAlgorithm, WriteRecord
 from repro.detectors.reports import AccessInfo, RaceWarning
 
 
@@ -150,19 +150,12 @@ class EraserAlgorithm(VectorClockAlgorithm):
         self._access(tid, addr, loc, True, atomic)
         super_cell = self._cell(addr)
         t = self.thread(tid)
-        from repro.detectors.base import WriteRecord
-
-        if self.fast_path:
-            w = super_cell.write
-            if w is not None and w.tid == tid:
-                w.update(t.clock, value, loc, atomic, self._locks(tid), t.frame())
-            else:
-                super_cell.write = WriteRecord(
-                    tid, t.clock, value, loc, atomic, self._locks(tid), frame=t.frame()
-                )
+        w = super_cell.write
+        if w is not None and w.tid == tid:
+            w.update(t.clock, value, loc, atomic, self._locks(tid), t.frame())
         else:
             super_cell.write = WriteRecord(
-                tid, t.clock, value, loc, atomic, self._locks(tid), vc=t.snapshot()
+                tid, t.clock, value, loc, atomic, self._locks(tid), t.frame()
             )
         t.tick()
 

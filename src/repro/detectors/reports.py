@@ -122,9 +122,8 @@ class Report:
         Two runs produced identical reports iff their fingerprints are
         byte-equal: every warning field in emission order, the context
         set (sorted), the raw submission count, the partial flag, and
-        the finalize notes.  The differential tests pin the epoch fast
-        path and the batched pipeline against the reference paths with
-        this.
+        the finalize notes.  The golden verdict corpus
+        (``tests/data/golden_corpus.json``) pins reports with this.
         """
         contexts = sorted((name, tuple(sorted(locs))) for name, locs in self.contexts)
         return repr(

@@ -42,11 +42,11 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 #: bump when RunOutcome's schema or run semantics change incompatibly —
 #: stale cache entries from an older layout must not be deserialized.
 #: 2: fault plans + livelock watchdog (RunOutcome/RunResult diagnostics).
-#: 3: epoch fast path + batched event pipeline (ToolConfig gained
-#:    epoch_fast_path/batched; event accounting changed in lib mode).
-#: 4: pre-decoded threaded-code interpreter (ToolConfig gained
-#:    predecoded; RunOutcome gained decode_s; instrument_s now reflects
-#:    the cached static phase).
+#: 3: epoch fast path + batched event pipeline (ToolConfig gained two
+#:    pipeline flags; event accounting changed in lib mode).
+#: 4: pre-decoded threaded-code interpreter (ToolConfig gained an
+#:    interpreter flag; RunOutcome gained decode_s; instrument_s now
+#:    reflects the cached static phase).
 #: 5: checksummed cache entries (framed header + sha256) and journaled
 #:    checkpoints; entries written by the unframed layout are
 #:    quarantined, not read.
@@ -56,7 +56,9 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 #: 7: sharded trace analysis (RunSpec gained shard; each shard of a
 #:    grand-sweep cell is a distinct cache/journal entry, so resume
 #:    works at shard granularity).
-CACHE_SCHEMA = 7
+#: 8: the three pipeline/interpreter flags left ToolConfig, whose fields
+#:    feed every cache key.
+CACHE_SCHEMA = 8
 
 #: bump on incompatible journal layout changes
 JOURNAL_VERSION = 1

@@ -9,8 +9,6 @@ Subcommands::
     repro-experiments t5 [--seeds N]  # universal-detector summary
     repro-experiments f1            # memory-overhead figure
     repro-experiments f2            # runtime-overhead figure
-    repro-experiments f3            # pipeline throughput (fast vs legacy)
-    repro-experiments f4            # interpreter throughput (decoded vs isinstance)
     repro-experiments f6            # replay throughput (stored trace vs live)
     repro-experiments f7            # streaming-decode peak memory (vs in-memory)
     repro-experiments f8            # sharded re-analysis throughput (vs unsharded)
@@ -319,74 +317,6 @@ def cmd_f2(args: argparse.Namespace) -> None:
     print(f"mean runtime overhead: {overhead_summary(rows)['runtime']:.3f}x")
 
 
-def cmd_f3(args: argparse.Namespace) -> int:
-    """Pipeline throughput: epoch fast path + batching vs the reference."""
-    from repro.harness.perf import (
-        measure_pipeline,
-        pipeline_summary,
-        write_pipeline_bench,
-    )
-    from repro.workloads import build_suite, parsec_workloads
-
-    suite = build_suite()
-    parsec = parsec_workloads()
-    if args.limit:
-        suite = suite[: args.limit]
-        parsec = parsec[: args.limit]
-    tools = (
-        [resolve_tool(n.strip()) for n in args.tools.split(",") if n.strip()]
-        if args.tools
-        else [resolve_tool("helgrind-lib"), resolve_tool(f"helgrind-lib-spin{args.k}")]
-    )
-    suite_rows = measure_pipeline(suite, tools, repeats=args.repeats)
-    parsec_rows = measure_pipeline(parsec, tools, repeats=args.repeats)
-    for name, rows in (("t1 suite", suite_rows), ("PARSEC", parsec_rows)):
-        s = pipeline_summary(rows)
-        print(
-            f"F3 {name}: {s['events']} events — fast "
-            f"{s['fast_events_per_s']:.0f} ev/s vs legacy "
-            f"{s['legacy_events_per_s']:.0f} ev/s "
-            f"(pipeline {s['speedup']:.2f}x, wall {s['wall_speedup']:.2f}x), "
-            f"{s['mismatches']} report mismatch(es)"
-        )
-    mismatches = sum(
-        1 for r in [*suite_rows, *parsec_rows] if not r.reports_match
-    )
-    out = _bench_out(args, "f3")
-    if out:
-        write_pipeline_bench(out, {"t1_suite": suite_rows, "parsec": parsec_rows})
-        print(f"wrote {out}")
-    return 1 if mismatches else 0
-
-
-def cmd_f4(args: argparse.Namespace) -> int:
-    """Interpreter throughput: pre-decoded threaded code vs isinstance."""
-    from repro.harness.perf import (
-        interpreter_summary,
-        measure_interpreter,
-        write_interpreter_bench,
-    )
-    from repro.workloads import parsec_workloads
-
-    parsec = parsec_workloads()
-    if args.limit:
-        parsec = parsec[: args.limit]
-    rows = measure_interpreter(parsec, repeats=args.repeats)
-    s = interpreter_summary(rows)
-    print(
-        f"F4 PARSEC: {s['steps']} steps — decoded "
-        f"{s['decoded_steps_per_s']:.0f} steps/s vs legacy "
-        f"{s['legacy_steps_per_s']:.0f} steps/s "
-        f"({s['speedup']:.2f}x; one-time decode {s['decode_s']:.3f}s), "
-        f"{s['mismatches']} state mismatch(es)"
-    )
-    out = _bench_out(args, "f4")
-    if out:
-        write_interpreter_bench(out, {"parsec": rows})
-        print(f"wrote {out}")
-    return 1 if s["mismatches"] else 0
-
-
 def cmd_f6(args: argparse.Namespace) -> int:
     """Replay throughput: stored-trace analysis vs live execution."""
     from repro.harness.perf import measure_replay, replay_summary, write_replay_bench
@@ -550,18 +480,6 @@ FIGURES = {
     for f in (
         Figure("f1", "memory-overhead figure", cmd_f1),
         Figure("f2", "runtime-overhead figure", cmd_f2),
-        Figure(
-            "f3",
-            "pipeline throughput (fast vs legacy)",
-            cmd_f3,
-            "BENCH_pipeline.json",
-        ),
-        Figure(
-            "f4",
-            "interpreter throughput (decoded vs isinstance)",
-            cmd_f4,
-            "BENCH_interpreter.json",
-        ),
         Figure(
             "f6",
             "replay throughput (stored trace vs live)",

@@ -69,6 +69,7 @@ from repro.harness.resources import (
 )
 from repro.harness.runner import RunOutcome, run_workload
 from repro.harness.workload import Workload
+from repro.vm import Machine
 from repro.vm.faults import FaultPlan
 
 log = logging.getLogger(__name__)
@@ -823,7 +824,7 @@ def prewarm_traces(
     return recorded
 
 
-def _execute_spec(
+def _run_spec(
     spec: RunSpec,
     trace_dir: Optional[Union[str, Path]] = None,
     machine_sink=None,
@@ -889,6 +890,8 @@ def _execute_spec(
 
         stream = store.open_stream(key)
         if stream is not None:
+            if machine_sink is not None:
+                machine_sink(stream)
             try:
                 return run_workload_offline_streaming(
                     spec.resolve(),
@@ -927,19 +930,21 @@ def _child_main(
 ) -> None:
     """Worker entry point: run one spec, ship the outcome back, exit.
 
-    With ``heartbeat_s`` set, a daemon thread reports the machine's step
-    counter *and the worker's self-sampled RSS* over the pipe at that
-    interval: the parent tells a hung worker (counter frozen) from a
-    slow one (counter advancing) and preempts one whose RSS exceeds the
-    sweep's memory budget.  ``degraded`` marks a post-preemption retry:
-    replay specs then analyze their trace in streaming mode instead of
-    materializing it.
+    With ``heartbeat_s`` set, a daemon thread reports a progress counter
+    *and the worker's self-sampled RSS* over the pipe at that interval:
+    the parent tells a hung worker (counter frozen) from a slow one
+    (counter advancing) and preempts one whose RSS exceeds the sweep's
+    memory budget.  The counter belongs to whatever the run hands to
+    ``machine_sink``: a :class:`~repro.vm.Machine` counts VM steps, a
+    :class:`~repro.trace.TraceStream` counts decoded events.
+    ``degraded`` marks a post-preemption retry: replay specs then analyze
+    their trace in streaming mode instead of materializing it.
 
     ``spec`` is normally a :class:`RunSpec`, but any object exposing
     ``execute(machine_sink=..., streaming=..., trace_dir=...)`` is
     accepted — the hook other schedulers (the analysis service's
     trace-upload units in particular) use to ride the same supervised
-    worker path without teaching :func:`_execute_spec` their payloads.
+    worker path without teaching :func:`_run_spec` their payloads.
     """
     import gc
     import threading
@@ -952,12 +957,19 @@ def _child_main(
     # normal operation.  Held alive for the duration of the run.
     ballast = test_ballast_bytes(degraded)  # noqa: F841 — liveness is the point
     send_lock = threading.Lock()
-    machine_box: dict = {}
+    unit_box: dict = {}
     stop = threading.Event()
     if heartbeat_s:
         def _send_beat() -> bool:
-            machine = machine_box.get("machine")
-            steps = machine.step_count if machine is not None else -1
+            # The progress counter: VM steps for a live run, decoded
+            # events for a streamed trace analysis (-1 before either).
+            unit = unit_box.get("unit")
+            if unit is None:
+                steps = -1
+            elif isinstance(unit, Machine):
+                steps = unit.step_count
+            else:
+                steps = unit.decoded
             try:
                 rss = current_rss_bytes()
             except Exception:
@@ -985,14 +997,14 @@ def _child_main(
 
         threading.Thread(target=_beat, daemon=True).start()
     try:
-        sink = lambda m: machine_box.__setitem__("machine", m)  # noqa: E731
+        sink = lambda unit: unit_box.__setitem__("unit", unit)  # noqa: E731
         execute = getattr(spec, "execute", None)
         if callable(execute):
             outcome = execute(
                 machine_sink=sink, streaming=degraded, trace_dir=trace_dir
             )
         else:
-            outcome = _execute_spec(
+            outcome = _run_spec(
                 spec, trace_dir=trace_dir, machine_sink=sink, streaming=degraded
             )
         stop.set()
@@ -1022,7 +1034,7 @@ def _run_serial(
     for i, key in indices:
         spec = specs[i]
         try:
-            outcome = _execute_spec(spec, trace_dir=trace_dir)
+            outcome = _run_spec(spec, trace_dir=trace_dir)
         except KeyboardInterrupt:
             raise
         except Exception as exc:
@@ -1358,7 +1370,6 @@ def prewarm_static(specs: Iterable[RunSpec]) -> int:
             tool.spin_max_blocks,
             tool.inline_depth,
             armed,
-            tool.predecoded,
         )
         if combo in seen:
             continue
@@ -1375,8 +1386,7 @@ def prewarm_static(specs: Iterable[RunSpec]) -> int:
                     max_blocks=tool.spin_max_blocks,
                     inline_depth=tool.inline_depth,
                 )
-            if tool.predecoded:
-                get_decoded_program(program, imap, armed)
+            get_decoded_program(program, imap, armed)
         except Exception:
             continue
         warmed += 1
@@ -1525,60 +1535,62 @@ class WorkerPool:
             peak_rss=w.peak_rss,
         )
 
+    def _drain(self, proc, w: _Worker) -> Optional[WorkerExit]:
+        """Consume every message the worker has sent so far.
+
+        Heartbeats update the progress and RSS bookkeeping; a result (or
+        an over-budget RSS sample, which kills the worker) ends it and is
+        returned as the worker's exit.
+        """
+        conn = w.conn
+        while conn.poll(0):
+            try:
+                msg = conn.recv()
+                kind, payload = msg[0], msg[1]
+            except (EOFError, pickle.UnpicklingError) as exc:
+                kind, payload = "crash", f"unreadable result: {exc}"
+            if kind == "hb":
+                if payload > w.last_steps:
+                    w.last_steps = payload
+                    w.last_progress_t = time.monotonic()
+                rss = msg[2] if len(msg) > 2 else 0
+                if rss > w.peak_rss:
+                    w.peak_rss = rss
+                if self.rss_cap is not None and rss > self.rss_cap:
+                    # Over the memory budget: kill now, report the
+                    # sample; degraded-retry-vs-poison is policy.
+                    _kill(proc)
+                    log.warning(
+                        "worker oom-preempted: rss=%d cap=%d attempt=%d "
+                        "degraded=%s",
+                        rss, self.rss_cap, w.attempt, w.degraded,
+                    )
+                    return self._exit(w, "oom", rss)
+                continue
+            _reap(proc)
+            if kind == "ok":
+                return self._exit(w, "ok", payload)
+            return self._exit(w, "crash" if kind == "crash" else "error", str(payload))
+        return None
+
     def poll(self) -> List[WorkerExit]:
         """One supervision pass; returns every worker that terminated."""
         exits: List[WorkerExit] = []
         finished = []
         for proc, w in self._active.items():
             conn = w.conn
-            done = False
-            while conn.poll(0):
-                try:
-                    msg = conn.recv()
-                    kind, payload = msg[0], msg[1]
-                except (EOFError, pickle.UnpicklingError) as exc:
-                    kind, payload = "crash", f"unreadable result: {exc}"
-                if kind == "hb":
-                    now = time.monotonic()
-                    if payload > w.last_steps:
-                        w.last_steps = payload
-                        w.last_progress_t = now
-                    rss = msg[2] if len(msg) > 2 else 0
-                    if rss > w.peak_rss:
-                        w.peak_rss = rss
-                    if self.rss_cap is not None and rss > self.rss_cap:
-                        # Over the memory budget: kill now, report the
-                        # sample; degraded-retry-vs-poison is policy.
-                        _kill(proc)
-                        log.warning(
-                            "worker oom-preempted: rss=%d cap=%d attempt=%d "
-                            "degraded=%s",
-                            rss, self.rss_cap, w.attempt, w.degraded,
-                        )
-                        exits.append(self._exit(w, "oom", rss))
-                        conn.close()
-                        finished.append(proc)
-                        done = True
-                        break
-                    continue
-                if kind == "ok":
-                    exits.append(self._exit(w, "ok", payload))
-                elif kind == "crash":
-                    exits.append(self._exit(w, "crash", str(payload)))
-                else:
-                    exits.append(self._exit(w, "error", str(payload)))
-                _reap(proc)
-                conn.close()
-                finished.append(proc)
-                done = True
-                break
-            if done:
-                continue
+            done = self._drain(proc, w)
             now = time.monotonic()
-            if not proc.is_alive():
-                # Died without delivering a result: hard crash.
-                proc.join()
-                exits.append(self._exit(w, "crash", f"exit code {proc.exitcode}"))
+            if done is None and not proc.is_alive():
+                # A worker that sent its result and exited after the drain
+                # above is not a crash: drain once more before deciding.
+                done = self._drain(proc, w)
+                if done is None:
+                    # Died without delivering a result: hard crash.
+                    proc.join()
+                    done = self._exit(w, "crash", f"exit code {proc.exitcode}")
+            if done is not None:
+                exits.append(done)
                 conn.close()
                 finished.append(proc)
             elif (

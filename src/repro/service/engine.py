@@ -114,6 +114,10 @@ class TraceUploadUnit:
 
         config = ToolConfig.preset(self.tool)
         stream = open_trace_file(self.path)
+        if machine_sink is not None:
+            # The stream's decoded-event count is the heartbeat's
+            # progress counter: no VM runs here.
+            machine_sink(stream)
         analysis = analyze_trace_streaming(stream, config)
         name = f"trace-upload-{Path(self.path).stem[:12]}"
         return RunOutcome(

@@ -14,14 +14,15 @@ any :class:`~repro.detectors.ToolConfig` over the recorded events with
 no VM in the loop, and its report fingerprint is bit-identical to a
 live run's:
 
-* spin-off configurations see the marked-loop events and ignore them,
-  exactly as a live detector does (filtering them out would diverge);
+* events a configuration's detector would ignore (marked-loop events
+  without spin, library traffic in lib mode, bookkeeping) are dropped
+  before delivery;
 * ``spin(k)`` configurations drop events of loops wider than ``k``;
 * lib/nolib interception works unchanged (events carry ``in_library``);
 * lock-inference configurations get the recorded acquire sites;
-* batched configs route through the ``consume_batch`` fast path, and
-  the report is finalized from the trace's termination status so
-  partial (deadlock/livelock/fault-truncated) runs replay faithfully.
+* events reach the detector through ``consume_batch``, and the report is
+  finalized from the trace's termination status so partial
+  (deadlock/livelock/fault-truncated) runs replay faithfully.
 
 :class:`TraceStore` persists recordings content-addressed by
 ``(program fingerprint, scheduler, seed, instrumentation, faults)`` —

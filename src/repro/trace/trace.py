@@ -54,7 +54,7 @@ class Trace:
 
         Returns ``(reads, writes, ctrl)`` exactly as a live
         :class:`~repro.vm.machine.Machine` would buffer them for a
-        batch-capable listener: memory accesses as flat tuples
+        batch-consuming listener: memory accesses as flat tuples
         ``(seq, tid, addr, value, loc, atomic, in_library)`` and
         everything else as ``(seq, event)``.  Built once per trace —
         repeated analyses under different tool configurations share the
@@ -212,25 +212,11 @@ def _build_detector(trace: Trace, config: ToolConfig) -> RaceDetector:
 def _wide_loops(trace: Trace, config: ToolConfig) -> FrozenSet[int]:
     """Loop ids wider than the config's spin window (empty when spin is
     off: the window is an ad-hoc-engine concept, and without one every
-    marked event is a detector no-op anyway — per-event delivery passes
-    them through untouched, batched delivery drops them up front)."""
+    marked event is dropped anyway)."""
     if not config.spin:
         return frozenset()
     k = config.spin_max_blocks
     return frozenset(i for i, size in trace.loop_sizes.items() if size > k)
-
-
-def _deliver_events(trace: Trace, detector: RaceDetector, config: ToolConfig) -> None:
-    """Per-event delivery, mirroring the VM's unbatched listener path."""
-    wide = _wide_loops(trace, config)
-    if wide:
-        for event in trace.events:
-            if isinstance(event, _MARKED) and event.loop_id in wide:
-                continue  # loop too wide for this spin window
-            detector(event)
-    else:
-        for event in trace.events:
-            detector(event)
 
 
 _LIB_ANNOT = (ev.LibEnter, ev.LibExit)
@@ -292,16 +278,6 @@ def _filtered_batches(trace: Trace, config: ToolConfig) -> Tuple[list, list, lis
     return hit
 
 
-def _deliver_batched(trace: Trace, detector: RaceDetector, config: ToolConfig) -> None:
-    """Batched delivery through ``consume_batch``: the same merge order a
-    live machine's flush produces, over pre-filtered streams holding only
-    the events this config's detector acts on (see
-    :func:`_filtered_batches` — dropped events are detector no-ops, so
-    reports stay bit-identical to live)."""
-    reads, writes, ctrl = _filtered_batches(trace, config)
-    detector.consume_batch(reads, writes, ctrl)
-
-
 def replay_trace(trace: Trace, config: ToolConfig) -> RaceDetector:
     """Run one tool configuration over a recorded execution.
 
@@ -313,7 +289,7 @@ def replay_trace(trace: Trace, config: ToolConfig) -> RaceDetector:
     """
     _validate_replay(trace, config)
     detector = _build_detector(trace, config)
-    _deliver_events(trace, detector, config)
+    detector.consume_batch(*_filtered_batches(trace, config))
     return detector
 
 
@@ -334,12 +310,12 @@ class TraceAnalysis:
 def analyze_trace(trace: Trace, config) -> TraceAnalysis:
     """Run a tool configuration over a stored trace with no VM in the loop.
 
-    The offline twin of :func:`repro.harness.runner.run_workload`:
-    events route through the batched ``consume_batch`` fast path when
-    the config opts in, and the detector is finalized from
-    ``trace.status`` (``partial=True`` for deadlock / livelock /
-    truncated recordings), so the resulting ``report.fingerprint()`` is
-    bit-identical to the live run's.  ``config`` may be a
+    The offline twin of :func:`repro.harness.runner.run_workload`: one
+    ``consume_batch`` over the pre-filtered streams (the merge order a
+    live machine's flush produces, see :func:`_filtered_batches`), then
+    the detector is finalized from ``trace.status`` (``partial=True`` for
+    deadlock / livelock / truncated recordings), so the resulting
+    ``report.fingerprint()`` is bit-identical to the live run's.  ``config`` may be a
     :class:`~repro.detectors.ToolConfig` or a preset name.
     """
     from repro.harness.registry import resolve_tool  # lazy: import cycle
@@ -348,10 +324,7 @@ def analyze_trace(trace: Trace, config) -> TraceAnalysis:
     _validate_replay(trace, config)
     detector = _build_detector(trace, config)
     t0 = time.perf_counter()
-    if detector.batch_capable:
-        _deliver_batched(trace, detector, config)
-    else:
-        _deliver_events(trace, detector, config)
+    detector.consume_batch(*_filtered_batches(trace, config))
     report = detector.finalize(partial=trace.status != "ok")
     duration = time.perf_counter() - t0
     return TraceAnalysis(

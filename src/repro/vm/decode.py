@@ -1,21 +1,17 @@
 """Pre-decoded threaded-code interpreter: decode once, execute closures.
 
-The legacy :meth:`Machine._execute` walks an ``isinstance`` chain of ~25
-instruction classes on *every* step, builds a fresh
-:class:`~repro.isa.program.CodeLocation` per instruction, probes the
-``cond_loads`` marker dict on every ``Load``, and the ``exit_edges`` dict
-on every branch.  This module performs all of that work **once per
-program**: a decode pass translates each :class:`~repro.isa.program.Function`
-into arrays of per-instruction *handler closures* with every decode-time
-constant already bound —
+A decode pass translates each :class:`~repro.isa.program.Function` into
+arrays of per-instruction *handler closures* with every decode-time
+constant already bound, so the machine's step is one closure call with
+no ``isinstance`` chain, no per-step
+:class:`~repro.isa.program.CodeLocation` allocation and no marker-table
+probes:
 
 * operand register names, immediates, and address offsets;
 * the ALU/CMP callable for arithmetic/compare instructions;
 * the precomputed :class:`CodeLocation` (for events and error messages);
-* the marked-cond-load ``loop_id`` for instrumented ``Load`` sites (the
-  per-Load ``cond_loads.get(loc)`` probe disappears);
-* per-target exit-edge ``loop_id``s for ``Jmp``/``Br`` (the per-branch
-  ``exit_edges.get((loc, target))`` probe disappears);
+* the marked-cond-load ``loop_id`` for instrumented ``Load`` sites;
+* per-target exit-edge ``loop_id``s for ``Jmp``/``Br``;
 * direct :class:`DecodedBlock` references for branch targets (classic
   threaded code — a taken branch swaps the handler array without any
   label lookup);
@@ -25,12 +21,10 @@ constant already bound —
 
 Fusion rules (all step-preserving — the scheduler still picks a thread
 per instruction, so scheduler decisions, step counts, and the event
-sequence stay bit-identical to the legacy dispatcher):
+sequence are those of one-instruction-per-step execution):
 
-1. **advance fusion** — the ``frame.index += 1`` that the legacy path
-   performs through a ``Machine._advance`` call is folded into every
-   non-control handler (the ``Load``/``Store``+advance pair of the
-   legacy hot path becomes one closure);
+1. **advance fusion** — the ``frame.index += 1`` is folded into every
+   non-control handler (a ``Load`` and its advance are one closure);
 2. **Cmp→Br flag forwarding** — when a ``Br``'s condition register is
    defined by the immediately preceding ``Cmp`` in the same block, the
    ``Cmp`` handler forwards the raw Python bool through ``frame.cond_flag``
@@ -162,7 +156,7 @@ def decode_key(
 
 
 def _undef(loc: CodeLocation, exc: KeyError) -> None:
-    """Re-raise a register-file KeyError as the legacy MachineError."""
+    """Re-raise a register-file KeyError as a MachineError."""
     from repro.vm.machine import MachineError
 
     raise MachineError(
@@ -178,7 +172,7 @@ def _take_edge(m, t, f, label: str, dblock: DecodedBlock, lid: Optional[int], lo
                 ev.MarkedLoopExit(m.step_count, t.tid, lid, loc, t.lib_depth > 0)
             )
             # Marked-loop boundary: flush so the ad-hoc engine sees the
-            # exit promptly (same point the legacy _goto flushes at).
+            # exit promptly.
             m.flush_events()
         # The loop made progress: reset its watchdog counter.
         m._spin_counts.pop((t.tid, lid), None)
@@ -222,9 +216,46 @@ def _decode_mov(instr: ins.Mov, loc: CodeLocation, const_value: Optional[int]) -
     return h
 
 
-def _decode_alu(instr: ins.Alu, loc: CodeLocation) -> Handler:
-    from repro.vm.machine import _ALU_FUNCS
+def _div(a: int, b: int, loc: CodeLocation) -> int:
+    if b == 0:
+        from repro.vm.machine import MachineError
 
+        raise MachineError(f"{loc}: division by zero")
+    return int(a / b) if (a < 0) != (b < 0) else a // b
+
+
+def _mod(a: int, b: int, loc: CodeLocation) -> int:
+    if b == 0:
+        from repro.vm.machine import MachineError
+
+        raise MachineError(f"{loc}: modulo by zero")
+    return a - _div(a, b, loc) * b
+
+
+_ALU_FUNCS = {
+    ins.AluOp.ADD: lambda a, b, loc: a + b,
+    ins.AluOp.SUB: lambda a, b, loc: a - b,
+    ins.AluOp.MUL: lambda a, b, loc: a * b,
+    ins.AluOp.DIV: _div,
+    ins.AluOp.MOD: _mod,
+    ins.AluOp.AND: lambda a, b, loc: a & b,
+    ins.AluOp.OR: lambda a, b, loc: a | b,
+    ins.AluOp.XOR: lambda a, b, loc: a ^ b,
+    ins.AluOp.SHL: lambda a, b, loc: a << b,
+    ins.AluOp.SHR: lambda a, b, loc: a >> b,
+}
+
+_CMP_FUNCS = {
+    ins.CmpOp.EQ: lambda a, b: a == b,
+    ins.CmpOp.NE: lambda a, b: a != b,
+    ins.CmpOp.LT: lambda a, b: a < b,
+    ins.CmpOp.LE: lambda a, b: a <= b,
+    ins.CmpOp.GT: lambda a, b: a > b,
+    ins.CmpOp.GE: lambda a, b: a >= b,
+}
+
+
+def _decode_alu(instr: ins.Alu, loc: CodeLocation) -> Handler:
     fn = _ALU_FUNCS[instr.op]
     dst, a, b = instr.dst, instr.a, instr.b
 
@@ -241,8 +272,6 @@ def _decode_alu(instr: ins.Alu, loc: CodeLocation) -> Handler:
 
 
 def _decode_cmp(instr: ins.Cmp, loc: CodeLocation, forward_flag: bool) -> Handler:
-    from repro.vm.machine import _CMP_FUNCS
-
     fn = _CMP_FUNCS[instr.op]
     dst, a, b = instr.dst, instr.a, instr.b
     if forward_flag:
@@ -522,8 +551,8 @@ def _decode_call(
 
     args_regs, dst, fname = instr.args, instr.dst, instr.func
     if func is None:
-        # Unknown callee: preserved as an execution-time error, exactly
-        # where the legacy dispatcher raises it.
+        # Unknown callee: an execution-time error, raised only if the
+        # call actually runs.
         def h(m, t, f):
             raise MachineError(f"{loc}: call to unknown function {fname!r}")
 
@@ -834,8 +863,8 @@ def decode_program(
                 elif cls is ins.Print:
                     handlers.append(_decode_print(instr, loc))
                 else:
-                    # Unknown instruction class: preserved as the legacy
-                    # execution-time exhaustiveness guard.
+                    # Unknown instruction class: an execution-time
+                    # exhaustiveness guard.
                     handlers.append(_decode_unknown(instr, loc))
                 stats["handlers"] += 1
         decoded.blocks[fname] = shells

@@ -6,8 +6,8 @@ from repro.detectors.reports import Report
 from repro.detectors.vectorclock import ThreadClock
 
 
-def _algo(fast_path=True):
-    return HybridAlgorithm(report=Report(tool="t", granularity="symbol"), fast_path=fast_path)
+def _algo():
+    return HybridAlgorithm(report=Report(tool="t", granularity="symbol"))
 
 
 def test_write_record_lazy_vc_matches_snapshot():
@@ -17,13 +17,13 @@ def test_write_record_lazy_vc_matches_snapshot():
     other = ThreadClock(1)
     other.tick()
     t.join(other.snapshot())
-    rec = WriteRecord(t.tid, t.clock, 0, ("f", "b", 0), False, frozenset(), frame=t.frame())
+    rec = WriteRecord(t.tid, t.clock, 0, ("f", "b", 0), False, frozenset(), t.frame())
     assert rec.vc == t.snapshot()
 
 
 def test_write_record_update_in_place():
     t = ThreadClock(0)
-    rec = WriteRecord(0, t.clock, 1, ("f", "b", 0), False, frozenset(), frame=t.frame())
+    rec = WriteRecord(0, t.clock, 1, ("f", "b", 0), False, frozenset(), t.frame())
     before = id(rec)
     t.tick()
     rec.update(t.clock, 2, ("f", "b", 1), False, frozenset(), t.frame())
@@ -99,20 +99,3 @@ def test_cache_invalidated_by_clock_movement():
     algo.read(0, 100, loc, atomic=False)
     assert algo.shadow[100].rcache != cached
     assert algo.shadow[100].reads[0].clock == t.clock
-
-
-def test_fast_and_slow_paths_agree_on_a_race():
-    def drive(algo):
-        algo.write(1, 100, 1, ("f", "w", 0), atomic=False)
-        algo.read(2, 100, ("f", "r", 0), atomic=False)
-        return algo.report
-
-    fast, slow = drive(_algo(True)), drive(_algo(False))
-    assert [repr(w) for w in fast.warnings] == [repr(w) for w in slow.warnings]
-    assert len(fast.warnings) == 1
-
-
-def test_no_cache_when_fast_path_disabled():
-    algo = _algo(False)
-    algo.read(0, 100, ("f", "b", 0), atomic=False)
-    assert algo.shadow[100].rcache is None

@@ -14,6 +14,8 @@ from repro.harness.parallel import (
     ResultCache,
     RunSpec,
     SweepError,
+    WorkerPool,
+    _Worker,
     _sigterm_as_interrupt,
     run_sweep,
     sweep_specs,
@@ -476,6 +478,73 @@ class TestSupervision:
         (rec,) = result.records
         assert rec.status == "poison"
         assert rec.attempts == 3
+
+
+class TestWorkerPoolPoll:
+    def test_clean_exit_after_the_pipe_poll_is_not_a_crash(self):
+        """A worker that sends its result and exits between the pipe poll
+        and the liveness check delivered: it must not read as a crash."""
+
+        class Conn:
+            polls = 0
+
+            def poll(self, timeout):
+                self.polls += 1
+                return self.polls > 1  # the result lands after the first poll
+
+            def recv(self):
+                return ("ok", "outcome")
+
+            def close(self):
+                pass
+
+        class Proc:
+            exitcode = 0
+
+            def is_alive(self):
+                return False
+
+            def join(self, timeout=None):
+                pass
+
+        pool = WorkerPool(workers=1)
+        pool._active[Proc()] = _Worker(
+            token="t", conn=Conn(), attempt=1, start_t=0.0, deadline=None
+        )
+        (done,) = pool.poll()
+        assert (done.kind, done.payload) == ("ok", "outcome")
+
+    def test_trace_upload_heartbeat_reports_decoded_events(self, tmp_path):
+        """An upload runs no VM; its heartbeat must still advance, or an
+        analysis longer than the hang window is killed as hung."""
+        from repro.isa.program import CodeLocation
+        from repro.service.engine import TraceUploadUnit
+        from repro.trace import Trace, TraceStore
+        from repro.vm.events import MemRead
+
+        loc = CodeLocation("main", "entry", 0)
+        events = [MemRead(i, 0, 4096 + i % 64, 0, loc) for i in range(100_000)]
+        trace = Trace(
+            program_name="long_upload", seed=1, events=events, loop_sizes={},
+            lock_sites=frozenset(), symbols=[], max_blocks=8, inline_depth=1,
+            steps=len(events), ok=True,
+        )
+        TraceStore(tmp_path).put("k" * 64, trace)
+        unit = TraceUploadUnit(str(tmp_path / ("k" * 64 + ".trc")), "drd")
+        # The analysis takes about a second here, well past the window.
+        pool = WorkerPool(workers=1, heartbeat_s=0.02, hung_after_s=0.4)
+        pool.submit(unit, token="upload")
+        exits = []
+        deadline = time.monotonic() + 60
+        try:
+            while not exits and time.monotonic() < deadline:
+                time.sleep(0.01)
+                exits = pool.poll()
+        finally:
+            pool.shutdown()
+        (done,) = exits
+        assert done.kind == "ok", done.payload
+        assert done.payload.events == len(events)
 
 
 class TestMetricsIntegration:

@@ -77,6 +77,17 @@ def test_corpus_covers_every_case_and_config(corpus):
         assert set(cells) == set(CONFIGS)
 
 
+def test_replay_cells_equal_live_cells(corpus):
+    """Record once, analyze anywhere: every replayed verdict is the live one."""
+    diverged = [
+        (case_id, name)
+        for case_id, cells in corpus.items()
+        for name, cell in cells.items()
+        if cell["replay"] != cell["live"]["fingerprint"]
+    ]
+    assert not diverged
+
+
 @pytest.mark.parametrize("case_id", list(CASE_BY_ID))
 def test_case_reproduces_golden_cells(case_id, corpus):
     got = case_cells(CASE_BY_ID[case_id])

@@ -23,9 +23,8 @@ def _two_writer_program():
 
 
 class RecordingSink:
-    """A minimal batch-capable listener recording delivery shapes."""
+    """A minimal batch-consuming listener recording delivery shapes."""
 
-    batch_capable = True
     skip_in_library_traffic = False
 
     def __init__(self):
@@ -49,7 +48,7 @@ def _run(listener, batch_size=4096):
     return machine, machine.run()
 
 
-def test_batch_capable_sink_gets_batches_not_events():
+def test_batch_sink_gets_batches_not_events():
     sink = RecordingSink()
     machine, result = _run(sink)
     assert result.ok
@@ -118,15 +117,6 @@ def test_direct_step_bypasses_batching():
         machine.step(machine.scheduler.pick(runnable))
     assert not sink.batches
     assert any(isinstance(e, (MemRead, MemWrite)) for e in sink.events)
-
-
-def test_detector_batched_flag_controls_capability():
-    det = RaceDetector(ToolConfig.helgrind_lib())
-    assert det.batch_capable
-    from dataclasses import replace
-
-    det_off = RaceDetector(replace(ToolConfig.helgrind_lib(), batched=False))
-    assert not det_off.batch_capable
 
 
 def test_skip_in_library_traffic_follows_interception_mode():

@@ -171,8 +171,8 @@ class TestFingerprintMemo:
 
 
 class TestResultCacheKey:
-    def test_schema_is_7(self):
-        assert CACHE_SCHEMA == 7
+    def test_schema_is_8(self):
+        assert CACHE_SCHEMA == 8
 
     def test_shard_is_part_of_the_key(self):
         from repro.harness.checkpoint import spec_key
@@ -180,16 +180,6 @@ class TestResultCacheKey:
         spec = RunSpec(workload="streamcluster", config="drd", trace_mode="replay")
         sharded = dataclasses.replace(spec, shard="0/4")
         assert spec_key(spec) != spec_key(sharded)
-
-    def test_predecoded_is_part_of_the_key(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        tool = ToolConfig.helgrind_lib_spin(7)
-        spec_fast = RunSpec(workload="streamcluster", config=tool)
-        spec_legacy = RunSpec(
-            workload="streamcluster",
-            config=dataclasses.replace(tool, predecoded=False),
-        )
-        assert cache.key(spec_fast) != cache.key(spec_legacy)
 
 
 class TestCrossProcessReuse:
