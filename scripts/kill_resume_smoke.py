@@ -2,13 +2,16 @@
 """Kill-and-resume smoke test for the sweep checkpoint journal.
 
 1. Runs an uninterrupted serial baseline of a PARSEC sweep.
-2. Launches the same sweep (2 workers, journaled) in a subprocess and
-   SIGKILLs the whole process group mid-flight, once the journal holds
-   some — but not all — completed records.
-3. Reruns with ``resume=True`` and asserts the merged result is
+2. Launches the same sweep (2 workers, journaled, cached) in a
+   subprocess and SIGKILLs the whole process group mid-flight, once the
+   journal holds some — but not all — completed records.
+3. Runs ``ResultCache.doctor(purge=True)`` on the killed sweep's cache
+   and asserts only valid entries remain: no ``*.tmp.*`` debris from a
+   put the kill interrupted, and an empty ``corrupt/``.
+4. Reruns with ``resume=True`` and asserts the merged result is
    identical to the baseline on every stable field, with at least the
    pre-kill journaled fraction served without re-execution.
-4. Bit-flips a cache entry and asserts the corruption is quarantined
+5. Bit-flips a cache entry and asserts the corruption is quarantined
    with a structured note — never raised — and that the sweep heals by
    re-executing.
 
@@ -55,8 +58,29 @@ def stable(rec):
     )
 
 
-def child_main(journal_dir: str) -> None:
-    run_sweep(_specs(), workers=2, journal_dir=journal_dir)
+def child_main(work: str) -> None:
+    run_sweep(
+        _specs(),
+        workers=2,
+        journal_dir=Path(work) / "journal",
+        cache=ResultCache(Path(work) / "killed-cache"),
+    )
+
+
+def killed_cache_check(cache_dir: Path) -> None:
+    report = ResultCache(cache_dir).doctor(purge=True)
+    debris = sorted(p.name for p in cache_dir.glob("*.tmp.*"))
+    if debris:
+        fail(f"doctor --purge left temp-file debris: {debris}")
+    if list((cache_dir / "corrupt").glob("*")):
+        fail("doctor --purge left entries in corrupt/")
+    after = ResultCache(cache_dir).doctor()
+    if after.ok != after.scanned or after.quarantined:
+        fail(f"invalid entries survived the purge: {after}")
+    print(
+        f"killed cache OK: {report.scanned} entries scanned, "
+        f"{len(report.quarantined)} quarantined and purged, no temp debris"
+    )
 
 
 def kill_resume_check(work: Path) -> None:
@@ -66,7 +90,7 @@ def kill_resume_check(work: Path) -> None:
     baseline = run_sweep(specs, workers=0)
 
     print("launching journaled 2-worker sweep to be SIGKILLed ...")
-    proc = spawn_child(__file__, str(journal_dir))
+    proc = spawn_child(__file__, str(work))
     pre_kill = sigkill_when(
         proc,
         lambda: journal_entries(journal_dir),
@@ -76,6 +100,7 @@ def kill_resume_check(work: Path) -> None:
     if pre_kill >= len(specs):
         fail("sweep completed before the kill landed; nothing to resume")
     print(f"killed with {pre_kill}/{len(specs)} records journaled")
+    killed_cache_check(work / "killed-cache")
 
     resumed = run_sweep(specs, workers=2, journal_dir=journal_dir, resume=True)
     if resumed.resumed < pre_kill:

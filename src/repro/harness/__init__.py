@@ -24,7 +24,6 @@ from repro.harness.workload import Workload
 from repro.harness.runner import RunOutcome, run_workload
 from repro.harness.registry import register_workload, resolve_workload
 from repro.harness.parallel import (
-    CacheDoctorReport,
     ResultCache,
     RunRecord,
     RunSpec,
@@ -52,7 +51,6 @@ __all__ = [
     "run_workload",
     "register_workload",
     "resolve_workload",
-    "CacheDoctorReport",
     "ResultCache",
     "RunRecord",
     "RunSpec",

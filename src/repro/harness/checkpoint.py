@@ -16,9 +16,9 @@ finished work *durable*:
 
 The journal stores :class:`~repro.harness.parallel.RunRecord` rows, not
 outcomes: outcome payloads belong to the (checksummed) result cache.  A
-journal is therefore small, human-readable, and safe to truncate — a
-torn tail line (the signature of a crash mid-append) is detected and cut
-off on load, never propagated.
+journal is therefore small and human-readable; it is a
+:class:`repro.durable.Journal`, so a torn tail line (a crash mid-append)
+is cut off on load, never propagated.
 
 Format (one JSON object per line)::
 
@@ -34,10 +34,10 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import json
-import os
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Union
+
+from repro.durable import Journal
 
 #: bump when RunOutcome's schema or run semantics change incompatibly —
 #: stale cache entries from an older layout must not be deserialized.
@@ -114,10 +114,6 @@ def sweep_digest(keys: Iterable[str]) -> str:
     return h.hexdigest()
 
 
-def record_to_dict(record) -> dict:
-    return dataclasses.asdict(record)
-
-
 def record_from_dict(data: dict):
     """Rebuild a RunRecord, ignoring unknown keys (forward compatible)."""
     from repro.harness.parallel import RunRecord
@@ -126,7 +122,7 @@ def record_from_dict(data: dict):
     return RunRecord(**{k: v for k, v in data.items() if k in fields})
 
 
-class SweepJournal:
+class SweepJournal(Journal):
     """Append-only fsynced JSONL journal of completed run records.
 
     One instance is bound to one sweep digest; :meth:`load` returns the
@@ -136,128 +132,33 @@ class SweepJournal:
 
     def __init__(self, root: Union[str, Path], digest: str) -> None:
         self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
         self.digest = digest
-        self.path = self.root / f"sweep-{digest[:24]}.jsonl"
-        self._fh = None
-        self.appended = 0
+        super().__init__(self.root / f"sweep-{digest[:24]}.jsonl")
 
-    # -- reading ------------------------------------------------------------
+    def header(self) -> dict:
+        return {
+            "journal": _HEADER_KIND,
+            "version": JOURNAL_VERSION,
+            "schema": CACHE_SCHEMA,
+            "sweep": self.digest,
+        }
 
     def load(self) -> Dict[str, object]:
         """Parse the journal; returns ``{spec_key: RunRecord}``.
 
-        Tolerates a torn tail line (crash mid-append): everything up to
-        the last complete, valid line is returned and the torn bytes are
-        truncated away so subsequent appends start on a clean boundary.
-        A journal whose header names a different sweep or schema is
-        rotated to ``*.stale`` and treated as empty.
+        A torn tail (crash mid-append) is truncated away; a journal
+        whose header names a different sweep or schema is rotated to
+        ``*.stale`` and treated as empty (:meth:`Journal.load`).
         """
-        if not self.path.exists():
-            return {}
-        raw = self.path.read_bytes()
         entries: Dict[str, object] = {}
-        valid_end = 0
-        offset = 0
-        header_ok = False
-        for line in raw.split(b"\n"):
-            consumed = len(line) + 1  # the newline
-            # the final fragment has no newline — only count it if valid
-            has_newline = offset + len(line) < len(raw)
-            try:
-                obj = json.loads(line.decode("utf-8")) if line.strip() else None
-            except (ValueError, UnicodeDecodeError):
-                break  # torn or corrupt line: stop, truncate the rest
-            if obj is None:
-                if has_newline:
-                    valid_end = offset + consumed
-                    offset += consumed
-                    continue
-                break
-            if not header_ok:
-                if (
-                    not isinstance(obj, dict)
-                    or obj.get("journal") != _HEADER_KIND
-                    or obj.get("version") != JOURNAL_VERSION
-                    or obj.get("schema") != CACHE_SCHEMA
-                    or obj.get("sweep") != self.digest
-                ):
-                    self._rotate_stale()
-                    return {}
-                header_ok = True
-            else:
-                try:
-                    entries[obj["key"]] = record_from_dict(obj["record"])
-                except (KeyError, TypeError):
-                    break  # structurally torn entry: stop here
-            if not has_newline:
-                break  # valid JSON but no terminator: treat as torn
-            valid_end = offset + consumed
-            offset += consumed
-        if valid_end < len(raw):
-            with open(self.path, "r+b") as fh:
-                fh.truncate(valid_end)
+
+        def fold(obj: dict) -> None:
+            entries[obj["key"]] = record_from_dict(obj["record"])
+
+        super().load(fold)
         return entries
-
-    def _rotate_stale(self) -> None:
-        stale = self.path.with_suffix(".jsonl.stale")
-        try:
-            os.replace(self.path, stale)
-        except OSError:
-            self.path.unlink(missing_ok=True)
-
-    # -- writing ------------------------------------------------------------
-
-    def reset(self) -> None:
-        """Discard any previous journal for this sweep (fresh run)."""
-        self.close()
-        self.path.unlink(missing_ok=True)
-
-    def _ensure_open(self) -> None:
-        if self._fh is not None:
-            return
-        fresh = not self.path.exists() or self.path.stat().st_size == 0
-        self._fh = open(self.path, "ab")
-        if fresh:
-            header = {
-                "journal": _HEADER_KIND,
-                "version": JOURNAL_VERSION,
-                "schema": CACHE_SCHEMA,
-                "sweep": self.digest,
-            }
-            self._write_line(header)
-
-    def _write_line(self, obj: dict) -> None:
-        self._fh.write(json.dumps(obj, separators=(",", ":")).encode() + b"\n")
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
 
     def append(self, key: str, record) -> None:
         """Durably journal one completed record (fsync before return)."""
-        self._ensure_open()
-        self._write_line({"key": key, "record": record_to_dict(record)})
-        self.appended += 1
+        self.append_entry({"key": key, "record": dataclasses.asdict(record)})
 
-    def close(self) -> None:
-        if self._fh is not None:
-            try:
-                self._fh.flush()
-                os.fsync(self._fh.fileno())
-            except (OSError, ValueError):
-                pass
-            self._fh.close()
-            self._fh = None
-
-    def __enter__(self) -> "SweepJournal":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-def open_journal(
-    root: Union[str, Path], specs: Sequence, keys: Optional[Sequence[str]] = None
-) -> Tuple["SweepJournal", List[str]]:
-    """Convenience: compute keys (if not given) and bind the journal."""
-    keys = list(keys) if keys is not None else [spec_key(s) for s in specs]
-    return SweepJournal(root, sweep_digest(keys)), keys

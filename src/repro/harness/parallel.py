@@ -38,14 +38,11 @@ statistics, and :func:`summarize_records` folds them into the
 from __future__ import annotations
 
 import contextlib
-import errno
-import hashlib
 import logging
 import multiprocessing
 import os
 import pickle
 import signal
-import struct
 import threading
 import time
 from collections import deque
@@ -54,6 +51,7 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.detectors import ToolConfig
+from repro.durable import FramedStore
 from repro.harness.checkpoint import (
     CACHE_SCHEMA,
     SweepJournal,
@@ -64,7 +62,6 @@ from repro.harness.registry import resolve_workload
 from repro.harness.resources import (
     ResourceBudget,
     current_rss_bytes,
-    retry_io,
     test_ballast_bytes,
 )
 from repro.harness.runner import RunOutcome, run_workload
@@ -76,8 +73,6 @@ log = logging.getLogger(__name__)
 
 __all__ = [
     "CACHE_SCHEMA",
-    "CacheDoctorReport",
-    "CacheQuarantine",
     "ResourceBudget",
     "ResultCache",
     "RunRecord",
@@ -184,43 +179,7 @@ def sweep_specs(
 # Result cache
 
 
-@dataclass(frozen=True)
-class CacheQuarantine:
-    """One cache entry moved aside instead of deserialized."""
-
-    key: str
-    reason: str
-    path: str
-
-
-@dataclass
-class CacheDoctorReport:
-    """Outcome of a :meth:`ResultCache.doctor` scan."""
-
-    scanned: int = 0
-    ok: int = 0
-    quarantined: List[CacheQuarantine] = field(default_factory=list)
-    #: entries sitting in ``corrupt/`` (including ones this scan moved)
-    corrupt_entries: int = 0
-    purged: int = 0
-
-
-class _CacheCorruption(Exception):
-    """Internal: a cache entry failed integrity validation."""
-
-    def __init__(self, reason: str) -> None:
-        super().__init__(reason)
-        self.reason = reason
-
-
-#: framed-entry header: magic, frame version, cache schema
-_CACHE_MAGIC = b"RPRC"
-_CACHE_FRAME_VERSION = 1
-_CACHE_HEADER = struct.Struct("<4sBI")
-_DIGEST_LEN = 32
-
-
-class ResultCache:
+class ResultCache(FramedStore):
     """Content-keyed on-disk cache of pickled :class:`RunOutcome` objects.
 
     The key hashes the *built program* (not the workload name), so two
@@ -228,289 +187,31 @@ class ResultCache:
     seed share entries, and any change to a workload generator changes
     the fingerprint and misses cleanly.
 
-    Integrity: every entry is framed as ``magic + frame version + cache
-    schema + sha256(payload) + payload`` and written atomically (temp
-    file, fsync, rename), so concurrent sweeps may share a directory and
-    a process killed mid-write can never poison later sweeps.  An entry
-    that fails validation — torn, truncated, bit-flipped, or written by
-    an incompatible schema — is *quarantined*: moved to a ``corrupt/``
-    sidecar directory next to a JSON note, logged as a structured
-    warning, and treated as a miss.  Corruption never raises.
+    Integrity is the :class:`~repro.durable.FramedStore` contract:
+    concurrent sweeps may share a directory, a process killed mid-write
+    never poisons later sweeps, and a torn, bit-flipped or
+    stale-schema entry is quarantined and read as a miss, never raised.
     """
 
-    def __init__(
-        self,
-        root: Union[str, Path],
-        quota_bytes: Optional[int] = None,
-        io_attempts: int = 3,
-        io_backoff_s: float = 0.01,
-    ) -> None:
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-        #: byte quota for valid entries; oldest (LRU by mtime) entries
-        #: are evicted after each ``put`` that pushes the cache over
-        self.quota_bytes = quota_bytes
-        self.io_attempts = io_attempts
-        self.io_backoff_s = io_backoff_s
-        #: True once the cache degraded to write-off after persistent
-        #: I/O failure (ENOSPC after freeing, exhausted retries); reads
-        #: keep working, further ``put`` calls are silent no-ops
-        self.disabled = False
-        #: structured degradation notes ("cache-off: ..."), surfaced on
-        #: the sweep result and by the CLI
-        self.notes: List[str] = []
-        self.evictions = 0
-        self.hits = 0
-        self.misses = 0
-        self.writes = 0
-        self.quarantined: List[CacheQuarantine] = []
+    MAGIC = b"RPRC"
+    SCHEMA = CACHE_SCHEMA
+    SUFFIX = ".pkl"
+    OFF_NOTE = "cache-off"
+    DECODE_ERROR = "unpicklable"
 
     def key(self, spec: RunSpec) -> str:
         return spec_key(spec)
 
-    def _path(self, key: str) -> Path:
-        return self.root / f"{key}.pkl"
+    def encode(self, outcome: RunOutcome) -> bytes:
+        return pickle.dumps(outcome, protocol=pickle.HIGHEST_PROTOCOL)
 
-    @property
-    def corrupt_dir(self) -> Path:
-        return self.root / "corrupt"
-
-    # -- framing ------------------------------------------------------------
-
-    @staticmethod
-    def _frame(payload: bytes) -> bytes:
-        header = _CACHE_HEADER.pack(_CACHE_MAGIC, _CACHE_FRAME_VERSION, CACHE_SCHEMA)
-        return header + hashlib.sha256(payload).digest() + payload
-
-    @staticmethod
-    def _unframe(data: bytes) -> bytes:
-        """Validate a framed entry; returns the payload or raises."""
-        if len(data) < _CACHE_HEADER.size + _DIGEST_LEN:
-            raise _CacheCorruption("truncated")
-        magic, version, schema = _CACHE_HEADER.unpack_from(data)
-        if magic != _CACHE_MAGIC:
-            raise _CacheCorruption("bad-magic")
-        if version != _CACHE_FRAME_VERSION:
-            raise _CacheCorruption(f"frame-version-{version}")
-        if schema != CACHE_SCHEMA:
-            raise _CacheCorruption(f"schema-{schema}")
-        digest = data[_CACHE_HEADER.size : _CACHE_HEADER.size + _DIGEST_LEN]
-        payload = data[_CACHE_HEADER.size + _DIGEST_LEN :]
-        if hashlib.sha256(payload).digest() != digest:
-            raise _CacheCorruption("checksum-mismatch")
-        return payload
-
-    def _decode(self, data: bytes) -> RunOutcome:
-        payload = self._unframe(data)
-        try:
-            return pickle.loads(payload)
-        except Exception as exc:  # schema drift, truncated pickle, ...
-            raise _CacheCorruption(f"unpicklable: {type(exc).__name__}") from exc
-
-    def _quarantine(
-        self, path: Path, key: str, reason: str
-    ) -> Optional[CacheQuarantine]:
-        """Move a bad entry to ``corrupt/`` with a note; never raises."""
-        dest = self.corrupt_dir / path.name
-        try:
-            self.corrupt_dir.mkdir(parents=True, exist_ok=True)
-            os.replace(path, dest)
-        except FileNotFoundError:
-            # A concurrent writer/gc removed the entry between our
-            # listing and the move: nothing to quarantine after all.
-            return None
-        except OSError:
-            pass
-        try:
-            note = dest.with_suffix(".note.json")
-            import json
-
-            note.write_text(
-                json.dumps({"key": key, "reason": reason, "schema": CACHE_SCHEMA})
-            )
-        except OSError:
-            pass
-        entry = CacheQuarantine(key=key, reason=reason, path=str(dest))
-        self.quarantined.append(entry)
-        log.warning(
-            "cache entry quarantined: key=%s reason=%s moved_to=%s",
-            key[:16],
-            reason,
-            dest,
-        )
-        return entry
-
-    # -- the cache API ------------------------------------------------------
-
-    def get(self, key: str) -> Optional[RunOutcome]:
-        path = self._path(key)
-        try:
-            data = path.read_bytes()
-        except OSError:
-            self.misses += 1
-            return None
-        try:
-            outcome = self._decode(data)
-        except _CacheCorruption as exc:
-            self._quarantine(path, key, exc.reason)
-            self.misses += 1
-            return None
-        self.hits += 1
-        try:
-            os.utime(path)  # LRU recency for quota eviction
-        except OSError:
-            pass
-        return outcome
-
-    def _atomic_write(self, tmp: Path, path: Path, data: bytes) -> None:
-        """The raw write step (temp + fsync + rename) — the I/O-failure
-        injection point for the degradation tests."""
-        with open(tmp, "wb") as fh:
-            fh.write(data)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-
-    def _disable(self, note: str) -> None:
-        self.disabled = True
-        self.notes.append(note)
-        log.warning("result cache degraded: %s", note)
+    def decode(self, payload: bytes) -> RunOutcome:
+        return pickle.loads(payload)
 
     def put(self, key: str, outcome: RunOutcome) -> None:
-        if self.disabled:
-            return
-        payload = pickle.dumps(outcome, protocol=pickle.HIGHEST_PROTOCOL)
-        data = self._frame(payload)
-        path = self._path(key)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-
-        def write() -> None:
-            retry_io(
-                lambda: self._atomic_write(tmp, path, data),
-                attempts=self.io_attempts,
-                base_delay_s=self.io_backoff_s,
-                token=key,
-            )
-
-        try:
-            try:
-                write()
-            except OSError as exc:
-                if exc.errno != errno.ENOSPC:
-                    raise
-                # Full disk: reclaim what we can (quarantine debris,
-                # LRU entries over quota), then one more attempt.
-                self._free_space()
-                write()
-        except OSError as exc:
-            try:
-                tmp.unlink()
-            except OSError:
-                pass
-            self._disable(
-                f"cache-off: put failed after retries "
-                f"({errno.errorcode.get(exc.errno, 'OSError')}): {exc}"
-            )
-            return
-        self.writes += 1
-        self._enforce_quota(protect=key)
-
-    def total_bytes(self) -> int:
-        """Bytes held by valid entries (quarantine debris excluded)."""
-        total = 0
-        for path in self.root.glob("*.pkl"):
-            try:
-                total += path.stat().st_size
-            except OSError:
-                continue
-        return total
-
-    def _entry_stats(self) -> List[Tuple[float, int, Path]]:
-        """``(mtime, size, path)`` per entry, oldest first; race-tolerant."""
-        stats = []
-        for path in self.root.glob("*.pkl"):
-            try:
-                st = path.stat()
-            except OSError:
-                continue
-            stats.append((st.st_mtime, st.st_size, path))
-        stats.sort(key=lambda t: (t[0], t[2].name))
-        return stats
-
-    def _enforce_quota(self, protect: str = "") -> None:
-        """Evict LRU entries until the cache fits its quota; the
-        just-written key is protected from its own eviction pass."""
-        if self.quota_bytes is None:
-            return
-        stats = self._entry_stats()
-        total = sum(size for _, size, _ in stats)
-        for _, size, path in stats:
-            if total <= self.quota_bytes:
-                break
-            if path.stem == protect:
-                continue
-            try:
-                path.unlink()
-            except OSError:
-                continue
-            total -= size
-            self.evictions += 1
-
-    def _free_space(self) -> None:
-        """ENOSPC pressure valve: purge quarantine debris, enforce quota."""
-        for path in self.corrupt_dir.glob("*"):
-            try:
-                path.unlink()
-            except OSError:
-                continue
-        self._enforce_quota()
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.root.glob("*.pkl"))
-
-    def clear(self) -> None:
-        for path in self.root.glob("*.pkl"):
-            path.unlink(missing_ok=True)
-
-    # -- the doctor ---------------------------------------------------------
-
-    def doctor(self, purge: bool = False) -> CacheDoctorReport:
-        """Scan every entry, quarantine the bad ones, optionally purge.
-
-        Validation is the same frame + checksum + unpickle path ``get``
-        uses, so a clean doctor run guarantees every later probe of the
-        current population is a clean hit or a clean miss.
-        """
-        report = CacheDoctorReport()
-        for path in sorted(self.root.glob("*.pkl")):
-            key = path.stem
-            try:
-                data = path.read_bytes()
-            except FileNotFoundError:
-                continue  # raced away between listing and read
-            except OSError:
-                report.scanned += 1
-                continue
-            report.scanned += 1
-            try:
-                self._decode(data)
-            except _CacheCorruption as exc:
-                entry = self._quarantine(path, key, exc.reason)
-                if entry is not None:
-                    report.quarantined.append(entry)
-                continue
-            report.ok += 1
-        corrupt = list(self.corrupt_dir.glob("*.pkl"))
-        report.corrupt_entries = len(corrupt)
-        if purge:
-            for path in self.corrupt_dir.glob("*"):
-                try:
-                    path.unlink()
-                except OSError:
-                    continue
-                if path.suffix == ".pkl":
-                    report.purged += 1
-        return report
+        # Defined here, not inherited: the benchmark's layer tracer
+        # (bench/layers.py) wraps ResultCache.put by class attribute.
+        super().put(key, outcome)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,8 @@ prevent all three:
   self-sampling (``/proc/self/statm`` when available, ``getrusage``
   high-water otherwise) that worker heartbeats piggyback on;
 * :func:`retry_io` — bounded retries with deterministic jittered
-  backoff for transient filesystem errors, shared by the store layers.
+  backoff for transient filesystem errors (defined in
+  :mod:`repro.durable`, whose stores use it).
 
 Everything degrades instead of failing: over-budget workers are
 preempted and retried in a degraded (streaming) mode, over-quota stores
@@ -23,14 +24,13 @@ note — a governed sweep finishes with honest records, it never crashes.
 
 from __future__ import annotations
 
-import errno
-import hashlib
 import os
 import resource
 import sys
-import time
 from dataclasses import dataclass
-from typing import Callable, Optional, TypeVar, Union
+from typing import Optional, Union
+
+from repro.durable import retry_io
 
 __all__ = [
     "PressureReport",
@@ -43,15 +43,7 @@ __all__ = [
     "test_ballast_bytes",
 ]
 
-_T = TypeVar("_T")
-
 _PAGE_SIZE = os.sysconf("SC_PAGE_SIZE") if hasattr(os, "sysconf") else 4096
-
-#: OS error numbers worth retrying — transient by nature (interrupted
-#: call, temporary resource exhaustion) rather than structural.
-TRANSIENT_ERRNOS = frozenset(
-    {errno.EINTR, errno.EAGAIN, errno.EBUSY, errno.ENFILE, errno.EMFILE}
-)
 
 
 def current_rss_bytes() -> int:
@@ -208,46 +200,6 @@ def assess_pressure(
         disk_bytes=disk_bytes,
         disk_frac=disk_frac,
     )
-
-
-def _jitter(token: str, attempt: int) -> float:
-    """Deterministic jitter fraction in [0, 1) from a stable token.
-
-    Derived from a hash rather than a RNG so retry timing is
-    reproducible for a given (key, attempt) — the same property every
-    other layer of the harness guarantees.
-    """
-    digest = hashlib.sha256(f"{token}:{attempt}".encode()).digest()
-    return int.from_bytes(digest[:4], "big") / 2**32
-
-
-def retry_io(
-    fn: Callable[[], _T],
-    attempts: int = 3,
-    base_delay_s: float = 0.01,
-    token: str = "",
-    sleep: Callable[[float], None] = time.sleep,
-) -> _T:
-    """Call ``fn``, retrying transient ``OSError`` with jittered backoff.
-
-    Only errnos in :data:`TRANSIENT_ERRNOS` are retried; structural
-    errors (``ENOSPC``, ``EACCES``, ...) propagate immediately so the
-    caller can take its degradation path.  Backoff doubles per attempt
-    with a deterministic jitter fraction keyed on ``token``.
-    """
-    last: Optional[OSError] = None
-    for attempt in range(attempts):
-        try:
-            return fn()
-        except OSError as exc:
-            if exc.errno not in TRANSIENT_ERRNOS:
-                raise
-            last = exc
-            if attempt + 1 < attempts:
-                delay = base_delay_s * (2**attempt) * (1.0 + _jitter(token, attempt))
-                sleep(delay)
-    assert last is not None
-    raise last
 
 
 #: test-only knob (see ``scripts/oom_smoke.py``): workers allocate this

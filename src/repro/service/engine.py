@@ -489,15 +489,7 @@ class Engine:
             )
         disk = 0
         if self.budget is not None and self.budget.disk_quota_bytes:
-            disk = self.journal.spool_bytes()
-            try:
-                disk += sum(
-                    p.stat().st_size
-                    for p in self.cache.root.glob("*.pkl")
-                    if p.is_file()
-                )
-            except OSError:
-                pass
+            disk = self.journal.spool_bytes() + self.cache.total_bytes()
         return assess_pressure(self.budget, disk_bytes=disk)
 
     def _resolve(self, cell: _Cell, resp: dict, journal: bool = True) -> None:

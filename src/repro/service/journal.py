@@ -1,10 +1,8 @@
 """Crash-safe request journal — the daemon's durability backbone.
 
-Same discipline as :class:`repro.harness.checkpoint.SweepJournal`: one
-fsynced JSON line per state transition, a header line pinning the
-journal kind and schema version, torn-tail truncation on load (a crash
-mid-append cuts the journal at the last complete line, never corrupts
-it), and stale rotation when the header disagrees.
+A :class:`repro.durable.Journal`: one fsynced JSON line per state
+transition under a header pinning the journal kind and schema version;
+a torn tail is truncated on load and a foreign header rotated aside.
 
 Two operations::
 
@@ -27,11 +25,10 @@ key, the payload survives next to it.
 
 from __future__ import annotations
 
-import json
-import os
 from pathlib import Path
 from typing import Dict, Optional, Tuple, Union
 
+from repro.durable import Journal, atomic_write, reap_temps, temp_path
 from repro.service.schema import SCHEMA_VERSION
 
 __all__ = ["RequestJournal"]
@@ -42,18 +39,20 @@ _HEADER_KIND = "repro-service"
 JOURNAL_VERSION = 1
 
 
-class RequestJournal:
+class RequestJournal(Journal):
     """Append-only fsynced JSONL journal of request lifecycle events."""
 
     def __init__(self, root: Union[str, Path]) -> None:
         self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-        self.path = self.root / "requests.jsonl"
         self.uploads = self.root / "uploads"
-        self._fh = None
-        self.appended = 0
+        super().__init__(self.root / "requests.jsonl")
 
-    # -- reading ------------------------------------------------------------
+    def header(self) -> dict:
+        return {
+            "journal": _HEADER_KIND,
+            "version": JOURNAL_VERSION,
+            "schema": SCHEMA_VERSION,
+        }
 
     def load(self) -> Tuple[Dict[str, dict], Dict[str, dict]]:
         """Fold the journal; returns ``(pending, completed)``.
@@ -63,102 +62,33 @@ class RequestJournal:
         order — the restart drain re-runs them oldest first);
         ``completed`` maps key → the journaled response.  Torn tail
         lines are truncated away; a journal with a foreign header is
-        rotated to ``*.stale`` and treated as empty.
+        rotated to ``*.stale`` and treated as empty.  Spool temp files
+        left by a daemon killed mid-upload are deleted.
         """
-        if not self.path.exists():
-            return {}, {}
-        raw = self.path.read_bytes()
         pending: Dict[str, dict] = {}
         completed: Dict[str, dict] = {}
-        valid_end = 0
-        offset = 0
-        header_ok = False
-        for line in raw.split(b"\n"):
-            consumed = len(line) + 1
-            has_newline = offset + len(line) < len(raw)
-            try:
-                obj = json.loads(line.decode("utf-8")) if line.strip() else None
-            except (ValueError, UnicodeDecodeError):
-                break  # torn or corrupt line: stop, truncate the rest
-            if obj is None:
-                if has_newline:
-                    valid_end = offset + consumed
-                    offset += consumed
-                    continue
-                break
-            if not has_newline:
-                # Valid JSON but the crash ate the terminator: the line
-                # is torn.  Checked *before* folding it, so the returned
-                # state always matches the truncated file.
-                break
-            if not header_ok:
-                if (
-                    not isinstance(obj, dict)
-                    or obj.get("journal") != _HEADER_KIND
-                    or obj.get("version") != JOURNAL_VERSION
-                    or obj.get("schema") != SCHEMA_VERSION
-                ):
-                    self._rotate_stale()
-                    return {}, {}
-                header_ok = True
+
+        def fold(obj: dict) -> None:
+            op, key = obj["op"], obj["key"]
+            if op == "accepted":
+                pending.setdefault(key, obj["request"])
+            elif op == "done":
+                completed[key] = obj["response"]
+                pending.pop(key, None)
             else:
-                try:
-                    op, key = obj["op"], obj["key"]
-                    if op == "accepted":
-                        pending.setdefault(key, obj["request"])
-                    elif op == "done":
-                        completed[key] = obj["response"]
-                        pending.pop(key, None)
-                    else:
-                        break  # unknown op: treat as torn
-                except (KeyError, TypeError):
-                    break  # structurally torn entry: stop here
-            valid_end = offset + consumed
-            offset += consumed
-        if valid_end < len(raw):
-            with open(self.path, "r+b") as fh:
-                fh.truncate(valid_end)
+                raise ValueError(f"unknown op {op!r}")
+
+        super().load(fold)
+        reap_temps(self.uploads)
         return pending, completed
-
-    def _rotate_stale(self) -> None:
-        stale = self.path.with_suffix(".jsonl.stale")
-        try:
-            os.replace(self.path, stale)
-        except OSError:
-            self.path.unlink(missing_ok=True)
-
-    # -- writing ------------------------------------------------------------
-
-    def _ensure_open(self) -> None:
-        if self._fh is not None:
-            return
-        fresh = not self.path.exists() or self.path.stat().st_size == 0
-        self._fh = open(self.path, "ab")
-        if fresh:
-            self._write_line(
-                {
-                    "journal": _HEADER_KIND,
-                    "version": JOURNAL_VERSION,
-                    "schema": SCHEMA_VERSION,
-                }
-            )
-
-    def _write_line(self, obj: dict) -> None:
-        self._fh.write(json.dumps(obj, separators=(",", ":")).encode() + b"\n")
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
 
     def accepted(self, key: str, request: dict) -> None:
         """Durably journal an accepted request (fsync before return)."""
-        self._ensure_open()
-        self._write_line({"op": "accepted", "key": key, "request": request})
-        self.appended += 1
+        self.append_entry({"op": "accepted", "key": key, "request": request})
 
     def done(self, key: str, response: dict) -> None:
         """Durably journal a completed request with its full response."""
-        self._ensure_open()
-        self._write_line({"op": "done", "key": key, "response": response})
-        self.appended += 1
+        self.append_entry({"op": "done", "key": key, "response": response})
 
     # -- trace upload spool -------------------------------------------------
 
@@ -170,14 +100,8 @@ class RequestJournal:
         """
         self.uploads.mkdir(parents=True, exist_ok=True)
         dest = self.uploads / f"{key}.trc"
-        if dest.exists():
-            return dest
-        tmp = dest.with_suffix(".tmp")
-        with open(tmp, "wb") as fh:
-            fh.write(payload)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, dest)
+        if not dest.exists():
+            atomic_write(temp_path(dest), dest, payload)
         return dest
 
     def upload_path(self, key: str) -> Optional[Path]:
@@ -191,19 +115,3 @@ class RequestJournal:
         return sum(
             p.stat().st_size for p in self.uploads.glob("*.trc") if p.is_file()
         )
-
-    def close(self) -> None:
-        if self._fh is not None:
-            try:
-                self._fh.flush()
-                os.fsync(self._fh.fileno())
-            except (OSError, ValueError):
-                pass
-            self._fh.close()
-            self._fh = None
-
-    def __enter__(self) -> "RequestJournal":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

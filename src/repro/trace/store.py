@@ -8,44 +8,33 @@ budget, and any injected fault plan — and *nothing* that doesn't (the
 tool configuration in particular), so one stored trace serves any
 number of :func:`~repro.trace.trace.analyze_trace` calls.
 
-Entries follow the result cache's integrity discipline: a framed header
-(magic ``RPRT`` + frame version + trace schema) over a sha256-checksummed
-payload, written atomically (temp file, fsync, rename).  The payload is
-gzip-compressed JSONL — one metadata line followed by one line per
-event — so a multi-hundred-thousand-event recording stays a few hundred
-kilobytes on disk.  An entry that fails validation is quarantined into a
-``corrupt/`` sidecar directory with a JSON note and treated as a miss;
-corruption never raises.
+Entries are :class:`~repro.durable.FramedStore` frames (magic ``RPRT``
++ frame version + trace schema + sha256) written atomically; one that
+fails validation is quarantined and treated as a miss, never raised.
+The payload is gzip-compressed JSONL — one metadata line followed by
+one line per event — so a multi-hundred-thousand-event recording stays
+a few hundred kilobytes on disk.
 """
 
 from __future__ import annotations
 
-import errno
 import gzip
 import hashlib
 import json
-import logging
-import os
-import struct
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Iterator, Optional, Tuple, Union
 
-from repro.trace.stream import TraceStream, read_meta_line
+from repro.durable import Corruption, FramedStore
+from repro.durable import DIGEST_LEN as _DIGEST_LEN  # noqa: F401 — codec tests
+from repro.durable import FRAME_HEADER as _TRACE_HEADER  # noqa: F401 — codec tests
+from repro.trace.stream import TraceStream, TraceStreamCorruption, read_meta_line
 from repro.trace.trace import Trace, _decode_event, _encode_event, _loc_parse, _loc_str
-
-log = logging.getLogger(__name__)
 
 #: bump when the trace payload layout changes incompatibly.  Deliberately
 #: independent of the harness CACHE_SCHEMA: trace artifacts outlive
 #: result-cache generations (a detector change invalidates outcomes but
 #: not recordings — that is the whole point of the store).
 TRACE_SCHEMA = 1
-
-_TRACE_MAGIC = b"RPRT"
-_TRACE_FRAME_VERSION = 1
-_TRACE_HEADER = struct.Struct("<4sBI")
-_DIGEST_LEN = 32
 
 
 def trace_key(
@@ -142,7 +131,7 @@ def _decode_payload(payload: bytes) -> Trace:
     meta = json.loads(lines[0])
     events = [_decode_event(json.loads(line)) for line in lines[1:] if line]
     if len(events) != meta["events"]:
-        raise _TraceCorruption(
+        raise Corruption(
             f"event-count-mismatch: meta says {meta['events']}, got {len(events)}"
         )
     return Trace(
@@ -166,158 +155,37 @@ def _decode_payload(payload: bytes) -> Trace:
 # ---------------------------------------------------------------------------
 
 
-class _TraceCorruption(Exception):
-    """Internal: a stored trace failed integrity validation."""
-
-    def __init__(self, reason: str) -> None:
-        super().__init__(reason)
-        self.reason = reason
-
-
-@dataclass(frozen=True)
-class TraceQuarantine:
-    """One store entry moved aside instead of deserialized."""
-
-    key: str
-    reason: str
-    path: str
-
-
-@dataclass
-class TraceDoctorReport:
-    """Outcome of a :meth:`TraceStore.doctor` scan."""
-
-    scanned: int = 0
-    ok: int = 0
-    quarantined: List[TraceQuarantine] = field(default_factory=list)
-    corrupt_entries: int = 0
-    purged: int = 0
-
-
-class TraceStore:
+class TraceStore(FramedStore):
     """Checksummed, quarantining on-disk store of :class:`Trace` objects.
 
     Lives next to the sweep :class:`~repro.harness.parallel.ResultCache`
-    (conventionally ``<cache>/traces/``) and follows the same contract:
-    atomic writes, validation on every read, corruption quarantined into
-    ``corrupt/`` and reported — never raised.
+    (conventionally ``<cache>/traces/``) and shares its
+    :class:`~repro.durable.FramedStore` contract: atomic writes,
+    validation on every read, corruption quarantined into ``corrupt/``
+    and reported — never raised.
     """
 
-    def __init__(
-        self,
-        root: Union[str, Path],
-        quota_bytes: Optional[int] = None,
-        io_attempts: int = 3,
-        io_backoff_s: float = 0.01,
-    ) -> None:
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-        #: byte quota for valid entries; oldest (LRU by mtime) entries
-        #: are evicted after each ``put`` that pushes the store over
-        self.quota_bytes = quota_bytes
-        self.io_attempts = io_attempts
-        self.io_backoff_s = io_backoff_s
-        #: True once the store degraded to write-off after persistent
-        #: I/O failure (ENOSPC after freeing, exhausted retries); reads
-        #: keep working, further ``put`` calls are silent no-ops
-        self.disabled = False
-        #: structured degradation notes ("store-off: ..."), surfaced by
-        #: the sweep engine and the CLI
-        self.notes: List[str] = []
-        self.evictions = 0
-        self.hits = 0
-        self.misses = 0
-        self.writes = 0
-        self.quarantined: List[TraceQuarantine] = []
+    MAGIC = b"RPRT"
+    SCHEMA = TRACE_SCHEMA
+    SUFFIX = ".trc"
+    OFF_NOTE = "store-off"
 
-    def _path(self, key: str) -> Path:
-        return self.root / f"{key}.trc"
+    def encode(self, trace: Trace) -> bytes:
+        return _encode_payload(trace)
 
-    @property
-    def corrupt_dir(self) -> Path:
-        return self.root / "corrupt"
+    def decode(self, payload: bytes) -> Trace:
+        return _decode_payload(payload)
 
-    # -- framing ------------------------------------------------------------
-
-    @staticmethod
-    def _frame(payload: bytes) -> bytes:
-        header = _TRACE_HEADER.pack(_TRACE_MAGIC, _TRACE_FRAME_VERSION, TRACE_SCHEMA)
-        return header + hashlib.sha256(payload).digest() + payload
-
-    @staticmethod
-    def _unframe(data: bytes) -> bytes:
-        if len(data) < _TRACE_HEADER.size + _DIGEST_LEN:
-            raise _TraceCorruption("truncated")
-        magic, version, schema = _TRACE_HEADER.unpack_from(data)
-        if magic != _TRACE_MAGIC:
-            raise _TraceCorruption("bad-magic")
-        if version != _TRACE_FRAME_VERSION:
-            raise _TraceCorruption(f"frame-version-{version}")
-        if schema != TRACE_SCHEMA:
-            raise _TraceCorruption(f"schema-{schema}")
-        digest = data[_TRACE_HEADER.size : _TRACE_HEADER.size + _DIGEST_LEN]
-        payload = data[_TRACE_HEADER.size + _DIGEST_LEN :]
-        if hashlib.sha256(payload).digest() != digest:
-            raise _TraceCorruption("checksum-mismatch")
-        return payload
-
-    def _decode(self, data: bytes) -> Trace:
-        payload = self._unframe(data)
+    def _open_meta(self, path: Path, key: str) -> Optional[Tuple[int, dict]]:
+        """``(payload offset, meta)`` of an entry, or ``None`` on a miss
+        or a corrupt entry (which is quarantined first)."""
         try:
-            return _decode_payload(payload)
-        except _TraceCorruption:
-            raise
-        except Exception as exc:  # gzip/json/codec drift
-            raise _TraceCorruption(f"undecodable: {type(exc).__name__}") from exc
-
-    def _quarantine(
-        self, path: Path, key: str, reason: str
-    ) -> Optional[TraceQuarantine]:
-        dest = self.corrupt_dir / path.name
-        try:
-            self.corrupt_dir.mkdir(parents=True, exist_ok=True)
-            os.replace(path, dest)
-        except FileNotFoundError:
-            # A concurrent writer/gc removed the entry between our
-            # listing and the move: nothing to quarantine after all.
+            return _verified_meta(path)
+        except OSError:
             return None
-        except OSError:
-            pass
-        try:
-            note = dest.with_suffix(".note.json")
-            note.write_text(
-                json.dumps({"key": key, "reason": reason, "schema": TRACE_SCHEMA})
-            )
-        except OSError:
-            pass
-        entry = TraceQuarantine(key=key, reason=reason, path=str(dest))
-        self.quarantined.append(entry)
-        log.warning(
-            "trace entry quarantined: key=%s reason=%s moved_to=%s",
-            key[:16],
-            reason,
-            dest,
-        )
-        return entry
-
-    # -- the store API ------------------------------------------------------
-
-    def get(self, key: str) -> Optional[Trace]:
-        path = self._path(key)
-        try:
-            data = path.read_bytes()
-        except OSError:
-            self.misses += 1
-            return None
-        try:
-            trace = self._decode(data)
-        except _TraceCorruption as exc:
+        except Corruption as exc:
             self._quarantine(path, key, exc.reason)
-            self.misses += 1
             return None
-        self.hits += 1
-        self._touch(path)
-        return trace
 
     def open_stream(self, key: str) -> Optional[TraceStream]:
         """Open an entry for per-event iteration, without materializing it.
@@ -332,23 +200,13 @@ class TraceStore:
         the iterator; pass it to :meth:`quarantine_stream`.
         """
         path = self._path(key)
-        try:
-            offset = self._verify_frame_file(path)
-        except OSError:
-            self.misses += 1
-            return None
-        except _TraceCorruption as exc:
-            self._quarantine(path, key, exc.reason)
-            self.misses += 1
-            return None
-        try:
-            meta = read_meta_line(path, offset)
-        except (OSError, EOFError, ValueError, TypeError) as exc:
-            self._quarantine(path, key, f"undecodable: {type(exc).__name__}")
+        opened = self._open_meta(path, key)
+        if opened is None:
             self.misses += 1
             return None
         self.hits += 1
         self._touch(path)
+        offset, meta = opened
         return TraceStream(path=path, payload_offset=offset, meta=meta, key=key)
 
     def quarantine_stream(self, stream: TraceStream, reason: str) -> None:
@@ -357,262 +215,34 @@ class TraceStore:
         self._quarantine(path, stream.key or path.stem, reason)
         self.misses += 1
 
-    @staticmethod
-    def _verify_frame_file(path: Path) -> int:
-        """Validate header + checksum without loading the payload.
-
-        Streams the file through sha256 in bounded chunks; returns the
-        payload's byte offset.  Raises ``OSError`` on a miss and
-        :class:`_TraceCorruption` on an invalid frame — same contract
-        as ``_unframe``, constant memory.
-        """
-        header_len = _TRACE_HEADER.size + _DIGEST_LEN
-        hasher = hashlib.sha256()
-        with open(path, "rb") as fh:
-            head = fh.read(header_len)
-            if len(head) < header_len:
-                raise _TraceCorruption("truncated")
-            magic, version, schema = _TRACE_HEADER.unpack_from(head)
-            if magic != _TRACE_MAGIC:
-                raise _TraceCorruption("bad-magic")
-            if version != _TRACE_FRAME_VERSION:
-                raise _TraceCorruption(f"frame-version-{version}")
-            if schema != TRACE_SCHEMA:
-                raise _TraceCorruption(f"schema-{schema}")
-            digest = head[_TRACE_HEADER.size :]
-            while True:
-                chunk = fh.read(1 << 20)
-                if not chunk:
-                    break
-                hasher.update(chunk)
-        if hasher.digest() != digest:
-            raise _TraceCorruption("checksum-mismatch")
-        return header_len
-
-    @staticmethod
-    def _touch(path: Path) -> None:
-        """Refresh an entry's mtime — the LRU recency signal for quota GC."""
-        try:
-            os.utime(path)
-        except OSError:
-            pass
-
-    def _atomic_write(self, tmp: Path, path: Path, data: bytes) -> None:
-        """The raw write step (temp + fsync + rename) — the I/O-failure
-        injection point for the degradation tests."""
-        with open(tmp, "wb") as fh:
-            fh.write(data)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-
-    def _disable(self, note: str) -> None:
-        self.disabled = True
-        self.notes.append(note)
-        log.warning("trace store degraded: %s", note)
-
-    def put(self, key: str, trace: Trace) -> None:
-        if self.disabled:
-            return
-        data = self._frame(_encode_payload(trace))
-        path = self._path(key)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        from repro.harness.resources import retry_io  # lazy: package cycle
-
-        def write() -> None:
-            retry_io(
-                lambda: self._atomic_write(tmp, path, data),
-                attempts=self.io_attempts,
-                base_delay_s=self.io_backoff_s,
-                token=key,
-            )
-
-        try:
-            try:
-                write()
-            except OSError as exc:
-                if exc.errno != errno.ENOSPC:
-                    raise
-                # Full disk: reclaim what we can (quarantine debris,
-                # LRU entries over quota), then one more attempt.
-                self._free_space()
-                write()
-        except OSError as exc:
-            try:
-                tmp.unlink()
-            except OSError:
-                pass
-            self._disable(
-                f"store-off: put failed after retries "
-                f"({errno.errorcode.get(exc.errno, 'OSError')}): {exc}"
-            )
-            return
-        self.writes += 1
-        self._enforce_quota(protect=key)
-
-    def total_bytes(self) -> int:
-        """Bytes held by valid entries (quarantine debris excluded)."""
-        total = 0
-        for path in self.root.glob("*.trc"):
-            try:
-                total += path.stat().st_size
-            except OSError:
-                continue
-        return total
-
-    def _entry_stats(self) -> List[Tuple[float, int, Path]]:
-        """``(mtime, size, path)`` per entry, oldest first; race-tolerant."""
-        stats = []
-        for path in self.root.glob("*.trc"):
-            try:
-                st = path.stat()
-            except OSError:
-                continue
-            stats.append((st.st_mtime, st.st_size, path))
-        stats.sort(key=lambda t: (t[0], t[2].name))
-        return stats
-
-    def _enforce_quota(self, protect: str = "") -> None:
-        """Evict LRU entries until the store fits its quota.
-
-        The just-written key is protected — a quota smaller than one
-        entry degrades to keeping only the latest, never to evicting
-        what the caller is about to read back.
-        """
-        if self.quota_bytes is None:
-            return
-        stats = self._entry_stats()
-        total = sum(size for _, size, _ in stats)
-        for _, size, path in stats:
-            if total <= self.quota_bytes:
-                break
-            if path.stem == protect:
-                continue
-            try:
-                path.unlink()
-            except OSError:
-                continue
-            total -= size
-            self.evictions += 1
-
-    def _free_space(self) -> None:
-        """ENOSPC pressure valve: purge quarantine debris, enforce quota."""
-        for path in self.corrupt_dir.glob("*"):
-            try:
-                path.unlink()
-            except OSError:
-                continue
-        self._enforce_quota()
-
-    def has(self, key: str) -> bool:
-        return self._path(key).exists()
-
-    def keys(self) -> List[str]:
-        return sorted(path.stem for path in self.root.glob("*.trc"))
-
     def entries(self) -> Iterator[Tuple[str, dict, int]]:
         """Yield ``(key, metadata, size_bytes)`` per valid entry.
 
-        Reads only each entry's metadata line (events stay compressed on
-        disk conceptually — the whole payload is decompressed but not
-        event-decoded), so listing a large store stays cheap.  Invalid
-        entries are quarantined as a side effect, exactly like ``get``.
+        Takes :meth:`open_stream`'s path — a chunked checksum pass, then
+        only the metadata line decompressed — so listing a large store
+        runs in constant memory.  Invalid entries are quarantined as a
+        side effect, exactly like ``get``.
         """
-        for path in sorted(self.root.glob("*.trc")):
-            key = path.stem
-            try:
-                data = path.read_bytes()
-            except FileNotFoundError:
-                continue  # raced away between listing and read: not corrupt
-            except OSError as exc:
-                self._quarantine(path, key, f"unreadable: {type(exc).__name__}")
+        for path in sorted(self._entries()):
+            opened = self._open_meta(path, path.stem)
+            if opened is None:
                 continue
             try:
-                payload = self._unframe(data)
-                meta = json.loads(gzip.decompress(payload).decode().split("\n", 1)[0])
-            except _TraceCorruption as exc:
-                self._quarantine(path, key, exc.reason)
-                continue
-            except (OSError, ValueError) as exc:
-                self._quarantine(path, key, f"unreadable: {type(exc).__name__}")
-                continue
-            yield key, meta, len(data)
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.root.glob("*.trc"))
-
-    def clear(self) -> None:
-        for path in self.root.glob("*.trc"):
-            path.unlink(missing_ok=True)
-
-    # -- maintenance --------------------------------------------------------
-
-    def doctor(self, purge: bool = False) -> TraceDoctorReport:
-        """Validate every entry; quarantine the bad, optionally purge."""
-        report = TraceDoctorReport()
-        for path in sorted(self.root.glob("*.trc")):
-            key = path.stem
-            try:
-                data = path.read_bytes()
-            except FileNotFoundError:
-                continue  # raced away between listing and read
+                size = path.stat().st_size
             except OSError:
-                report.scanned += 1
-                continue
-            report.scanned += 1
-            try:
-                self._decode(data)
-            except _TraceCorruption as exc:
-                entry = self._quarantine(path, key, exc.reason)
-                if entry is not None:
-                    report.quarantined.append(entry)
-                continue
-            report.ok += 1
-        report.corrupt_entries = len(list(self.corrupt_dir.glob("*.trc")))
-        if purge:
-            for path in self.corrupt_dir.glob("*"):
-                try:
-                    path.unlink()
-                except OSError:
-                    continue
-                if path.suffix == ".trc":
-                    report.purged += 1
-        return report
+                continue  # raced away after validation
+            yield path.stem, opened[1], size
 
-    def gc(self, keep=None, purge_corrupt: bool = True) -> Dict[str, int]:
-        """Reclaim space: drop entries outside ``keep``, purge corrupt/.
 
-        ``keep=None`` keeps every valid entry (only the quarantine is
-        emptied); with a collection of keys, entries not in it are
-        deleted.  Returns ``{"removed": n, "purged": m, "kept": k}``.
-        """
-        removed = kept = 0
-        keep_set = None if keep is None else set(keep)
-        for path in sorted(self.root.glob("*.trc")):
-            # Membership is re-checked at delete time (not against a
-            # pre-computed doomed list), and a FileNotFoundError means a
-            # concurrent writer/gc got there first — neither is an error
-            # and neither counts as a removal.
-            if keep_set is not None and path.stem not in keep_set:
-                try:
-                    path.unlink()
-                except FileNotFoundError:
-                    continue
-                except OSError:
-                    continue
-                removed += 1
-            else:
-                kept += 1
-        purged = 0
-        if purge_corrupt:
-            for path in self.corrupt_dir.glob("*"):
-                try:
-                    path.unlink()
-                except OSError:
-                    continue
-                if path.suffix == ".trc":
-                    purged += 1
-        return {"removed": removed, "purged": purged, "kept": kept}
+def _verified_meta(path: Path) -> Tuple[int, dict]:
+    """Verify a framed trace file in constant memory and decode only its
+    metadata line; returns ``(payload offset, meta)``.  Raises ``OSError``
+    on a miss and :class:`~repro.durable.Corruption` otherwise."""
+    offset = TraceStore.verify_file(path)
+    try:
+        return offset, read_meta_line(path, offset)
+    except (OSError, EOFError, ValueError, TypeError) as exc:
+        raise Corruption(f"undecodable: {type(exc).__name__}") from exc
 
 
 def open_trace_file(path: Union[str, Path]) -> TraceStream:
@@ -626,16 +256,9 @@ def open_trace_file(path: Union[str, Path]) -> TraceStream:
     :class:`~repro.trace.stream.TraceStreamCorruption` instead of
     returning ``None``.
     """
-    from repro.trace.stream import TraceStreamCorruption
-
     path = Path(path)
     try:
-        offset = TraceStore._verify_frame_file(path)
-        meta = read_meta_line(path, offset)
-    except _TraceCorruption as exc:
+        offset, meta = _verified_meta(path)
+    except Corruption as exc:
         raise TraceStreamCorruption(exc.reason) from exc
-    except (EOFError, ValueError, TypeError) as exc:
-        raise TraceStreamCorruption(
-            f"undecodable metadata: {type(exc).__name__}"
-        ) from exc
     return TraceStream(path=path, payload_offset=offset, meta=meta)

@@ -1,5 +1,6 @@
 """Journaled checkpoints: durability, torn tails, resume equivalence."""
 
+import dataclasses
 import json
 
 import pytest
@@ -97,6 +98,19 @@ class TestJournal:
         j2.append("k3", _record(seed=3))
         j2.close()
         assert set(SweepJournal(tmp_path, "d" * 64).load()) == {"k1", "k2", "k3"}
+
+    def test_unterminated_valid_json_is_torn(self, tmp_path):
+        # Valid JSON but the crash ate the newline: load must neither serve
+        # the record nor keep it on disk, or resume would trust a record
+        # the file no longer holds.
+        j = SweepJournal(tmp_path, "d" * 64)
+        j.append("k1", _record())
+        j.close()
+        entry = {"key": "k2", "record": dataclasses.asdict(_record(seed=2))}
+        with open(j.path, "ab") as fh:
+            fh.write(json.dumps(entry).encode())
+        assert set(SweepJournal(tmp_path, "d" * 64).load()) == {"k1"}
+        assert b'"k2"' not in j.path.read_bytes()
 
     def test_unreadable_garbage_tail_line(self, tmp_path):
         j = SweepJournal(tmp_path, "d" * 64)

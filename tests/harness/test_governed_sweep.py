@@ -335,3 +335,52 @@ class TestMaintenanceRaces:
         assert store.get("bad") is None  # structured miss, no crash
         assert store.quarantined == []  # nothing was actually quarantined
         assert store.misses == 1
+
+
+class TestDeadWriterDebris:
+    """A writer killed between its temp write and its rename leaves
+    ``<key>.tmp.<pid>``; once that pid is dead, doctor(purge), gc and the
+    ENOSPC reclaim pass delete it — a live writer's temp file stays."""
+
+    DEAD = 2**22 + 1  # above Linux's PID_MAX_LIMIT: never a live process
+
+    def _debris(self, root):
+        dead = root / f"gone.tmp.{self.DEAD}"
+        live = root / f"busy.tmp.{os.getpid()}"
+        dead.write_bytes(b"half a put")
+        live.write_bytes(b"a put in progress")
+        return dead, live
+
+    def test_cache_doctor_purge_reaps_dead_writers(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        cache.put("k", "payload")
+        dead, live = self._debris(tmp_path)
+        cache.doctor()
+        assert dead.exists()  # only purge deletes
+        cache.doctor(purge=True)
+        assert not dead.exists() and live.exists()
+        assert cache.get("k") == "payload"
+
+    def test_trace_store_gc_reaps_dead_writers(self, tmp_path):
+        store = TraceStore(tmp_path)
+        store.put("k", _trace())
+        dead, live = self._debris(tmp_path)
+        assert store.gc() == {"removed": 0, "purged": 0, "kept": 1}
+        assert not dead.exists() and live.exists()
+
+    def test_enospc_reclaim_reaps_dead_writers(self, tmp_path):
+        cache = ResultCache(tmp_path, io_backoff_s=0.0)
+        dead, live = self._debris(tmp_path)
+        orig = cache._atomic_write
+        calls = []
+
+        def full_once(tmp, path, data):
+            calls.append(1)
+            if len(calls) == 1:
+                raise OSError(errno.ENOSPC, "disk full")
+            return orig(tmp, path, data)
+
+        cache._atomic_write = full_once
+        cache.put("k", "payload")
+        assert not dead.exists() and live.exists()
+        assert cache.get("k") == "payload"

@@ -1,6 +1,7 @@
 """Request journal: fsynced fold, torn-tail truncation, upload spool."""
 
 import json
+import os
 
 import pytest
 
@@ -113,3 +114,17 @@ class TestUploadSpool:
         j = RequestJournal(root)
         j.spool_upload("k1", b"RPRT")
         assert list(j.uploads.glob("*.tmp")) == []
+
+    def test_dead_writer_spool_debris_is_reaped_on_load(self, root):
+        # A daemon killed between the spool write and its rename leaves a
+        # temp file; the restart's journal load deletes it, but never the
+        # temp file of a live writer (an upload in progress).
+        j = RequestJournal(root)
+        j.spool_upload("k1", b"RPRT")
+        dead = j.uploads / f"k2.tmp.{2**22 + 1}"  # above PID_MAX_LIMIT: never alive
+        live = j.uploads / f"k3.tmp.{os.getpid()}"
+        dead.write_bytes(b"half an upload")
+        live.write_bytes(b"in progress")
+        RequestJournal(root).load()
+        assert not dead.exists() and live.exists()
+        assert j.upload_path("k1").read_bytes() == b"RPRT"
