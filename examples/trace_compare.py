@@ -25,7 +25,7 @@ def main():
     for case in ("adhoc7_handoff", "racy_lockmask_basic"):
         workload = suite[case]
         trace = record_trace(workload.build(), seed=workload.seed, max_blocks=8)
-        print(f"=== {case}: {trace.steps} steps, {len(trace.events)} events, "
+        print(f"=== {case}: {trace.steps} steps, {len(trace.columns)} events, "
               f"{len(trace.loop_sizes)} marked loops")
 
         # Serialize and reload — the offline path.

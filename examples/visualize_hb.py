@@ -26,7 +26,7 @@ def main():
     trace = record_trace(build_program(), seed=1)
     graph = build_hb_graph(trace, spin_k=7)
     print(
-        f"trace: {trace.steps} steps, {len(trace.events)} events -> "
+        f"trace: {trace.steps} steps, {len(trace.columns)} events -> "
         f"hb graph: {graph.node_count()} nodes, {graph.edge_count()} edges"
     )
     adhoc = [e for e in graph.edges if e[2] == "adhoc"]

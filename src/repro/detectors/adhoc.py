@@ -1,6 +1,6 @@
 """The runtime phase of ad-hoc synchronization detection (paper §runtime).
 
-Consumes the ``Marked*`` events produced by the instrumented VM and does
+Consumes the marker rows (``Marked*`` events) produced by the instrumented VM and does
 two things:
 
 1. **Synchronization-race suppression.**  Every address observed by a
@@ -34,7 +34,6 @@ from __future__ import annotations
 from typing import Dict, List, Set
 
 from repro.detectors.base import VectorClockAlgorithm
-from repro.vm import events as ev
 
 
 class AdhocSyncEngine:
@@ -55,49 +54,41 @@ class AdhocSyncEngine:
         self.edges = 0
         self.cond_reads = 0
 
-    # -- suppression interface (plugged into the algorithm) -------------
-
-    def is_sync_addr(self, addr: int) -> bool:
-        return addr in self.sync_addrs
-
     # -- event handlers -----------------------------------------------------
 
-    def loop_enter(self, e: ev.MarkedLoopEnter) -> None:
-        stack = self._active.setdefault(e.tid, [])
+    def loop_enter(self, tid: int, loop_id: int) -> None:
+        stack = self._active.setdefault(tid, [])
         # The header re-executes every iteration; push only on first entry.
-        if not stack or stack[-1] != e.loop_id:
-            stack.append(e.loop_id)
+        if not stack or stack[-1] != loop_id:
+            stack.append(loop_id)
             self.loops_entered += 1
 
-    def loop_exit(self, e: ev.MarkedLoopExit) -> None:
-        stack = self._active.get(e.tid)
-        if stack and stack[-1] == e.loop_id:
+    def loop_exit(self, tid: int, loop_id: int) -> None:
+        stack = self._active.get(tid)
+        if stack and stack[-1] == loop_id:
             stack.pop()
             self.loop_exits += 1
 
-    def cond_read(self, e: ev.MarkedCondRead) -> None:
-        stack = self._active.get(e.tid)
-        if not stack or e.loop_id not in stack:
+    def cond_read(self, tid: int, loop_id: int, addr: int, value: int) -> None:
+        stack = self._active.get(tid)
+        if not stack or loop_id not in stack:
             # A marked load executed outside its loop (e.g. the condition
             # helper called from elsewhere) is an ordinary access.
             return
         self.cond_reads += 1
-        self.sync_addrs.add(e.addr)
-        self._match(e.tid, e.addr, e.value)
+        self.sync_addrs.add(addr)
+        self.match(tid, addr, value)
 
-    def sync_read(self, tid: int, addr: int, value: int) -> None:
-        """Any read of an already-classified sync variable.
+    def match(self, tid: int, addr: int, value: int) -> None:
+        """Pair a read of sync variable ``addr`` with its counterpart write.
 
         The paper's runtime phase tracks write/read dependencies on *the
         variables* of the spinning loop condition, not just the marked
-        instructions — so a CAS that re-reads the lock word before
+        instructions — so the detector kernel calls this for any read of
+        a classified address: a CAS that re-reads the lock word before
         grabbing it, or a guard re-check outside the loop, also pairs
         with its counterpart write.
         """
-        if addr in self.sync_addrs:
-            self._match(tid, addr, value)
-
-    def _match(self, tid: int, addr: int, value: int) -> None:
         if addr in self.inferred_locks:
             return  # lock words order via locksets, not hb edges
         rec = self.algorithm.last_write(addr)

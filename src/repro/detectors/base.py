@@ -41,21 +41,24 @@ tests (``tests/reference_detector.py``):
   counterpart write — is materialized lazily.  Repeated stores by the
   owning thread (the *exclusive* state) mutate the record in place:
   O(1), no snapshot copy, no allocation.
-* **Reads in the same epoch are free.**  Each shadow cell caches the
-  shape of the last *silent* read check ``(tid, clock-version, write
-  record, location, lockset, atomicity)``.  A read that matches the
-  cache — same reader epoch, same last write, same access shape — would
-  provably repeat the previous (silent) outcome and is skipped entirely;
-  this is the read-same-epoch case that dominates spinning loops.  The
-  cache is dropped on any write to the cell (the *shared*/invalidated
-  transition), on any clock change of the reader, and is never populated
-  when the check reported (so ``long_run`` offense counting is
-  preserved).
+* **Reads in the same epoch are free.**  Each thread's
+  :class:`ReadRecord` on a cell remembers the clock version it was
+  checked at.  A re-read by the same thread with the same clock
+  version, lockset, location and atomicity would provably repeat the
+  previous outcome — the last write cannot have changed, because every
+  write clears the cell's read records — and is skipped entirely.  This
+  is the read-same-epoch case that dominates spinning loops; keeping
+  the cache per thread means threads spinning on one flag do not evict
+  each other.  A re-read whose pair was already reported is skipped
+  too, since ``_report`` would find the pair in ``cell.reported``; only
+  while the ``long_run`` state machine still counts offenses towards
+  its second one is the record left uncached.  A record is invalidated
+  by any write to the cell (which clears the records) and by any clock
+  change of its reader (a new version).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, Mapping, Optional, Set, Tuple
 
 from repro.isa.program import CodeLocation
@@ -126,31 +129,41 @@ class WriteRecord:
         self._vc = None
 
 
-@dataclass
 class ReadRecord:
-    """A read since the last write, per reader thread."""
+    """A read since the last write, per reader thread.
 
-    __slots__ = ("clock", "loc", "atomic", "lockset")
+    ``version`` is the reader's clock version when the read was checked
+    (the read-same-epoch cache key), or ``-1`` while the check must be
+    repeated.
+    """
 
-    clock: int
-    loc: CodeLocation
-    atomic: bool
-    lockset: FrozenSet[int]
+    __slots__ = ("clock", "loc", "atomic", "lockset", "version")
+
+    def __init__(
+        self,
+        clock: int,
+        loc: CodeLocation,
+        atomic: bool,
+        lockset: FrozenSet[int],
+        version: int = -1,
+    ) -> None:
+        self.clock = clock
+        self.loc = loc
+        self.atomic = atomic
+        self.lockset = lockset
+        self.version = version
 
 
 class _ShadowCell:
     """Per-address detector state."""
 
-    __slots__ = ("write", "reads", "offenses", "reported", "rcache")
+    __slots__ = ("write", "reads", "offenses", "reported")
 
     def __init__(self) -> None:
         self.write: Optional[WriteRecord] = None
         self.reads: Dict[int, ReadRecord] = {}
         self.offenses = 0
         self.reported: Set[Tuple[str, str, str]] = set()
-        #: epoch fast path: shape of the last *silent* read check —
-        #: ``(tid, clock version, write record, loc, lockset, atomic)``
-        self.rcache: Optional[tuple] = None
 
 
 class _BarrierEpisode:
@@ -376,26 +389,27 @@ class VectorClockAlgorithm:
         if self.suppressor is not None and self.suppressor(addr):
             return
         self.accesses_checked += 1
-        t = self.thread(tid)
-        cell = self._cell(addr)
-        cur_ls = self._locks(tid)
-        rc = cell.rcache
+        # The hot path: the three lookups inlined, helpers on a miss.
+        t = self.threads.get(tid) or self.thread(tid)
+        cell = self.shadow.get(addr) or self._cell(addr)
+        cur_ls = self._held_frozen.get(tid)
+        if cur_ls is None:
+            cur_ls = self._locks(tid)
+        version = t.version
+        r = cell.reads.get(tid)
         if (
-            rc is not None
-            and rc[0] == tid
-            and rc[1] == t.version
-            and rc[2] is cell.write
-            and rc[4] is cur_ls
-            and rc[5] == atomic
-            and rc[3] == loc
+            r is not None
+            and r.version == version
+            and r.lockset is cur_ls
+            and r.atomic == atomic
+            and (r.loc is loc or r.loc == loc)
         ):
-            # Read-same-epoch: identical reader clock, last write,
-            # lockset and access shape as the previous (silent) check —
-            # the outcome and the stored read record would both repeat
-            # verbatim.
+            # Read-same-epoch: same reader clock, lockset and access
+            # shape as this thread's previous check since the last
+            # write — the outcome and the record would repeat verbatim.
+            # A racy re-read lands here too once its pair is reported.
             return
         w = cell.write
-        silent = True
         if (
             w is not None
             and w.tid != tid
@@ -403,13 +417,23 @@ class VectorClockAlgorithm:
             and not t.saw(w.tid, w.clock)
             and not self._excused(w.lockset, cur_ls)
         ):
-            silent = False
             self._report(
                 addr, cell, w.tid, w.loc, True, w.atomic,
                 tid, loc, False, atomic, "write-read",
             )
-        cell.reads[tid] = ReadRecord(t.clock, loc, atomic, cur_ls)
-        cell.rcache = (tid, t.version, w, loc, cur_ls, atomic) if silent else None
+            # The pair is now in cell.reported — a same-epoch re-read
+            # would only re-submit it — unless the long_run state
+            # machine tolerated it and the next offense still counts.
+            if self.long_run and cell.offenses < 2:
+                version = -1
+        if r is None:
+            cell.reads[tid] = ReadRecord(t.clock, loc, atomic, cur_ls, version)
+        else:
+            r.clock = t.clock
+            r.loc = loc
+            r.atomic = atomic
+            r.lockset = cur_ls
+            r.version = version
 
     def write(
         self, tid: int, addr: int, value: int, loc: CodeLocation, atomic: bool
@@ -450,7 +474,6 @@ class VectorClockAlgorithm:
             w.update(t.clock, value, loc, atomic, cur_ls, t.frame())
         else:
             cell.write = WriteRecord(tid, t.clock, value, loc, atomic, cur_ls, t.frame())
-        cell.rcache = None
         if cell.reads:
             cell.reads.clear()
         # Advance the writer's epoch after every write so that an ad-hoc
@@ -469,7 +492,7 @@ class VectorClockAlgorithm:
         own ``addr`` still needs the write's clock tick (every write
         advances the writer's epoch), its shadow record (sync-variable
         writes source ad-hoc happens-before edges via
-        :meth:`last_write`), and the cache invalidation — but the race
+        :meth:`last_write`), and the read-record invalidation — but the race
         *checks* (and ``accesses_checked``) belong to the owning shard
         alone.  The body mirrors :meth:`write`'s record-maintenance tail
         exactly so per-cell state stays bit-compatible with an unsharded
@@ -483,7 +506,6 @@ class VectorClockAlgorithm:
             w.update(t.clock, value, loc, atomic, cur_ls, t.frame())
         else:
             cell.write = WriteRecord(tid, t.clock, value, loc, atomic, cur_ls, t.frame())
-        cell.rcache = None
         if cell.reads:
             cell.reads.clear()
         t.tick()

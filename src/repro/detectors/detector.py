@@ -23,10 +23,21 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
 
 from repro.isa.program import SyncKind
 from repro.vm import events as ev
+from repro.vm.events import (
+    COND_READ,
+    JOIN,
+    LIB_ENTER,
+    LIB_EXIT,
+    LOOP_ENTER,
+    LOOP_EXIT,
+    READ,
+    SPAWN,
+    WRITE,
+)
 from repro.detectors.adhoc import AdhocSyncEngine
 from repro.detectors.condvar_monitor import CondvarMonitor
 from repro.detectors.base import VectorClockAlgorithm
@@ -205,18 +216,28 @@ def register_preset(name: str, factory: Callable[..., ToolConfig]) -> None:
 
 
 class RaceDetector:
-    """Event listener implementing one tool configuration."""
+    """Event listener implementing one tool configuration.
+
+    Every event source feeds the same kernel, :meth:`consume_batch`:
+    the VM's flush during a live run, a recording's columns during
+    replay, decoded chunks while streaming, a shard's partition of the
+    columns.  ``__call__`` adapts a single Event to it.
+    """
 
     def __init__(
         self,
         config: ToolConfig,
         symbolize: Optional[Callable[[int], str]] = None,
         lock_sites: frozenset = frozenset(),
+        loop_sizes: Optional[Mapping[int, int]] = None,
     ) -> None:
         """``lock_sites``: code locations of statically inferred
         lock-acquire CAS instructions (only used when
         ``config.infer_locks``); typically
-        :func:`repro.analysis.lock_site_locations` of the program."""
+        :func:`repro.analysis.lock_site_locations` of the program.
+        ``loop_sizes``: effective block count per marked loop id of a
+        recording instrumented wider than this config's spin window;
+        marker rows of loops wider than the window are ignored."""
         self.config = config
         self.lock_sites = lock_sites if config.infer_locks else frozenset()
         self.report = Report(tool=config.name, granularity=config.context_granularity)
@@ -225,31 +246,32 @@ class RaceDetector:
             "hb": PureHappensBeforeAlgorithm,
             "lockset": EraserAlgorithm,
         }[config.algorithm]
-        self.adhoc: Optional[AdhocSyncEngine] = None
-        suppressor = None
-        if config.spin and config.adhoc_suppress:
-            # The suppressor closes over the engine created right after.
-            suppressor = self._is_sync_addr
         self.algorithm: VectorClockAlgorithm = algo_cls(
             report=self.report,
-            suppressor=suppressor,
             symbolize=symbolize,
             coarse_cv=config.coarse_cv,
             long_run=config.long_run,
         )
         self._symbolize_explicit = symbolize is not None
+        self.adhoc: Optional[AdhocSyncEngine] = None
         if config.spin:
             self.adhoc = AdhocSyncEngine(self.algorithm)
+            if config.adhoc_suppress:
+                self.algorithm.suppressor = self.adhoc.sync_addrs.__contains__
+        k = config.spin_max_blocks
+        self.wide_loops: FrozenSet[int] = frozenset(
+            i for i, size in (loop_sizes or {}).items() if size > k
+        )
         # Helgrind+'s condvar bug-pattern detectors (lib mode: needs the
         # CV annotations to see waits and signals).
         self.cv_monitor: Optional[CondvarMonitor] = (
             CondvarMonitor() if config.intercept_lib else None
         )
+        #: rows delivered to the kernel (a live run's event count)
         self.events_processed = 0
+        #: rows that passed the configuration filter (a replay's count)
+        self.events_accepted = 0
         self._finalized = False
-
-    def _is_sync_addr(self, addr: int) -> bool:
-        return self.adhoc is not None and self.adhoc.is_sync_addr(addr)
 
     # -- VM attachment -----------------------------------------------------
 
@@ -270,111 +292,86 @@ class RaceDetector:
         if not self._symbolize_explicit:
             self.algorithm.symbolize = machine.memory.symbols.resolve
 
-    # -- the listener ----------------------------------------------------
+    # -- the kernel --------------------------------------------------------
 
     def __call__(self, e: ev.Event) -> None:
-        self.events_processed += 1
-        cfg = self.config
-        if isinstance(e, ev.MemRead):
-            if cfg.intercept_lib and e.in_library:
-                return
-            if self.adhoc is not None and cfg.adhoc_variable_level:
-                self.adhoc.sync_read(e.tid, e.addr, e.value)
-            self.algorithm.read(e.tid, e.addr, e.loc, e.atomic)
-        elif isinstance(e, ev.MemWrite):
-            if cfg.intercept_lib and e.in_library:
-                return
-            if self.lock_sites:
-                self._inferred_lock_write(e)
-            self.algorithm.write(e.tid, e.addr, e.value, e.loc, e.atomic)
-        elif isinstance(e, ev.MarkedCondRead):
-            if self.adhoc is None or (cfg.intercept_lib and e.in_library):
-                return
-            self.adhoc.cond_read(e)
-        elif isinstance(e, ev.MarkedLoopEnter):
-            if self.adhoc is None or (cfg.intercept_lib and e.in_library):
-                return
-            self.adhoc.loop_enter(e)
-        elif isinstance(e, ev.MarkedLoopExit):
-            if self.adhoc is None or (cfg.intercept_lib and e.in_library):
-                return
-            self.adhoc.loop_exit(e)
-        elif isinstance(e, ev.LibEnter):
-            if cfg.intercept_lib and not e.in_library:
-                self._lib_enter(e)
-        elif isinstance(e, ev.LibExit):
-            if cfg.intercept_lib and not e.in_library:
-                self._lib_exit(e)
-        elif isinstance(e, ev.ThreadSpawnEvent):
-            self.algorithm.spawn(e.tid, e.child)
-        elif isinstance(e, ev.ThreadJoinEvent):
-            self.algorithm.join(e.tid, e.joined)
-        # ThreadStart/Exit/Print are not detector-relevant.
+        """Consume one Event (direct VM stepping, tests)."""
+        self.consume_batch((ev.event_row(e),))
 
-    # -- batched delivery --------------------------------------------------
+    def consume_batch(self, rows: Iterable[tuple]) -> None:
+        """Consume rows ``(kind, tid, addr, value, loc, atomic,
+        in_library, aux)`` in stream order (see
+        :func:`repro.vm.events.event_row`).
 
-    def consume_batch(
-        self,
-        reads: Sequence[tuple],
-        writes: Sequence[tuple],
-        ctrl: Sequence[tuple] = (),
-    ) -> None:
-        """Consume one VM event batch.
-
-        ``reads``/``writes`` are flat tuples
-        ``(seq, tid, addr, value, loc, atomic, in_library)``; ``ctrl`` is
-        ``(seq, event)`` with full :class:`~repro.vm.events.Event`
-        objects for the rare control/sync events.  ``seq`` is the VM's
-        global event counter, so a three-way merge on it replays the
-        exact per-event order of :meth:`__call__` — the ad-hoc
-        counterpart-write matcher and the condvar monitor observe the
-        same interleaving either way.
+        The configuration filter is applied inline: library-internal
+        memory and marker rows in lib mode, marker rows without an
+        ad-hoc engine or of loops wider than the spin window, library
+        annotations outside lib mode or nested in another library call,
+        and bookkeeping rows are dropped.  Every row counts towards
+        :attr:`events_processed`; the rows that pass the filter also
+        count towards :attr:`events_accepted`.
         """
-        nr, nw, nc = len(reads), len(writes), len(ctrl)
-        self.events_processed += nr + nw
         cfg = self.config
         skip_lib = cfg.intercept_lib
         algo = self.algorithm
         aread, awrite = algo.read, algo.write
-        sync_read = (
-            self.adhoc.sync_read
-            if self.adhoc is not None and cfg.adhoc_variable_level
-            else None
-        )
+        adhoc = self.adhoc
+        match = sync_addrs = None
+        if adhoc is not None:
+            if cfg.adhoc_variable_level:
+                match, sync_addrs = adhoc.match, adhoc.sync_addrs
+            cond_read, loop_enter, loop_exit = (
+                adhoc.cond_read, adhoc.loop_enter, adhoc.loop_exit
+            )
+        wide = self.wide_loops
         lock_sites = self.lock_sites
-        i = j = k = 0
-        inf = float("inf")
-        while i < nr or j < nw or k < nc:
-            rs = reads[i][0] if i < nr else inf
-            ws = writes[j][0] if j < nw else inf
-            cs = ctrl[k][0] if k < nc else inf
-            if rs < ws and rs < cs:
-                r = reads[i]
-                i += 1
-                if skip_lib and r[6]:
-                    continue
-                if sync_read is not None:
-                    sync_read(r[1], r[2], r[3])
-                aread(r[1], r[2], r[4], r[5])
-            elif ws < cs:
-                w = writes[j]
-                j += 1
-                if skip_lib and w[6]:
+        n = dropped = 0
+        for n, (kind, tid, addr, value, loc, atomic, in_lib, aux) in enumerate(rows, 1):
+            if kind == READ:
+                if in_lib and skip_lib:
+                    dropped += 1
+                elif sync_addrs is not None and addr in sync_addrs:
+                    match(tid, addr, value)
+                    aread(tid, addr, loc, atomic)
+                else:
+                    aread(tid, addr, loc, atomic)
+            elif kind == WRITE:
+                if in_lib and skip_lib:
+                    dropped += 1
                     continue
                 if lock_sites:
-                    self._inferred_lock_write_fields(w[1], w[2], w[3], w[4], w[5])
-                awrite(w[1], w[2], w[3], w[4], w[5])
+                    self._inferred_lock_write(tid, addr, value, loc, atomic)
+                awrite(tid, addr, value, loc, atomic)
+            elif kind <= LOOP_EXIT:
+                if adhoc is None or (in_lib and skip_lib) or aux in wide:
+                    dropped += 1
+                elif kind == COND_READ:
+                    cond_read(tid, aux, addr, value)
+                elif kind == LOOP_ENTER:
+                    loop_enter(tid, aux)
+                else:
+                    loop_exit(tid, aux)
+            elif kind <= LIB_EXIT:
+                # Annotations are honoured only in lib mode, and only
+                # when not nested inside another library call.
+                if not skip_lib or in_lib:
+                    dropped += 1
+                elif kind == LIB_ENTER:
+                    self._lib_enter(aux)
+                else:
+                    self._lib_exit(aux)
+            elif kind == SPAWN:
+                algo.spawn(tid, aux.child)
+            elif kind == JOIN:
+                algo.join(tid, aux.joined)
             else:
-                e = ctrl[k][1]
-                k += 1
-                self(e)
+                dropped += 1
+        self.events_processed += n
+        self.events_accepted += n - dropped
 
     # -- inferred-lock handling (future work, slide 33) ------------------
 
-    def _inferred_lock_write(self, e: ev.MemWrite) -> None:
-        self._inferred_lock_write_fields(e.tid, e.addr, e.value, e.loc, e.atomic)
-
-    def _inferred_lock_write_fields(
+    def _inferred_lock_write(
         self, tid: int, addr: int, value: int, loc, atomic: bool
     ) -> None:
         """Successful CAS at an inferred acquire site = lock acquire;

@@ -58,7 +58,9 @@ from repro.durable import Journal
 #:    works at shard granularity).
 #: 8: the three pipeline/interpreter flags left ToolConfig, whose fields
 #:    feed every cache key.
-CACHE_SCHEMA = 8
+#: 9: pickled ShardReports carry owned/foreign access counts instead of
+#:    the filtered stream's total.
+CACHE_SCHEMA = 9
 
 #: bump on incompatible journal layout changes
 JOURNAL_VERSION = 1

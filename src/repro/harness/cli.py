@@ -723,7 +723,7 @@ def cmd_triage(args: argparse.Namespace) -> int:
         )
     print(
         f"  replayed: status={trace.status} steps={trace.steps} "
-        f"events={len(trace.events)} racy_contexts={detector.report.racy_contexts}"
+        f"events={len(trace.columns)} racy_contexts={detector.report.racy_contexts}"
     )
     reproduced = trace.status != "ok" or detector.report.racy_contexts > 0
     print(f"  failure {'REPRODUCED' if reproduced else 'not reproduced'}")
@@ -808,7 +808,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
         print(
             f"recorded {workload} seed {seed} scheduler {trace.scheduler} "
             f"-> {key[:16]}…: status={trace.status} steps={trace.steps} "
-            f"events={len(trace.events)}"
+            f"events={len(trace.columns)}"
         )
         return 0
 

@@ -440,8 +440,8 @@ class ReplayRow:
     detector-only wall-clock over the recorded event stream
     (:func:`repro.trace.analyze_trace` — delivery plus finalize).  The
     recording itself (``record_s``, paid once per *cell*, not per tool)
-    and the flat-batch priming are one-time costs reported separately,
-    exactly as F4 reports ``decode_s`` outside the throughput number.
+    is a one-time cost reported separately, exactly as F4 reports
+    ``decode_s`` outside the throughput number.
 
     Throughput shares the live run's delivered event count as numerator
     for both sides, mirroring F3's shared-numerator convention.
@@ -507,10 +507,6 @@ def measure_replay(
             inline_depth=inline_depth,
         )
         record_s = time.perf_counter() - record_start
-        # Prime the flat-batch cache outside the timed region: it is
-        # built once per loaded trace and shared by every config, the
-        # replay-side analogue of F4's one-time decode.
-        trace.batches()
         for cfg in configs:
             live_runs = [run_workload(wl, cfg, seed=seed) for _ in range(repeats)]
             live_best = min(live_runs, key=lambda r: r.duration_s)
@@ -951,13 +947,12 @@ def measure_shard(
     """Measure sharded-vs-unsharded analysis cost over (workload, tool).
 
     Each workload is recorded once with instrumentation wide enough for
-    every config (the store convention), the flat-batch cache is primed
-    outside the timed region, and each side runs ``repeats`` times with
-    the minimum wall-clock kept.  The unsharded side runs first so both
-    sides see a warm per-config filter cache — the sharded side's forked
-    children then inherit it copy-on-write, exactly as grand-sweep
-    workers inherit the parent's prewarmed store.  Every sharded run's
-    merged fingerprint is checked against the unsharded report.
+    every config (the store convention), and each side runs ``repeats``
+    times with the minimum wall-clock kept.  The sharded side's forked
+    children inherit the recording's columns copy-on-write, exactly as
+    grand-sweep workers inherit the parent's prewarmed store.  Every
+    sharded run's merged fingerprint is checked against the unsharded
+    report.
     """
     import time
 
@@ -976,7 +971,6 @@ def measure_shard(
             inline_depth=inline_depth,
         )
         record_s = time.perf_counter() - record_start
-        trace.batches()
         for cfg in configs:
             analyses = [analyze_trace(trace, cfg) for _ in range(repeats)]
             base = min(analyses, key=lambda a: a.duration_s)

@@ -7,22 +7,23 @@ tools cannot easily do (each run re-executes the program), but a
 deterministic substrate can.
 
 :func:`record_trace` executes a program once, with instrumentation wide
-enough for any spin window, and captures the full event stream plus the
-metadata needed to re-filter it per configuration (each marked loop's
-effective block count, the symbol map).  :func:`analyze_trace` then runs
-any :class:`~repro.detectors.ToolConfig` over the recorded events with
-no VM in the loop, and its report fingerprint is bit-identical to a
-live run's:
+enough for any spin window, and captures the full event stream as
+columns (:class:`EventColumns`) plus the metadata needed to re-filter it
+per configuration (each marked loop's effective block count, the symbol
+map).  :func:`analyze_trace` then runs any
+:class:`~repro.detectors.ToolConfig` over the recorded rows with no VM
+in the loop, and its report fingerprint is bit-identical to a live
+run's:
 
-* events a configuration's detector would ignore (marked-loop events
-  without spin, library traffic in lib mode, bookkeeping) are dropped
-  before delivery;
-* ``spin(k)`` configurations drop events of loops wider than ``k``;
-* lib/nolib interception works unchanged (events carry ``in_library``);
+* the rows reach the same detector kernel a live run's VM flush feeds
+  (``consume_batch``), which drops what the configuration ignores
+  (marked-loop rows without spin, library traffic in lib mode,
+  bookkeeping) inline;
+* ``spin(k)`` configurations ignore marker rows of loops wider than ``k``;
+* lib/nolib interception works unchanged (rows carry ``in_library``);
 * lock-inference configurations get the recorded acquire sites;
-* events reach the detector through ``consume_batch``, and the report is
-  finalized from the trace's termination status so partial
-  (deadlock/livelock/fault-truncated) runs replay faithfully.
+* the report is finalized from the trace's termination status so
+  partial (deadlock/livelock/fault-truncated) runs replay faithfully.
 
 :class:`TraceStore` persists recordings content-addressed by
 ``(program fingerprint, scheduler, seed, instrumentation, faults)`` —
@@ -32,6 +33,7 @@ analyses.  Traces also serialize to/from JSON for ad-hoc use.
 """
 
 from repro.trace.trace import (
+    EventColumns,
     Trace,
     TraceAnalysis,
     analyze_trace,
@@ -59,6 +61,7 @@ from repro.trace.store import TraceStore, key_for_spec, open_trace_file, trace_k
 from repro.trace.hbgraph import HbGraph, HbNode, build_hb_graph
 
 __all__ = [
+    "EventColumns",
     "StreamAnalysis",
     "Trace",
     "TraceAnalysis",

@@ -106,11 +106,12 @@ def build_hb_graph(trace: Trace, spin_k: int = 7) -> HbGraph:
     trace order, which keeps per-thread program-order chains correct.
     """
     symbols = trace.symbol_map()
+    events = trace.events
 
     # --- pass 1: which (write index -> cond read index) pairs exist ----
     last_write: Dict[int, Tuple[int, int, int]] = {}  # addr -> (idx, tid, value)
     adhoc_pairs: List[Tuple[int, int, int]] = []  # (write idx, read idx, addr)
-    for i, e in enumerate(trace.events):
+    for i, e in enumerate(events):
         if isinstance(e, ev.MemWrite):
             last_write[e.addr] = (i, e.tid, e.value)
         elif isinstance(e, ev.MarkedCondRead) and not e.in_library:
@@ -138,7 +139,7 @@ def build_hb_graph(trace: Trace, spin_k: int = 7) -> HbGraph:
             graph.edges.append((prev, index, "po"))
         last_of_tid[tid] = index
 
-    for i, e in enumerate(trace.events):
+    for i, e in enumerate(events):
         if isinstance(e, ev.ThreadSpawnEvent):
             add_node(i, e.tid, f"spawn T{e.child}")
             # The child's first node chains from the spawn point.

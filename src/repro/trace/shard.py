@@ -2,9 +2,10 @@
 
 Offline replay removed the VM from the analysis loop (PR 6); this module
 removes the *single core* from it.  A stored trace's access events are
-partitioned by address region into K shards, each shard is analyzed by
-an ordinary per-shard :class:`~repro.detectors.RaceDetector` running the
-same batched merge loop as ``consume_batch``, and a merge pass
+partitioned by address region into K shards, each shard's partition of
+the recording's columns is fed to an ordinary per-shard
+:class:`~repro.detectors.RaceDetector` kernel (``consume_batch``), and a
+merge pass
 reconciles the per-shard results into one report whose
 ``Report.fingerprint()`` is **bit-identical** to unsharded
 :func:`~repro.trace.analyze_trace` — on every preset, including
@@ -27,13 +28,15 @@ shard** at their original sequence numbers:
   classified sync variables (their writes are counterpart-write
   sources, their reads take the induced hb edge) and inferred lock
   words (their CAS/store traffic drives acquire/release).  The global
-  set is computed by a pre-scan that replays the ad-hoc classifier's
-  loop-stack gating over the control stream.
+  set is computed by a probe detector fed only the marker rows (the
+  classifier depends on nothing else); the lock-inference part is taken
+  from the unfiltered rows and may over-approximate, which only
+  replicates more accesses whose foreign copies never run race checks.
 
 A replicated *foreign* access updates clock/record state without
-running race checks: reads go through the ad-hoc matcher only
-(:meth:`~repro.detectors.adhoc.AdhocSyncEngine.sync_read` — reads never
-tick a clock), writes through
+running race checks: the kernel still runs the ad-hoc matcher on a
+read (reads never tick a clock), and the shard's write hook sends a
+write through
 :meth:`~repro.detectors.base.VectorClockAlgorithm.observe_write`
 (record maintenance + the writer's epoch tick, no checks).  Every
 happens-before edge among a shard's delivered events therefore has both
@@ -61,16 +64,14 @@ import time
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from itertools import compress, count
+from typing import (
+    Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple,
+)
 
 from repro.detectors import ToolConfig
 from repro.detectors.reports import CONTEXT_CAP, RaceWarning, Report
-from repro.trace.trace import (
-    Trace,
-    _build_detector,
-    _filtered_batches,
-    _validate_replay,
-)
+from repro.trace.trace import Trace, _build_detector, _validate_replay
 from repro.vm import events as ev
 
 
@@ -111,7 +112,7 @@ class ShardReport(Report):
         super().__init__(tool=tool, cap=cap, granularity=granularity)
         #: every ``add`` call as ``(seq, warning)`` in submission order
         self.submissions: List[Tuple[int, RaceWarning]] = []
-        #: sequence number of the access currently being checked
+        #: sequence number of the row currently being consumed
         self.current_seq = -1
         self.shard_index = 0
         self.shard_count = 1
@@ -127,12 +128,17 @@ class ShardReport(Report):
         self.adhoc_edges = 0
         self.accesses_checked = 0
         self.detector_words = 0
-        #: events this shard delivered (reads+writes+ctrl, post-filter)
+        #: rows this shard's kernel accepted (owned, foreign and control)
         self.events_delivered = 0
-        #: events of the full filtered stream (identical in every shard;
-        #: the merged analysis reports this, not the per-shard count)
-        total_events = 0
-        self.total_events = total_events
+        #: accepted accesses to addresses this shard owns
+        self.owned_events = 0
+        #: accepted replicated accesses to addresses other shards own
+        self.foreign_events = 0
+
+    @property
+    def control_events(self) -> int:
+        """Accepted non-access rows — the same in every shard."""
+        return self.events_delivered - self.owned_events - self.foreign_events
 
     def add(self, warning: RaceWarning) -> bool:
         self.submissions.append((self.current_seq, warning))
@@ -141,6 +147,11 @@ class ShardReport(Report):
 
 # ---------------------------------------------------------------------------
 # Partitioning
+
+
+#: owner-column value of a row every shard receives (control rows and
+#: accesses to global addresses)
+_ALL = 255
 
 
 @dataclass
@@ -160,68 +171,81 @@ class ShardPlan:
     #: addresses replicated to every shard (sync flags, lock words, and
     #: lib sync objects while lock inference is active)
     global_addrs: FrozenSet[int]
-    #: distinct regions observed across the filtered access stream
+    #: distinct regions observed across the access rows
     region_count: int = 0
     #: per-shard owned access counts (balance observability)
     loads: Tuple[int, ...] = ()
     #: accesses replicated beyond their owner shard
     replicated: int = 0
 
+    def owners(self, trace: Trace) -> bytearray:
+        """Per-row owner column: a shard index, or ``_ALL`` for a row
+        every shard receives."""
+        owner_of = self.owner_of
+        global_addrs = self.global_addrs
+        cols = trace.columns
+        return bytearray(
+            _ALL if kind > ev.WRITE or addr in global_addrs else owner_of[addr]
+            for kind, addr in zip(cols.kind, cols.addr)
+        )
 
-def _global_addrs(
-    trace: Trace, config: ToolConfig, writes: Sequence[tuple], ctrl: Sequence[tuple]
-) -> Set[int]:
+    def mask(self, owners: bytearray, index: int) -> bytes:
+        """Row mask of shard ``index``'s partition."""
+        table = bytearray(256)
+        table[index] = table[_ALL] = 1
+        return owners.translate(table)
+
+
+#: ``bytes.translate`` table keeping the marker kinds of a kind column
+_MARKER_KINDS = bytes(
+    k in (ev.COND_READ, ev.LOOP_ENTER, ev.LOOP_EXIT) for k in range(256)
+)
+
+
+def _global_addrs(trace: Trace, config: ToolConfig) -> Set[int]:
     """Addresses whose accesses must be replicated to every shard.
 
-    Replays the ad-hoc classifier's per-thread loop-stack gating over
-    the (already config-filtered) control stream to find every address
-    that will ever be classified as a sync variable, and — under lock
-    inference — adds the lock words (atomic writes at inferred acquire
-    sites) plus the library sync-object addresses, whose held-lock state
-    the inferred-release check (``value == 0 and holds(tid, addr)``)
-    can consult.  The set is the *final* classification: classification
-    is monotone, so replicating from sequence zero only adds accesses
-    that predate an address's classification — harmless, since the
-    foreign paths never run race checks.
+    Feeds the recording's marker rows alone to a probe detector: the
+    ad-hoc classifier depends on nothing else, so the probe's sync
+    variables are exactly the ones the full analysis classifies.  Under
+    lock inference it adds the lock words (atomic writes at inferred
+    acquire sites) plus the library sync-object addresses, whose
+    held-lock state the inferred-release check (``value == 0 and
+    holds(tid, addr)``) can consult; those two are taken from the
+    unfiltered rows, an over-approximation that only replicates more
+    accesses, whose foreign copies never run race checks.  The set is
+    the *final* classification: classification is monotone, so
+    replicating from sequence zero only adds accesses that predate an
+    address's classification.
     """
     addrs: Set[int] = set()
+    cols = trace.columns
     if config.spin:
-        stacks: Dict[int, List[int]] = {}
-        for _, e in ctrl:
-            te = type(e)
-            if te is ev.MarkedLoopEnter:
-                stack = stacks.setdefault(e.tid, [])
-                if not stack or stack[-1] != e.loop_id:
-                    stack.append(e.loop_id)
-            elif te is ev.MarkedLoopExit:
-                stack = stacks.get(e.tid)
-                if stack and stack[-1] == e.loop_id:
-                    stack.pop()
-            elif te is ev.MarkedCondRead:
-                stack = stacks.get(e.tid)
-                if stack and e.loop_id in stack:
-                    addrs.add(e.addr)
+        probe = _build_detector(trace, config)
+        probe.consume_batch(
+            compress(cols.rows(), cols.kind.tobytes().translate(_MARKER_KINDS))
+        )
+        addrs.update(probe.adhoc.sync_addrs)
     if config.infer_locks and trace.lock_sites:
         lock_sites = trace.lock_sites
-        for w in writes:
-            # (seq, tid, addr, value, loc, atomic, in_library)
-            if w[5] and w[4] in lock_sites:
-                addrs.add(w[2])
-        for _, e in ctrl:
-            if isinstance(e, (ev.LibEnter, ev.LibExit)):
-                if e.obj_addr is not None:
-                    addrs.add(e.obj_addr)
-                if getattr(e, "obj2_addr", None) is not None:
-                    addrs.add(e.obj2_addr)
+        for kind, addr, loc, atomic, aux in zip(
+            cols.kind, cols.addr, cols.loc, cols.atomic, cols.aux
+        ):
+            if kind == ev.WRITE:
+                if atomic and loc in lock_sites:
+                    addrs.add(addr)
+            elif kind == ev.LIB_ENTER or kind == ev.LIB_EXIT:
+                addrs.add(aux.obj_addr)
+                if aux.obj2_addr is not None:
+                    addrs.add(aux.obj2_addr)
     return addrs
 
 
 def plan_shards(trace: Trace, config: ToolConfig, shards: int) -> ShardPlan:
     """Build the ownership plan for ``shards``-way analysis of ``trace``."""
-    if shards < 1:
-        raise ValueError(f"shards must be >= 1, got {shards}")
-    reads, writes, ctrl = _filtered_batches(trace, config)
-    global_addrs = frozenset(_global_addrs(trace, config, writes, ctrl))
+    if not 1 <= shards < _ALL:
+        raise ValueError(f"shards must be >= 1 and < {_ALL}, got {shards}")
+    global_addrs = frozenset(_global_addrs(trace, config))
 
     # Region of an address: its symbol segment, else a hashed bucket so
     # anonymous (heap/stack) addresses still spread across shards.
@@ -237,156 +261,108 @@ def plan_shards(trace: Trace, config: ToolConfig, shards: int) -> ShardPlan:
 
     region_counts: Dict[int, int] = {}
     region_memo: Dict[int, int] = {}
-    for batch in (reads, writes):
-        for t in batch:
-            addr = t[2]
-            region = region_memo.get(addr)
-            if region is None:
-                region = region_of(addr)
-                region_memo[addr] = region
-            region_counts[region] = region_counts.get(region, 0) + 1
+    replicated = 0
+    cols = trace.columns
+    for kind, addr in zip(cols.kind, cols.addr):
+        if kind > ev.WRITE:
+            continue
+        region = region_memo.get(addr)
+        if region is None:
+            region = region_of(addr)
+            region_memo[addr] = region
+        region_counts[region] = region_counts.get(region, 0) + 1
+        if addr in global_addrs:
+            replicated += 1
 
     # LPT greedy: heaviest region first onto the least-loaded shard.
     heap = [(0, idx) for idx in range(shards)]
     heapify(heap)
     region_owner: Dict[int, int] = {}
-    for region, count in sorted(region_counts.items(), key=lambda rc: (-rc[1], rc[0])):
+    for region, n in sorted(region_counts.items(), key=lambda rc: (-rc[1], rc[0])):
         load, idx = heappop(heap)
         region_owner[region] = idx
-        heappush(heap, (load + count, idx))
+        heappush(heap, (load + n, idx))
     loads = [0] * shards
-    for region, count in region_counts.items():
-        loads[region_owner[region]] += count
+    for region, n in region_counts.items():
+        loads[region_owner[region]] += n
 
     owner_of = {addr: region_owner[region] for addr, region in region_memo.items()}
     # Global addresses touched only by control events (e.g. lib sync
     # objects) never appear in the access stream; park them on shard 0.
     for addr in global_addrs:
         owner_of.setdefault(addr, 0)
-    replicated = sum(
-        1
-        for batch in (reads, writes)
-        for t in batch
-        if t[2] in global_addrs
-    ) * (shards - 1)
     return ShardPlan(
         shards=shards,
         owner_of=owner_of,
         global_addrs=global_addrs,
         region_count=len(region_counts),
         loads=tuple(loads),
-        replicated=replicated,
+        replicated=replicated * (shards - 1),
     )
-
-
-def _split_streams(
-    reads: Sequence[tuple], writes: Sequence[tuple], plan: ShardPlan
-) -> List[Tuple[list, list]]:
-    """One O(N) pass producing each shard's (reads, writes) streams."""
-    shards = plan.shards
-    owner_of = plan.owner_of
-    global_addrs = plan.global_addrs
-    out: List[Tuple[list, list]] = [([], []) for _ in range(shards)]
-    for which, batch in ((0, reads), (1, writes)):
-        if shards == 1:
-            out[0][which].extend(batch)
-            continue
-        for t in batch:
-            addr = t[2]
-            if addr in global_addrs:
-                for slices in out:
-                    slices[which].append(t)
-            else:
-                out[owner_of[addr]][which].append(t)
-    return out
 
 
 # ---------------------------------------------------------------------------
 # Per-shard replay
 
 
-def _run_shard(
-    trace: Trace,
-    config: ToolConfig,
-    plan: ShardPlan,
-    index: int,
-    reads: Sequence[tuple],
-    writes: Sequence[tuple],
-    ctrl: Sequence[tuple],
-    total_events: int,
-) -> ShardReport:
-    """Replay one shard's streams through a fresh detector.
+def _tagged(
+    rows: Iterable[tuple], seqs: Iterable[int], report: ShardReport
+) -> Iterator[tuple]:
+    """``rows`` with the report's ``current_seq`` set to each row's seq."""
+    for seq, row in zip(seqs, rows):
+        report.current_seq = seq
+        yield row
 
-    Mirrors ``RaceDetector.consume_batch``'s three-way seq merge, with
-    two extra dispatch arms for replicated *foreign* accesses (ad-hoc
-    matcher only for reads, ``observe_write`` for writes) and seq
-    tagging of warning submissions.  Returns the finalized
-    :class:`ShardReport` carrying the merge payload.
+
+def _run_shard(
+    trace: Trace, config: ToolConfig, plan: ShardPlan, index: int, mask: bytes
+) -> ShardReport:
+    """Replay one shard's partition of the columns through a fresh kernel.
+
+    The partition (``mask``) is every control row plus the shard's owned
+    and replicated accesses.  The algorithm's read/write entry points
+    are wrapped per shard: a replicated *foreign* read is done once the
+    kernel's ad-hoc matcher ran, a foreign write only maintains records
+    (``observe_write``).  Warning submissions are seq-tagged.  Returns
+    the finalized :class:`ShardReport` carrying the merge payload.
     """
     detector = _build_detector(trace, config)
     report = ShardReport(tool=config.name, granularity=config.context_granularity)
     report.shard_index = index
     report.shard_count = plan.shards
-    report.total_events = total_events
     # The detector façade and the algorithm share one report object; the
     # shard swap must keep that identity.
     detector.report = report
-    detector.algorithm.report = report
+    algo = detector.algorithm
+    algo.report = report
 
     foreign = frozenset(
         a for a in plan.global_addrs if plan.owner_of.get(a, 0) != index
     )
-    cfg = detector.config
-    skip_lib = cfg.intercept_lib
-    algo = detector.algorithm
-    aread, awrite = algo.read, algo.write
-    observe = algo.observe_write
-    sync_read = (
-        detector.adhoc.sync_read
-        if detector.adhoc is not None and cfg.adhoc_variable_level
-        else None
-    )
-    lock_sites = detector.lock_sites
+    read, write, observe = algo.read, algo.write, algo.observe_write
     writes_delivered: Dict[int, int] = {}
+    counts = [0, 0]  # owned, foreign accesses
 
-    nr, nw, nc = len(reads), len(writes), len(ctrl)
-    detector.events_processed += nr + nw
-    i = j = k = 0
-    inf = float("inf")
-    while i < nr or j < nw or k < nc:
-        rs = reads[i][0] if i < nr else inf
-        ws = writes[j][0] if j < nw else inf
-        cs = ctrl[k][0] if k < nc else inf
-        if rs < ws and rs < cs:
-            r = reads[i]
-            i += 1
-            if skip_lib and r[6]:
-                continue
-            if sync_read is not None:
-                sync_read(r[1], r[2], r[3])
-            if r[2] in foreign:
-                # Foreign read: the ad-hoc edge (if any) was taken above;
-                # reads never tick a clock, so nothing else to mirror.
-                continue
-            report.current_seq = r[0]
-            aread(r[1], r[2], r[4], r[5])
-        elif ws < cs:
-            w = writes[j]
-            j += 1
-            if skip_lib and w[6]:
-                continue
-            if lock_sites:
-                detector._inferred_lock_write_fields(w[1], w[2], w[3], w[4], w[5])
-            writes_delivered[w[1]] = writes_delivered.get(w[1], 0) + 1
-            if w[2] in foreign:
-                observe(w[1], w[2], w[3], w[4], w[5])
-            else:
-                report.current_seq = w[0]
-                awrite(w[1], w[2], w[3], w[4], w[5])
+    def shard_read(tid, addr, loc, atomic):
+        if addr in foreign:
+            counts[1] += 1
         else:
-            e = ctrl[k][1]
-            k += 1
-            detector(e)
+            counts[0] += 1
+            read(tid, addr, loc, atomic)
+
+    def shard_write(tid, addr, value, loc, atomic):
+        writes_delivered[tid] = writes_delivered.get(tid, 0) + 1
+        if addr in foreign:
+            counts[1] += 1
+            observe(tid, addr, value, loc, atomic)
+        else:
+            counts[0] += 1
+            write(tid, addr, value, loc, atomic)
+
+    algo.read, algo.write = shard_read, shard_write
+    detector.consume_batch(
+        _tagged(compress(trace.columns.rows(), mask), compress(count(), mask), report)
+    )
 
     detector.finalize(partial=trace.status != "ok")
     report.frontier = {tid: tc.clock for tid, tc in algo.threads.items()}
@@ -401,7 +377,8 @@ def _run_shard(
     report.adhoc_edges = algo.adhoc_edges
     report.accesses_checked = algo.accesses_checked
     report.detector_words = detector.memory_words()
-    report.events_delivered = detector.events_processed
+    report.events_delivered = detector.events_accepted
+    report.owned_events, report.foreign_events = counts
     return report
 
 
@@ -410,10 +387,10 @@ def run_shard(
 ) -> ShardReport:
     """Analyze exactly one shard of ``trace`` (the grand-sweep work unit).
 
-    Recomputes the deterministic plan and filters the streams down to
-    shard ``index`` in a single pass — a worker process needs nothing
-    from its siblings.  The returned :class:`ShardReport` is the
-    payload later reconciled by :func:`merge_shard_reports`.
+    Recomputes the deterministic plan and walks only shard ``index``'s
+    partition of the columns — a worker process needs nothing from its
+    siblings.  The returned :class:`ShardReport` is the payload later
+    reconciled by :func:`merge_shard_reports`.
     """
     from repro.harness.registry import resolve_tool  # lazy: import cycle
 
@@ -421,19 +398,9 @@ def run_shard(
     _validate_replay(trace, config)
     if not 0 <= index < shards:
         raise ValueError(f"shard index {index} out of range for {shards} shards")
-    reads, writes, ctrl = _filtered_batches(trace, config)
-    total_events = len(reads) + len(writes) + len(ctrl)
     plan = plan_shards(trace, config, shards)
-    if shards > 1:
-        owner_of = plan.owner_of
-        global_addrs = plan.global_addrs
-        reads = [
-            t for t in reads if t[2] in global_addrs or owner_of[t[2]] == index
-        ]
-        writes = [
-            t for t in writes if t[2] in global_addrs or owner_of[t[2]] == index
-        ]
-    return _run_shard(trace, config, plan, index, reads, writes, ctrl, total_events)
+    mask = plan.mask(plan.owners(trace), index)
+    return _run_shard(trace, config, plan, index, mask)
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +440,9 @@ def merge_shard_reports(reports: Sequence[ShardReport]) -> Report:
         _require(r.tool == first.tool, "inconsistent tools")
         _require(r.granularity == first.granularity, "inconsistent granularity")
         _require(r.partial == first.partial, "inconsistent partial flags")
-        _require(r.total_events == first.total_events, "inconsistent event totals")
+        _require(
+            r.control_events == first.control_events, "inconsistent control-row counts"
+        )
         _require(list(r.notes) == list(first.notes), "diverging finalize notes")
         _require(r.sync_addrs == first.sync_addrs, "diverging sync classification")
         _require(r.inferred_locks == first.inferred_locks, "diverging inferred locks")
@@ -536,15 +505,12 @@ class ShardedAnalysis:
     adhoc_edges: int = 0
 
 
-def _shard_worker(conn, trace, config, plan, slices, ctrl, total_events, indices):
+def _shard_worker(conn, trace, config, plan, masks, indices):
     """Forked child: run a batch of shards, ship the reports back."""
     try:
-        out = []
-        for index in indices:
-            sreads, swrites = slices[index]
-            out.append(
-                _run_shard(trace, config, plan, index, sreads, swrites, ctrl, total_events)
-            )
+        out = [
+            _run_shard(trace, config, plan, index, masks[index]) for index in indices
+        ]
         conn.send(("ok", out))
     except BaseException as exc:  # ship the failure, don't hang the parent
         try:
@@ -565,9 +531,9 @@ def analyze_trace_sharded(
 
     ``workers=0`` runs the shards serially in-process (useful for
     differential testing and on fork-less platforms); ``workers>0``
-    fans the shards over forked worker processes — the parent splits
-    the streams once and children inherit them copy-on-write, so each
-    worker touches ~1/K of the access stream.  ``config`` may be a
+    fans the shards over forked worker processes — the parent builds
+    the per-shard row masks once and children inherit them
+    copy-on-write.  ``config`` may be a
     :class:`~repro.detectors.ToolConfig` or a preset name.  ``shards=1``
     still runs the full partition/replay/merge pipeline, making the
     degenerate case a real identity test of the machinery.
@@ -577,10 +543,9 @@ def analyze_trace_sharded(
     config = resolve_tool(config)
     _validate_replay(trace, config)
     t0 = time.perf_counter()
-    reads, writes, ctrl = _filtered_batches(trace, config)
-    total_events = len(reads) + len(writes) + len(ctrl)
     plan = plan_shards(trace, config, shards)
-    slices = _split_streams(reads, writes, plan)
+    owners = plan.owners(trace)
+    masks = [plan.mask(owners, index) for index in range(shards)]
 
     workers = min(workers, shards) if workers > 0 else 0
     shard_reports: List[Optional[ShardReport]] = [None] * shards
@@ -600,7 +565,7 @@ def analyze_trace_sharded(
                 recv, send = ctx.Pipe(duplex=False)
                 p = ctx.Process(
                     target=_shard_worker,
-                    args=(send, trace, config, plan, slices, ctrl, total_events, chunk),
+                    args=(send, trace, config, plan, masks, chunk),
                     daemon=True,
                 )
                 p.start()
@@ -624,10 +589,7 @@ def analyze_trace_sharded(
             workers = 0
     if workers <= 1:
         for index in range(shards):
-            sreads, swrites = slices[index]
-            shard_reports[index] = _run_shard(
-                trace, config, plan, index, sreads, swrites, ctrl, total_events
-            )
+            shard_reports[index] = _run_shard(trace, config, plan, index, masks[index])
 
     reports = [r for r in shard_reports if r is not None]
     merged = merge_shard_reports(reports)
@@ -638,7 +600,8 @@ def analyze_trace_sharded(
         report=merged,
         plan=plan,
         shard_reports=reports,
-        events=total_events,
+        # the control rows (seen by every shard) plus each owned access
+        events=reports[0].control_events + sum(r.owned_events for r in reports),
         duration_s=duration,
         shards=shards,
         workers=workers,

@@ -28,7 +28,14 @@ from repro.durable import Corruption, FramedStore
 from repro.durable import DIGEST_LEN as _DIGEST_LEN  # noqa: F401 — codec tests
 from repro.durable import FRAME_HEADER as _TRACE_HEADER  # noqa: F401 — codec tests
 from repro.trace.stream import TraceStream, TraceStreamCorruption, read_meta_line
-from repro.trace.trace import Trace, _decode_event, _encode_event, _loc_parse, _loc_str
+from repro.trace.trace import (
+    EventColumns,
+    Trace,
+    _decode_event,
+    _encode_event,
+    _loc_parse,
+    _loc_str,
+)
 
 #: bump when the trace payload layout changes incompatibly.  Deliberately
 #: independent of the harness CACHE_SCHEMA: trace artifacts outlive
@@ -110,7 +117,7 @@ def _trace_meta(trace: Trace) -> dict:
         "steps": trace.steps,
         "ok": trace.ok,
         "status": trace.status,
-        "events": len(trace.events),
+        "events": len(trace.columns),
         "loop_sizes": trace.loop_sizes,
         "lock_sites": [_loc_str(l) for l in sorted(trace.lock_sites, key=str)],
         "symbols": trace.symbols,
@@ -120,7 +127,8 @@ def _trace_meta(trace: Trace) -> dict:
 def _encode_payload(trace: Trace) -> bytes:
     lines = [json.dumps(_trace_meta(trace), separators=(",", ":"))]
     lines.extend(
-        json.dumps(_encode_event(e), separators=(",", ":")) for e in trace.events
+        json.dumps(_encode_event(e), separators=(",", ":"))
+        for e in trace.columns.iter_events()
     )
     # mtime=0 keeps the compressed bytes deterministic for a given trace
     return gzip.compress("\n".join(lines).encode(), mtime=0)
@@ -137,7 +145,7 @@ def _decode_payload(payload: bytes) -> Trace:
     return Trace(
         program_name=meta["program"],
         seed=meta["seed"],
-        events=events,
+        columns=EventColumns.from_events(events),
         loop_sizes={int(k): v for k, v in meta["loop_sizes"].items()},
         lock_sites=frozenset(_loc_parse(l) for l in meta["lock_sites"]),
         symbols=[tuple(s) for s in meta["symbols"]],

@@ -1,18 +1,17 @@
 """Streaming trace decode: analyze a stored recording in bounded memory.
 
-:func:`repro.trace.analyze_trace` materializes a full :class:`Trace` —
-every event object plus the flat batch lists — before the detector sees
-a single event.  That is the right trade for repeated analyses of one
-recording (the filter caches amortize), but it makes peak RSS scale
-with trace length, which is exactly what a memory-governed worker
-cannot afford.
+:func:`repro.trace.analyze_trace` materializes a full :class:`Trace`
+(decoded into event columns) before the detector sees a single row.
+That is the right trade for repeated analyses of one recording, but it
+makes peak RSS scale with trace length, which is exactly what a
+memory-governed worker cannot afford.
 
 This module is the constant-memory alternative.  A :class:`TraceStream`
 (obtained from :meth:`repro.trace.store.TraceStore.open_stream`) walks
 the RPRT-framed gzip JSONL payload line by line, decoding one event at
-a time; :func:`analyze_trace_streaming` feeds those events through the
-detector's ``consume_batch`` in bounded chunks, applying exactly the
-filters the in-memory path applies, so the resulting
+a time; :func:`analyze_trace_streaming` feeds them as rows to the same
+detector kernel (``consume_batch``) in bounded chunks.  The kernel
+applies the configuration filter itself, so the resulting
 ``report.fingerprint()`` is bit-identical to :func:`analyze_trace` for
 every configuration, partial/faulted recordings included.
 
@@ -32,16 +31,10 @@ import json
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import FrozenSet, Iterator, List, Optional, Tuple, Union
+from typing import Iterator, List, Tuple, Union
 
 from repro.detectors import RaceDetector, Report, ToolConfig
-from repro.trace.trace import (
-    _LIB_ANNOT,
-    _MARKED,
-    _THREAD_SYNC,
-    _decode_event,
-    _loc_parse,
-)
+from repro.trace.trace import _decode_event, _loc_parse, _validate_replay
 from repro.vm import events as ev
 from repro.vm.machine import RunResult
 from repro.vm.memory import SymbolMap
@@ -94,9 +87,7 @@ class TraceStream:
     def events(self) -> Iterator[Tuple[int, ev.Event]]:
         """Yield ``(seq, event)`` in recorded order, decoding lazily.
 
-        ``seq`` is the event's index in the full recorded stream — the
-        same global counter a live machine's batches carry, so chunked
-        ``consume_batch`` deliveries merge in the exact live order.
+        ``seq`` is the event's index in the full recorded stream.
         """
         expected = self.meta.get("events")
         seq = 0
@@ -203,7 +194,7 @@ class StreamAnalysis:
     config: ToolConfig
     report: Report
     detector: RaceDetector
-    #: events the detector processed (post filtering)
+    #: events that passed the configuration's filter
     events: int
     #: wall-clock seconds spent streaming + finalization
     duration_s: float
@@ -213,31 +204,9 @@ class StreamAnalysis:
     notes: Tuple[str, ...] = ()
 
 
-def _validate_stream(stream: TraceStream, config: ToolConfig) -> None:
-    """Meta-level twin of :func:`repro.trace.trace._validate_replay`."""
-    if config.spin:
-        if config.spin_max_blocks > stream.max_blocks:
-            raise ValueError(
-                f"trace recorded with max_blocks={stream.max_blocks}, "
-                f"cannot replay spin({config.spin_max_blocks})"
-            )
-        if config.inline_depth != stream.inline_depth:
-            raise ValueError(
-                f"trace recorded with inline_depth={stream.inline_depth}, "
-                f"cannot replay inline_depth={config.inline_depth}"
-            )
-
-
-def _wide_loops_meta(stream: TraceStream, config: ToolConfig) -> FrozenSet[int]:
-    if not config.spin:
-        return frozenset()
-    k = config.spin_max_blocks
-    return frozenset(i for i, size in stream.loop_sizes().items() if size > k)
-
-
-#: default number of buffered events per ``consume_batch`` flush.  Small
-#: enough that peak RSS stays a fixed few hundred kilobytes regardless
-#: of trace length, large enough that merge-loop overhead is amortized.
+#: default number of rows per ``consume_batch`` chunk.  Small enough
+#: that peak RSS stays a fixed few hundred kilobytes regardless of trace
+#: length, large enough that per-call overhead is amortized.
 DEFAULT_CHUNK_EVENTS = 2048
 
 
@@ -248,16 +217,14 @@ def analyze_trace_streaming(
 ) -> StreamAnalysis:
     """Run a tool configuration over a stored trace in bounded memory.
 
-    Delivers events straight off the decoder without ever materializing
-    the recording, in chunks of at most ``chunk_events`` filtered events
-    per ``consume_batch`` call (chunk boundaries are invisible to the
-    three-way seq merge — every seq in chunk *n* precedes every seq in
-    chunk *n+1*).  Filtering mirrors the in-memory path exactly
-    (``_filtered_batches``), and the
-    report is finalized from the recording's termination status, so
-    ``report.fingerprint()`` is bit-identical to
-    :func:`repro.trace.analyze_trace` on the same entry — partial and
-    faulted recordings included.
+    Delivers rows straight off the decoder without ever materializing
+    the recording, in chunks of at most ``chunk_events`` rows per
+    ``consume_batch`` call; the kernel filters them exactly as it
+    filters an in-memory replay.  The report is finalized from the
+    recording's termination status, so ``report.fingerprint()`` is
+    bit-identical to :func:`repro.trace.analyze_trace` on the same
+    entry — partial and faulted recordings included.  Outputs and the
+    fault count are collected from the bookkeeping events on the way.
 
     Raises :class:`TraceStreamCorruption` if the payload turns out
     malformed mid-pass; the detector state is then abandoned.
@@ -265,56 +232,32 @@ def analyze_trace_streaming(
     from repro.harness.registry import resolve_tool  # lazy: import cycle
 
     config = resolve_tool(config)
-    _validate_stream(stream, config)
-    detector = RaceDetector(config, lock_sites=stream.lock_sites())
-    detector.algorithm.symbolize = stream.symbol_map().resolve
-    wide = _wide_loops_meta(stream, config)
+    _validate_replay(stream, config)
+    detector = RaceDetector(
+        config,
+        symbolize=stream.symbol_map().resolve,
+        lock_sites=stream.lock_sites(),
+        loop_sizes=stream.loop_sizes(),
+    )
     outputs: List[Tuple[int, int]] = []
     faults = 0
 
     t0 = time.perf_counter()
-    skip_lib = config.intercept_lib
-    spin = config.spin
-    reads: list = []
-    writes: list = []
-    ctrl: list = []
-    buffered = 0
     consume = detector.consume_batch
-    for seq, e in stream.events():
-        te = type(e)
-        if te is ev.MemRead:
-            if skip_lib and e.in_library:
-                continue
-            reads.append((seq, e.tid, e.addr, e.value, e.loc, e.atomic, e.in_library))
-        elif te is ev.MemWrite:
-            if skip_lib and e.in_library:
-                continue
-            writes.append((seq, e.tid, e.addr, e.value, e.loc, e.atomic, e.in_library))
-        elif isinstance(e, _MARKED):
-            if not spin or (skip_lib and e.in_library) or e.loop_id in wide:
-                continue
-            ctrl.append((seq, e))
-        elif isinstance(e, _LIB_ANNOT):
-            if not skip_lib or e.in_library:
-                continue
-            ctrl.append((seq, e))
-        elif isinstance(e, _THREAD_SYNC):
-            ctrl.append((seq, e))
-        else:
-            # Bookkeeping events are detector no-ops; fold them into the
-            # synthesized machine result instead.
-            if te is ev.PrintEvent:
+    chunk: list = []
+    for _seq, e in stream.events():
+        row = ev.event_row(e)
+        chunk.append(row)
+        if row[0] == ev.NOTE:
+            if type(e) is ev.PrintEvent:
                 outputs.append((e.tid, e.value))
             elif isinstance(e, ev.FaultEvent):
                 faults += 1
-            continue
-        buffered += 1
-        if buffered >= chunk_events:
-            consume(reads, writes, ctrl)
-            reads, writes, ctrl = [], [], []
-            buffered = 0
-    if buffered:
-        consume(reads, writes, ctrl)
+        if len(chunk) >= chunk_events:
+            consume(chunk)
+            chunk = []
+    if chunk:
+        consume(chunk)
 
     status = stream.status
     report = detector.finalize(partial=status != "ok")
@@ -332,7 +275,7 @@ def analyze_trace_streaming(
         config=config,
         report=report,
         detector=detector,
-        events=detector.events_processed,
+        events=detector.events_accepted,
         duration_s=duration,
         result=result,
         notes=("streaming-decode",),

@@ -1,11 +1,18 @@
-"""Trace recording, VM-free analysis, replay, and JSON serialization."""
+"""Trace recording, VM-free analysis, replay, and JSON serialization.
+
+A :class:`Trace` stores its event stream column-wise
+(:class:`EventColumns`): the VM's row buffer flushes straight into the
+columns while recording, and a replay feeds the columns to the detector
+kernel as rows — a recording is just another event source.
+"""
 
 from __future__ import annotations
 
 import json
 import time
+from array import array
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.analysis import instrument_program, lock_site_locations
 from repro.detectors import RaceDetector, Report, ToolConfig
@@ -17,13 +24,108 @@ from repro.vm.machine import RunResult
 from repro.vm.memory import SymbolMap
 
 
+class EventColumns:
+    """A recorded event stream stored column-wise.
+
+    Row ``i`` of the stream is ``kind[i], tid[i], addr[i], value[i],
+    loc[i], atomic[i], in_library[i], aux[i]`` — the detector kernel's
+    row form (:func:`repro.vm.events.event_row`) — recorded at
+    ``step[i]``.  The integer columns are arrays and ``aux`` holds the
+    Event objects of the rare kinds, so a recording of N events holds a
+    handful of containers instead of N objects for the garbage
+    collector to traverse.
+
+    An ``EventColumns`` is also the recorder's batch sink: the VM
+    appends each buffered row's step to :attr:`step_log` at emission and
+    flushes the rows themselves into :meth:`consume_batch`.
+    """
+
+    __slots__ = (
+        "kind", "step", "tid", "addr", "value", "loc", "atomic", "in_library", "aux",
+    )
+
+    #: recordings keep library-internal traffic; replays filter per config
+    skip_in_library_traffic = False
+
+    def __init__(self) -> None:
+        self.kind = array("b")
+        self.step = array("q")
+        self.tid = array("q")
+        self.addr = array("q")
+        #: an array unless some value overflowed 64 bits (then a list)
+        self.value = array("q")
+        self.loc: list = []
+        self.atomic: List[bool] = []
+        self.in_library: List[bool] = []
+        self.aux: list = []
+
+    @classmethod
+    def from_events(cls, events: Iterable[ev.Event]) -> "EventColumns":
+        cols = cls()
+        events = list(events)
+        cols.consume_batch([ev.event_row(e) for e in events])
+        cols.step.extend(e.step for e in events)
+        return cols
+
+    @property
+    def step_log(self) -> array:
+        return self.step
+
+    def __len__(self) -> int:
+        return len(self.kind)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, EventColumns):
+            return NotImplemented
+        return all(
+            list(getattr(self, name)) == list(getattr(other, name))
+            for name in self.__slots__
+        )
+
+    def consume_batch(self, rows: Sequence[tuple]) -> None:
+        """Append rows (their steps go to :attr:`step_log` separately)."""
+        if not rows:
+            return
+        kind, tid, addr, value, loc, atomic, in_library, aux = zip(*rows)
+        self.kind.extend(kind)
+        self.tid.extend(tid)
+        self.addr.extend(addr)
+        col = self.value
+        if type(col) is array:
+            try:
+                value = array("q", value)
+            except OverflowError:
+                col = self.value = col.tolist()
+        col.extend(value)
+        self.loc.extend(loc)
+        self.atomic.extend(atomic)
+        self.in_library.extend(in_library)
+        self.aux.extend(aux)
+
+    def rows(self) -> Iterator[tuple]:
+        """The stream as kernel rows, in order."""
+        return zip(
+            self.kind, self.tid, self.addr, self.value, self.loc,
+            self.atomic, self.in_library, self.aux,
+        )
+
+    def iter_events(self) -> Iterator[ev.Event]:
+        """The stream as Event objects, built on demand."""
+        for step, row in zip(self.step, self.rows()):
+            yield ev.row_event(step, *row)
+
+    def notes(self) -> List[ev.Event]:
+        """The bookkeeping events (thread start/exit, prints, faults)."""
+        return [a for k, a in zip(self.kind, self.aux) if k == ev.NOTE]
+
+
 @dataclass
 class Trace:
-    """A recorded execution: events plus replay metadata."""
+    """A recorded execution: event columns plus replay metadata."""
 
     program_name: str
     seed: int
-    events: List[ev.Event]
+    columns: EventColumns
     #: effective basic-block size per marked loop id (for spin(k) filtering)
     loop_sizes: Dict[int, int]
     #: statically inferred lock-acquire CAS sites (for infer_locks replays)
@@ -43,44 +145,16 @@ class Trace:
     #: traces were always recorded under the seeded random scheduler
     scheduler: str = "random"
 
+    @property
+    def events(self) -> List[ev.Event]:
+        """The recorded events as a fresh list of Event objects."""
+        return list(self.columns.iter_events())
+
     def symbol_map(self) -> SymbolMap:
         sm = SymbolMap()
         for name, base, size in self.symbols:
             sm.add(name, base, size)
         return sm
-
-    def batches(self) -> Tuple[list, list, list]:
-        """The event stream in the VM's flat batch form, cached.
-
-        Returns ``(reads, writes, ctrl)`` exactly as a live
-        :class:`~repro.vm.machine.Machine` would buffer them for a
-        batch-consuming listener: memory accesses as flat tuples
-        ``(seq, tid, addr, value, loc, atomic, in_library)`` and
-        everything else as ``(seq, event)``.  Built once per trace —
-        repeated analyses under different tool configurations share the
-        flattening work.
-        """
-        cached = getattr(self, "_batch_cache", None)
-        if cached is None:
-            reads: list = []
-            writes: list = []
-            ctrl: list = []
-            for seq, event in enumerate(self.events):
-                if type(event) is ev.MemRead:
-                    reads.append(
-                        (seq, event.tid, event.addr, event.value,
-                         event.loc, event.atomic, event.in_library)
-                    )
-                elif type(event) is ev.MemWrite:
-                    writes.append(
-                        (seq, event.tid, event.addr, event.value,
-                         event.loc, event.atomic, event.in_library)
-                    )
-                else:
-                    ctrl.append((seq, event))
-            cached = (reads, writes, ctrl)
-            self._batch_cache = cached
-        return cached
 
     # -- serialization ------------------------------------------------------
 
@@ -98,7 +172,7 @@ class Trace:
                 "loop_sizes": self.loop_sizes,
                 "lock_sites": [_loc_str(l) for l in sorted(self.lock_sites, key=str)],
                 "symbols": self.symbols,
-                "events": [_encode_event(e) for e in self.events],
+                "events": [_encode_event(e) for e in self.columns.iter_events()],
             }
         )
 
@@ -108,7 +182,7 @@ class Trace:
         return cls(
             program_name=data["program"],
             seed=data["seed"],
-            events=[_decode_event(e) for e in data["events"]],
+            columns=EventColumns.from_events(_decode_event(e) for e in data["events"]),
             loop_sizes={int(k): v for k, v in data["loop_sizes"].items()},
             lock_sites=frozenset(_loc_parse(l) for l in data["lock_sites"]),
             symbols=[tuple(s) for s in data["symbols"]],
@@ -143,7 +217,8 @@ def record_trace(
     :func:`repro.harness.registry.canonical_scheduler`); ``None`` keeps
     the historical seeded-random default, so a forensic recording of a
     round-robin or adversarial failure replays the interleaving that
-    actually failed instead of a random stand-in.
+    actually failed instead of a random stand-in.  The VM's row buffer
+    flushes straight into the recording's columns.
     """
     # Imported lazily: repro.harness.triage imports this module, so a
     # module-level import of the registry would be circular.
@@ -151,11 +226,11 @@ def record_trace(
 
     sched_spec = canonical_scheduler(scheduler)
     imap = instrument_program(program, max_blocks=max_blocks, inline_depth=inline_depth)
-    events: List[ev.Event] = []
+    columns = EventColumns()
     machine = Machine(
         program,
         scheduler=build_scheduler(sched_spec, seed),
-        listener=events.append,
+        listener=columns,
         instrumentation=imap,
         max_steps=max_steps,
         faults=fault_plan,
@@ -169,7 +244,7 @@ def record_trace(
     return Trace(
         program_name=program.name,
         seed=seed,
-        events=events,
+        columns=columns,
         loop_sizes=loop_sizes,
         lock_sites=lock_site_locations(program),
         symbols=symbols,
@@ -186,10 +261,10 @@ def record_trace(
 # VM-free analysis
 # ---------------------------------------------------------------------------
 
-_MARKED = (ev.MarkedLoopEnter, ev.MarkedLoopExit, ev.MarkedCondRead)
 
-
-def _validate_replay(trace: Trace, config: ToolConfig) -> None:
+def _validate_replay(trace, config: ToolConfig) -> None:
+    """Reject a spin config the recording's instrumentation cannot serve
+    (``trace`` is a :class:`Trace` or a streamed recording)."""
     if config.spin:
         if config.spin_max_blocks > trace.max_blocks:
             raise ValueError(
@@ -204,92 +279,32 @@ def _validate_replay(trace: Trace, config: ToolConfig) -> None:
 
 
 def _build_detector(trace: Trace, config: ToolConfig) -> RaceDetector:
-    detector = RaceDetector(config, lock_sites=trace.lock_sites)
-    detector.algorithm.symbolize = trace.symbol_map().resolve
-    return detector
+    return RaceDetector(
+        config,
+        symbolize=trace.symbol_map().resolve,
+        lock_sites=trace.lock_sites,
+        loop_sizes=trace.loop_sizes,
+    )
 
 
-def _wide_loops(trace: Trace, config: ToolConfig) -> FrozenSet[int]:
-    """Loop ids wider than the config's spin window (empty when spin is
-    off: the window is an ad-hoc-engine concept, and without one every
-    marked event is dropped anyway)."""
-    if not config.spin:
-        return frozenset()
-    k = config.spin_max_blocks
-    return frozenset(i for i, size in trace.loop_sizes.items() if size > k)
-
-
-_LIB_ANNOT = (ev.LibEnter, ev.LibExit)
-_THREAD_SYNC = (ev.ThreadSpawnEvent, ev.ThreadJoinEvent)
-
-
-def _filtered_batches(trace: Trace, config: ToolConfig) -> Tuple[list, list, list]:
-    """Batches restricted to the events this config's detector consumes.
-
-    The detector's listener no-ops whole event classes depending on the
-    config: marked-loop traffic without an ad-hoc engine (``spin=False``),
-    library annotations outside lib mode, nested library annotations in
-    lib mode, and bookkeeping events (thread start/exit, prints, fault
-    forensics) always.  A live run pays one cheap isinstance chain per
-    such event; a stored trace can drop them *before* the three-way
-    merge, so ``consume_batch`` only ever sees events that change
-    detector state.  The marked reads are safe to drop because a marked
-    load's memory access is a separate ``MemRead`` in the reads stream —
-    ``MarkedCondRead`` is purely the classifier hook.
-
-    Filtered variants are cached on the trace keyed by the filter
-    signature, so the record-once-analyze-anywhere loop (many configs,
-    repeated runs over one recording) shares the filtering work too.
-    """
-    wide = _wide_loops(trace, config)
-    key = (config.intercept_lib, config.spin, wide)
-    cache = getattr(trace, "_filtered_cache", None)
-    if cache is None:
-        cache = {}
-        trace._filtered_cache = cache
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    reads, writes, ctrl = trace.batches()
-    skip_lib = config.intercept_lib
-    if skip_lib:
-        reads = [r for r in reads if not r[6]]
-        writes = [w for w in writes if not w[6]]
-    kept = []
-    for c in ctrl:
-        e = c[1]
-        if isinstance(e, _MARKED):
-            if (
-                not config.spin
-                or (skip_lib and e.in_library)
-                or e.loop_id in wide
-            ):
-                continue
-        elif isinstance(e, _LIB_ANNOT):
-            # The listener honours annotations only in lib mode, and
-            # only when they are not nested inside another lib call.
-            if not skip_lib or e.in_library:
-                continue
-        elif not isinstance(e, _THREAD_SYNC):
-            continue
-        kept.append(c)
-    hit = (reads, writes, kept)
-    cache[key] = hit
-    return hit
-
-
-def replay_trace(trace: Trace, config: ToolConfig) -> RaceDetector:
+def replay_trace(trace: Trace, config) -> RaceDetector:
     """Run one tool configuration over a recorded execution.
 
     The replayed interleaving is identical for every configuration —
-    something re-execution-based tools cannot guarantee.  Low-level
-    primitive: the returned detector is *not* finalized, so callers can
-    inspect live state; most callers want :func:`analyze_trace`, which
-    also seals the report with the trace's termination status.
+    something re-execution-based tools cannot guarantee.  The recording's
+    columns feed the detector kernel in one ``consume_batch`` call, which
+    filters them for the configuration inline.  Low-level primitive: the
+    returned detector is *not* finalized, so callers can inspect live
+    state; most callers want :func:`analyze_trace`, which also seals the
+    report with the trace's termination status.  ``config`` may be a
+    :class:`~repro.detectors.ToolConfig` or a preset name.
     """
+    from repro.harness.registry import resolve_tool  # lazy: import cycle
+
+    config = resolve_tool(config)
     _validate_replay(trace, config)
     detector = _build_detector(trace, config)
-    detector.consume_batch(*_filtered_batches(trace, config))
+    detector.consume_batch(trace.columns.rows())
     return detector
 
 
@@ -301,38 +316,32 @@ class TraceAnalysis:
     config: ToolConfig
     report: Report
     detector: RaceDetector
-    #: events the detector processed (post lib-mode filtering)
+    #: events that passed the configuration's filter
     events: int
-    #: wall-clock seconds spent in event delivery + finalization
+    #: wall-clock seconds spent in replay + finalization
     duration_s: float
 
 
 def analyze_trace(trace: Trace, config) -> TraceAnalysis:
     """Run a tool configuration over a stored trace with no VM in the loop.
 
-    The offline twin of :func:`repro.harness.runner.run_workload`: one
-    ``consume_batch`` over the pre-filtered streams (the merge order a
-    live machine's flush produces, see :func:`_filtered_batches`), then
-    the detector is finalized from ``trace.status`` (``partial=True`` for
-    deadlock / livelock / truncated recordings), so the resulting
-    ``report.fingerprint()`` is bit-identical to the live run's.  ``config`` may be a
+    The offline twin of :func:`repro.harness.runner.run_workload`:
+    :func:`replay_trace`, then the detector is finalized from
+    ``trace.status`` (``partial=True`` for deadlock / livelock /
+    truncated recordings), so the resulting ``report.fingerprint()`` is
+    bit-identical to the live run's.  ``config`` may be a
     :class:`~repro.detectors.ToolConfig` or a preset name.
     """
-    from repro.harness.registry import resolve_tool  # lazy: import cycle
-
-    config = resolve_tool(config)
-    _validate_replay(trace, config)
-    detector = _build_detector(trace, config)
     t0 = time.perf_counter()
-    detector.consume_batch(*_filtered_batches(trace, config))
+    detector = replay_trace(trace, config)
     report = detector.finalize(partial=trace.status != "ok")
     duration = time.perf_counter() - t0
     return TraceAnalysis(
         trace=trace,
-        config=config,
+        config=detector.config,
         report=report,
         detector=detector,
-        events=detector.events_processed,
+        events=detector.events_accepted,
         duration_s=duration,
     )
 
@@ -342,22 +351,18 @@ def synthesize_result(trace: Trace) -> RunResult:
 
     Offline analyses have no :class:`~repro.vm.machine.RunResult`; sweep
     bookkeeping (status tables, fault accounting, output checks) still
-    wants one.  Termination flags come from ``trace.status``, outputs
-    from the recorded :class:`~repro.vm.events.PrintEvent` stream, and
-    the fault count from the injected-fault events.
+    wants one.  Termination flags come from ``trace.status``; outputs
+    and the fault count from the recorded bookkeeping events.
     """
     status = trace.status
+    notes = trace.columns.notes()
     return RunResult(
         steps=trace.steps,
         timed_out=status == "step-limit",
         deadlocked=status == "deadlock",
-        outputs=[
-            (e.tid, e.value) for e in trace.events if isinstance(e, ev.PrintEvent)
-        ],
+        outputs=[(e.tid, e.value) for e in notes if type(e) is ev.PrintEvent],
         livelocked=status == "livelock",
-        faults_injected=sum(
-            1 for e in trace.events if isinstance(e, ev.FaultEvent)
-        ),
+        faults_injected=sum(1 for e in notes if isinstance(e, ev.FaultEvent)),
     )
 
 

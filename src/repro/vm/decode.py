@@ -60,6 +60,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.isa import instructions as ins
 from repro.isa.program import CodeLocation, Function, Program
 from repro.vm import events as ev
+from repro.vm.events import COND_READ, LOOP_EXIT
 from repro.vm.frames import ThreadStatus
 
 #: handler signature: (machine, thread, frame) -> None
@@ -168,9 +169,7 @@ def _take_edge(m, t, f, label: str, dblock: DecodedBlock, lid: Optional[int], lo
     """Transfer control to ``dblock``, honouring a marked exit edge."""
     if lid is not None:
         if not (m._skip_lib and t.lib_depth > 0):
-            m._emit(
-                ev.MarkedLoopExit(m.step_count, t.tid, lid, loc, t.lib_depth > 0)
-            )
+            m._emit_marker(LOOP_EXIT, t.tid, 0, 0, loc, t.lib_depth > 0, lid)
             # Marked-loop boundary: flush so the ad-hoc engine sees the
             # exit promptly.
             m.flush_events()
@@ -354,11 +353,7 @@ def _decode_load(
             regs[dst] = value
             in_lib = t.lib_depth > 0
             if not (m._skip_lib and in_lib):
-                m._emit(
-                    ev.MarkedCondRead(
-                        m.step_count, t.tid, lid, addr, value, loc, in_lib
-                    )
-                )
+                m._emit_marker(COND_READ, t.tid, addr, value, loc, in_lib, lid)
             # Watchdog armed at decode time: count the spin against the
             # decode-time loop id — no re-derivation from loc.
             m._note_cond_read(t.tid, lid, addr, value, loc)
@@ -378,9 +373,7 @@ def _decode_load(
         regs[dst] = value
         in_lib = t.lib_depth > 0
         if not (m._skip_lib and in_lib):
-            m._emit(
-                ev.MarkedCondRead(m.step_count, t.tid, lid, addr, value, loc, in_lib)
-            )
+            m._emit_marker(COND_READ, t.tid, addr, value, loc, in_lib, lid)
         m._emit_read(t.tid, addr, value, loc, False, in_lib)
         f.index += 1
 

@@ -216,3 +216,68 @@ class StepBudgetClampedEvent(FaultEvent):
     """The machine's step budget was clamped to ``max_steps`` by a fault plan."""
 
     max_steps: int
+
+
+# ---------------------------------------------------------------------------
+# Rows: the detector kernel's event form
+# ---------------------------------------------------------------------------
+#
+# A row is the flat tuple ``(kind, tid, addr, value, loc, atomic,
+# in_library, aux)``.  Memory accesses and marker events — almost all of a
+# stream — never become Event objects on the batched path: the VM appends
+# their rows directly, and a recording stores them column-wise.  ``aux``
+# holds the loop id of a marker row and the Event object itself for the
+# rare kinds (library annotations, spawn/join, bookkeeping), whose other
+# fields are zero.
+
+READ = 0
+WRITE = 1
+COND_READ = 2
+LOOP_ENTER = 3
+LOOP_EXIT = 4
+LIB_ENTER = 5
+LIB_EXIT = 6
+SPAWN = 7
+JOIN = 8
+#: thread start/exit, prints and injected faults: no detector effect
+NOTE = 9
+
+_RARE_KIND = {
+    LibEnter: LIB_ENTER,
+    LibExit: LIB_EXIT,
+    ThreadSpawnEvent: SPAWN,
+    ThreadJoinEvent: JOIN,
+}
+
+
+def event_row(e: Event) -> tuple:
+    """The row of one event (inverse of :func:`row_event`)."""
+    te = type(e)
+    if te is MemRead:
+        return (READ, e.tid, e.addr, e.value, e.loc, e.atomic, e.in_library, None)
+    if te is MemWrite:
+        return (WRITE, e.tid, e.addr, e.value, e.loc, e.atomic, e.in_library, None)
+    if te is MarkedCondRead:
+        return (COND_READ, e.tid, e.addr, e.value, e.loc, False, e.in_library, e.loop_id)
+    if te is MarkedLoopEnter:
+        return (LOOP_ENTER, e.tid, 0, 0, e.loc, False, e.in_library, e.loop_id)
+    if te is MarkedLoopExit:
+        return (LOOP_EXIT, e.tid, 0, 0, e.loc, False, e.in_library, e.loop_id)
+    kind = _RARE_KIND.get(te, NOTE)
+    in_library = e.in_library if kind <= LIB_EXIT else False
+    return (kind, e.tid, 0, 0, None, False, in_library, e)
+
+
+def row_event(step, kind, tid, addr, value, loc, atomic, in_library, aux) -> Event:
+    """The Event a row at ``step`` stands for (inverse of :func:`event_row`)."""
+    if kind == READ:
+        return MemRead(step, tid, addr, value, loc, atomic, in_library)
+    if kind == WRITE:
+        return MemWrite(step, tid, addr, value, loc, atomic, in_library)
+    if kind == COND_READ:
+        return MarkedCondRead(step, tid, aux, addr, value, loc, in_library)
+    if kind == LOOP_ENTER:
+        return MarkedLoopEnter(step, tid, aux, loc, in_library)
+    if kind == LOOP_EXIT:
+        return MarkedLoopExit(step, tid, aux, loc, in_library)
+    return aux

@@ -20,20 +20,22 @@ call with every operand and marker already bound.
 Batched delivery
 ----------------
 
-A listener that implements ``consume_batch(reads, writes, ctrl)`` gets
-events in flat per-kind buffers instead of one Python call (and one
-frozen-dataclass allocation) per event: memory accesses become plain tuples
-``(seq, tid, addr, value, loc, atomic, in_library)`` and the rare
-control/sync events ride in a ``(seq, Event)`` buffer.  ``seq`` is the
-global event counter, so the consumer can merge the buffers back into
-the exact per-event order of a plain callable listener.  Buffers are
+A listener that implements ``consume_batch(rows)`` gets the event stream
+as one ordered buffer of flat rows ``(kind, tid, addr, value, loc,
+atomic, in_library, aux)`` (see :func:`repro.vm.events.event_row`)
+instead of one Python call per event.  Memory accesses and marker events
+are appended as rows without ever becoming Event objects; the rare
+control/sync events ride along as rows whose ``aux`` is the Event.  The
+buffer is in emission order, so the consumer needs no merge.  It is
 flushed at sync points (library-call annotations), marked-loop exits, at
-a size cap checked at scheduler-switch boundaries (between steps), and at
-the end of the run.  Batching is active only inside :meth:`Machine.run`;
-driving :meth:`Machine.step` directly delivers per-event.  If the
-listener also sets ``skip_in_library_traffic``, library-internal memory
-and marker events (which such a listener drops unconditionally) are not
-buffered — or counted — at all.
+a size cap checked at scheduler-switch boundaries (between steps), and
+at the end of the run.  Batching is active only inside
+:meth:`Machine.run`; driving :meth:`Machine.step` directly delivers
+per-event.  If the listener also sets ``skip_in_library_traffic``,
+library-internal memory and marker events (which such a listener drops
+unconditionally) are not buffered — or counted — at all.  A listener
+with a ``step_log`` array (a recording) gets each buffered row's step
+appended to it at emission, since rows carry no step.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.isa.program import CodeLocation, Function, Program, SyncKind
 from repro.vm import events as ev
+from repro.vm.events import LOOP_ENTER, READ, WRITE
 from repro.vm.decode import get_decoded_program
 from repro.vm.faults import FaultInjector, FaultPlan, LivelockReport, ThreadDiag
 from repro.vm.frames import Frame, ThreadState, ThreadStatus
@@ -143,10 +146,10 @@ class Machine:
         self._skip_lib = self._sink is not None and bool(
             getattr(listener, "skip_in_library_traffic", False)
         )
-        self._read_buf: Optional[list] = None
-        self._write_buf: Optional[list] = None
-        self._ctrl_buf: Optional[list] = None
-        self._pending = 0
+        self._rows: Optional[list] = None
+        self._steps = (
+            getattr(listener, "step_log", None) if self._sink is not None else None
+        )
         self.memory = Memory(program)
         self.faults_injected = 0
         self._injector: Optional[FaultInjector] = None
@@ -261,10 +264,11 @@ class Machine:
         self.event_count += 1
         if isinstance(event, ev.FaultEvent):
             self.faults_injected += 1
-        ctrl = self._ctrl_buf
-        if ctrl is not None:
-            ctrl.append((self.event_count, event))
-            self._pending += 1
+        rows = self._rows
+        if rows is not None:
+            rows.append(ev.event_row(event))
+            if self._steps is not None:
+                self._steps.append(event.step)
             return
         if self.listener is not None:
             self.listener(event)
@@ -272,8 +276,8 @@ class Machine:
     def _emit_read(
         self, tid: int, addr: int, value: int, loc: CodeLocation, atomic: bool, in_lib: bool
     ) -> None:
-        buf = self._read_buf
-        if buf is None:
+        rows = self._rows
+        if rows is None:
             if self.listener is None:
                 # Bare run: the event is unobservable — count it (the
                 # harness reads ``event_count``) without allocating it.
@@ -284,14 +288,15 @@ class Machine:
         if in_lib and self._skip_lib:
             return
         self.event_count += 1
-        buf.append((self.event_count, tid, addr, value, loc, atomic, in_lib))
-        self._pending += 1
+        rows.append((READ, tid, addr, value, loc, atomic, in_lib, None))
+        if self._steps is not None:
+            self._steps.append(self.step_count)
 
     def _emit_write(
         self, tid: int, addr: int, value: int, loc: CodeLocation, atomic: bool, in_lib: bool
     ) -> None:
-        buf = self._write_buf
-        if buf is None:
+        rows = self._rows
+        if rows is None:
             if self.listener is None:
                 self.event_count += 1
                 return
@@ -300,16 +305,35 @@ class Machine:
         if in_lib and self._skip_lib:
             return
         self.event_count += 1
-        buf.append((self.event_count, tid, addr, value, loc, atomic, in_lib))
-        self._pending += 1
+        rows.append((WRITE, tid, addr, value, loc, atomic, in_lib, None))
+        if self._steps is not None:
+            self._steps.append(self.step_count)
+
+    def _emit_marker(
+        self, kind: int, tid: int, addr: int, value: int, loc: CodeLocation,
+        in_lib: bool, loop_id: int,
+    ) -> None:
+        """One marked-loop event (``COND_READ``, ``LOOP_ENTER`` or ``LOOP_EXIT``)."""
+        rows = self._rows
+        if rows is None:
+            if self.listener is None:
+                self.event_count += 1
+                return
+            self._emit(ev.row_event(
+                self.step_count, kind, tid, addr, value, loc, False, in_lib, loop_id
+            ))
+            return
+        self.event_count += 1
+        rows.append((kind, tid, addr, value, loc, False, in_lib, loop_id))
+        if self._steps is not None:
+            self._steps.append(self.step_count)
 
     def flush_events(self) -> None:
-        """Deliver any buffered events to the batch-consuming listener now."""
-        if self._pending:
-            reads, writes, ctrl = self._read_buf, self._write_buf, self._ctrl_buf
-            self._read_buf, self._write_buf, self._ctrl_buf = [], [], []
-            self._pending = 0
-            self._sink.consume_batch(reads, writes, ctrl)
+        """Deliver any buffered rows to the batch-consuming listener now."""
+        rows = self._rows
+        if rows:
+            self._rows = []
+            self._sink.consume_batch(rows)
 
     # -- execution -----------------------------------------------------------
 
@@ -317,15 +341,15 @@ class Machine:
         """Run to completion (all threads exited, ``Halt``, or budget)."""
         batching = self._sink is not None
         if batching:
-            self._read_buf, self._write_buf, self._ctrl_buf = [], [], []
+            self._rows = []
         try:
-            return self._run_loop()
+            return self._run_loop(batching)
         finally:
             if batching:
                 self.flush_events()
-                self._read_buf = self._write_buf = self._ctrl_buf = None
+                self._rows = None
 
-    def _run_loop(self) -> RunResult:
+    def _run_loop(self, batching: bool) -> RunResult:
         deadlocked = False
         batch_size = self.batch_size
         # Per-step overhead is the whole game here: hoist the loop-stable
@@ -374,19 +398,14 @@ class Machine:
             if index == 0:
                 loop_id = code.loop_id
                 if loop_id is not None and not (skip_lib and thread.lib_depth > 0):
-                    self._emit(
-                        ev.MarkedLoopEnter(
-                            self.step_count,
-                            tid,
-                            loop_id,
-                            code.entry_loc,
-                            thread.lib_depth > 0,
-                        )
+                    self._emit_marker(
+                        LOOP_ENTER, tid, 0, 0, code.entry_loc,
+                        thread.lib_depth > 0, loop_id,
                     )
             self.step_count += 1
             code.handlers[index](self, thread, frame)
             # Size cap, checked at the scheduler-switch boundary.
-            if self._pending >= batch_size:
+            if batching and len(self._rows) >= batch_size:
                 self.flush_events()
             if self._livelock is not None:
                 return self._result(
@@ -465,10 +484,8 @@ class Machine:
         if index == 0:
             loop_id = code.loop_id
             if loop_id is not None and not (self._skip_lib and thread.lib_depth > 0):
-                self._emit(
-                    ev.MarkedLoopEnter(
-                        self.step_count, tid, loop_id, code.entry_loc, thread.lib_depth > 0
-                    )
+                self._emit_marker(
+                    LOOP_ENTER, tid, 0, 0, code.entry_loc, thread.lib_depth > 0, loop_id
                 )
         self.step_count += 1
         code.handlers[index](self, thread, frame)

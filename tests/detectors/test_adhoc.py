@@ -1,10 +1,11 @@
 """The ad-hoc synchronization runtime engine."""
 
 from repro.isa.program import CodeLocation
+from repro.detectors import RaceDetector, ToolConfig
 from repro.detectors.adhoc import AdhocSyncEngine
 from repro.detectors.hybrid import HybridAlgorithm
 from repro.detectors.reports import Report
-from repro.vm import events as ev
+from repro.vm.events import READ
 
 L = lambda i: CodeLocation("f", "b", i)
 
@@ -12,20 +13,20 @@ L = lambda i: CodeLocation("f", "b", i)
 def _engine():
     algo = HybridAlgorithm(Report("hy"))
     eng = AdhocSyncEngine(algo)
-    algo.suppressor = eng.is_sync_addr
+    algo.suppressor = eng.sync_addrs.__contains__
     return eng, algo
 
 
 def _enter(eng, tid, loop_id=0):
-    eng.loop_enter(ev.MarkedLoopEnter(0, tid, loop_id, L(0)))
+    eng.loop_enter(tid, loop_id)
 
 
 def _exit(eng, tid, loop_id=0):
-    eng.loop_exit(ev.MarkedLoopExit(0, tid, loop_id, L(0)))
+    eng.loop_exit(tid, loop_id)
 
 
 def _read(eng, tid, addr, value, loop_id=0):
-    eng.cond_read(ev.MarkedCondRead(0, tid, loop_id, addr, value, L(1)))
+    eng.cond_read(tid, loop_id, addr, value)
 
 
 class TestSyncClassification:
@@ -33,24 +34,24 @@ class TestSyncClassification:
         eng, algo = _engine()
         _enter(eng, 2)
         _read(eng, 2, 0x20, 0)
-        assert eng.is_sync_addr(0x20)
-        assert not eng.is_sync_addr(0x21)
+        assert 0x20 in eng.sync_addrs
+        assert not 0x21 in eng.sync_addrs
 
     def test_read_outside_loop_ignored(self):
         eng, algo = _engine()
         _read(eng, 2, 0x20, 0)  # never entered the loop
-        assert not eng.is_sync_addr(0x20)
+        assert not 0x20 in eng.sync_addrs
 
     def test_loop_stack_nesting(self):
         eng, algo = _engine()
         _enter(eng, 2, loop_id=0)
         _enter(eng, 2, loop_id=1)  # nested marked loop
         _read(eng, 2, 0x20, 0, loop_id=0)  # outer loop still active
-        assert eng.is_sync_addr(0x20)
+        assert 0x20 in eng.sync_addrs
         _exit(eng, 2, loop_id=1)
         _exit(eng, 2, loop_id=0)
         _read(eng, 2, 0x30, 0, loop_id=0)  # loop exited: ignored
-        assert not eng.is_sync_addr(0x30)
+        assert not 0x30 in eng.sync_addrs
 
     def test_header_reentry_does_not_stack(self):
         eng, algo = _engine()
@@ -91,22 +92,24 @@ class TestCounterpartMatching:
         _read(eng, 2, 0x20, 0)  # initial value, never written
         assert eng.edges == 0
 
-    def test_sync_read_matches_after_classification(self):
+    def test_read_of_classified_sync_variable_matches(self):
         """Any read of a classified sync variable pairs with its writer
         (the CAS-grab / guard-recheck path)."""
-        eng, algo = _engine()
+        det = RaceDetector(ToolConfig.helgrind_nolib_spin(7))
+        eng, algo = det.adhoc, det.algorithm
         _enter(eng, 2)
         _read(eng, 2, 0x20, 0)  # classify, no edge
         _exit(eng, 2)
         algo.write(1, 0x20, 1, L(0), False)
-        eng.sync_read(3, 0x20, 1)  # plain read outside any loop
+        # plain read outside any loop
+        det.consume_batch([(READ, 3, 0x20, 1, L(2), False, False, None)])
         assert eng.edges == 1
 
-    def test_sync_read_of_unclassified_addr_ignored(self):
-        eng, algo = _engine()
-        algo.write(1, 0x30, 1, L(0), False)
-        eng.sync_read(2, 0x30, 1)
-        assert eng.edges == 0
+    def test_read_of_unclassified_addr_ignored(self):
+        det = RaceDetector(ToolConfig.helgrind_nolib_spin(7))
+        det.algorithm.write(1, 0x30, 1, L(0), False)
+        det.consume_batch([(READ, 2, 0x30, 1, L(2), False, False, None)])
+        assert det.adhoc.edges == 0
 
 
 class TestSuppression:

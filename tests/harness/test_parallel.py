@@ -519,13 +519,14 @@ class TestWorkerPoolPoll:
         analysis longer than the hang window is killed as hung."""
         from repro.isa.program import CodeLocation
         from repro.service.engine import TraceUploadUnit
-        from repro.trace import Trace, TraceStore
+        from repro.trace import EventColumns, Trace, TraceStore
         from repro.vm.events import MemRead
 
         loc = CodeLocation("main", "entry", 0)
         events = [MemRead(i, 0, 4096 + i % 64, 0, loc) for i in range(100_000)]
         trace = Trace(
-            program_name="long_upload", seed=1, events=events, loop_sizes={},
+            program_name="long_upload", seed=1,
+            columns=EventColumns.from_events(events), loop_sizes={},
             lock_sites=frozenset(), symbols=[], max_blocks=8, inline_depth=1,
             steps=len(events), ok=True,
         )

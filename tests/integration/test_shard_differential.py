@@ -33,6 +33,7 @@ from repro.trace import (
     record_trace,
     run_shard,
 )
+from repro.vm.events import READ, WRITE
 from repro.workloads.dr_test.faults import chaos_cases
 from repro.workloads.dr_test.suite import build_suite
 
@@ -168,8 +169,8 @@ class TestShardBoundaries:
         trace = self._trace()
         cfg = resolve_tool("helgrind-lib-spin7")
         plan = plan_shards(trace, cfg, 4)
-        reads, writes, _ = trace.batches()
-        addrs = {r[2] for r in reads} | {w[2] for w in writes}
+        cols = trace.columns
+        addrs = {a for k, a in zip(cols.kind, cols.addr) if k in (READ, WRITE)}
         for addr in addrs:
             assert addr in plan.owner_of
             assert 0 <= plan.owner_of[addr] < 4

@@ -167,3 +167,51 @@ class TestTraceContents:
         trace = record_trace(flag_handoff_program())
         assert trace.loop_sizes
         assert all(1 <= size <= 8 for size in trace.loop_sizes.values())
+
+
+class TestColumns:
+    def test_recorded_columns_are_the_per_event_stream(self):
+        """The VM's row buffer and step log fill the columns with exactly
+        the events, steps included, that a per-event listener sees."""
+        from repro.analysis import instrument_program
+        from repro.harness.registry import build_scheduler
+        from repro.vm import Machine
+
+        wl = SUITE["cv_handoff_c1"]
+        trace = record_trace(wl.build(), seed=wl.seed)
+        events = []
+        Machine(
+            wl.build(),
+            scheduler=build_scheduler("random", wl.seed),
+            listener=events.append,
+            instrumentation=instrument_program(wl.build(), max_blocks=8),
+            max_steps=500_000,
+        ).run()
+        assert trace.events == events
+        assert len(trace.columns) == len(events)
+
+    def test_values_beyond_64_bits_survive(self):
+        from repro.isa.program import CodeLocation
+        from repro.trace import EventColumns
+        from repro.vm import events as ev
+
+        loc = CodeLocation("main", "entry", 0)
+        events = [
+            ev.MemWrite(1, 0, 4096, 7, loc),
+            ev.MemWrite(2, 0, 4096, 2**70, loc),
+            ev.MemRead(3, 1, 4096, -(2**80), loc, True, False),
+        ]
+        cols = EventColumns.from_events(events)
+        assert list(cols.iter_events()) == events
+        assert [row[3] for row in cols.rows()] == [7, 2**70, -(2**80)]
+
+    def test_copies_share_columns_and_cache_nothing(self):
+        from dataclasses import replace
+
+        trace = record_trace(flag_handoff_program(), seed=3)
+        copy = replace(trace)
+        replay_trace(copy, ToolConfig.helgrind_lib_spin(7))
+        assert copy.columns is trace.columns
+        assert set(vars(copy)) == set(vars(trace)) == {
+            f for f in Trace.__dataclass_fields__
+        }

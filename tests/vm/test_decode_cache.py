@@ -171,8 +171,8 @@ class TestFingerprintMemo:
 
 
 class TestResultCacheKey:
-    def test_schema_is_8(self):
-        assert CACHE_SCHEMA == 8
+    def test_schema_is_9(self):
+        assert CACHE_SCHEMA == 9
 
     def test_shard_is_part_of_the_key(self):
         from repro.harness.checkpoint import spec_key
