@@ -483,33 +483,6 @@ class VectorClockAlgorithm:
         # after the flag was raised must still be reported as racy.)
         t.tick()
 
-    def observe_write(
-        self, tid: int, addr: int, value: int, loc: CodeLocation, atomic: bool
-    ) -> None:
-        """Record a write's state effects without running race checks.
-
-        The sharded replay's foreign-write hook: a shard that does not
-        own ``addr`` still needs the write's clock tick (every write
-        advances the writer's epoch), its shadow record (sync-variable
-        writes source ad-hoc happens-before edges via
-        :meth:`last_write`), and the read-record invalidation — but the race
-        *checks* (and ``accesses_checked``) belong to the owning shard
-        alone.  The body mirrors :meth:`write`'s record-maintenance tail
-        exactly so per-cell state stays bit-compatible with an unsharded
-        run.
-        """
-        t = self.thread(tid)
-        cell = self._cell(addr)
-        cur_ls = self._locks(tid)
-        w = cell.write
-        if w is not None and w.tid == tid:
-            w.update(t.clock, value, loc, atomic, cur_ls, t.frame())
-        else:
-            cell.write = WriteRecord(tid, t.clock, value, loc, atomic, cur_ls, t.frame())
-        if cell.reads:
-            cell.reads.clear()
-        t.tick()
-
     # -- end of stream ----------------------------------------------------
 
     def finalize(self, partial: bool = False) -> None:

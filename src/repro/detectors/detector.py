@@ -220,8 +220,8 @@ class RaceDetector:
 
     Every event source feeds the same kernel, :meth:`consume_batch`:
     the VM's flush during a live run, a recording's columns during
-    replay, decoded chunks while streaming, a shard's partition of the
-    columns.  ``__call__`` adapts a single Event to it.
+    replay, decoded chunks while streaming.  ``__call__`` adapts a
+    single Event to it.
     """
 
     def __init__(

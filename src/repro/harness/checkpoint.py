@@ -60,7 +60,9 @@ from repro.durable import Journal
 #:    feed every cache key.
 #: 9: pickled ShardReports carry owned/foreign access counts instead of
 #:    the filtered stream's total.
-CACHE_SCHEMA = 9
+#: 10: RunSpec lost shard; spec keys no longer carry it; ShardReport
+#:     pickles gone.
+CACHE_SCHEMA = 10
 
 #: bump on incompatible journal layout changes
 JOURNAL_VERSION = 1
@@ -96,7 +98,6 @@ def spec_key(spec) -> str:
             f"livelock_bound={spec.livelock_bound!r}",
             f"scheduler={canonical_scheduler(getattr(spec, 'scheduler', None))}",
             f"trace_mode={getattr(spec, 'trace_mode', 'live')}",
-            f"shard={getattr(spec, 'shard', None)!r}",
         ]
     )
     return hashlib.sha256(payload.encode()).hexdigest()

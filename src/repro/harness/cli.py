@@ -11,11 +11,10 @@ Subcommands::
     repro-experiments f2            # runtime-overhead figure
     repro-experiments f6            # replay throughput (stored trace vs live)
     repro-experiments f7            # streaming-decode peak memory (vs in-memory)
-    repro-experiments f8            # sharded re-analysis throughput (vs unsharded)
     repro-experiments cases         # list the 120 suite cases
     repro-experiments oracle        # detector-free ground-truth sweep
     repro-experiments sweep         # parallel sweep + observability report
-    repro-experiments grand         # suite x presets x chaos, sharded, all cores
+    repro-experiments grand         # suite x presets x chaos, replayed, all cores
     repro-experiments chaos         # fault-injection suite vs. its oracle
     repro-experiments tools         # list the named tool presets
     repro-experiments cache doctor  # scan/quarantine/purge the result cache
@@ -381,47 +380,6 @@ def cmd_f7(args: argparse.Namespace) -> int:
     return 1 if s["mismatches"] else 0
 
 
-def cmd_f8(args: argparse.Namespace) -> int:
-    """Sharded re-analysis throughput: partitioned replay vs unsharded."""
-    from repro.harness.perf import (
-        F8_WORKLOADS,
-        measure_shard,
-        shard_summary,
-        write_shard_bench,
-    )
-    from repro.workloads import parsec_workloads
-
-    by_name = {wl.name: wl for wl in parsec_workloads()}
-    names = F8_WORKLOADS[: args.limit] if args.limit else F8_WORKLOADS
-    tools = (
-        [resolve_tool(n.strip()) for n in args.tools.split(",") if n.strip()]
-        if args.tools
-        else [resolve_tool(f"helgrind-lib-spin{args.k}")]
-    )
-    shards = args.shards or 8
-    rows = measure_shard(
-        [by_name[n] for n in names],
-        tools,
-        repeats=args.repeats,
-        shards=shards,
-        workers=shards,
-    )
-    s = shard_summary(rows)
-    print(
-        f"F8 sharded: {s['events']} events — sharded "
-        f"{s['sharded_events_per_s']:.0f} ev/s vs unsharded "
-        f"{s['unsharded_events_per_s']:.0f} ev/s "
-        f"({s['speedup']:.2f}x at {s['shards']} shard(s) on "
-        f"{s['workers']} worker(s); one-time record {s['record_s']:.3f}s), "
-        f"{s['mismatches']} fingerprint mismatch(es)"
-    )
-    out = _bench_out(args, "f8")
-    if out:
-        write_shard_bench(out, {"parsec": rows})
-        print(f"wrote {out}")
-    return 1 if s["mismatches"] else 0
-
-
 def cmd_f9(args: argparse.Namespace) -> int:
     """Service load: requests/s and p50/p99 for cold/cached/degraded."""
     from repro.harness.perf import (
@@ -493,12 +451,6 @@ FIGURES = {
             "BENCH_streaming.json",
         ),
         Figure(
-            "f8",
-            "sharded re-analysis throughput (vs unsharded)",
-            cmd_f8,
-            "BENCH_shard.json",
-        ),
-        Figure(
             "f9",
             "service load (req/s + latency: cold/cached/degraded)",
             cmd_f9,
@@ -529,6 +481,25 @@ def cmd_tools(args: argparse.Namespace) -> None:
             title="Named tool presets (ToolConfig.preset)",
         )
     )
+
+
+def _print_sweep(result, title: str) -> int:
+    """Print a sweep's run log, summary and notes; return the exit code
+    (0, 1 when a run failed, 130 when the sweep was interrupted)."""
+    print(sweep_records_table(result.records, title))
+    print()
+    print(sweep_summary_table(result.summary()))
+    for note in result.notes:
+        print(f"note: {note}")
+    if result.resumed:
+        print(f"\n{result.resumed} run(s) served from the checkpoint journal")
+    if result.interrupted:
+        print(f"\ninterrupted — {len(result.records)} completed record(s) kept")
+        return 130
+    if result.failed:
+        print(f"\n{len(result.failed)} run(s) FAILED")
+        return 1
+    return 0
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -569,45 +540,30 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         f"Sweep — {len(workloads)} workload(s) x {len(configs)} tool(s) "
         f"x {len(seeds)} seed(s) on {args.workers} worker(s)"
     )
-    print(sweep_records_table(result.records, title))
-    print()
-    print(sweep_summary_table(result.summary()))
-    for note in result.notes:
-        print(f"note: {note}")
-    if result.resumed:
-        print(f"\n{result.resumed} run(s) served from the checkpoint journal")
-    if result.interrupted:
-        print(f"\ninterrupted — {len(result.records)} completed record(s) kept")
-        return 130
-    if result.failed:
-        print(f"\n{len(result.failed)} run(s) FAILED")
-        return 1
-    return 0
+    return _print_sweep(result, title)
 
 
 def cmd_grand(args: argparse.Namespace) -> int:
-    """The grand sweep: suite x presets (+ chaos), sharded, all cores."""
-    from repro.harness.grand import grand_cells_table, run_grand_sweep
+    """The grand sweep: suite x presets (+ chaos) as replay cells, all cores."""
+    from repro.harness.grand import grand_specs
 
-    if not (args.trace_dir or args.cache_dir or args.journal_dir):
+    if not (args.trace_dir or args.cache_dir):
         print(
-            "grand requires a trace store: pass --trace-dir, --cache-dir, "
-            "or --journal-dir",
+            "grand requires a trace store: pass --trace-dir or --cache-dir",
             file=sys.stderr,
         )
         return 2
     configs = (
         [n.strip() for n in args.tools.split(",") if n.strip()]
         if args.tools
-        else None
+        else list(ToolConfig.presets())
     )
-    result = run_grand_sweep(
-        shards=args.shards or 4,
+    specs = grand_specs(configs, suite_limit=args.limit or None)
+    result = run_sweep(
+        specs,
         # --workers 0 (the global default) means serial for `sweep`, but
         # the grand sweep exists to use the machine: None → one per CPU.
         workers=args.workers or None,
-        configs=configs,
-        suite_limit=args.limit or None,
         cache=_cache(args),
         timeout_s=args.timeout,
         retries=args.retries,
@@ -618,27 +574,9 @@ def cmd_grand(args: argparse.Namespace) -> int:
         forensics_dir=args.forensics_dir,
         trace_dir=args.trace_dir,
         budget=_budget(args),
-        verify_sample=args.verify_sample,
     )
-    shown = 40 if len(result.cells) > 40 else 0
-    print(grand_cells_table(result, limit=shown))
-    if shown:
-        print(f"... {len(result.cells) - shown} more cell(s) elided")
-    print()
-    print(sweep_summary_table(result.summary(), "Grand sweep summary"))
-    for note in result.notes:
-        print(f"note: {note}")
-    if result.sweep.resumed:
-        print(
-            f"\n{result.sweep.resumed} shard unit(s) served from the "
-            "checkpoint journal"
-        )
-    if result.sweep.interrupted:
-        print("\ninterrupted — resume with --journal-dir/--resume")
-        return 130
-    if result.mismatched or result.incomplete:
-        return 1
-    return 0
+    title = f"Grand sweep — {len(specs)} replay cell(s) over {len(configs)} tool(s)"
+    return _print_sweep(result, title)
 
 
 def cmd_chaos(args: argparse.Namespace) -> int:
@@ -922,21 +860,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             + ": benchmark JSON output path (default "
             + " / ".join(f.bench for f in bench_figures)
             + "; '' to skip writing)"
-        ),
-    )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="f8/grand: shard count K (default 8 for f8, 4 for grand)",
-    )
-    parser.add_argument(
-        "--verify-sample",
-        type=int,
-        default=0,
-        help=(
-            "grand: re-analyze the first N merged cells unsharded and "
-            "check the fingerprints are bit-identical"
         ),
     )
     parser.add_argument(

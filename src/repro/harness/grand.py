@@ -1,320 +1,49 @@
-"""The grand sweep: suite x presets x chaos, sharded, on all cores.
+"""The grand sweep: suite x presets x chaos, as whole replay cells.
 
 One command re-analyzes everything the repository knows how to measure:
 the 120-case data-race-test suite and the chaos matrix, each crossed
-with every registered tool preset, as **sharded replay** work units —
-``(trace, preset, shard)`` triples fanned over the existing parallel
-sweep engine.  Each cell's trace is recorded once (the store prewarm),
-its K shards are analyzed independently (:mod:`repro.trace.shard`), and
-a merge pass per cell reconciles the shard reports into a fingerprint
-bit-identical to unsharded :func:`~repro.trace.analyze_trace`.
-
-Everything the sweep engine already provides comes along for free
-because shard units are ordinary :class:`~repro.harness.parallel.
-RunSpec`\\ s: the checkpoint journal makes a killed grand sweep
-resumable *at shard granularity*, the resource governor enforces
-``--mem-budget``/``--disk-quota``/``--wall-budget``, the result cache
-dedups re-runs, and the per-run log gains a Shard column.
+with every registered tool preset.  Every cell is an ordinary
+``trace_mode="replay"`` :class:`~repro.harness.parallel.RunSpec`, so the
+sweep engine records each trace once (the store prewarm), shares it
+across the presets, and brings its checkpoint journal, resource
+governor and result cache along: ``repro-experiments grand`` is just
+:func:`~repro.harness.parallel.run_sweep` over :func:`grand_specs`.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import time
-from dataclasses import dataclass, field
-from pathlib import Path
 from typing import List, Optional, Sequence, Union
 
 from repro.detectors import ToolConfig
 from repro.harness.chaos import chaos_cases, chaos_spec
-from repro.harness.parallel import (
-    ResultCache,
-    RunSpec,
-    SweepResult,
-    SweepSummary,
-    run_sweep,
-)
-from repro.harness.registry import resolve_tool
-from repro.harness.resources import ResourceBudget
-from repro.harness.tables import format_table
-
-
-@dataclass
-class GrandCell:
-    """One (workload, tool, seed) cell of the grand sweep, post-merge."""
-
-    workload: str
-    tool: str
-    seed: Optional[int]
-    #: position in the cell-major spec list (cell c = specs[c*K:(c+1)*K])
-    index: int = 0
-    chaos: bool = False
-    #: merged report fingerprint; "" when the cell is incomplete
-    fingerprint: str = ""
-    #: racy contexts of the merged report
-    racy_contexts: int = 0
-    #: all K shard units finished and the merge invariants held
-    complete: bool = False
-    #: merged fingerprint == unsharded fingerprint (verification sample
-    #: cells only; ``None`` where verification was not requested)
-    verified: Optional[bool] = None
-    error: str = ""
-
-
-@dataclass
-class GrandResult:
-    """Outcome of :func:`run_grand_sweep`."""
-
-    shards: int
-    cells: List[GrandCell]
-    sweep: SweepResult
-    wall_s: float = 0.0
-    notes: List[str] = field(default_factory=list)
-
-    def summary(self) -> SweepSummary:
-        return self.sweep.summary()
-
-    @property
-    def complete(self) -> List[GrandCell]:
-        return [c for c in self.cells if c.complete]
-
-    @property
-    def incomplete(self) -> List[GrandCell]:
-        return [c for c in self.cells if not c.complete]
-
-    @property
-    def mismatched(self) -> List[GrandCell]:
-        return [c for c in self.cells if c.verified is False]
+from repro.harness.parallel import RunSpec
 
 
 def grand_specs(
-    shards: int,
     configs: Sequence[Union[str, ToolConfig]],
     suite_limit: Optional[int] = None,
     include_chaos: bool = True,
     seeds: Sequence[Optional[int]] = (None,),
 ) -> List[RunSpec]:
-    """The grand sweep's spec list, cell-major: shard units of one
-    (workload, tool, seed) cell are adjacent, so ``specs[c*K:(c+1)*K]``
-    is exactly cell ``c`` — the merge pass indexes outcomes this way.
-    """
+    """The grand sweep's cells: suite x ``configs`` x ``seeds``, then
+    (with ``include_chaos``) chaos cases x ``configs`` with their fault
+    plans and livelock bounds — all replay-mode."""
     from repro.workloads import build_suite
 
     suite = build_suite()
     if suite_limit:
         suite = suite[:suite_limit]
-    cells: List[RunSpec] = []
-    for wl in suite:
-        for cfg in configs:
-            for seed in seeds:
-                cells.append(
-                    RunSpec(workload=wl.name, config=cfg, seed=seed, trace_mode="replay")
-                )
-    if include_chaos:
-        for case in chaos_cases():
-            for cfg in configs:
-                base = chaos_spec(case, cfg)
-                cells.append(dataclasses.replace(base, trace_mode="replay"))
-    return [
-        dataclasses.replace(cell, shard=f"{i}/{shards}")
-        for cell in cells
-        for i in range(shards)
+    specs = [
+        RunSpec(workload=wl.name, config=cfg, seed=seed, trace_mode="replay")
+        for wl in suite
+        for cfg in configs
+        for seed in seeds
     ]
-
-
-def run_grand_sweep(
-    shards: int = 4,
-    workers: Optional[int] = None,
-    configs: Optional[Sequence[Union[str, ToolConfig]]] = None,
-    suite_limit: Optional[int] = None,
-    include_chaos: bool = True,
-    seeds: Sequence[Optional[int]] = (None,),
-    cache: Optional[ResultCache] = None,
-    timeout_s: Optional[float] = None,
-    retries: int = 1,
-    journal_dir: Optional[Union[str, Path]] = None,
-    resume: bool = False,
-    heartbeat_s: Optional[float] = None,
-    poison_threshold: Optional[int] = None,
-    forensics_dir: Optional[Union[str, Path]] = None,
-    trace_dir: Optional[Union[str, Path]] = None,
-    budget: Optional[ResourceBudget] = None,
-    verify_sample: int = 0,
-) -> GrandResult:
-    """Fan the suite x presets (+ chaos matrix) out as sharded replay units.
-
-    :param shards: K — each cell becomes K ``(trace, preset, shard)``
-        work units; the cell's trace is recorded once and shared.
-    :param configs: tool columns; ``None`` → every registered preset.
-    :param verify_sample: additionally re-analyze the first N complete
-        cells *unsharded* in the parent and check the merged fingerprint
-        is bit-identical (the grand sweep's self-test; O(N) extra work).
-    :param trace_dir: trace store directory; required (every unit is
-        replay-mode).  Remaining parameters are forwarded to
-        :func:`~repro.harness.parallel.run_sweep` — journal resume,
-        heartbeats, poisoning, forensics, and resource budgets all
-        govern shard units exactly as they do ordinary runs.
-    """
-    if shards < 1:
-        raise ValueError(f"shards must be >= 1, got {shards}")
-    if configs is None:
-        configs = list(ToolConfig.presets())
-    if cache is None and journal_dir is not None:
-        # The journal alone resumes *records*; merged fingerprints need
-        # the shard outcomes back, which only the result cache can
-        # rehydrate.  Co-locate one so resume works out of the box.
-        cache = ResultCache(Path(journal_dir) / "grand-cache")
-    if trace_dir is None and cache is not None:
-        trace_dir = Path(cache.root) / "traces"
-    if trace_dir is None:
-        raise ValueError(
-            "run_grand_sweep needs a trace store: pass trace_dir, or a "
-            "cache/journal_dir to default next to"
-        )
-    t0 = time.perf_counter()
-    specs = grand_specs(
-        shards,
-        configs,
-        suite_limit=suite_limit,
-        include_chaos=include_chaos,
-        seeds=seeds,
-    )
-    sweep = run_sweep(
-        specs,
-        workers=workers,
-        cache=cache,
-        timeout_s=timeout_s,
-        retries=retries,
-        journal_dir=journal_dir,
-        resume=resume,
-        heartbeat_s=heartbeat_s,
-        poison_threshold=poison_threshold,
-        forensics_dir=forensics_dir,
-        trace_dir=trace_dir,
-        budget=budget,
-    )
-
-    from repro.trace.shard import ShardMergeError, merge_shard_reports
-
-    cells: List[GrandCell] = []
-    for base in range(0, len(specs), shards):
-        spec = specs[base]
-        cell = GrandCell(
-            workload=spec.workload_name,
-            tool=spec.tool().name,
-            seed=spec.seed,
-            index=base // shards,
-            chaos=spec.fault_plan is not None or spec.livelock_bound is not None,
-        )
-        outcomes = sweep.outcomes[base : base + shards]
-        missing = [i for i, o in enumerate(outcomes) if o is None]
-        if missing:
-            statuses = [
-                r.status for r in sweep.records[base : base + shards]
-            ]
-            cell.error = f"shards {missing} unfinished (statuses: {statuses})"
-        else:
-            try:
-                merged = merge_shard_reports([o.report for o in outcomes])
-                cell.fingerprint = merged.fingerprint()
-                cell.racy_contexts = merged.racy_contexts
-                cell.complete = True
-            except ShardMergeError as exc:
-                cell.error = str(exc)
-        cells.append(cell)
-
-    if verify_sample:
-        _verify_cells(
-            [c for c in cells if c.complete][:verify_sample],
-            specs,
-            shards,
-            trace_dir,
-        )
-
-    result = GrandResult(
-        shards=shards,
-        cells=cells,
-        sweep=sweep,
-        wall_s=time.perf_counter() - t0,
-        notes=list(sweep.notes),
-    )
-    if result.incomplete:
-        result.notes.append(
-            f"{len(result.incomplete)}/{len(cells)} cells incomplete — "
-            "resume with the same journal to fill them in"
-        )
-    if result.mismatched:
-        result.notes.append(
-            f"{len(result.mismatched)} verification mismatch(es) — "
-            "sharded merge diverged from unsharded analysis"
-        )
-    return result
-
-
-def _verify_cells(
-    cells: Sequence[GrandCell],
-    specs: Sequence[RunSpec],
-    shards: int,
-    trace_dir: Union[str, Path],
-) -> None:
-    """Re-analyze sample cells unsharded and compare fingerprints."""
-    from repro.trace import TraceStore, analyze_trace, key_for_spec
-
-    store = TraceStore(trace_dir)
-    for cell in cells:
-        spec = specs[cell.index * shards]
-        trace = store.get(key_for_spec(spec))
-        if trace is None:
-            cell.verified = None
-            continue
-        baseline = analyze_trace(trace, resolve_tool(spec.config))
-        cell.verified = baseline.report.fingerprint() == cell.fingerprint
-
-
-def _short_fp(fingerprint: str) -> str:
-    if not fingerprint:
-        return "-"
-    import hashlib
-
-    return hashlib.sha256(fingerprint.encode()).hexdigest()[:12]
-
-
-def grand_cells_table(result: GrandResult, limit: int = 0) -> str:
-    """Render the per-cell merge log (incomplete/mismatched cells first)."""
-    ordered = sorted(
-        result.cells,
-        key=lambda c: (c.complete and c.verified is not False, c.workload, c.tool),
-    )
-    if limit:
-        ordered = ordered[:limit]
-    rows = []
-    for c in ordered:
-        if not c.complete:
-            state = "INCOMPLETE"
-        elif c.verified is False:
-            state = "MISMATCH"
-        elif c.verified:
-            state = "verified"
-        else:
-            state = "merged"
-        rows.append(
-            [
-                c.workload,
-                c.tool,
-                c.seed if c.seed is not None else "-",
-                "chaos" if c.chaos else "suite",
-                state,
-                c.racy_contexts,
-                _short_fp(c.fingerprint),
-                c.error,
-            ]
-        )
-    title = (
-        f"Grand sweep — {len(result.cells)} cells x {result.shards} shard(s), "
-        f"{len(result.complete)} merged, {len(result.incomplete)} incomplete"
-    )
-    return format_table(
-        ["Workload", "Tool", "Seed", "Kind", "Merge", "Contexts", "Fp", "Error"],
-        rows,
-        title=title,
-    )
+    if include_chaos:
+        specs += [
+            dataclasses.replace(chaos_spec(case, cfg), trace_mode="replay")
+            for case in chaos_cases()
+            for cfg in configs
+        ]
+    return specs

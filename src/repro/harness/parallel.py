@@ -132,11 +132,6 @@ class RunSpec:
     #: cells with the same (program, scheduler, seed, instrumentation,
     #: faults) coordinates share one recording across tool configs.
     trace_mode: str = "live"
-    #: ``"i/k"`` selects shard ``i`` of a ``k``-way sharded replay of
-    #: the cell's trace (grand sweeps); ``None`` analyzes it whole.
-    #: Requires ``trace_mode="replay"``; the outcome's report is then a
-    #: :class:`~repro.trace.shard.ShardReport` awaiting the merge pass.
-    shard: Optional[str] = None
 
     def resolve(self) -> Workload:
         if isinstance(self.workload, str):
@@ -263,8 +258,6 @@ class RunRecord:
     degraded: bool = False
     #: times a worker for this spec was preempted over the RSS budget
     oom_preempts: int = 0
-    #: ``"i/k"`` for sharded-replay work units (grand sweeps); "" else
-    shard: str = ""
 
     @property
     def cached(self) -> bool:
@@ -416,7 +409,6 @@ def _record_from_outcome(
         racy_contexts=outcome.report.racy_contexts,
         faults=getattr(result, "faults_injected", 0),
         error=error,
-        shard=getattr(spec, "shard", None) or "",
     )
 
 
@@ -428,7 +420,6 @@ def _failure_record(spec: RunSpec, status: str, attempts: int, error: str) -> Ru
         status=status,
         attempts=attempts,
         error=error,
-        shard=getattr(spec, "shard", None) or "",
     )
 
 
@@ -539,11 +530,6 @@ def _run_spec(
     instead of being materialized — same report fingerprint, bounded
     RSS.  Live specs ignore the flag (there is nothing to stream).
     """
-    if getattr(spec, "shard", None) is not None and spec.trace_mode != "replay":
-        raise ValueError(
-            f"shard={spec.shard!r} requires trace_mode='replay', got "
-            f"{spec.trace_mode!r}"
-        )
     if spec.trace_mode == "live":
         return run_workload(
             spec.resolve(),
@@ -564,27 +550,6 @@ def _run_spec(
         )
     store = TraceStore(trace_dir)
     key = key_for_spec(spec)
-    shard = getattr(spec, "shard", None)
-    if shard is not None:
-        # Grand-sweep shard unit: analyze exactly one shard of the
-        # cell's trace.  The streaming/degraded flag is ignored here —
-        # a shard's working set is already ~1/K of the cell's, which is
-        # the memory relief streaming mode exists to provide.
-        from repro.harness.runner import run_shard_offline
-
-        trace = store.get(key)
-        if trace is None:
-            trace = _record_spec_trace(spec)
-            store.put(key, trace)
-        return run_shard_offline(
-            spec.resolve(),
-            spec.tool(),
-            trace,
-            shard,
-            seed=spec.effective_seed(),
-            fault_plan=spec.fault_plan,
-            livelock_bound=spec.livelock_bound,
-        )
     if streaming:
         from repro.harness.runner import run_workload_offline_streaming
         from repro.trace.stream import TraceStreamCorruption

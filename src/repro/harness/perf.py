@@ -883,201 +883,6 @@ def load_streaming_baseline(path: Union[str, Path]) -> Optional[Dict[str, object
 
 
 # ---------------------------------------------------------------------------
-# F8 — sharded re-analysis throughput (partition-by-region vs unsharded)
-
-#: default F8 measurement set: the PARSEC stand-ins with the largest
-#: recorded traces — where parallel replay actually pays.
-F8_WORKLOADS = F7_WORKLOADS
-
-
-@dataclass(frozen=True)
-class ShardRow:
-    """One (workload, tool) trace analyzed unsharded and K-ways sharded.
-
-    ``unsharded_s`` is :func:`repro.trace.analyze_trace` wall-clock over
-    the primed trace; ``sharded_s`` is
-    :func:`repro.trace.analyze_trace_sharded` end to end — partition,
-    split, forked shard workers, and the merge pass all inside the timed
-    region, so the speedup is what a grand-sweep cell actually gains.
-    Both numbers share the unsharded run's delivered event count as
-    numerator (the sharded run delivers replicated sync traffic K times;
-    charging it would inflate the figure).  The recording cost is the
-    cell's one-time cost, reported separately as in F6.
-    """
-
-    workload: str
-    tool: str
-    spin: bool
-    #: events the unsharded analysis delivered (the shared numerator)
-    events: int
-    shards: int
-    workers: int
-    #: one-time recording cost for the cell
-    record_s: float
-    unsharded_s: float
-    sharded_s: float
-    #: the merged fingerprint is bit-identical to the unsharded one
-    fingerprints_match: bool
-
-    @property
-    def unsharded_events_per_s(self) -> float:
-        return self.events / self.unsharded_s if self.unsharded_s > 0 else 0.0
-
-    @property
-    def sharded_events_per_s(self) -> float:
-        return self.events / self.sharded_s if self.sharded_s > 0 else 0.0
-
-    @property
-    def speedup(self) -> float:
-        return (
-            self.unsharded_s / self.sharded_s
-            if self.sharded_s > 0
-            else float("nan")
-        )
-
-
-def measure_shard(
-    workloads: Sequence[Workload],
-    configs: Sequence[ToolConfig],
-    seed: int = 1,
-    repeats: int = 3,
-    shards: int = 8,
-    workers: int = 8,
-) -> List[ShardRow]:
-    """Measure sharded-vs-unsharded analysis cost over (workload, tool).
-
-    Each workload is recorded once with instrumentation wide enough for
-    every config (the store convention), and each side runs ``repeats``
-    times with the minimum wall-clock kept.  The sharded side's forked
-    children inherit the recording's columns copy-on-write, exactly as
-    grand-sweep workers inherit the parent's prewarmed store.  Every
-    sharded run's merged fingerprint is checked against the unsharded
-    report.
-    """
-    import time
-
-    from repro.trace import analyze_trace, analyze_trace_sharded, record_trace
-
-    rows: List[ShardRow] = []
-    max_blocks = max([8, *(c.spin_max_blocks for c in configs)])
-    inline_depth = max(c.inline_depth for c in configs)
-    for wl in workloads:
-        record_start = time.perf_counter()
-        trace = record_trace(
-            wl.fresh_program(),
-            seed=seed,
-            max_steps=wl.max_steps,
-            max_blocks=max_blocks,
-            inline_depth=inline_depth,
-        )
-        record_s = time.perf_counter() - record_start
-        for cfg in configs:
-            analyses = [analyze_trace(trace, cfg) for _ in range(repeats)]
-            base = min(analyses, key=lambda a: a.duration_s)
-            sharded_runs = [
-                analyze_trace_sharded(trace, cfg, shards=shards, workers=workers)
-                for _ in range(repeats)
-            ]
-            best = min(sharded_runs, key=lambda s: s.duration_s)
-            rows.append(
-                ShardRow(
-                    workload=wl.name,
-                    tool=cfg.name,
-                    spin=cfg.spin,
-                    events=base.events,
-                    shards=shards,
-                    workers=workers,
-                    record_s=record_s,
-                    unsharded_s=base.duration_s,
-                    sharded_s=best.duration_s,
-                    fingerprints_match=all(
-                        s.report.fingerprint() == base.report.fingerprint()
-                        for s in sharded_runs
-                    ),
-                )
-            )
-    return rows
-
-
-def shard_summary(rows: Sequence[ShardRow]) -> Dict[str, float]:
-    """Aggregate sharded throughput (sum events / sum seconds) over rows.
-
-    Seconds are summed before dividing, as in F6: the aggregate speedup
-    is what the ≥3x acceptance gate reads.  ``record_s`` is summed over
-    distinct workloads (one recording serves every tool row).
-    """
-    if not rows:
-        return {
-            "events": 0,
-            "unsharded_s": 0.0,
-            "sharded_s": 0.0,
-            "record_s": 0.0,
-            "unsharded_events_per_s": 0.0,
-            "sharded_events_per_s": 0.0,
-            "speedup": float("nan"),
-            "shards": 0,
-            "workers": 0,
-            "mismatches": 0,
-        }
-    events = sum(r.events for r in rows)
-    unsharded_s = sum(r.unsharded_s for r in rows)
-    sharded_s = sum(r.sharded_s for r in rows)
-    per_workload: Dict[str, float] = {}
-    for r in rows:
-        per_workload[r.workload] = r.record_s
-    return {
-        "events": events,
-        "unsharded_s": unsharded_s,
-        "sharded_s": sharded_s,
-        "record_s": sum(per_workload.values()),
-        "unsharded_events_per_s": events / unsharded_s if unsharded_s > 0 else 0.0,
-        "sharded_events_per_s": events / sharded_s if sharded_s > 0 else 0.0,
-        "speedup": unsharded_s / sharded_s if sharded_s > 0 else float("nan"),
-        "shards": max(r.shards for r in rows),
-        "workers": max(r.workers for r in rows),
-        "mismatches": sum(1 for r in rows if not r.fingerprints_match),
-    }
-
-
-def write_shard_bench(
-    path: Union[str, Path],
-    groups: Mapping[str, Sequence[ShardRow]],
-    extra: Optional[Mapping[str, object]] = None,
-) -> Dict[str, object]:
-    """Write ``BENCH_shard.json``: per-group summaries + per-row data."""
-    def row(r: ShardRow) -> Dict[str, object]:
-        return {
-            "workload": r.workload,
-            "tool": r.tool,
-            "spin": r.spin,
-            "events": r.events,
-            "shards": r.shards,
-            "workers": r.workers,
-            "record_s": round(r.record_s, 6),
-            "unsharded_s": round(r.unsharded_s, 6),
-            "sharded_s": round(r.sharded_s, 6),
-            "unsharded_events_per_s": round(r.unsharded_events_per_s, 1),
-            "sharded_events_per_s": round(r.sharded_events_per_s, 1),
-            "speedup": round(r.speedup, 3),
-            "fingerprints_match": r.fingerprints_match,
-        }
-
-    return write_bench(
-        path,
-        "F8 — sharded re-analysis throughput (partitioned replay vs unsharded)",
-        groups,
-        shard_summary,
-        row,
-        extra=extra,
-    )
-
-
-def load_shard_baseline(path: Union[str, Path]) -> Optional[Dict[str, object]]:
-    """Load a committed ``BENCH_shard.json`` (``None`` if absent)."""
-    return load_baseline(path)
-
-
-# ---------------------------------------------------------------------------
 # F9 — service load: requests/s and latency over the analysis daemon
 
 

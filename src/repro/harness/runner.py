@@ -217,63 +217,6 @@ def run_workload_offline(
     )
 
 
-def run_shard_offline(
-    workload: Workload,
-    config: ToolConfig,
-    trace,
-    shard: str,
-    seed: Optional[int] = None,
-    fault_plan: Optional[FaultPlan] = None,
-    livelock_bound: Optional[int] = None,
-) -> RunOutcome:
-    """Analyze exactly one shard of a stored trace (grand-sweep unit).
-
-    ``shard`` is ``"i/k"``: shard ``i`` of a ``k``-way partition (see
-    :mod:`repro.trace.shard`).  The returned outcome is shaped like
-    :func:`run_workload_offline`'s except its ``report`` is the
-    per-shard :class:`~repro.trace.shard.ShardReport` — the seq-tagged
-    submission journal and frontier payload that the grand sweep's
-    merge pass later reconciles into the cell's bit-identical report.
-    It travels through the result cache and checkpoint journal as a
-    plain pickled report, so resume works per shard unit.
-    ``events`` counts the events this shard *delivered* (its owned
-    region plus replicated sync/ctrl traffic); the merged cell reports
-    the full stream's count.
-    """
-    from repro.trace import run_shard, synthesize_result
-
-    try:
-        index_s, _, count_s = shard.partition("/")
-        index, count = int(index_s), int(count_s)
-    except ValueError:
-        raise ValueError(f"malformed shard spec {shard!r}, expected 'i/k'")
-    t0 = time.perf_counter()
-    report = run_shard(trace, config, index, count)
-    duration = time.perf_counter() - t0
-    spin_loops = (
-        sum(1 for s in trace.loop_sizes.values() if s <= config.spin_max_blocks)
-        if config.spin
-        else 0
-    )
-    return RunOutcome(
-        workload=workload,
-        config=config,
-        seed=seed if seed is not None else trace.seed,
-        report=report,
-        result=synthesize_result(trace),
-        duration_s=duration,
-        steps=trace.steps,
-        events=report.events_delivered,
-        detector_words=report.detector_words,
-        imap_words=0,
-        spin_loops=spin_loops,
-        adhoc_edges=report.adhoc_edges,
-        fault_plan=fault_plan,
-        livelock_bound=livelock_bound,
-        trace_mode="replay",
-    )
-
-
 def run_workload_offline_streaming(
     workload: Workload,
     config: ToolConfig,

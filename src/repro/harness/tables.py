@@ -81,14 +81,11 @@ def sweep_records_table(records: Sequence["RunRecord"], title: str) -> str:
     the compact legacy layout.
     """
     show_rss = any(r.peak_rss for r in records)
-    show_shard = any(getattr(r, "shard", "") for r in records)
     headers = [
         "Workload", "Tool", "Seed", "Status", "Att", "Run s", "Instr s",
         "Steps/s", "Events/s", "Det words", "Spins", "Adhoc", "Contexts",
         "Faults",
     ]
-    if show_shard:
-        headers.insert(3, "Shard")
     if show_rss:
         headers.append("Peak RSS")
     rows = []
@@ -97,10 +94,6 @@ def sweep_records_table(records: Sequence["RunRecord"], title: str) -> str:
             r.workload,
             r.tool,
             r.seed,
-        ]
-        if show_shard:
-            row.append(getattr(r, "shard", "") or "-")
-        row += [
             r.status + ("*" if r.degraded else ""),
             r.attempts,
             f"{r.duration_s:.3f}",

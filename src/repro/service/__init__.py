@@ -17,7 +17,7 @@ Layering (one module per concern)::
     app.py       HTTP and stdin-JSONL transports, daemon lifecycle
     client.py    the ``repro-service-client`` command
 
-See ``docs/internals.md`` §14 for the architecture and failure matrix.
+See ``docs/internals.md`` §13 for the architecture and failure matrix.
 """
 
 from repro.service.engine import Engine, report_fingerprint_hex

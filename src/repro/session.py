@@ -75,9 +75,7 @@ class SessionResult:
     seed: int
     report: Report
     result: RunResult
-    #: the live detector; ``None`` for sharded trace sessions, where K
-    #: per-shard detectors ran and only the merged report survives
-    detector: Optional[RaceDetector]
+    detector: RaceDetector
     machine: Optional[Machine]
     #: the workload the session ran, when one was given (else ``None``)
     workload: Optional[Workload] = None
@@ -170,7 +168,6 @@ def run(
     scheduler: Union[Scheduler, str, None] = None,
     symbolize: Optional[Callable[[int], str]] = None,
     trace: TraceLike = None,
-    shards: Optional[int] = None,
 ) -> SessionResult:
     """Run one program under one tool configuration, end to end.
 
@@ -199,27 +196,18 @@ def run(
         the trace's termination status.  Framed (``.trc``) files are
         analyzed in streaming mode — constant memory, never
         materialized — and the session carries a ``"streaming-decode"``
-        note.  Mutually exclusive with ``program_or_workload``.
-    :param shards: analyze the trace K-ways sharded
-        (:func:`~repro.trace.analyze_trace_sharded`) — identical report
-        fingerprint, parallel-friendly; the session then has no single
-        ``detector`` (``None``) and carries a ``"sharded:K"`` note.
-        Trace sessions only (a live run is inherently sequential), and
-        not combinable with framed streaming files (sharding needs the
-        materialized event stream).
+        note.  Mutually exclusive with ``program_or_workload`` and with
+        the live-only arguments (``seed``, ``max_steps``, ``faults``,
+        ``livelock_bound``, ``scheduler``, ``symbolize``).
     """
     tool = resolve_tool(config) if config is not None else ToolConfig.helgrind_lib_spin(7)
 
-    if shards is not None and trace is None:
-        raise ValueError(
-            "shards parallelizes offline trace analysis; live runs are "
-            "inherently sequential — pass a trace"
-        )
     if trace is not None:
         if program_or_workload is not None:
             raise ValueError("pass either a program/workload or a trace, not both")
-        for arg, name in ((faults, "faults"), (scheduler, "scheduler"),
-                          (max_steps, "max_steps"), (livelock_bound, "livelock_bound"),
+        for arg, name in ((seed, "seed"), (faults, "faults"),
+                          (scheduler, "scheduler"), (max_steps, "max_steps"),
+                          (livelock_bound, "livelock_bound"),
                           (symbolize, "symbolize")):
             if arg is not None:
                 raise ValueError(
@@ -233,12 +221,6 @@ def run(
             if framed:
                 # A store-framed file: stream it — constant memory, no
                 # materialized Trace, identical report fingerprint.
-                if shards is not None:
-                    raise ValueError(
-                        "shards needs the materialized event stream; framed "
-                        "trace files are analyzed in streaming mode — load "
-                        "the Trace explicitly to shard it"
-                    )
                 stream = open_trace_file(path)
                 analysis = analyze_trace_streaming(stream, tool)
                 return SessionResult(
@@ -253,22 +235,6 @@ def run(
                     notes=analysis.notes,
                 )
             trace = Trace.from_json(path.read_text())
-        if shards is not None:
-            from repro.trace import analyze_trace_sharded
-
-            sharded = analyze_trace_sharded(trace, tool, shards=shards)
-            return SessionResult(
-                program=None,
-                config=tool,
-                seed=trace.seed,
-                report=sharded.report,
-                result=synthesize_result(trace),
-                detector=None,
-                machine=None,
-                run_s=sharded.duration_s,
-                trace=trace,
-                notes=(f"sharded:{shards}",),
-            )
         analysis = analyze_trace(trace, tool)
         return SessionResult(
             program=None,

@@ -47,16 +47,6 @@ from repro.trace.stream import (
     TraceStreamCorruption,
     analyze_trace_streaming,
 )
-from repro.trace.shard import (
-    ShardMergeError,
-    ShardPlan,
-    ShardReport,
-    ShardedAnalysis,
-    analyze_trace_sharded,
-    merge_shard_reports,
-    plan_shards,
-    run_shard,
-)
 from repro.trace.store import TraceStore, key_for_spec, open_trace_file, trace_key
 from repro.trace.hbgraph import HbGraph, HbNode, build_hb_graph
 
@@ -68,16 +58,8 @@ __all__ = [
     "TraceStore",
     "TraceStream",
     "TraceStreamCorruption",
-    "ShardMergeError",
-    "ShardPlan",
-    "ShardReport",
-    "ShardedAnalysis",
     "analyze_trace",
-    "analyze_trace_sharded",
     "analyze_trace_streaming",
-    "merge_shard_reports",
-    "plan_shards",
-    "run_shard",
     "record_trace",
     "replay_trace",
     "synthesize_result",

@@ -278,15 +278,6 @@ def _validate_replay(trace, config: ToolConfig) -> None:
             )
 
 
-def _build_detector(trace: Trace, config: ToolConfig) -> RaceDetector:
-    return RaceDetector(
-        config,
-        symbolize=trace.symbol_map().resolve,
-        lock_sites=trace.lock_sites,
-        loop_sizes=trace.loop_sizes,
-    )
-
-
 def replay_trace(trace: Trace, config) -> RaceDetector:
     """Run one tool configuration over a recorded execution.
 
@@ -303,7 +294,12 @@ def replay_trace(trace: Trace, config) -> RaceDetector:
 
     config = resolve_tool(config)
     _validate_replay(trace, config)
-    detector = _build_detector(trace, config)
+    detector = RaceDetector(
+        config,
+        symbolize=trace.symbol_map().resolve,
+        lock_sites=trace.lock_sites,
+        loop_sizes=trace.loop_sizes,
+    )
     detector.consume_batch(trace.columns.rows())
     return detector
 

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from repro.detectors import ToolConfig
+from repro.harness.chaos import chaos_cases
 from repro.harness.checkpoint import (
     CACHE_SCHEMA,
     JOURNAL_VERSION,
@@ -59,12 +60,36 @@ def stable(rec: RunRecord) -> tuple:
     )
 
 
+#: per RunSpec field, a value that differs from the baseline spec's
+KEY_VARIANTS = {
+    "workload": lambda: "bodytrack",
+    "config": lambda: "drd",
+    "seed": lambda: 2,
+    "max_steps": lambda: 1234,
+    "fault_plan": lambda: next(c.plan for c in chaos_cases() if c.plan),
+    "livelock_bound": lambda: 50,
+    "scheduler": lambda: "round-robin",
+    "trace_mode": lambda: "replay",
+}
+
+
 class TestKeysAndDigests:
     def test_spec_key_is_stable_and_content_sensitive(self):
         a = RunSpec("blackscholes", "helgrind-lib", 1)
         assert spec_key(a) == spec_key(a)
         assert spec_key(a) != spec_key(RunSpec("blackscholes", "helgrind-lib", 2))
         assert spec_key(a) != spec_key(RunSpec("bodytrack", "helgrind-lib", 1))
+
+    @pytest.mark.parametrize("field", sorted(KEY_VARIANTS))
+    def test_field_enters_the_key(self, field):
+        base = RunSpec("blackscholes", "helgrind-lib", 1)
+        variant = dataclasses.replace(base, **{field: KEY_VARIANTS[field]()})
+        assert spec_key(variant) != spec_key(base)
+
+    def test_every_runspec_field_is_keyed(self):
+        # tripwire: a new RunSpec field needs a line in spec_key and a
+        # KEY_VARIANTS entry, or two different runs would share a key
+        assert set(KEY_VARIANTS) == {f.name for f in dataclasses.fields(RunSpec)}
 
     def test_sweep_digest_is_order_insensitive(self):
         keys = [spec_key(s) for s in _specs()]

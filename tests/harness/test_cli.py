@@ -79,6 +79,24 @@ class TestDurabilityCli:
         out = capsys.readouterr().out
         assert "1 run(s) served from the checkpoint journal" in out
 
+    def test_grand_journal_then_resume(self, tmp_path, capsys):
+        from repro.harness.grand import grand_specs
+
+        grand = [
+            "--limit", "1", "--tools", "drd", "--cache-dir", str(tmp_path / "cache"),
+            "--journal-dir", str(tmp_path / "journal"), "grand",
+        ]
+        assert main(grand) == 0
+        capsys.readouterr()
+        assert main([*grand, "--resume"]) == 0
+        out = capsys.readouterr().out
+        cells = len(grand_specs(["drd"], suite_limit=1))
+        assert f"{cells} run(s) served from the checkpoint journal" in out
+
+    def test_grand_needs_a_trace_store(self, tmp_path, capsys):
+        assert main(["--journal-dir", str(tmp_path), "grand"]) == 2
+        assert "--cache-dir" in capsys.readouterr().err
+
     def test_cache_doctor_quarantines_and_purges(self, tmp_path, capsys):
         cdir = str(tmp_path / "cache")
         assert main([*self.SWEEP, "--cache-dir", cdir]) == 0

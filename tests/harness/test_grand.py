@@ -1,150 +1,123 @@
-"""The grand sweep engine (:mod:`repro.harness.grand`) and the shard
-plumbing it rides on: ``RunSpec.shard`` dispatch, shard-aware cache
-keys, journal resume at shard granularity, and the per-cell merge."""
+"""The grand sweep's cell list (:func:`repro.harness.grand.grand_specs`):
+whole replay-mode cells over the suite and the chaos matrix, and those
+cells run through :func:`~repro.harness.parallel.run_sweep`."""
 
 import dataclasses
 
 import pytest
 
+from repro.detectors import ToolConfig
+from repro.harness.chaos import chaos_cases, chaos_spec
 from repro.harness.checkpoint import spec_key
-from repro.harness.grand import (
-    GrandCell,
-    grand_cells_table,
-    grand_specs,
-    run_grand_sweep,
-)
-from repro.harness.parallel import ResultCache, RunSpec, run_sweep
+from repro.harness.grand import grand_specs
+from repro.harness.parallel import run_sweep
 from repro.harness.registry import resolve_tool
-from repro.harness.runner import run_shard_offline
-from repro.harness.tables import sweep_records_table
-from repro.trace import TraceStore, analyze_trace, key_for_spec, record_trace
-
-from tests.conftest import flag_handoff_program
+from repro.trace import TraceStore, analyze_trace, key_for_spec
+from repro.workloads import build_suite
 
 TOOLS2 = ["helgrind-lib", "drd"]
+CHAOS_NAMES = [c.name for c in chaos_cases()]
 
 
 class TestGrandSpecs:
+    def test_every_cell_is_a_replay(self):
+        specs = grand_specs(TOOLS2, suite_limit=2)
+        assert specs
+        assert all(s.trace_mode == "replay" for s in specs)
+
+    def test_count_is_suite_and_chaos_times_presets(self):
+        n_chaos = len(chaos_cases())
+        assert len(grand_specs(TOOLS2, suite_limit=3)) == 3 * 2 + n_chaos * 2
+        assert len(grand_specs(TOOLS2, suite_limit=3, include_chaos=False)) == 3 * 2
+        seeded = grand_specs(TOOLS2, suite_limit=3, include_chaos=False, seeds=(1, 2))
+        assert len(seeded) == 3 * 2 * 2
+
+    def test_chaos_cells_keep_fault_plans_and_livelock_bounds(self):
+        specs = grand_specs(["drd"], suite_limit=1)
+        chaos = specs[1:]
+        expected = [chaos_spec(case, "drd") for case in chaos_cases()]
+        assert [(s.workload, s.fault_plan, s.livelock_bound) for s in chaos] == [
+            (e.workload, e.fault_plan, e.livelock_bound) for e in expected
+        ]
+        assert any(s.fault_plan for s in chaos)
+        assert any(s.livelock_bound for s in chaos)
+
     def test_cell_major_layout(self):
-        specs = grand_specs(3, TOOLS2, suite_limit=2, include_chaos=False)
-        assert len(specs) == 2 * 2 * 3
-        for c in range(4):
-            cell = specs[c * 3 : (c + 1) * 3]
-            assert len({(s.workload, s.config, s.seed) for s in cell}) == 1
-            assert [s.shard for s in cell] == ["0/3", "1/3", "2/3"]
-            assert all(s.trace_mode == "replay" for s in cell)
+        # workload-major, then preset, then seed: the cells of one
+        # recording sit next to each other in the sweep log
+        suite = [wl.name for wl in build_suite()[:2]]
+        specs = grand_specs(TOOLS2, suite_limit=2, include_chaos=False, seeds=(1, 2, 3))
+        assert [(s.workload, s.config, s.seed) for s in specs] == [
+            (wl, cfg, seed) for wl in suite for cfg in TOOLS2 for seed in (1, 2, 3)
+        ]
 
-    def test_chaos_cells_keep_their_fault_plans(self):
-        specs = grand_specs(2, ["drd"], suite_limit=1, include_chaos=True)
-        chaos = [s for s in specs if s.fault_plan or s.livelock_bound]
-        assert chaos, "chaos cells missing from the grand spec list"
-        assert all(s.trace_mode == "replay" for s in chaos)
-
-
-class TestShardSpecPlumbing:
-    def test_shard_units_have_distinct_cache_keys(self):
-        spec = RunSpec(workload="adhoc7_handoff", config="drd", trace_mode="replay")
-        keys = {
-            spec_key(dataclasses.replace(spec, shard=f"{i}/2")) for i in range(2)
-        }
-        keys.add(spec_key(spec))
-        assert len(keys) == 3
-
-    def test_shard_requires_replay_mode(self, tmp_path):
-        spec = RunSpec(
-            workload="adhoc7_handoff", config="drd", shard="0/2", trace_mode="live"
-        )
-        result = run_sweep([spec], workers=0, trace_dir=tmp_path, retries=0)
-        assert result.outcomes == [None]
-        assert "replay" in result.records[0].error
-
-    def test_malformed_shard_string_rejected(self):
-        trace = record_trace(flag_handoff_program(), seed=2)
-        with pytest.raises(ValueError, match="shard"):
-            run_shard_offline(None, resolve_tool("drd"), trace, "2")
-
-    def test_shard_sweep_outcomes_match_direct_analysis(self, tmp_path):
-        spec = RunSpec(workload="adhoc7_handoff", config="drd", trace_mode="replay")
-        shards = [dataclasses.replace(spec, shard=f"{i}/2") for i in range(2)]
-        result = run_sweep(shards, workers=0, trace_dir=tmp_path)
-        from repro.trace import merge_shard_reports
-
-        merged = merge_shard_reports([o.report for o in result.outcomes])
-        trace = TraceStore(tmp_path).get(key_for_spec(spec))
-        base = analyze_trace(trace, resolve_tool("drd"))
-        assert merged.fingerprint() == base.report.fingerprint()
-        assert all(r.shard for r in result.records)
-
-    def test_records_table_gains_a_shard_column_only_when_sharded(self, tmp_path):
-        spec = RunSpec(workload="adhoc7_handoff", config="drd", trace_mode="replay")
-        shards = [dataclasses.replace(spec, shard=f"{i}/2") for i in range(2)]
-        sharded = run_sweep(shards, workers=0, trace_dir=tmp_path)
-        assert "Shard" in sweep_records_table(sharded.records, "t")
-        plain = run_sweep([spec], workers=0, trace_dir=tmp_path)
-        assert "Shard" not in sweep_records_table(plain.records, "t")
+    @pytest.mark.parametrize("preset", ToolConfig.presets())
+    def test_every_preset_expands_to_distinct_replay_cells(self, preset):
+        specs = grand_specs([preset])
+        assert len(specs) == len(build_suite()) + len(chaos_cases())
+        assert all(s.trace_mode == "replay" for s in specs)
+        assert {s.tool().name for s in specs} == {resolve_tool(preset).name}
+        # no two cells share a cache / journal key
+        assert len({spec_key(s) for s in specs}) == len(specs)
 
 
 class TestGrandSweep:
-    def _run(self, tmp_path, **kw):
-        kw.setdefault("shards", 2)
-        kw.setdefault("workers", 0)
-        kw.setdefault("configs", TOOLS2)
-        kw.setdefault("suite_limit", 2)
-        kw.setdefault("include_chaos", False)
-        kw.setdefault("trace_dir", tmp_path / "traces")
-        return run_grand_sweep(**kw)
-
-    def test_every_cell_merges_and_verifies(self, tmp_path):
-        result = self._run(tmp_path, verify_sample=4)
-        assert len(result.cells) == 4
-        assert not result.incomplete and not result.mismatched
-        assert all(c.fingerprint for c in result.cells)
-        assert [c.verified for c in result.cells] == [True] * 4
-
-    def test_merged_fingerprints_equal_unsharded(self, tmp_path):
-        result = self._run(tmp_path)
-        store = TraceStore(tmp_path / "traces")
-        specs = grand_specs(2, TOOLS2, suite_limit=2, include_chaos=False)
-        for cell in result.cells:
-            spec = specs[cell.index * 2]
-            trace = store.get(key_for_spec(spec))
-            base = analyze_trace(trace, resolve_tool(spec.config))
-            assert cell.fingerprint == base.report.fingerprint()
-
-    def test_journal_resume_restores_fingerprints(self, tmp_path):
-        first = self._run(
-            tmp_path, journal_dir=tmp_path / "journal", trace_dir=None
-        )
-        again = self._run(
-            tmp_path, journal_dir=tmp_path / "journal", trace_dir=None, resume=True
-        )
-        assert again.sweep.resumed == len(grand_specs(2, TOOLS2, 2, False))
-        assert [c.fingerprint for c in again.cells] == [
-            c.fingerprint for c in first.cells
-        ]
-        assert not again.incomplete
+    """Grand cells are ordinary replay specs: ``run_sweep`` runs them."""
 
     def test_needs_a_store_location(self):
+        specs = grand_specs(TOOLS2, suite_limit=1, include_chaos=False)
         with pytest.raises(ValueError, match="trace"):
-            run_grand_sweep(shards=2, configs=TOOLS2, suite_limit=1,
-                            include_chaos=False)
+            run_sweep(specs, workers=0)
+
+    @pytest.mark.parametrize("preset", ToolConfig.presets())
+    def test_suite_cells_equal_direct_analysis(self, preset, tmp_path):
+        specs = grand_specs([preset], suite_limit=2, include_chaos=False)
+        result = run_sweep(specs, workers=0, trace_dir=tmp_path)
+        assert not result.failed
+        store = TraceStore(tmp_path)
+        for spec, outcome in zip(result.specs, result.outcomes):
+            assert outcome.trace_mode == "replay"
+            trace = store.get(key_for_spec(spec))
+            direct = analyze_trace(trace, resolve_tool(preset))
+            assert outcome.report.fingerprint() == direct.report.fingerprint()
+
+    @pytest.mark.parametrize("case", CHAOS_NAMES)
+    def test_chaos_cell_equals_live_chaos_run(self, case, tmp_path):
+        specs = [
+            s
+            for s in grand_specs(TOOLS2, suite_limit=1)
+            if s.fault_plan or s.livelock_bound
+        ]
+        index = CHAOS_NAMES.index(case)
+        cells = specs[index * len(TOOLS2) : (index + 1) * len(TOOLS2)]
+        live_specs = [dataclasses.replace(s, trace_mode="live") for s in cells]
+        replay = run_sweep(cells, workers=0, trace_dir=tmp_path)
+        live = run_sweep(live_specs, workers=0)
+        assert len(TraceStore(tmp_path)) == 1  # one recording, both presets
+        for r, l, rr, lr in zip(
+            replay.outcomes, live.outcomes, replay.records, live.records
+        ):
+            assert r.report.fingerprint() == l.report.fingerprint()
+            assert r.result.status == l.result.status
+            assert rr.status == lr.status
 
     def test_chaos_cells_flagged(self, tmp_path):
-        result = self._run(tmp_path, suite_limit=1, include_chaos=True,
-                           configs=["drd"])
-        kinds = {c.chaos for c in result.cells}
-        assert kinds == {True, False}
-        assert not result.incomplete
+        # chaos cells end abnormally on purpose (livelock / fault), yet
+        # none of them counts as a sweep failure
+        specs = grand_specs(["drd"], suite_limit=1)
+        result = run_sweep(specs, workers=0, trace_dir=tmp_path)
+        statuses = [r.status for r in result.records]
+        assert statuses[0] == "ok"
+        assert set(statuses[1:]) - {"ok"}, "no chaos cell ended abnormally"
+        assert not result.failed
 
-    def test_cells_table_renders_problems_first(self, tmp_path):
-        result = self._run(tmp_path)
-        result.cells.append(
-            GrandCell(workload="zzz_broken", tool="drd", seed=1, error="boom")
+    def test_journal_resume_restores_records(self, tmp_path):
+        specs = grand_specs(TOOLS2, suite_limit=2, include_chaos=False)
+        kw = dict(
+            workers=0, trace_dir=tmp_path / "traces", journal_dir=tmp_path / "journal"
         )
-        table = grand_cells_table(result)
-        lines = table.splitlines()
-        assert "INCOMPLETE" in lines[3]
-        assert "zzz_broken" in lines[3]
-        limited = grand_cells_table(result, limit=1)
-        assert "zzz_broken" in limited
-        assert len(limited.splitlines()) == 4
+        first = run_sweep(specs, **kw)
+        again = run_sweep(specs, resume=True, **kw)
+        assert again.resumed == len(specs)
+        # resumed records are served verbatim from the journal
+        assert again.records == first.records

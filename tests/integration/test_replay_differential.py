@@ -322,6 +322,14 @@ class TestSessionTraceRuns:
         assert offline.result.ok and offline.result.status == "ok"
         assert "flag_handoff" in str(offline)
 
+    @pytest.mark.parametrize("preset", PRESET_NAMES)
+    def test_session_replay_matches_live_for_every_preset(self, preset):
+        live = repro.run(flag_handoff_program, preset, seed=2)
+        trace = record_trace(flag_handoff_program(), seed=2, max_blocks=MAX_BLOCKS)
+        offline = repro.run(config=preset, trace=trace)
+        assert offline.report.fingerprint() == live.report.fingerprint()
+        assert offline.config == live.config
+
     def test_session_accepts_a_trace_file(self, tmp_path):
         trace = record_trace(flag_handoff_program(), seed=2)
         path = tmp_path / "t.json"
@@ -374,6 +382,7 @@ class TestSessionTraceRuns:
             {"max_steps": 10},
             {"livelock_bound": 5},
             {"symbolize": str},
+            {"seed": 5},
         ],
     )
     def test_live_only_knobs_rejected_for_trace_sessions(self, kw):

@@ -171,15 +171,8 @@ class TestFingerprintMemo:
 
 
 class TestResultCacheKey:
-    def test_schema_is_9(self):
-        assert CACHE_SCHEMA == 9
-
-    def test_shard_is_part_of_the_key(self):
-        from repro.harness.checkpoint import spec_key
-
-        spec = RunSpec(workload="streamcluster", config="drd", trace_mode="replay")
-        sharded = dataclasses.replace(spec, shard="0/4")
-        assert spec_key(spec) != spec_key(sharded)
+    def test_schema_is_10(self):
+        assert CACHE_SCHEMA == 10
 
 
 class TestCrossProcessReuse:
