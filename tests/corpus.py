@@ -6,13 +6,15 @@ budget, fault plan and livelock bound it runs under.  The corpus is the
 PARSEC models.  Each case runs under the distinct tool configurations
 behind the named presets (``eraser``/``lockset`` and
 ``universal``/``universal-hybrid`` are aliases, so 8 names give 6
-configurations), live on the VM and replayed from one recording.
+configurations), live on the VM and replayed from one recording.  The
+ablations flip one ``ToolConfig`` branch of a spin preset each and are
+replayed only.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional
 
 from repro.detectors import ToolConfig
@@ -39,6 +41,19 @@ def _distinct_presets() -> Dict[str, ToolConfig]:
 
 #: first preset name -> configuration, one entry per distinct configuration
 CONFIGS: Dict[str, ToolConfig] = _distinct_presets()
+
+#: ``preset/flag`` -> the spin preset with that one branch flipped: the
+#: ad-hoc engine's counterpart rule and suppression, and the long-run
+#: state machine, which no preset sets
+ABLATIONS: Dict[str, ToolConfig] = {
+    f"{preset}/{flag}": replace(resolve_tool(preset), **{flag: value})
+    for preset in ("helgrind-lib-spin7", "helgrind-nolib-spin7")
+    for flag, value in (
+        ("adhoc_variable_level", False),
+        ("adhoc_suppress", False),
+        ("long_run", True),
+    )
+}
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,9 @@
 * ``replay``: the sha256 of the fingerprint of the same case analyzed
   from one ``record_trace`` recording with no VM in the loop.
 
+Under ``ablations`` it holds, per case, the replay digest of each
+:data:`~tests.corpus.ABLATIONS` configuration on that same recording.
+
 The corpus is the behavioural definition of "the same detector": a
 change that moves any cell is a behaviour change and must regenerate the
 file on purpose::
@@ -29,7 +32,8 @@ import pytest
 
 from repro.harness.runner import run_workload
 from repro.trace import analyze_trace
-from tests.corpus import CASE_BY_ID, CASES, CONFIGS, Case, recording, sha
+from repro.trace import Trace
+from tests.corpus import ABLATIONS, CASE_BY_ID, CASES, CONFIGS, Case, recording, sha
 
 CORPUS_PATH = Path(__file__).resolve().parents[1] / "data" / "golden_corpus.json"
 
@@ -53,9 +57,8 @@ def live_cell(case: Case, name: str) -> Dict[str, object]:
     }
 
 
-def case_cells(case: Case) -> Dict[str, Dict[str, object]]:
-    """Every cell of one case, in the corpus file's shape."""
-    trace = recording(case)
+def case_cells(case: Case, trace: Trace) -> Dict[str, Dict[str, object]]:
+    """Every preset cell of one case, in the corpus file's shape."""
     return {
         name: {
             "live": live_cell(case, name),
@@ -65,16 +68,31 @@ def case_cells(case: Case) -> Dict[str, Dict[str, object]]:
     }
 
 
+def ablation_cells(trace: Trace) -> Dict[str, str]:
+    """The replay digest of every ablation configuration on ``trace``."""
+    return {
+        name: sha(analyze_trace(trace, cfg).report.fingerprint())
+        for name, cfg in ABLATIONS.items()
+    }
+
+
 @pytest.fixture(scope="module")
-def corpus() -> Dict[str, Dict[str, Dict[str, object]]]:
-    return json.loads(CORPUS_PATH.read_text())["cases"]
+def golden() -> Dict[str, Dict[str, object]]:
+    return json.loads(CORPUS_PATH.read_text())
 
 
-def test_corpus_covers_every_case_and_config(corpus):
-    assert len(CASES) == 141 and len(CONFIGS) == 6
-    assert set(corpus) == set(CASE_BY_ID)
+@pytest.fixture(scope="module")
+def corpus(golden) -> Dict[str, Dict[str, Dict[str, object]]]:
+    return golden["cases"]
+
+
+def test_corpus_covers_every_case_and_config(golden, corpus):
+    assert len(CASES) == 141 and len(CONFIGS) == 6 and len(ABLATIONS) == 6
+    assert set(corpus) == set(golden["ablations"]) == set(CASE_BY_ID)
     for cells in corpus.values():
         assert set(cells) == set(CONFIGS)
+    for cells in golden["ablations"].values():
+        assert set(cells) == set(ABLATIONS)
 
 
 def test_replay_cells_equal_live_cells(corpus):
@@ -89,24 +107,33 @@ def test_replay_cells_equal_live_cells(corpus):
 
 
 @pytest.mark.parametrize("case_id", list(CASE_BY_ID))
-def test_case_reproduces_golden_cells(case_id, corpus):
-    got = case_cells(CASE_BY_ID[case_id])
-    want = corpus[case_id]
+def test_case_reproduces_golden_cells(case_id, golden, corpus):
+    case = CASE_BY_ID[case_id]
+    trace = recording(case)
+    got, want = case_cells(case, trace), corpus[case_id]
     diffs = [
         f"{name}/{mode}: {got[name][mode]!r} != golden {want[name][mode]!r}"
         for name in CONFIGS
         for mode in ("live", "replay")
         if got[name][mode] != want[name][mode]
     ]
+    got, want = ablation_cells(trace), golden["ablations"][case_id]
+    diffs += [
+        f"{name}/replay: {got[name]!r} != golden {want[name]!r}"
+        for name in ABLATIONS
+        if got[name] != want[name]
+    ]
     assert not diffs, f"{case_id} moved:\n" + "\n".join(diffs)
 
 
 def write_corpus(path: Path = CORPUS_PATH) -> None:
-    cases = {}
+    cases, ablations = {}, {}
     for case in CASES:
-        cases[case.id] = case_cells(case)
+        trace = recording(case)
+        cases[case.id] = case_cells(case, trace)
+        ablations[case.id] = ablation_cells(trace)
         print(f"{case.id}: {len(cases[case.id])} configs", file=sys.stderr)
-    payload = {"configs": sorted(CONFIGS), "cases": cases}
+    payload = {"configs": sorted(CONFIGS), "cases": cases, "ablations": ablations}
     path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
 
 
