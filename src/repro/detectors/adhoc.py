@@ -27,6 +27,17 @@ only sound (observed-write ⟶ reader) edges.
 A per-thread stack of active marked loops gates condition reads: a load
 site inside a shared condition helper is only treated as a spin read
 while the calling thread is actually inside the marked loop.
+
+The runtime phase tracks write/read dependencies on *the variables* of
+the spinning loop condition, not just the marked instructions: with
+``adhoc_variable_level`` any read of a classified address — a CAS that
+re-reads the lock word before grabbing it, or a guard re-check outside
+the loop — also pairs with its counterpart write.  Lock words of the
+future-work lock inference order via locksets instead and never pair.
+
+The handlers run inline in the detector's row kernel
+(:func:`repro.detectors.detector.build_kernel`); this class holds the
+engine's state, and its methods are one-row calls into that kernel.
 """
 
 from __future__ import annotations
@@ -34,6 +45,7 @@ from __future__ import annotations
 from typing import Dict, List, Set
 
 from repro.detectors.base import VectorClockAlgorithm
+from repro.vm.events import COND_READ, LOOP_ENTER, LOOP_EXIT
 
 
 class AdhocSyncEngine:
@@ -48,53 +60,37 @@ class AdhocSyncEngine:
         #: their ordering is handled by lockset analysis, not hb edges
         self.inferred_locks: Set[int] = set()
         self._active: Dict[int, List[int]] = {}  # tid -> stack of loop ids
+        self._kernel = None
         # statistics
         self.loops_entered = 0
         self.loop_exits = 0
         self.edges = 0
         self.cond_reads = 0
 
-    # -- event handlers -----------------------------------------------------
+    # -- one-row entry points --------------------------------------------
+
+    def _row(self, row: tuple) -> None:
+        kernel = self._kernel
+        if kernel is None:
+            from repro.detectors.detector import build_kernel
+
+            kernel = self._kernel = build_kernel(self.algorithm, self)
+        kernel((row,))
 
     def loop_enter(self, tid: int, loop_id: int) -> None:
-        stack = self._active.setdefault(tid, [])
-        # The header re-executes every iteration; push only on first entry.
-        if not stack or stack[-1] != loop_id:
-            stack.append(loop_id)
-            self.loops_entered += 1
+        """The header re-executes every iteration; the loop is pushed on
+        the thread's active stack only on first entry."""
+        self._row((LOOP_ENTER, tid, 0, 0, None, False, False, loop_id))
 
     def loop_exit(self, tid: int, loop_id: int) -> None:
-        stack = self._active.get(tid)
-        if stack and stack[-1] == loop_id:
-            stack.pop()
-            self.loop_exits += 1
+        self._row((LOOP_EXIT, tid, 0, 0, None, False, False, loop_id))
 
     def cond_read(self, tid: int, loop_id: int, addr: int, value: int) -> None:
-        stack = self._active.get(tid)
-        if not stack or loop_id not in stack:
-            # A marked load executed outside its loop (e.g. the condition
-            # helper called from elsewhere) is an ordinary access.
-            return
-        self.cond_reads += 1
-        self.sync_addrs.add(addr)
-        self.match(tid, addr, value)
-
-    def match(self, tid: int, addr: int, value: int) -> None:
-        """Pair a read of sync variable ``addr`` with its counterpart write.
-
-        The paper's runtime phase tracks write/read dependencies on *the
-        variables* of the spinning loop condition, not just the marked
-        instructions — so the detector kernel calls this for any read of
-        a classified address: a CAS that re-reads the lock word before
-        grabbing it, or a guard re-check outside the loop, also pairs
-        with its counterpart write.
-        """
-        if addr in self.inferred_locks:
-            return  # lock words order via locksets, not hb edges
-        rec = self.algorithm.last_write(addr)
-        if rec is not None and rec.value == value and rec.tid != tid:
-            self.algorithm.adhoc_acquire(tid, rec.vc)
-            self.edges += 1
+        """A marked condition read: classify ``addr`` as a sync flag and
+        pair the read with its counterpart write — unless the thread is
+        outside ``loop_id`` (a condition helper called from elsewhere is
+        an ordinary access)."""
+        self._row((COND_READ, tid, addr, value, None, False, False, loop_id))
 
     # -- end of stream ----------------------------------------------------
 

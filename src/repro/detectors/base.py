@@ -12,20 +12,23 @@
   the race detector stores additional information" of the paper's
   dynamic-detection background slide.
 
-Subclasses define a single policy hook, :meth:`_excused`, deciding
-whether a happens-before-concurrent access pair should *not* be reported
-(e.g. because the two accesses share a lock — the hybrid's lockset
-filter).  Everything else (clock plumbing, recording, deduplication,
-long-run state machine) is shared.
+Subclasses set a single policy flag, ``locks_as_hb``, which chooses
+the classic split: the pure happens-before detector (DRD) treats lock
+release→acquire as an hb edge; the hybrid does not — locks are handled
+by locksets instead, so a happens-before-concurrent pair is excused when
+both accesses held a common lock.  That makes the hybrid *more
+sensitive* — it still reports races that a lucky lock interleaving
+ordered — at the cost of false positives on lock-free handoff patterns.
+This is exactly the sensitivity trade-off visible in the paper's
+test-suite table (Helgrind+ misses 8 races where DRD misses 20, while
+reporting more false alarms without spin detection).  Everything else
+(clock plumbing, recording, deduplication, long-run state machine) is
+shared.
 
-The ``locks_as_hb`` flag chooses the classic split: the pure
-happens-before detector (DRD) treats lock release→acquire as an hb edge;
-the hybrid does not (locks are handled by locksets instead), which makes
-it *more sensitive* — it still reports races that a lucky lock
-interleaving ordered — at the cost of false positives on lock-free
-handoff patterns.  This is exactly the sensitivity trade-off visible in
-the paper's test-suite table (Helgrind+ misses 8 races where DRD misses
-20, while reporting more false alarms without spin detection).
+The access checks themselves live in one place, the row kernel that
+:func:`repro.detectors.detector.build_kernel` builds per detector;
+:meth:`VectorClockAlgorithm.read` and :meth:`~VectorClockAlgorithm.write`
+are one-row calls into a kernel built for the bare algorithm.
 
 Epoch fast path
 ---------------
@@ -55,17 +58,41 @@ tests (``tests/reference_detector.py``):
   its second one is the record left uncached.  A record is invalidated
   by any write to the cell (which clears the records) and by any clock
   change of its reader (a new version).
+
+The built kernel
+----------------
+
+:func:`~repro.detectors.detector.build_kernel` resolves every
+``ToolConfig`` branch once, when the detector is constructed: lib/nolib
+filtering (``skip_lib``), the ad-hoc engine (``spin``), counterpart
+matching on any read of a classified flag (``adhoc_variable_level``),
+suppression (:attr:`VectorClockAlgorithm.suppressor`, set from
+``adhoc_suppress``), ``long_run``, the lockset excuse (``not
+locks_as_hb``) versus none, Eraser's refinement, and the inferred lock
+sites.  Its row loop inlines the read check, the write check and the
+engine's marker handling; a read leaves it without any call on three
+common exits:
+
+* **classified sync address** — a suppressed flag read does only its
+  counterpart match (inline, too) and returns;
+* **same-epoch re-read** — the cache above, tested before anything is
+  recorded;
+* **already-reported pair** — one ``cell.reported`` membership test;
+  :meth:`VectorClockAlgorithm._report` sees only new pairs (and, under
+  ``long_run``, the offenses it still counts).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, Mapping, Optional, Set, Tuple
+from typing import Callable, Container, Dict, FrozenSet, Mapping, Optional, Set, Tuple
 
 from repro.isa.program import CodeLocation
 from repro.detectors.reports import AccessInfo, RaceWarning, Report
 from repro.detectors.vectorclock import VC, ThreadClock
+from repro.vm.events import READ, WRITE
 
-Suppressor = Callable[[int], bool]
+#: addresses whose accesses skip the race check
+Suppressor = Container[int]
 
 _EMPTY: FrozenSet[int] = frozenset()
 
@@ -191,6 +218,7 @@ class VectorClockAlgorithm:
         long_run: bool = False,
     ) -> None:
         self.report = report
+        self._kernel = None
         self.suppressor = suppressor
         self.symbolize = symbolize or hex
         self.coarse_cv = coarse_cv
@@ -230,12 +258,6 @@ class VectorClockAlgorithm:
             self.shadow[addr] = cell
         return cell
 
-    # -- policy hook -------------------------------------------------------
-
-    def _excused(self, prev_lockset: FrozenSet[int], cur_lockset: FrozenSet[int]) -> bool:
-        """Whether a concurrent pair should be excused (not reported)."""
-        raise NotImplementedError
-
     # -- reporting ---------------------------------------------------------
 
     def _report(
@@ -253,8 +275,8 @@ class VectorClockAlgorithm:
         kind: str,
     ) -> None:
         """Report one offending pair; raw fields (not ``AccessInfo``) so
-        the per-cell duplicate check runs before any allocation — racy
-        loops resubmit the same pair thousands of times."""
+        nothing is allocated before the duplicate check.  The kernel
+        tests ``cell.reported`` itself, so only new pairs get here."""
         if self.long_run:
             # Long-run state machine: tolerate the first offending pair on
             # an address (it may be initialization); report from the
@@ -385,103 +407,35 @@ class VectorClockAlgorithm:
 
     # -- memory accesses -------------------------------------------------------
 
+    @property
+    def suppressor(self) -> Optional[Suppressor]:
+        """Addresses whose accesses skip the race check (the ad-hoc
+        engine's classified flags), or ``None``."""
+        return self._suppressor
+
+    @suppressor.setter
+    def suppressor(self, addrs: Optional[Suppressor]) -> None:
+        self._suppressor = addrs
+        self._kernel = None  # built kernels resolve it once
+
+    def _row(self, row: tuple) -> None:
+        kernel = self._kernel
+        if kernel is None:
+            from repro.detectors.detector import build_kernel
+
+            kernel = self._kernel = build_kernel(self)
+        kernel((row,))
+
     def read(self, tid: int, addr: int, loc: CodeLocation, atomic: bool) -> None:
-        if self.suppressor is not None and self.suppressor(addr):
-            return
-        self.accesses_checked += 1
-        # The hot path: the three lookups inlined, helpers on a miss.
-        t = self.threads.get(tid) or self.thread(tid)
-        cell = self.shadow.get(addr) or self._cell(addr)
-        cur_ls = self._held_frozen.get(tid)
-        if cur_ls is None:
-            cur_ls = self._locks(tid)
-        version = t.version
-        r = cell.reads.get(tid)
-        if (
-            r is not None
-            and r.version == version
-            and r.lockset is cur_ls
-            and r.atomic == atomic
-            and (r.loc is loc or r.loc == loc)
-        ):
-            # Read-same-epoch: same reader clock, lockset and access
-            # shape as this thread's previous check since the last
-            # write — the outcome and the record would repeat verbatim.
-            # A racy re-read lands here too once its pair is reported.
-            return
-        w = cell.write
-        if (
-            w is not None
-            and w.tid != tid
-            and not (atomic and w.atomic)
-            and not t.saw(w.tid, w.clock)
-            and not self._excused(w.lockset, cur_ls)
-        ):
-            self._report(
-                addr, cell, w.tid, w.loc, True, w.atomic,
-                tid, loc, False, atomic, "write-read",
-            )
-            # The pair is now in cell.reported — a same-epoch re-read
-            # would only re-submit it — unless the long_run state
-            # machine tolerated it and the next offense still counts.
-            if self.long_run and cell.offenses < 2:
-                version = -1
-        if r is None:
-            cell.reads[tid] = ReadRecord(t.clock, loc, atomic, cur_ls, version)
-        else:
-            r.clock = t.clock
-            r.loc = loc
-            r.atomic = atomic
-            r.lockset = cur_ls
-            r.version = version
+        """Check one read: a one-row call into the detector kernel
+        (:func:`repro.detectors.detector.build_kernel`)."""
+        self._row((READ, tid, addr, 0, loc, atomic, False, None))
 
     def write(
         self, tid: int, addr: int, value: int, loc: CodeLocation, atomic: bool
     ) -> None:
-        t = self.thread(tid)
-        cell = self._cell(addr)
-        cur_ls = self._locks(tid)
-        suppressed = self.suppressor is not None and self.suppressor(addr)
-        if not suppressed:
-            self.accesses_checked += 1
-            w = cell.write
-            if (
-                w is not None
-                and w.tid != tid
-                and not (atomic and w.atomic)
-                and not t.saw(w.tid, w.clock)
-                and not self._excused(w.lockset, cur_ls)
-            ):
-                self._report(
-                    addr, cell, w.tid, w.loc, True, w.atomic,
-                    tid, loc, True, atomic, "write-write",
-                )
-            for rtid, r in cell.reads.items():
-                if (
-                    rtid != tid
-                    and not (atomic and r.atomic)
-                    and not t.saw(rtid, r.clock)
-                    and not self._excused(r.lockset, cur_ls)
-                ):
-                    self._report(
-                        addr, cell, rtid, r.loc, False, r.atomic,
-                        tid, loc, True, atomic, "read-write",
-                    )
-        w = cell.write
-        if w is not None and w.tid == tid:
-            # Exclusive epoch: the owning thread stores again — advance
-            # the record in place, no allocation, no clock copy.
-            w.update(t.clock, value, loc, atomic, cur_ls, t.frame())
-        else:
-            cell.write = WriteRecord(tid, t.clock, value, loc, atomic, cur_ls, t.frame())
-        if cell.reads:
-            cell.reads.clear()
-        # Advance the writer's epoch after every write so that an ad-hoc
-        # happens-before edge taken from this write's snapshot does NOT
-        # cover the writer's *subsequent* accesses.  (A spin loop exit
-        # orders only what precedes the counterpart write — a store made
-        # after the flag was raised must still be reported as racy.)
-        t.tick()
+        """Check and record one write: a one-row call into the kernel."""
+        self._row((WRITE, tid, addr, value, loc, atomic, False, None))
 
     # -- end of stream ----------------------------------------------------
 

@@ -25,7 +25,7 @@ import re
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
 
-from repro.isa.program import SyncKind
+from repro.isa.program import CodeLocation, SyncKind
 from repro.vm import events as ev
 from repro.vm.events import (
     COND_READ,
@@ -40,7 +40,7 @@ from repro.vm.events import (
 )
 from repro.detectors.adhoc import AdhocSyncEngine
 from repro.detectors.condvar_monitor import CondvarMonitor
-from repro.detectors.base import VectorClockAlgorithm
+from repro.detectors.base import ReadRecord, VectorClockAlgorithm, WriteRecord
 from repro.detectors.happensbefore import PureHappensBeforeAlgorithm
 from repro.detectors.hybrid import HybridAlgorithm
 from repro.detectors.lockset import EraserAlgorithm
@@ -215,13 +215,316 @@ def register_preset(name: str, factory: Callable[..., ToolConfig]) -> None:
     _PRESETS[key] = factory
 
 
+#: row-kernel signature: rows in stream order -> (delivered, accepted)
+Kernel = Callable[[Iterable[tuple]], Tuple[int, int]]
+
+_NO_ADDRS: FrozenSet[int] = frozenset()
+
+
+def _lib_enter(
+    algo: VectorClockAlgorithm, cv_monitor: Optional[CondvarMonitor], e: ev.LibEnter
+) -> None:
+    """Annotation semantics on entry to an intercepted library call."""
+    kind = e.kind
+    if kind is SyncKind.LOCK_RELEASE:
+        algo.release_lock(e.tid, e.obj_addr)
+    elif kind in (SyncKind.CV_SIGNAL, SyncKind.CV_BROADCAST):
+        algo.signal(e.tid, e.obj_addr)
+        if cv_monitor is not None:
+            cv_monitor.signal(e.obj_addr)
+    elif kind is SyncKind.CV_WAIT:
+        if cv_monitor is not None:
+            cv_monitor.wait_enter(e.tid, e.obj_addr, e.loc)
+        # pthread semantics: the wait releases the mutex on entry.
+        if e.obj2_addr is not None:
+            algo.release_lock(e.tid, e.obj2_addr)
+    elif kind is SyncKind.BARRIER_WAIT:
+        algo.barrier_enter(e.tid, e.obj_addr)
+    elif kind is SyncKind.SEM_POST:
+        algo.sem_post(e.tid, e.obj_addr)
+    # LOCK_ACQUIRE, SEM_WAIT, SYNC_INIT act on exit.
+
+
+def _lib_exit(
+    algo: VectorClockAlgorithm, cv_monitor: Optional[CondvarMonitor], e: ev.LibExit
+) -> None:
+    """Annotation semantics on return from an intercepted library call."""
+    kind = e.kind
+    if kind is SyncKind.LOCK_ACQUIRE:
+        algo.acquire_lock(e.tid, e.obj_addr)
+    elif kind is SyncKind.CV_WAIT:
+        if cv_monitor is not None:
+            cv_monitor.wait_exit(e.tid, e.obj_addr, e.loc)
+        algo.wait_return(e.tid, e.obj_addr)
+        if e.obj2_addr is not None:
+            algo.acquire_lock(e.tid, e.obj2_addr)
+    elif kind is SyncKind.BARRIER_WAIT:
+        algo.barrier_leave(e.tid, e.obj_addr)
+    elif kind is SyncKind.SEM_WAIT:
+        algo.sem_wait_return(e.tid, e.obj_addr)
+
+
+def build_kernel(
+    algo: VectorClockAlgorithm,
+    adhoc: Optional[AdhocSyncEngine] = None,
+    *,
+    skip_lib: bool = False,
+    match_sync_reads: bool = True,
+    wide: FrozenSet[int] = _NO_ADDRS,
+    lock_sites: FrozenSet[CodeLocation] = frozenset(),
+    cv_monitor: Optional[CondvarMonitor] = None,
+) -> Kernel:
+    """Build the row loop for one detector, its branches resolved once.
+
+    The one implementation of the race check and of the ad-hoc engine's
+    runtime phase; :meth:`RaceDetector.consume_batch`,
+    ``VectorClockAlgorithm.read``/``write`` and the engine's marker
+    methods all feed rows ``(kind, tid, addr, value, loc, atomic,
+    in_library, aux)`` (see :func:`repro.vm.events.event_row`) to a
+    kernel built here.  Resolved at build time:
+
+    * ``skip_lib`` (lib mode): library-internal memory and marker rows
+      are dropped and library annotations act on ``algo`` and
+      ``cv_monitor``; without it annotations are dropped (nolib: raw
+      traffic flows);
+    * ``adhoc`` (the spin feature): marker rows run the engine, and
+      with ``match_sync_reads`` (``adhoc_variable_level``) every read of
+      a classified flag is matched with its counterpart write;
+    * ``algo.suppressor`` (``adhoc_suppress``): accesses to these
+      addresses skip the race check; with an engine it must be the
+      engine's ``sync_addrs``, so one lookup answers both questions;
+    * ``algo.long_run``, and ``algo.locks_as_hb``: a concurrent pair
+      holding a common lock is excused exactly when locks are no
+      happens-before edges (the hybrid), never under pure hb (DRD);
+    * Eraser's lockset refinement replaces the vector-clock check;
+    * ``lock_sites`` (``infer_locks``): a successful CAS at an inferred
+      acquire site is a lock acquire, the holder's store of 0 to the
+      lock word a release (future work, slide 33).
+
+    A read returns without any call on its three common exits: a
+    classified flag under suppression (only its counterpart match
+    runs), a same-epoch re-read (see :mod:`repro.detectors.base`), and a
+    racy pair already in ``cell.reported``.  Counters are accumulated
+    in locals and added to ``algo``/``adhoc`` once per batch.  The
+    kernel holds no reference to a detector, so a finished detector is
+    freed at once rather than by the cycle collector.
+    """
+    threads, shadow, held_frozen = algo.threads, algo.shadow, algo._held_frozen
+    new_thread, new_cell, locks = algo.thread, algo._cell, algo._locks
+    spawn, join = algo.spawn, algo.join
+    acquire_lock, release_lock, held_locks = algo.acquire_lock, algo.release_lock, algo._held
+    long_run = algo.long_run
+    lockset_excuse = not algo.locks_as_hb
+    eraser = algo.lockset_access if isinstance(algo, EraserAlgorithm) else None
+    suppress = algo.suppressor is not None
+    suppressed = algo.suppressor if suppress else _NO_ADDRS
+    matching = adhoc is not None and match_sync_reads
+    if adhoc is not None:
+        sync_addrs, inferred_locks, active = (
+            adhoc.sync_addrs, adhoc.inferred_locks, adhoc._active
+        )
+        if suppress and suppressed is not sync_addrs:
+            raise ValueError("with an ad-hoc engine, suppress its sync_addrs")
+    #: reads of these addresses are matched, suppressed, or both
+    flags = sync_addrs if matching else suppressed
+
+    def consume(rows: Iterable[tuple]) -> Tuple[int, int]:
+        n = dropped = checked = edges = cond_reads = entered = exited = 0
+        for n, (kind, tid, addr, value, loc, atomic, in_lib, aux) in enumerate(rows, 1):
+            if kind == READ:
+                if in_lib and skip_lib:
+                    dropped += 1
+                    continue
+                if addr in flags:
+                    if matching and addr not in inferred_locks:
+                        # Counterpart write: the flag's last store, by
+                        # another thread, of the value this read saw.
+                        cell = shadow.get(addr)
+                        w = cell.write if cell is not None else None
+                        if w is not None and w.value == value and w.tid != tid:
+                            (threads.get(tid) or new_thread(tid)).join(w.vc)
+                            edges += 1
+                    if suppress:
+                        continue
+                checked += 1
+                if eraser is not None:
+                    eraser(tid, addr, loc, False, atomic)
+                    continue
+                t = threads.get(tid) or new_thread(tid)
+                cell = shadow.get(addr) or new_cell(addr)
+                ls = held_frozen.get(tid)
+                if ls is None:
+                    ls = locks(tid)
+                version = t.version
+                r = cell.reads.get(tid)
+                if (
+                    r is not None
+                    and r.version == version
+                    and r.lockset is ls
+                    and r.atomic == atomic
+                    and (r.loc is loc or r.loc == loc)
+                ):
+                    continue  # same epoch: the check would repeat verbatim
+                w = cell.write
+                if (
+                    w is not None
+                    and w.tid != tid
+                    and not (atomic and w.atomic)
+                    and t.vc.get(w.tid, 0) < w.clock
+                    and not (lockset_excuse and w.lockset and ls and not w.lockset.isdisjoint(ls))
+                    and (w.loc, loc, "write-read") not in cell.reported
+                ):
+                    algo._report(
+                        addr, cell, w.tid, w.loc, True, w.atomic,
+                        tid, loc, False, atomic, "write-read",
+                    )
+                    # The pair is now in cell.reported — a same-epoch
+                    # re-read would only re-submit it — unless the
+                    # long_run state machine tolerated it and the next
+                    # offense still counts.
+                    if long_run and cell.offenses < 2:
+                        version = -1
+                if r is None:
+                    cell.reads[tid] = ReadRecord(t.vc[tid], loc, atomic, ls, version)
+                else:
+                    r.clock = t.vc[tid]
+                    r.loc = loc
+                    r.atomic = atomic
+                    r.lockset = ls
+                    r.version = version
+            elif kind == WRITE:
+                if in_lib and skip_lib:
+                    dropped += 1
+                    continue
+                if lock_sites:
+                    if atomic and loc in lock_sites:
+                        acquire_lock(tid, addr)
+                        if adhoc is not None:
+                            inferred_locks.add(addr)
+                            sync_addrs.add(addr)
+                    elif value == 0 and addr in held_locks.get(tid, _NO_ADDRS):
+                        release_lock(tid, addr)
+                t = threads.get(tid) or new_thread(tid)
+                cell = shadow.get(addr) or new_cell(addr)
+                ls = held_frozen.get(tid)
+                if ls is None:
+                    ls = locks(tid)
+                w = cell.write
+                if addr in suppressed:
+                    pass
+                elif eraser is not None:
+                    checked += 1
+                    eraser(tid, addr, loc, True, atomic)
+                else:
+                    checked += 1
+                    vc = t.vc
+                    if (
+                        w is not None
+                        and w.tid != tid
+                        and not (atomic and w.atomic)
+                        and vc.get(w.tid, 0) < w.clock
+                        and not (lockset_excuse and w.lockset and ls and not w.lockset.isdisjoint(ls))
+                        and (w.loc, loc, "write-write") not in cell.reported
+                    ):
+                        algo._report(
+                            addr, cell, w.tid, w.loc, True, w.atomic,
+                            tid, loc, True, atomic, "write-write",
+                        )
+                    for rtid, r in cell.reads.items():
+                        if (
+                            rtid != tid
+                            and not (atomic and r.atomic)
+                            and vc.get(rtid, 0) < r.clock
+                            and not (lockset_excuse and r.lockset and ls and not r.lockset.isdisjoint(ls))
+                            and (r.loc, loc, "read-write") not in cell.reported
+                        ):
+                            algo._report(
+                                addr, cell, rtid, r.loc, False, r.atomic,
+                                tid, loc, True, atomic, "read-write",
+                            )
+                # The write history is kept for every algorithm and on
+                # suppressed flags too: counterpart matching reads it.
+                if w is not None and w.tid == tid:
+                    # Exclusive epoch: the owning thread stores again —
+                    # advance the record in place, no allocation.
+                    w.update(t.vc[tid], value, loc, atomic, ls, t.frame())
+                else:
+                    cell.write = WriteRecord(tid, t.vc[tid], value, loc, atomic, ls, t.frame())
+                if cell.reads:
+                    cell.reads.clear()
+                # Advance the writer's epoch after every write so that an
+                # ad-hoc happens-before edge taken from this write's
+                # snapshot does NOT cover the writer's *subsequent*
+                # accesses.  (A spin loop exit orders only what precedes
+                # the counterpart write — a store made after the flag
+                # was raised must still be reported as racy.)
+                t.tick()
+            elif kind <= LOOP_EXIT:
+                if adhoc is None or (in_lib and skip_lib) or aux in wide:
+                    dropped += 1
+                elif kind == COND_READ:
+                    stack = active.get(tid)
+                    # A marked load executed outside its loop (e.g. the
+                    # condition helper called from elsewhere) is an
+                    # ordinary access.
+                    if stack and aux in stack:
+                        cond_reads += 1
+                        sync_addrs.add(addr)
+                        if addr not in inferred_locks:
+                            cell = shadow.get(addr)
+                            w = cell.write if cell is not None else None
+                            if w is not None and w.value == value and w.tid != tid:
+                                (threads.get(tid) or new_thread(tid)).join(w.vc)
+                                edges += 1
+                elif kind == LOOP_ENTER:
+                    stack = active.get(tid)
+                    if stack is None:
+                        stack = active[tid] = []
+                    # The header re-executes every iteration; push only
+                    # on first entry.
+                    if not stack or stack[-1] != aux:
+                        stack.append(aux)
+                        entered += 1
+                else:
+                    stack = active.get(tid)
+                    if stack and stack[-1] == aux:
+                        stack.pop()
+                        exited += 1
+            elif kind <= LIB_EXIT:
+                # Annotations are honoured only in lib mode, and only
+                # when not nested inside another library call.
+                if not skip_lib or in_lib:
+                    dropped += 1
+                elif kind == LIB_ENTER:
+                    _lib_enter(algo, cv_monitor, aux)
+                else:
+                    _lib_exit(algo, cv_monitor, aux)
+            elif kind == SPAWN:
+                spawn(tid, aux.child)
+            elif kind == JOIN:
+                join(tid, aux.joined)
+            else:
+                dropped += 1
+        algo.accesses_checked += checked
+        if adhoc is not None:
+            algo.adhoc_edges += edges
+            adhoc.edges += edges
+            adhoc.cond_reads += cond_reads
+            adhoc.loops_entered += entered
+            adhoc.loop_exits += exited
+        return n, n - dropped
+
+    return consume
+
+
 class RaceDetector:
     """Event listener implementing one tool configuration.
 
     Every event source feeds the same kernel, :meth:`consume_batch`:
     the VM's flush during a live run, a recording's columns during
     replay, decoded chunks while streaming.  ``__call__`` adapts a
-    single Event to it.
+    single Event to it.  The row loop behind it is built once, at
+    construction, for this configuration (:func:`build_kernel`).
     """
 
     def __init__(
@@ -257,7 +560,7 @@ class RaceDetector:
         if config.spin:
             self.adhoc = AdhocSyncEngine(self.algorithm)
             if config.adhoc_suppress:
-                self.algorithm.suppressor = self.adhoc.sync_addrs.__contains__
+                self.algorithm.suppressor = self.adhoc.sync_addrs
         k = config.spin_max_blocks
         self.wide_loops: FrozenSet[int] = frozenset(
             i for i, size in (loop_sizes or {}).items() if size > k
@@ -272,6 +575,15 @@ class RaceDetector:
         #: rows that passed the configuration filter (a replay's count)
         self.events_accepted = 0
         self._finalized = False
+        self._kernel = build_kernel(
+            self.algorithm,
+            self.adhoc,
+            skip_lib=config.intercept_lib,
+            match_sync_reads=config.adhoc_variable_level,
+            wide=self.wide_loops,
+            lock_sites=self.lock_sites,
+            cv_monitor=self.cv_monitor,
+        )
 
     # -- VM attachment -----------------------------------------------------
 
@@ -301,7 +613,8 @@ class RaceDetector:
     def consume_batch(self, rows: Iterable[tuple]) -> None:
         """Consume rows ``(kind, tid, addr, value, loc, atomic,
         in_library, aux)`` in stream order (see
-        :func:`repro.vm.events.event_row`).
+        :func:`repro.vm.events.event_row`) through the kernel built for
+        this configuration (:func:`build_kernel`).
 
         The configuration filter is applied inline: library-internal
         memory and marker rows in lib mode, marker rows without an
@@ -311,117 +624,9 @@ class RaceDetector:
         :attr:`events_processed`; the rows that pass the filter also
         count towards :attr:`events_accepted`.
         """
-        cfg = self.config
-        skip_lib = cfg.intercept_lib
-        algo = self.algorithm
-        aread, awrite = algo.read, algo.write
-        adhoc = self.adhoc
-        match = sync_addrs = None
-        if adhoc is not None:
-            if cfg.adhoc_variable_level:
-                match, sync_addrs = adhoc.match, adhoc.sync_addrs
-            cond_read, loop_enter, loop_exit = (
-                adhoc.cond_read, adhoc.loop_enter, adhoc.loop_exit
-            )
-        wide = self.wide_loops
-        lock_sites = self.lock_sites
-        n = dropped = 0
-        for n, (kind, tid, addr, value, loc, atomic, in_lib, aux) in enumerate(rows, 1):
-            if kind == READ:
-                if in_lib and skip_lib:
-                    dropped += 1
-                elif sync_addrs is not None and addr in sync_addrs:
-                    match(tid, addr, value)
-                    aread(tid, addr, loc, atomic)
-                else:
-                    aread(tid, addr, loc, atomic)
-            elif kind == WRITE:
-                if in_lib and skip_lib:
-                    dropped += 1
-                    continue
-                if lock_sites:
-                    self._inferred_lock_write(tid, addr, value, loc, atomic)
-                awrite(tid, addr, value, loc, atomic)
-            elif kind <= LOOP_EXIT:
-                if adhoc is None or (in_lib and skip_lib) or aux in wide:
-                    dropped += 1
-                elif kind == COND_READ:
-                    cond_read(tid, aux, addr, value)
-                elif kind == LOOP_ENTER:
-                    loop_enter(tid, aux)
-                else:
-                    loop_exit(tid, aux)
-            elif kind <= LIB_EXIT:
-                # Annotations are honoured only in lib mode, and only
-                # when not nested inside another library call.
-                if not skip_lib or in_lib:
-                    dropped += 1
-                elif kind == LIB_ENTER:
-                    self._lib_enter(aux)
-                else:
-                    self._lib_exit(aux)
-            elif kind == SPAWN:
-                algo.spawn(tid, aux.child)
-            elif kind == JOIN:
-                algo.join(tid, aux.joined)
-            else:
-                dropped += 1
+        n, accepted = self._kernel(rows)
         self.events_processed += n
-        self.events_accepted += n - dropped
-
-    # -- inferred-lock handling (future work, slide 33) ------------------
-
-    def _inferred_lock_write(
-        self, tid: int, addr: int, value: int, loc, atomic: bool
-    ) -> None:
-        """Successful CAS at an inferred acquire site = lock acquire;
-        the holder's store of 0 to the lock word = release."""
-        if atomic and loc in self.lock_sites:
-            self.algorithm.acquire_lock(tid, addr)
-            if self.adhoc is not None:
-                self.adhoc.inferred_locks.add(addr)
-                self.adhoc.sync_addrs.add(addr)
-        elif value == 0 and self.algorithm.holds(tid, addr):
-            self.algorithm.release_lock(tid, addr)
-
-    # -- annotation semantics ---------------------------------------------
-
-    def _lib_enter(self, e: ev.LibEnter) -> None:
-        algo = self.algorithm
-        kind = e.kind
-        if kind is SyncKind.LOCK_RELEASE:
-            algo.release_lock(e.tid, e.obj_addr)
-        elif kind in (SyncKind.CV_SIGNAL, SyncKind.CV_BROADCAST):
-            algo.signal(e.tid, e.obj_addr)
-            if self.cv_monitor is not None:
-                self.cv_monitor.signal(e.obj_addr)
-        elif kind is SyncKind.CV_WAIT:
-            if self.cv_monitor is not None:
-                self.cv_monitor.wait_enter(e.tid, e.obj_addr, e.loc)
-            # pthread semantics: the wait releases the mutex on entry.
-            if e.obj2_addr is not None:
-                algo.release_lock(e.tid, e.obj2_addr)
-        elif kind is SyncKind.BARRIER_WAIT:
-            algo.barrier_enter(e.tid, e.obj_addr)
-        elif kind is SyncKind.SEM_POST:
-            algo.sem_post(e.tid, e.obj_addr)
-        # LOCK_ACQUIRE, SEM_WAIT, SYNC_INIT act on exit.
-
-    def _lib_exit(self, e: ev.LibExit) -> None:
-        algo = self.algorithm
-        kind = e.kind
-        if kind is SyncKind.LOCK_ACQUIRE:
-            algo.acquire_lock(e.tid, e.obj_addr)
-        elif kind is SyncKind.CV_WAIT:
-            if self.cv_monitor is not None:
-                self.cv_monitor.wait_exit(e.tid, e.obj_addr, e.loc)
-            algo.wait_return(e.tid, e.obj_addr)
-            if e.obj2_addr is not None:
-                algo.acquire_lock(e.tid, e.obj2_addr)
-        elif kind is SyncKind.BARRIER_WAIT:
-            algo.barrier_leave(e.tid, e.obj_addr)
-        elif kind is SyncKind.SEM_WAIT:
-            algo.sem_wait_return(e.tid, e.obj_addr)
+        self.events_accepted += accepted
 
     # -- end-of-run diagnostics ------------------------------------------
 

@@ -14,17 +14,14 @@ knowledge, no coarse condvar heuristics: precise on what it sees, but
 
 from __future__ import annotations
 
-from typing import FrozenSet
-
 from repro.detectors.base import VectorClockAlgorithm
 
 
 class PureHappensBeforeAlgorithm(VectorClockAlgorithm):
-    """DRD stand-in: hb-only, locks included in hb."""
+    """DRD stand-in: hb-only, locks included in hb.
+
+    Happens-before is the only criterion; nothing excuses a pair.
+    """
 
     locks_as_hb = True
     name = "pure-hb"
-
-    def _excused(self, prev_lockset: FrozenSet[int], cur_lockset: FrozenSet[int]) -> bool:
-        # Happens-before is the only criterion; nothing else excuses a pair.
-        return False

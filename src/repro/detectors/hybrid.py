@@ -22,19 +22,15 @@ supersedes.
 
 from __future__ import annotations
 
-from typing import FrozenSet
-
 from repro.detectors.base import VectorClockAlgorithm
 
 
 class HybridAlgorithm(VectorClockAlgorithm):
-    """Helgrind+ stand-in: lockset filter, hb for non-lock sync."""
+    """Helgrind+ stand-in: lockset filter, hb for non-lock sync.
+
+    With ``locks_as_hb`` off the kernel excuses a concurrent pair whose
+    two accesses held a common lock — the lockset filter.
+    """
 
     locks_as_hb = False
     name = "hybrid"
-
-    def _excused(self, prev_lockset: FrozenSet[int], cur_lockset: FrozenSet[int]) -> bool:
-        # The lockset filter: a common lock protects the pair.
-        if not prev_lockset or not cur_lockset:
-            return False
-        return not prev_lockset.isdisjoint(cur_lockset)

@@ -25,10 +25,10 @@ Exposed as ``ToolConfig.eraser()`` for background comparisons.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Optional, Set
+from typing import Dict, FrozenSet, Optional, Set, Tuple
 
 from repro.isa.program import CodeLocation
-from repro.detectors.base import VectorClockAlgorithm, WriteRecord
+from repro.detectors.base import VectorClockAlgorithm
 from repro.detectors.reports import AccessInfo, RaceWarning
 
 
@@ -39,7 +39,9 @@ class _EraserCell:
         self.lockset: Optional[FrozenSet[int]] = None  # None = all locks
         self.tids: Set[int] = set()
         self.saw_write = False
-        self.last: Optional[AccessInfo] = None
+        #: the previous access as ``(tid, loc, is_write, atomic)``; an
+        #: :class:`AccessInfo` is built from it only when reporting
+        self.last: Optional[Tuple[int, CodeLocation, bool, bool]] = None
         self.reported: Set[str] = set()
 
 
@@ -47,8 +49,8 @@ class EraserAlgorithm(VectorClockAlgorithm):
     """Classic lockset refinement; ignores every non-lock sync operation.
 
     Subclasses :class:`VectorClockAlgorithm` for the lock-tracking and
-    reporting plumbing but replaces the access logic entirely — no
-    vector clocks are consulted.
+    reporting plumbing but replaces the access check entirely with
+    :meth:`lockset_access` — no vector clocks are consulted.
     """
 
     locks_as_hb = False
@@ -83,49 +85,49 @@ class EraserAlgorithm(VectorClockAlgorithm):
     def sem_wait_return(self, tid: int, obj: int) -> None:  # noqa: D102
         pass
 
-    def _eraser_cell(self, addr: int) -> _EraserCell:
-        cell = self._cells.get(addr)
-        if cell is None:
-            cell = _EraserCell()
-            self._cells[addr] = cell
-        return cell
-
-    def _access(
+    def lockset_access(
         self, tid: int, addr: int, loc: CodeLocation, is_write: bool, atomic: bool
     ) -> None:
-        if self.suppressor is not None and self.suppressor(addr):
-            return
-        self.accesses_checked += 1
-        cell = self._eraser_cell(addr)
-        me = AccessInfo(tid, loc, is_write, atomic)
+        """Refine and check one unsuppressed access.
+
+        Called by the detector kernel in place of the vector-clock
+        check; the kernel also keeps the shadow write history (the
+        ad-hoc engine's counterpart matching reads it).
+        """
+        cell = self._cells.get(addr)
+        if cell is None:
+            cell = self._cells[addr] = _EraserCell()
+        held = self._held_frozen.get(tid)
+        if held is None:
+            held = self._locks(tid)
 
         # Slide 8: refine the candidate set on every access.
-        held = self._locks(tid)
         cell.lockset = held if cell.lockset is None else (cell.lockset & held)
         cell.tids.add(tid)
         cell.saw_write = cell.saw_write or is_write
 
-        pair_has_write = is_write or (cell.last is not None and cell.last.is_write)
-        both_atomic = atomic and cell.last is not None and cell.last.atomic
-        violating = (
+        last = cell.last
+        cell.last = (tid, loc, is_write, atomic)
+        if last is None:
+            return
+        last_tid, last_loc, last_write, last_atomic = last
+        if (
             not cell.lockset
+            and last_tid != tid
+            and (is_write or last_write)
+            and not (atomic and last_atomic)
             and len(cell.tids) >= 2
             and cell.saw_write
-            and pair_has_write
-            and not both_atomic
-            and cell.last is not None
-            and cell.last.tid != tid
-        )
-        if violating:
+        ):
             kind = (
                 "write-write"
-                if is_write and cell.last.is_write
-                else ("write-read" if cell.last.is_write else "read-write")
+                if is_write and last_write
+                else ("write-read" if last_write else "read-write")
             )
             # Dedup on the *unordered* location pair plus access kind:
             # the same conflicting pair must not be reported a second
             # time just because the two threads' access orders swapped.
-            pair = "|".join(sorted((str(cell.last.loc), str(loc))))
+            pair = "|".join(sorted((str(last_loc), str(loc))))
             key = f"{pair}|{'ww' if kind == 'write-write' else 'rw'}"
             if key not in cell.reported:
                 cell.reported.add(key)
@@ -133,31 +135,11 @@ class EraserAlgorithm(VectorClockAlgorithm):
                     RaceWarning(
                         addr=addr,
                         symbol=self.symbolize(addr),
-                        prev=cell.last,
-                        cur=me,
+                        prev=AccessInfo(*last),
+                        cur=AccessInfo(tid, loc, is_write, atomic),
                         kind=kind,
                     )
                 )
-        cell.last = me
-
-    def read(self, tid: int, addr: int, loc: CodeLocation, atomic: bool) -> None:
-        self._access(tid, addr, loc, False, atomic)
-        # Keep the shadow write history for the ad-hoc engine's matching.
-
-    def write(
-        self, tid: int, addr: int, value: int, loc: CodeLocation, atomic: bool
-    ) -> None:
-        self._access(tid, addr, loc, True, atomic)
-        super_cell = self._cell(addr)
-        t = self.thread(tid)
-        w = super_cell.write
-        if w is not None and w.tid == tid:
-            w.update(t.clock, value, loc, atomic, self._locks(tid), t.frame())
-        else:
-            super_cell.write = WriteRecord(
-                tid, t.clock, value, loc, atomic, self._locks(tid), t.frame()
-            )
-        t.tick()
 
     def memory_words(self) -> int:
         words = super().memory_words()

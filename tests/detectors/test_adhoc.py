@@ -13,7 +13,7 @@ L = lambda i: CodeLocation("f", "b", i)
 def _engine():
     algo = HybridAlgorithm(Report("hy"))
     eng = AdhocSyncEngine(algo)
-    algo.suppressor = eng.sync_addrs.__contains__
+    algo.suppressor = eng.sync_addrs
     return eng, algo
 
 

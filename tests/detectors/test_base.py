@@ -175,14 +175,14 @@ class TestSyncOperations:
 class TestSuppression:
     def test_suppressed_address_not_checked(self):
         sync = {0x10}
-        a = _hb(suppressor=lambda addr: addr in sync)
+        a = _hb(suppressor=sync)
         a.write(1, 0x10, 1, L(0), False)
         a.read(2, 0x10, L(1), False)
         assert a.report.racy_contexts == 0
 
     def test_suppressed_write_still_recorded_for_adhoc(self):
         sync = {0x10}
-        a = _hb(suppressor=lambda addr: addr in sync)
+        a = _hb(suppressor=sync)
         a.write(1, 0x10, 7, L(0), False)
         rec = a.last_write(0x10)
         assert rec is not None and rec.value == 7 and rec.tid == 1
