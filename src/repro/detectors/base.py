@@ -84,7 +84,7 @@ common exits:
 
 from __future__ import annotations
 
-from typing import Callable, Container, Dict, FrozenSet, Mapping, Optional, Set, Tuple
+from typing import AbstractSet, Callable, Container, Dict, FrozenSet, Mapping, Optional, Set, Tuple
 
 from repro.isa.program import CodeLocation
 from repro.detectors.reports import AccessInfo, RaceWarning, Report
@@ -94,7 +94,7 @@ from repro.vm.events import READ, WRITE
 #: addresses whose accesses skip the race check
 Suppressor = Container[int]
 
-_EMPTY: FrozenSet[int] = frozenset()
+_EMPTY: FrozenSet = frozenset()
 
 
 class WriteRecord:
@@ -190,7 +190,9 @@ class _ShadowCell:
         self.write: Optional[WriteRecord] = None
         self.reads: Dict[int, ReadRecord] = {}
         self.offenses = 0
-        self.reported: Set[Tuple[str, str, str]] = set()
+        #: reported ``(prev_loc, cur_loc, kind)`` pairs; a set from the
+        #: first report on (most cells never get one)
+        self.reported: AbstractSet[Tuple[CodeLocation, CodeLocation, str]] = _EMPTY
 
 
 class _BarrierEpisode:
@@ -286,18 +288,23 @@ class VectorClockAlgorithm:
             if cell.offenses < 2:
                 return
         key = (prev_loc, cur_loc, kind)
-        if key in cell.reported:
+        reported = cell.reported
+        if key in reported:
             return
-        cell.reported.add(key)
-        self.report.add(
-            RaceWarning(
-                addr=addr,
-                symbol=self.symbolize(addr),
-                prev=AccessInfo(prev_tid, prev_loc, prev_is_write, prev_atomic),
-                cur=AccessInfo(cur_tid, cur_loc, cur_is_write, cur_atomic),
-                kind=kind,
+        if not reported:
+            reported = cell.reported = set()
+        reported.add(key)
+        symbol = self.symbolize(addr)
+        if self.report.admit(symbol, prev_loc, cur_loc):
+            self.report.warnings.append(
+                RaceWarning(
+                    addr=addr,
+                    symbol=symbol,
+                    prev=AccessInfo(prev_tid, prev_loc, prev_is_write, prev_atomic),
+                    cur=AccessInfo(cur_tid, cur_loc, cur_is_write, cur_atomic),
+                    kind=kind,
+                )
             )
-        )
 
     # -- thread lifecycle ----------------------------------------------------
 

@@ -312,7 +312,7 @@ def build_kernel(
     threads, shadow, held_frozen = algo.threads, algo.shadow, algo._held_frozen
     new_thread, new_cell, locks = algo.thread, algo._cell, algo._locks
     spawn, join = algo.spawn, algo.join
-    acquire_lock, release_lock, held_locks = algo.acquire_lock, algo.release_lock, algo._held
+    acquire_lock, release_lock, holds = algo.acquire_lock, algo.release_lock, algo.holds
     long_run = algo.long_run
     lockset_excuse = not algo.locks_as_hb
     eraser = algo.lockset_access if isinstance(algo, EraserAlgorithm) else None
@@ -323,8 +323,6 @@ def build_kernel(
         sync_addrs, inferred_locks, active = (
             adhoc.sync_addrs, adhoc.inferred_locks, adhoc._active
         )
-        if suppress and suppressed is not sync_addrs:
-            raise ValueError("with an ad-hoc engine, suppress its sync_addrs")
     #: reads of these addresses are matched, suppressed, or both
     flags = sync_addrs if matching else suppressed
 
@@ -402,7 +400,7 @@ def build_kernel(
                         if adhoc is not None:
                             inferred_locks.add(addr)
                             sync_addrs.add(addr)
-                    elif value == 0 and addr in held_locks.get(tid, _NO_ADDRS):
+                    elif value == 0 and holds(tid, addr):
                         release_lock(tid, addr)
                 t = threads.get(tid) or new_thread(tid)
                 cell = shadow.get(addr) or new_cell(addr)

@@ -129,12 +129,15 @@ class EraserAlgorithm(VectorClockAlgorithm):
             # time just because the two threads' access orders swapped.
             pair = "|".join(sorted((str(last_loc), str(loc))))
             key = f"{pair}|{'ww' if kind == 'write-write' else 'rw'}"
-            if key not in cell.reported:
-                cell.reported.add(key)
-                self.report.add(
+            if key in cell.reported:
+                return
+            cell.reported.add(key)
+            symbol = self.symbolize(addr)
+            if self.report.admit(symbol, last_loc, loc):
+                self.report.warnings.append(
                     RaceWarning(
                         addr=addr,
-                        symbol=self.symbolize(addr),
+                        symbol=symbol,
                         prev=AccessInfo(*last),
                         cur=AccessInfo(tid, loc, is_write, atomic),
                         kind=kind,

@@ -26,6 +26,15 @@ class AccessInfo:
     atomic: bool = False
 
 
+def context_key(
+    symbol: str, prev_loc: CodeLocation, cur_loc: CodeLocation, granularity: str = "symbol"
+) -> Tuple[str, FrozenSet[str]]:
+    """The racy context of a pair on ``symbol`` (see
+    :meth:`RaceWarning.context_key`)."""
+    name = symbol.split("+", 1)[0] if granularity == "symbol" else symbol
+    return (name, frozenset((str(prev_loc), str(cur_loc))))
+
+
 @dataclass(frozen=True)
 class RaceWarning:
     """A reported (potential) data race."""
@@ -51,8 +60,7 @@ class RaceWarning:
         array-heavy PARSEC programs in the paper's tables while
         Helgrind+ stays in the tens-to-hundreds.
         """
-        name = self.base_symbol if granularity == "symbol" else self.symbol
-        return (name, frozenset((str(self.prev.loc), str(self.cur.loc))))
+        return context_key(self.symbol, self.prev.loc, self.cur.loc, granularity)
 
     def __str__(self) -> str:
         return (
@@ -86,14 +94,23 @@ class Report:
 
     def add(self, warning: RaceWarning) -> bool:
         """Record ``warning``; returns True if it opened a new context."""
-        self.raw_count += 1
-        key = warning.context_key(self.granularity)
-        if key in self.contexts:
+        if not self.admit(warning.symbol, warning.prev.loc, warning.cur.loc):
             return False
-        if len(self.contexts) >= self.cap:
+        self.warnings.append(warning)
+        return True
+
+    def admit(self, symbol: str, prev_loc: CodeLocation, cur_loc: CodeLocation) -> bool:
+        """Count one submission and open its context if it is new and
+        under the cap; a True caller appends the warning itself.
+
+        Detectors admit before they build a :class:`RaceWarning`: most
+        submissions land in a context that is already open.
+        """
+        self.raw_count += 1
+        key = context_key(symbol, prev_loc, cur_loc, self.granularity)
+        if key in self.contexts or len(self.contexts) >= self.cap:
             return False
         self.contexts.add(key)
-        self.warnings.append(warning)
         return True
 
     @property
