@@ -3,9 +3,10 @@
 Kernel-level twins of :mod:`tests.detectors.test_epoch_fast_path`: the
 same-epoch hit, the classified-flag read and the already-reported pair,
 fed as rows to a :class:`RaceDetector` built for ``drd`` and for
-``helgrind-lib-spin7``.
+``helgrind-lib-spin7``; and the cycle collector's pause around a batch.
 """
 
+import gc
 from dataclasses import replace
 
 import pytest
@@ -114,3 +115,22 @@ def test_long_run_still_reports_the_second_offense(preset, monkeypatch):
     # before the report
     det.consume_batch([read(2, DATA, L(1)), write(2, OTHER, L(2)), read(2, DATA, L(1))])
     assert len(calls) == 2 and len(det.report.warnings) == 1
+
+
+def test_batch_pauses_the_cycle_collector_and_restores_it():
+    det = RaceDetector(ToolConfig.preset("drd"))
+    seen = []
+
+    def rows():
+        seen.append(gc.isenabled())
+        yield read(1, DATA, L(0))
+
+    assert gc.isenabled()
+    det.consume_batch(rows())
+    assert seen == [False] and gc.isenabled()
+    gc.disable()
+    try:
+        det.consume_batch(rows())
+        assert not gc.isenabled()  # a caller's own pause is kept
+    finally:
+        gc.enable()
