@@ -103,8 +103,8 @@ class Report:
         """Count one submission and open its context if it is new and
         under the cap; a True caller appends the warning itself.
 
-        Detectors admit before they build a :class:`RaceWarning`: most
-        submissions land in a context that is already open.
+        Detectors admit before they build a :class:`RaceWarning`: about
+        half of the PARSEC submissions land in a context already open.
         """
         self.raw_count += 1
         key = context_key(symbol, prev_loc, cur_loc, self.granularity)
