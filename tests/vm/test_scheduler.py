@@ -1,5 +1,8 @@
 """Scheduler determinism and fairness properties."""
 
+import random
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -173,3 +176,181 @@ def test_adversarial_picks_only_runnable(seed):
     for runnable in ([0, 1], [2], [0, 3, 5]):
         for _ in range(10):
             assert s.pick(runnable) in runnable
+
+
+# ---------------------------------------------------------------------------
+# Pick-sequence equivalence with the decaying-penalty schedulers
+# ---------------------------------------------------------------------------
+#
+# Verbatim copies of the schedulers as they stood before yield penalties
+# became expiry stamps.  Every golden fingerprint depends on the exact
+# pick sequence, so the production schedulers must reproduce these picks
+# — and consume the seeded RNG identically — for any runnable sequence,
+# any yields and any parameters.
+
+
+def _ref_decay_penalties(penalties):
+    for tid, p in list(penalties.items()):
+        if p <= 1:
+            del penalties[tid]
+        else:
+            penalties[tid] = p - 1
+
+
+class _RefRoundRobin:
+    def __init__(self, penalty=8):
+        self._last = -1
+        self._penalty_steps = penalty
+        self._penalties = {}
+
+    def pick(self, runnable):
+        penalties = self._penalties
+        if penalties:
+            eligible = [t for t in runnable if penalties.get(t, 0) == 0]
+            pool = eligible if eligible else list(runnable)
+            _ref_decay_penalties(penalties)
+        else:
+            pool = runnable
+        last = self._last
+        later = [t for t in pool if t > last]
+        chosen = min(later) if later else min(pool)
+        self._last = chosen
+        return chosen
+
+    def on_yield(self, tid):
+        self._penalties[tid] = self._penalty_steps
+
+
+class _RefRandom:
+    def __init__(self, seed=0, penalty=8):
+        self._rng = random.Random(seed)
+        self._penalty_steps = penalty
+        self._penalties = {}
+
+    def pick(self, runnable):
+        penalties = self._penalties
+        if not penalties:
+            return (
+                runnable[self._rng.randrange(len(runnable))]
+                if len(runnable) > 1
+                else runnable[0]
+            )
+        eligible = [t for t in runnable if penalties.get(t, 0) == 0]
+        pool = eligible if eligible else list(runnable)
+        _ref_decay_penalties(penalties)
+        return pool[self._rng.randrange(len(pool))] if len(pool) > 1 else pool[0]
+
+    def on_yield(self, tid):
+        self._penalties[tid] = self._penalty_steps
+
+
+class _RefAdversarial:
+    def __init__(self, seed=0, burst=24):
+        self._rng = random.Random(seed)
+        self._burst = burst
+        self._remaining = 0
+        self._current = -1
+        self._penalties = {}
+
+    def pick(self, runnable):
+        penalties = self._penalties
+        if not penalties:
+            if self._remaining > 0 and self._current in runnable:
+                self._remaining -= 1
+                return self._current
+            pool = runnable
+        else:
+            _ref_decay_penalties(penalties)
+            if (
+                self._remaining > 0
+                and self._current in runnable
+                and penalties.get(self._current, 0) == 0
+            ):
+                self._remaining -= 1
+                return self._current
+            eligible = [t for t in runnable if penalties.get(t, 0) == 0]
+            pool = eligible if eligible else list(runnable)
+        self._current = pool[self._rng.randrange(len(pool))] if len(pool) > 1 else pool[0]
+        self._remaining = self._rng.randrange(1, self._burst)
+        return self._current
+
+    def on_yield(self, tid):
+        self._penalties[tid] = 8
+        if tid == self._current:
+            self._remaining = 0
+
+
+def _scheduler_pair(kind, seed, penalty, burst):
+    if kind == "round-robin":
+        return RoundRobinScheduler(penalty=penalty), _RefRoundRobin(penalty=penalty)
+    if kind == "random":
+        return RandomScheduler(seed, penalty=penalty), _RefRandom(seed, penalty=penalty)
+    return AdversarialScheduler(seed, burst=burst), _RefAdversarial(seed, burst=burst)
+
+
+#: One scheduling step: the runnable set as a bitmask over tids 0-15, then
+#: an action after the pick — 0-3 the yielder (an index into the runnable
+#: set) yields, 0-1 of those also block it for ``hold`` picks, 4-9 nothing.
+_steps = st.lists(
+    st.tuples(
+        st.integers(1, 2**16 - 1),
+        st.integers(0, 9),
+        st.integers(0, 15),
+        st.integers(1, 20),
+    ),
+    min_size=1,
+    max_size=300,
+)
+
+
+@given(
+    kind=st.sampled_from(["round-robin", "random", "adversarial"]),
+    seed=st.integers(0, 2**32 - 1),
+    penalty=st.integers(0, 12),
+    burst=st.integers(2, 40),
+    steps=_steps,
+)
+@settings(max_examples=300, deadline=None)
+def test_picks_match_decaying_penalty_reference(kind, seed, penalty, burst, steps):
+    """Same picks, same RNG consumption, as the pre-stamp schedulers —
+    over changing runnable sets of 1-16 tids, yields at random picks, and
+    yielders that stay blocked (absent from ``runnable``) for a while."""
+    sched, ref = _scheduler_pair(kind, seed, penalty, burst)
+    blocked = {}  # tid -> picks it stays out of the runnable set
+    for i, (mask, action, who, hold) in enumerate(steps):
+        runnable = [t for t in range(16) if mask >> t & 1 and t not in blocked]
+        if not runnable:
+            runnable = [min(blocked)]
+        chosen = sched.pick(runnable)
+        assert chosen == ref.pick(runnable), f"pick {i}"
+        for t in list(blocked):
+            blocked[t] -= 1
+            if blocked[t] <= 0:
+                del blocked[t]
+        if action < 4:
+            # Usually the thread that just ran yields (a spin-loop
+            # backoff); sometimes another one does.  It may block right
+            # after, e.g. on a lock, and miss picks while penalized.
+            yielder = chosen if who >= len(runnable) else runnable[who]
+            sched.on_yield(yielder)
+            ref.on_yield(yielder)
+            if action < 2:
+                blocked[yielder] = hold
+    # The RNG streams are still in lockstep after the last pick.
+    if kind != "round-robin":
+        assert sched._rng.getstate() == ref._rng.getstate()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**31 - 1])
+def test_random_draws_equal_randrange(seed):
+    """``RandomScheduler``'s bounded draw is the interpreter's
+    ``random.Random.randrange(n)`` — the golden corpus pins random
+    schedules, so this guards the draw on every supported CPython.  A
+    one-thread pool returns without drawing."""
+    s = RandomScheduler(seed)
+    ref = random.Random(seed)
+    for n in range(1, 65):
+        runnable = list(range(100, 100 + n))
+        for _ in range(8):
+            expected = 100 + (ref.randrange(n) if n > 1 else 0)
+            assert s.pick(runnable) == expected, n
