@@ -154,7 +154,8 @@ def canonical_scheduler(spec: Optional[str] = None) -> str:
     The canonical form is ``kind`` or ``kind:key=value,...`` with the
     parameters sorted by name, so two spellings of the same policy hash
     to the same cache/trace key.  Raises ``ValueError`` for unknown
-    kinds or parameters.
+    kinds or parameters, and for values the scheduler would reject
+    (``penalty < 0``, ``burst < 2``) — before they reach a key.
     """
     if spec is None or spec == "":
         return DEFAULT_SCHEDULER
@@ -168,6 +169,8 @@ def canonical_scheduler(spec: Optional[str] = None) -> str:
     _, allowed = _SCHEDULER_KINDS[kind]
     params: Dict[str, int] = {}
     if rest.strip():
+        from repro.vm.scheduler import check_param
+
         for item in rest.split(","):
             key, sep, value = item.partition("=")
             key = key.strip()
@@ -183,6 +186,7 @@ def canonical_scheduler(spec: Optional[str] = None) -> str:
                     f"scheduler parameter {key}={value.strip()!r} is not an "
                     f"integer"
                 ) from None
+            check_param(key, params[key])
     if not params:
         return kind
     args = ",".join(f"{k}={v}" for k, v in sorted(params.items()))

@@ -57,7 +57,7 @@ class TestRoundRobin:
         s.on_yield(0)
         for _ in range(4):
             assert s.pick([1]) == 1
-        assert s._penalties.get(0, 0) == 0
+        assert s.penalties().get(0, 0) == 0
 
 
 class TestRandom:
@@ -91,7 +91,7 @@ class TestRandom:
         s.on_yield(0)
         for _ in range(4):
             assert s.pick([1]) == 1  # thread 0 is blocked meanwhile
-        assert s._penalties.get(0, 0) == 0
+        assert s.penalties().get(0, 0) == 0
         # Woken thread competes immediately: it shows up among the next
         # few picks instead of being starved for another full window.
         picks = [s.pick([0, 1]) for _ in range(10)]
@@ -142,7 +142,7 @@ class TestAdversarial:
         s.on_yield(0)  # fixed penalty of 8
         for _ in range(8):
             assert s.pick([1]) == 1
-        assert s._penalties.get(0, 0) == 0
+        assert s.penalties().get(0, 0) == 0
 
 
 @given(
@@ -288,12 +288,14 @@ def _scheduler_pair(kind, seed, penalty, burst):
     return AdversarialScheduler(seed, burst=burst), _RefAdversarial(seed, burst=burst)
 
 
-#: One scheduling step: the runnable set as a bitmask over tids 0-15, then
-#: an action after the pick — 0-3 the yielder (an index into the runnable
-#: set) yields, 0-1 of those also block it for ``hold`` picks, 4-9 nothing.
+#: One scheduling step: the runnable set as a bitmask over tids 0-15 (half
+#: the time over tids 0-3, so every runnable thread is often penalized at
+#: once), then an action after the pick — 0-3 the yielder (an index into
+#: the runnable set) yields, 0-1 of those also block it for ``hold``
+#: picks, 4-9 nothing.
 _steps = st.lists(
     st.tuples(
-        st.integers(1, 2**16 - 1),
+        st.one_of(st.integers(1, 2**4 - 1), st.integers(1, 2**16 - 1)),
         st.integers(0, 9),
         st.integers(0, 15),
         st.integers(1, 20),
@@ -354,3 +356,84 @@ def test_random_draws_equal_randrange(seed):
         for _ in range(8):
             expected = 100 + (ref.randrange(n) if n > 1 else 0)
             assert s.pick(runnable) == expected, n
+
+
+class TestPenaltiesView:
+    def test_counts_down_per_pick(self):
+        s = RandomScheduler(0, penalty=4)
+        s.on_yield(0)
+        assert s.penalties() == {0: 4}
+        s.pick([1])
+        assert s.penalties() == {0: 3}
+        s.on_yield(1)
+        assert s.penalties() == {0: 3, 1: 4}
+
+    def test_zero_penalty_leaves_nothing_outstanding(self):
+        s = RoundRobinScheduler(penalty=0)
+        s.on_yield(0)
+        assert s.penalties() == {}
+        assert s.pick([0, 1]) == 0
+
+    def test_adversarial_window_is_one_pick_shorter(self):
+        s = AdversarialScheduler(3)
+        s.on_yield(0)
+        assert s.penalties() == {0: AdversarialScheduler.PENALTY - 1}
+
+    def test_view_is_a_copy(self):
+        s = RandomScheduler(0)
+        s.on_yield(0)
+        s.penalties().clear()
+        assert s.penalties() == {0: 8}
+
+
+class TestParameterRanges:
+    """Out-of-range parameters fail where they are given, naming the
+    parameter — never at the first pick, and never by silently running a
+    different policy."""
+
+    @pytest.mark.parametrize(
+        "make, name",
+        [
+            (lambda: RandomScheduler(0, penalty=-3), "penalty"),
+            (lambda: RoundRobinScheduler(penalty=-1), "penalty"),
+            (lambda: AdversarialScheduler(0, burst=1), "burst"),
+            (lambda: AdversarialScheduler(0, burst=0), "burst"),
+        ],
+    )
+    def test_constructors_reject(self, make, name):
+        with pytest.raises(ValueError, match=name):
+            make()
+
+    def test_boundary_values_are_accepted(self):
+        RandomScheduler(0, penalty=0)
+        RoundRobinScheduler(penalty=0)
+        s = AdversarialScheduler(0, burst=2)
+        assert [s.pick([0, 1]) for _ in range(10)]
+
+    @pytest.mark.parametrize(
+        "spec, name",
+        [
+            ("adversarial:burst=1", "burst"),
+            ("random:penalty=-3", "penalty"),
+            ("round-robin:penalty=-1", "penalty"),
+        ],
+    )
+    def test_canonical_scheduler_rejects(self, spec, name):
+        from repro.harness.registry import build_scheduler, canonical_scheduler
+
+        with pytest.raises(ValueError, match=name):
+            canonical_scheduler(spec)
+        with pytest.raises(ValueError, match=name):
+            build_scheduler(spec, 1)
+
+    def test_canonical_scheduler_keeps_boundary_values(self):
+        from repro.harness.registry import canonical_scheduler
+
+        assert canonical_scheduler("adversarial:burst=2") == "adversarial:burst=2"
+        assert canonical_scheduler("random:penalty=0") == "random:penalty=0"
+
+    def test_run_rejects_before_executing(self):
+        import repro
+
+        with pytest.raises(ValueError, match="burst"):
+            repro.run("streamcluster", "drd", scheduler="adversarial:burst=1")
