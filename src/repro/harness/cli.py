@@ -89,7 +89,7 @@ from repro.detectors import ToolConfig
 from repro.harness.metrics import racy_contexts_table, score_suite
 from repro.harness.parallel import ResultCache, run_sweep, sweep_specs
 from repro.harness.perf import measure_overhead, overhead_summary
-from repro.harness.registry import resolve_tool
+from repro.harness.registry import canonical_scheduler, resolve_tool
 from repro.harness.tables import (
     contexts_table,
     format_table,
@@ -97,6 +97,16 @@ from repro.harness.tables import (
     sweep_records_table,
     sweep_summary_table,
 )
+
+
+def _scheduler_spec(spec: str) -> str:
+    """``--scheduler`` type: reject a spec ``canonical_scheduler`` would
+    (unknown kind or parameter, out-of-range value) at parse time."""
+    try:
+        canonical_scheduler(spec)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return spec
 
 
 def _tools(args: argparse.Namespace) -> Sequence[ToolConfig]:
@@ -881,6 +891,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     parser.add_argument(
         "--scheduler",
+        type=_scheduler_spec,
         default=None,
         help=(
             "sweep/trace: scheduling policy spec (random, round-robin, "

@@ -54,7 +54,7 @@ class Scheduler:
     the last pick it sits out) and ``_horizon`` (the largest stamp).
     """
 
-    def __init__(self, window: int = 0) -> None:
+    def __init__(self, window: int) -> None:
         #: Picks a yielding thread sits out.
         self._window = window
         self._picks = 0
@@ -150,11 +150,10 @@ class AdversarialScheduler(Scheduler):
     threads land in the same unsynchronized window.
 
     A yield ends the yielder's burst and penalizes it for a fixed
-    ``PENALTY`` of 8 picks.  The penalty used to be ticked down *before*
-    a pick filtered on it, so its window is one pick shorter than
-    Random's and RoundRobin's: a yielder sits out the next 7 picks.  The
-    stamp keeps that window, as every recorded adversarial schedule
-    depends on it.
+    ``PENALTY`` of 8 picks, counted down *before* the pick that filters
+    on it: the window is one pick shorter than Random's and
+    RoundRobin's, and a yielder sits out the next 7 picks.  Every
+    recorded adversarial schedule depends on that window.
 
     Used by the ground-truth oracle in the harness to confirm that racy
     test programs really can produce divergent outcomes.

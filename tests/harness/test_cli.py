@@ -34,6 +34,13 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["nope"])
 
+    @pytest.mark.parametrize("spec", ["adversarial:burst=1", "random:penalty=-3"])
+    def test_out_of_range_scheduler_rejected_at_parse_time(self, spec, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--scheduler", spec, "sweep"])
+        assert exc.value.code == 2
+        assert "out of range" in capsys.readouterr().err
+
     def test_t4_with_one_seed(self, capsys):
         assert main(["--seeds", "1", "t4"]) == 0
         out = capsys.readouterr().out
