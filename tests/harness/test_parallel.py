@@ -191,6 +191,85 @@ class TestSweep:
         assert summary.steps_per_s > 0
 
 
+class TestPooledSweepMatchesSerial:
+    """A pooled sweep of every spec kind, failures interleaved, equals the
+    in-process reference on every spec that does not fail."""
+
+    def _specs(self):
+        import random
+
+        from repro.harness.chaos import chaos_spec
+        from repro.workloads import build_suite
+        from repro.workloads.dr_test.faults import chaos_cases
+
+        names = [wl.name for wl in build_suite()[:9]]
+        good = [
+            RunSpec(name, cfg)
+            for name in names[:6]
+            for cfg in ("helgrind-lib", "helgrind-nolib-spin7")
+        ]
+        cases = chaos_cases()
+        good += [
+            chaos_spec(cases[i], ToolConfig.preset("helgrind-lib-spin7"))
+            for i in (0, 1, 4, 5)  # livelock, ok, livelock, fault
+        ]
+        good += [
+            RunSpec(name, cfg, trace_mode="replay")
+            for name in names[6:]
+            for cfg in ("drd", "helgrind-lib-spin7")
+        ]
+        random.Random(18).shuffle(good)
+
+        parent = os.getpid()
+
+        def exit_build():
+            if os.getpid() != parent:  # spare the parent's prewarm pass
+                os._exit(23)
+            return flag_handoff_program()
+
+        cfg = ToolConfig.helgrind_lib()
+        raising = RunSpec(Workload("eq_raise", _crashing_build, seed=1), cfg, 1)
+        exiting = RunSpec(Workload("eq_exit", exit_build, seed=1), cfg, 1)
+        hanging = RunSpec(
+            Workload("eq_hang", _spin_forever_program, seed=1, max_steps=500_000_000),
+            cfg,
+            1,
+        )
+        specs = (
+            good[:2] + [raising] + good[2:9] + [exiting] + good[9:15]
+            + [hanging] + good[15:]
+        )
+        return good, specs, {"eq_raise": "error", "eq_exit": "crash",
+                             "eq_hang": "timeout"}
+
+    def test_mixed_sweep_with_failures_matches_serial(self, tmp_path):
+        good, specs, failing = self._specs()
+        assert len(specs) >= 24
+        serial = run_sweep(good, workers=0, trace_dir=tmp_path / "serial")
+        pooled = run_sweep(
+            specs,
+            workers=2,
+            timeout_s=4.0,
+            retries=0,
+            trace_dir=tmp_path / "pooled",
+        )
+        want = {
+            id(spec): (rec, out)
+            for spec, rec, out in zip(good, serial.records, serial.outcomes)
+        }
+        assert len(pooled.records) == len(specs)
+        for spec, rec, out in zip(specs, pooled.records, pooled.outcomes):
+            if spec.workload_name in failing:
+                assert rec.status == failing[spec.workload_name], rec
+                assert out is None
+                continue
+            ref_rec, ref_out = want[id(spec)]
+            assert rec.status == ref_rec.status, spec
+            assert out.report.fingerprint() == ref_out.report.fingerprint()
+            assert (out.steps, out.events) == (ref_out.steps, ref_out.events)
+            assert out.result.final_memory == ref_out.result.final_memory
+
+
 class TestRobustness:
     def test_timeout_kills_and_records_failure(self):
         hang = Workload(
