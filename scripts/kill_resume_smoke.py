@@ -14,6 +14,10 @@
 5. Bit-flips a cache entry and asserts the corruption is quarantined
    with a structured note — never raised — and that the sweep heals by
    re-executing.
+6. Launches the sweep again and SIGKILLs only its parent process, after
+   reading the parent's worker pids from ``/proc``: the long-lived
+   workers must notice the dead parent and exit within 10 s, not
+   linger as orphans.
 
 Exits non-zero (with a message) on any violation.  Used by the CI
 ``resume-smoke`` job; safe to run locally from the repo root.
@@ -21,14 +25,19 @@ Exits non-zero (with a message) on any violation.  Used by the CI
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
+import signal
 import sys
+import time
 from pathlib import Path
 
 from _smoke_common import (
     fail,
     journal_entries,
     parsec_names,
+    sigkill_group,
     sigkill_when,
     spawn_child,
     workdir,
@@ -151,6 +160,60 @@ def cache_corruption_check(work: Path) -> None:
     )
 
 
+def _proc_stat(pid: int):
+    """``(state, ppid)`` of a live process from ``/proc``, else ``None``."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            stat = fh.read()
+    except OSError:
+        return None
+    fields = stat[stat.rindex(")") + 2:].split()
+    return fields[0], int(fields[1])
+
+
+def _children(pid: int):
+    return sorted(
+        int(entry)
+        for entry in os.listdir("/proc")
+        if entry.isdigit() and (_proc_stat(int(entry)) or ("", 0))[1] == pid
+    )
+
+
+def _running(pid: int) -> bool:
+    """Alive and not a zombie (an exited orphan may await its reaper)."""
+    stat = _proc_stat(pid)
+    return stat is not None and stat[0] not in ("Z", "X")
+
+
+def orphan_check(work: Path) -> None:
+    """SIGKILL only the sweep parent; its workers must exit on their own."""
+    sweep_dir = work / "orphan"
+    proc = spawn_child(__file__, str(sweep_dir))
+    try:
+        deadline = time.monotonic() + 120
+        workers = []
+        while len(workers) < 2 or journal_entries(sweep_dir / "journal") < 1:
+            if proc.poll() is not None:
+                fail("orphan-check sweep finished before it could be killed")
+            if time.monotonic() > deadline:
+                fail("orphan-check sweep started no workers in 120s")
+            time.sleep(0.01)
+            workers = _children(proc.pid)
+        os.kill(proc.pid, signal.SIGKILL)
+        proc.wait()
+        deadline = time.monotonic() + 10
+        while any(map(_running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        orphans = [pid for pid in workers if _running(pid)]
+        if orphans:
+            fail(f"worker(s) {orphans} outlived their SIGKILLed parent by 10s")
+    finally:
+        # Nothing is left by now unless a check failed.
+        with contextlib.suppress(ProcessLookupError):
+            sigkill_group(proc)
+    print(f"orphan check OK: all {len(workers)} workers exited after the parent died")
+
+
 def main() -> None:
     if len(sys.argv) >= 3 and sys.argv[1] == "--child":
         child_main(sys.argv[2])
@@ -158,6 +221,7 @@ def main() -> None:
     with workdir(".repro-resume-smoke") as work:
         kill_resume_check(work)
         cache_corruption_check(work)
+        orphan_check(work)
     print("kill-resume smoke: all checks passed")
 
 

@@ -8,8 +8,9 @@ a bit-identical :class:`~repro.harness.runner.RunOutcome`.  This module
 exploits that in four layers:
 
 * **fan-out** — :func:`run_sweep` executes :class:`RunSpec` triples on a
-  pool of worker *processes* (fork-based, one short-lived process per
-  run), preserving input order of results;
+  pool of long-lived forked worker *processes*: each is forked once per
+  pool slot holding the whole spec list and is then sent spec indices
+  over a pipe.  Results keep the input order;
 * **robustness** — each run gets a configurable wall-clock timeout and
   crash isolation; a diverging or crashing workload is killed, retried
   up to ``retries`` times, and finally recorded as failed without
@@ -40,6 +41,7 @@ from __future__ import annotations
 import contextlib
 import logging
 import multiprocessing
+import multiprocessing.connection
 import os
 import pickle
 import signal
@@ -587,104 +589,140 @@ def _run_spec(
     )
 
 
-def _child_main(
-    spec: RunSpec,
+def _worker_main(
+    table: Sequence,
     conn,
     heartbeat_s: Optional[float] = None,
     trace_dir: Optional[Union[str, Path]] = None,
-    degraded: bool = False,
+    inherited: Sequence = (),
 ) -> None:
-    """Worker entry point: run one spec, ship the outcome back, exit.
+    """Worker entry point: run units of ``table`` by index until stopped.
+
+    Each request on the duplex pipe is ``(index, degraded)``; the reply
+    is ``("ok", outcome)`` or ``("error", text)``.  After an error the
+    worker exits — it is retired, since a unit that raised may have left
+    process state half-updated.  ``None`` or EOF (the parent closed its
+    end, or died) stops it.  Units never travel by pickle: the worker
+    was forked holding ``table``, so closure-built workloads work.
 
     With ``heartbeat_s`` set, a daemon thread reports a progress counter
-    *and the worker's self-sampled RSS* over the pipe at that interval:
-    the parent tells a hung worker (counter frozen) from a slow one
-    (counter advancing) and preempts one whose RSS exceeds the sweep's
-    memory budget.  The counter belongs to whatever the run hands to
-    ``machine_sink``: a :class:`~repro.vm.Machine` counts VM steps, a
-    :class:`~repro.trace.TraceStream` counts decoded events.
-    ``degraded`` marks a post-preemption retry: replay specs then analyze
-    their trace in streaming mode instead of materializing it.
+    *and the worker's self-sampled RSS* over the pipe at that interval
+    while a unit runs: the parent tells a hung worker (counter frozen)
+    from a slow one (counter advancing) and preempts one whose RSS
+    exceeds the sweep's memory budget.  The counter belongs to whatever
+    the unit hands to ``machine_sink``: a :class:`~repro.vm.Machine`
+    counts VM steps, a :class:`~repro.trace.TraceStream` counts decoded
+    events; it restarts at -1 for every unit.  ``degraded`` marks a
+    post-preemption retry: replay specs then analyze their trace in
+    streaming mode instead of materializing it.
 
-    ``spec`` is normally a :class:`RunSpec`, but any object exposing
+    A unit is normally a :class:`RunSpec`, but any object exposing
     ``execute(machine_sink=..., streaming=..., trace_dir=...)`` is
     accepted — the hook other schedulers (the analysis service's
     trace-upload units in particular) use to ride the same supervised
     worker path without teaching :func:`_run_spec` their payloads.
     """
     import gc
-    import threading
 
-    # The forked heap (workload registry, suite programs) is read-only
-    # ballast here; freezing it keeps collections off the shared pages
-    # (avoids copy-on-write faults) — measurably faster under fan-out.
+    # ``inherited`` holds the parent-side pipe ends this process got from
+    # the fork: its own and those of every worker forked before it.  An
+    # open copy would keep a worker's recv() blocked after the parent is
+    # SIGKILLed, so close them all.
+    for other in inherited:
+        other.close()
+    # The parent may have turned SIGTERM into KeyboardInterrupt; a worker
+    # it terminates should just die.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    # The forked heap (workload registry, suite programs, the units) is
+    # read-only ballast here; freezing it keeps collections off the
+    # shared pages (avoids copy-on-write faults).
     gc.freeze()
-    # Deterministic memory pressure for the budget smoke test; None in
-    # normal operation.  Held alive for the duration of the run.
-    ballast = test_ballast_bytes(degraded)  # noqa: F841 — liveness is the point
     send_lock = threading.Lock()
-    unit_box: dict = {}
-    stop = threading.Event()
-    if heartbeat_s:
-        def _send_beat() -> bool:
+    # the running unit's progress source; "running" is False between
+    # units, so no beat of a finished unit can reach the parent after
+    # its reply and be charged to the next unit
+    state: dict = {"running": False, "source": None}
+
+    def _send_beat() -> bool:
+        with send_lock:
+            if not state["running"]:
+                return True
             # The progress counter: VM steps for a live run, decoded
             # events for a streamed trace analysis (-1 before either).
-            unit = unit_box.get("unit")
-            if unit is None:
+            source = state["source"]
+            if source is None:
                 steps = -1
-            elif isinstance(unit, Machine):
-                steps = unit.step_count
+            elif isinstance(source, Machine):
+                steps = source.step_count
             else:
-                steps = unit.decoded
+                steps = source.decoded
             try:
                 rss = current_rss_bytes()
             except Exception:
                 rss = 0
             try:
-                with send_lock:
-                    conn.send(("hb", steps, rss))
+                conn.send(("hb", steps, rss))
             except Exception:
                 return False
             return True
 
-        # The first beat is sent synchronously, before the run starts:
-        # startup allocations (imports, the smoke-test ballast) are
-        # resident *now*, and the pipe is FIFO — an over-budget
-        # worker's RSS reaches the parent before any result it might
-        # race to deliver, so budget preemption cannot be dodged by
-        # finishing fast.  (A daemon-thread first beat would race the
-        # run itself and lose on a busy single-core host.)
-        _send_beat()
-
+    if heartbeat_s:
         def _beat() -> None:
-            while not stop.wait(heartbeat_s):
+            while True:
+                time.sleep(heartbeat_s)
                 if not _send_beat():
                     return
 
         threading.Thread(target=_beat, daemon=True).start()
-    try:
-        sink = lambda unit: unit_box.__setitem__("unit", unit)  # noqa: E731
-        execute = getattr(spec, "execute", None)
-        if callable(execute):
-            outcome = execute(
-                machine_sink=sink, streaming=degraded, trace_dir=trace_dir
-            )
-        else:
-            outcome = _run_spec(
-                spec, trace_dir=trace_dir, machine_sink=sink, streaming=degraded
-            )
-        stop.set()
-        with send_lock:
-            conn.send(("ok", outcome))
-    except BaseException as exc:  # crash isolation: never take the pool down
-        stop.set()
+
+    def sink(source) -> None:
+        state["source"] = source
+
+    while True:
         try:
+            request = conn.recv()
+        except (EOFError, OSError, KeyboardInterrupt):
+            return
+        if request is None:
+            return
+        index, degraded = request
+        # Deterministic memory pressure for the budget smoke test; None in
+        # normal operation.  Held alive for the duration of the unit.
+        ballast = test_ballast_bytes(degraded)  # noqa: F841 — liveness is the point
+        with send_lock:
+            state["running"], state["source"] = True, None
+        if heartbeat_s:
+            # The first beat is sent synchronously, before the unit runs:
+            # its allocations (the smoke-test ballast) are resident
+            # *now*, and the pipe is FIFO — an over-budget worker's RSS
+            # reaches the parent before any result it might race to
+            # deliver, so budget preemption cannot be dodged by finishing
+            # fast.  (A thread's beat would race the unit itself and lose
+            # on a busy single-core host.)
+            _send_beat()
+        try:
+            unit = table[index]
+            execute = getattr(unit, "execute", None)
+            if callable(execute):
+                outcome = execute(
+                    machine_sink=sink, streaming=degraded, trace_dir=trace_dir
+                )
+            else:
+                outcome = _run_spec(
+                    unit, trace_dir=trace_dir, machine_sink=sink, streaming=degraded
+                )
             with send_lock:
-                conn.send(("error", f"{type(exc).__name__}: {exc}"))
-        except Exception:
-            pass
-    finally:
-        conn.close()
+                state["running"] = False
+                conn.send(("ok", outcome))
+        except BaseException as exc:  # crash isolation: never take the pool down
+            with send_lock:
+                state["running"] = False
+                try:
+                    conn.send(("error", f"{type(exc).__name__}: {exc}"))
+                except Exception:
+                    pass
+            return
+        ballast = None  # freed before the next unit allocates its own
 
 
 def _run_serial(
@@ -760,7 +798,6 @@ def run_sweep(
     timeout_s: Optional[float] = None,
     retries: int = 1,
     strict: bool = False,
-    poll_interval_s: float = 0.005,
     journal_dir: Optional[Union[str, Path]] = None,
     resume: bool = False,
     heartbeat_s: Optional[float] = None,
@@ -773,7 +810,8 @@ def run_sweep(
 ) -> SweepResult:
     """Execute ``specs``, fanning out over ``workers`` processes.
 
-    :param workers: process count; ``None`` → one per CPU; ``0`` runs
+    :param workers: worker process count (each runs many specs; a
+        failed worker is replaced); ``None`` → one per CPU; ``0`` runs
         everything in-process (the serial reference path — identical
         results, no isolation).
     :param cache: optional :class:`ResultCache`; hits skip execution
@@ -820,7 +858,8 @@ def run_sweep(
         sweep never crashes.  ``disk_quota_bytes`` is applied to the
         result cache and the trace store (LRU eviction on put,
         cache-off degradation on ENOSPC — see ``SweepResult.notes``).
-        ``wall_budget_s`` stops dispatching new runs once exceeded;
+        ``wall_budget_s`` stops dispatching new runs once that long
+        has passed since this call (trace prewarm included);
         undispatched specs are recorded as ``"wall-budget"``.  Budgets
         need worker isolation: the serial path (``workers=0``) runs
         ungoverned.
@@ -838,6 +877,11 @@ def run_sweep(
     to ``KeyboardInterrupt``, so a terminated sweep still reaps its
     workers and keeps its journal.
     """
+    # The wall budget counts from here: trace recording and cache
+    # warming are sweep time too.
+    wall_deadline = None
+    if budget is not None and budget.wall_budget_s is not None:
+        wall_deadline = time.monotonic() + budget.wall_budget_s
     specs = list(specs)
     for spec in specs:
         if spec.trace_mode not in TRACE_MODES:
@@ -943,7 +987,6 @@ def run_sweep(
                     workers,
                     timeout_s,
                     retries,
-                    poll_interval_s,
                     journal=journal,
                     heartbeat_s=heartbeat_s,
                     hung_after_s=hung_after_s,
@@ -951,6 +994,7 @@ def run_sweep(
                     poison_threshold=poison_threshold,
                     trace_dir=trace_dir,
                     budget=budget,
+                    wall_deadline=wall_deadline,
                 )
     except KeyboardInterrupt:
         # Children are already reaped (the pool's finally); keep every
@@ -1009,9 +1053,10 @@ def _mp_context():
 def prewarm_static(specs: Iterable[RunSpec]) -> int:
     """Fill the decode and instrumentation caches for ``specs``.
 
-    Each run-per-process worker starts with cold in-process caches, so
-    without this a pool sweep decodes every program once per run.  The
-    pool calls this in the parent just before forking: children inherit
+    Each worker process starts with the caches it was forked with, so
+    without this every worker of a pool sweep decodes each program it
+    meets (and a replacement worker decodes them all again).  The pool
+    calls this in the parent just before the first fork: workers inherit
     the warm caches copy-on-write and hit them on first use.  Workload
     builds are deterministic (the result-cache contract), so the
     content-keyed entries warmed here match what each child computes.
@@ -1060,31 +1105,41 @@ def prewarm_static(specs: Iterable[RunSpec]) -> int:
 
 
 @dataclass
-class _Worker:
-    """Parent-side supervision state for one live worker process."""
+class _Job:
+    """Parent-side supervision state for the unit a worker is running."""
 
     token: object
-    conn: object
     attempt: int
     start_t: float
     deadline: Optional[float]
     #: per-submission flat timeout (``None`` → untimed); the slow-grace
     #: multiplier applies to this value
     timeout_s: Optional[float] = None
-    #: most recent VM step counter reported over the heartbeat channel
+    #: most recent progress counter reported over the heartbeat channel
     last_steps: int = -1
-    #: monotonic time of the last *advancing* heartbeat (or spawn)
+    #: monotonic time of the last *advancing* heartbeat (or dispatch)
     last_progress_t: float = 0.0
     #: highest self-sampled RSS reported over the heartbeat channel
     peak_rss: int = 0
-    #: the worker is a degraded (streaming-mode) retry after an
+    #: the unit is a degraded (streaming-mode) retry after an
     #: over-budget preemption
     degraded: bool = False
 
 
+@dataclass
+class _Worker:
+    """One long-lived worker process, and the unit it runs (if any)."""
+
+    proc: object
+    conn: object
+    #: the units this worker can run, by index: it was forked holding them
+    table: Sequence
+    job: Optional[_Job] = None
+
+
 @dataclass(frozen=True)
 class WorkerExit:
-    """One supervised worker's terminal event (:meth:`WorkerPool.poll`).
+    """One supervised unit's terminal event (:meth:`WorkerPool.poll`).
 
     ``kind`` is ``"ok"`` (``payload`` is the outcome), ``"crash"``,
     ``"error"``, ``"timeout"``, ``"hung"`` (``payload`` is the error
@@ -1107,23 +1162,36 @@ _POOL_DEFAULT = object()
 
 
 class WorkerPool:
-    """Supervised fork-isolated worker processes, submitted to incrementally.
+    """Supervised long-lived forked workers, submitted to incrementally.
 
     The execution substrate both :func:`run_sweep` and the analysis
-    service daemon (:mod:`repro.service`) schedule onto.  Each
-    :meth:`submit` forks one short-lived process running
-    :func:`_child_main`; :meth:`poll` performs one non-blocking
-    supervision pass — drains heartbeats, distinguishes hung workers
-    (step counter frozen past ``hung_after_s``) from slow ones (granted
-    up to ``slow_grace * timeout``), preempts workers whose self-sampled
-    RSS exceeds ``rss_cap`` — and returns a :class:`WorkerExit` per
-    worker that finished or was killed.  All *policy* (retries, poison
-    quarantine, degraded re-queues, journaling) stays with the caller:
-    the pool never re-runs anything on its own.
+    service daemon (:mod:`repro.service`) schedule onto.  Each worker
+    runs :func:`_worker_main`: it is forked holding a *table* of units
+    and then runs one unit per ``(index, degraded)`` request on its
+    duplex pipe, so a unit never travels by pickle.  Workers hold the
+    pool's ``table`` (a sweep passes its whole spec list); a submitted
+    unit that is not in it gets a worker holding just itself.
+
+    A worker is reused until something goes wrong: after an ``error``
+    it is retired, after a ``crash``/``timeout``/``hung``/``oom`` it is
+    killed, and the next dispatch forks a replacement.  A worker with
+    nothing else it can serve (one forked for a unit outside the table)
+    is stopped without blocking once its unit is done.  So a sweep forks
+    ``workers`` processes plus one per failure, and a service request
+    one.
+
+    :meth:`poll` performs one non-blocking supervision pass — drains
+    heartbeats, distinguishes hung workers (progress counter frozen past
+    ``hung_after_s``) from slow ones (granted up to ``slow_grace *
+    timeout``), preempts workers whose self-sampled RSS exceeds
+    ``rss_cap`` — and returns a :class:`WorkerExit` per unit that
+    finished or was killed; :meth:`wait` blocks until the next such
+    event can be due.  All *policy* (retries, poison quarantine,
+    degraded re-queues, journaling) stays with the caller: the pool
+    never re-runs anything on its own.
 
     ``submit`` accepts :class:`RunSpec` objects or any unit exposing
-    ``execute(machine_sink=..., streaming=..., trace_dir=...)``; with
-    the fork start method, closure-built units ship for free.
+    ``execute(machine_sink=..., streaming=..., trace_dir=...)``.
     ``timeout_s`` at submit overrides the pool default per request —
     the seam the service's per-request deadlines ride on.
     """
@@ -1137,6 +1205,7 @@ class WorkerPool:
         slow_grace: float = 4.0,
         rss_cap: Optional[int] = None,
         trace_dir: Optional[Union[str, Path]] = None,
+        table: Sequence = (),
     ) -> None:
         self.workers = max(1, workers)
         self.timeout_s = timeout_s
@@ -1148,16 +1217,22 @@ class WorkerPool:
         self.rss_cap = rss_cap
         self.trace_dir = trace_dir
         self.ctx = _mp_context()
-        self._active: Dict = {}  # proc -> _Worker
+        self._workers: List[_Worker] = []
+        #: the units every worker is forked holding, and each one's
+        #: index in that table, by id
+        self._table = list(table)
+        self._index = {id(unit): i for i, unit in enumerate(self._table)}
+        #: stopped and retired processes, reaped as they exit
+        self._exiting: List = []
 
     @property
     def active(self) -> int:
-        """Live worker processes under supervision."""
-        return len(self._active)
+        """Units running under supervision."""
+        return sum(1 for w in self._workers if w.job is not None)
 
     @property
     def free_slots(self) -> int:
-        return max(0, self.workers - len(self._active))
+        return max(0, self.workers - self.active)
 
     def submit(
         self,
@@ -1167,146 +1242,216 @@ class WorkerPool:
         degraded: bool = False,
         timeout_s: object = _POOL_DEFAULT,
     ) -> None:
-        """Fork one worker for ``spec``.  Over-submission is allowed —
-        ``free_slots`` is the caller's throttle, not an enforced cap."""
-        parent_conn, child_conn = self.ctx.Pipe(duplex=False)
-        proc = self.ctx.Process(
-            target=_child_main,
-            args=(spec, child_conn, self.heartbeat_s, self.trace_dir, degraded),
-            daemon=True,
-        )
-        proc.start()
-        child_conn.close()
+        """Run ``spec`` on an idle worker that holds it, else on a new one.
+
+        Over-submission is allowed — ``free_slots`` is the caller's
+        throttle, not an enforced cap."""
+        index = self._index.get(id(spec))
+        worker = self._idle() if index is not None else None
+        if worker is None:
+            if index is None:
+                worker, index = self._fork([spec]), 0
+            else:
+                worker = self._fork(self._table)
         now = time.monotonic()
         limit = self.timeout_s if timeout_s is _POOL_DEFAULT else timeout_s
-        worker = _Worker(
+        worker.job = _Job(
             token=token,
-            conn=parent_conn,
             attempt=attempt,
             start_t=now,
             deadline=None if limit is None else now + limit,
             timeout_s=limit,
+            last_progress_t=now,
             degraded=degraded,
         )
-        worker.last_progress_t = now
-        self._active[proc] = worker
+        try:
+            worker.conn.send((index, degraded))
+        except OSError:
+            pass  # died while idle: the next poll reports the crash
 
-    def _exit(self, w: _Worker, kind: str, payload: object) -> WorkerExit:
+    def _idle(self) -> Optional[_Worker]:
+        """A live idle worker holding the pool's table, if there is one."""
+        for w in list(self._workers):
+            if w.job is None and w.table is self._table:
+                if w.proc.is_alive():
+                    return w
+                self._discard(w)  # died while idle
+        return None
+
+    def _fork(self, table: Sequence) -> _Worker:
+        parent_conn, child_conn = self.ctx.Pipe()
+        inherited: List = []
+        if self.ctx.get_start_method() == "fork":
+            inherited = [w.conn for w in self._workers] + [parent_conn]
+        proc = self.ctx.Process(
+            target=_worker_main,
+            args=(table, child_conn, self.heartbeat_s, self.trace_dir, inherited),
+            daemon=True,
+        )
+        proc.start()
+        child_conn.close()
+        worker = _Worker(proc=proc, conn=parent_conn, table=table)
+        self._workers.append(worker)
+        return worker
+
+    def _stop(self, w: _Worker) -> None:
+        """Ask a worker to exit and reap it later (never blocks)."""
+        self._workers.remove(w)
+        try:
+            w.conn.send(None)
+        except OSError:
+            pass
+        w.conn.close()
+        self._exiting.append(w.proc)
+
+    def _discard(self, w: _Worker) -> None:
+        """Kill and reap a worker (it is running or broken), drop it."""
+        self._workers.remove(w)
+        _kill(w.proc)
+        w.conn.close()
+
+    def _exit(self, job: _Job, kind: str, payload: object) -> WorkerExit:
         return WorkerExit(
-            token=w.token,
+            token=job.token,
             kind=kind,
             payload=payload,
-            attempt=w.attempt,
-            degraded=w.degraded,
-            peak_rss=w.peak_rss,
+            attempt=job.attempt,
+            degraded=job.degraded,
+            peak_rss=job.peak_rss,
         )
 
-    def _drain(self, proc, w: _Worker) -> Optional[WorkerExit]:
+    def _drain(self, w: _Worker) -> Optional[WorkerExit]:
         """Consume every message the worker has sent so far.
 
-        Heartbeats update the progress and RSS bookkeeping; a result (or
-        an over-budget RSS sample, which kills the worker) ends it and is
-        returned as the worker's exit.
+        Heartbeats update the progress and RSS bookkeeping; a reply (or
+        an over-budget RSS sample, which kills the worker) ends the unit
+        and is returned as its exit.
         """
-        conn = w.conn
+        job, conn = w.job, w.conn
         while conn.poll(0):
             try:
                 msg = conn.recv()
-                kind, payload = msg[0], msg[1]
-            except (EOFError, pickle.UnpicklingError) as exc:
-                kind, payload = "crash", f"unreadable result: {exc}"
+            except EOFError:
+                # The worker closed its end without replying: it died.
+                self._discard(w)
+                return self._exit(job, "crash", f"exit code {w.proc.exitcode}")
+            except (OSError, pickle.UnpicklingError) as exc:
+                self._discard(w)
+                return self._exit(job, "crash", f"unreadable result: {exc}")
+            kind, payload = msg[0], msg[1]
             if kind == "hb":
-                if payload > w.last_steps:
-                    w.last_steps = payload
-                    w.last_progress_t = time.monotonic()
-                rss = msg[2] if len(msg) > 2 else 0
-                if rss > w.peak_rss:
-                    w.peak_rss = rss
+                if payload > job.last_steps:
+                    job.last_steps = payload
+                    job.last_progress_t = time.monotonic()
+                rss = msg[2]
+                if rss > job.peak_rss:
+                    job.peak_rss = rss
                 if self.rss_cap is not None and rss > self.rss_cap:
                     # Over the memory budget: kill now, report the
                     # sample; degraded-retry-vs-poison is policy.
-                    _kill(proc)
+                    self._discard(w)
                     log.warning(
                         "worker oom-preempted: rss=%d cap=%d attempt=%d "
                         "degraded=%s",
-                        rss, self.rss_cap, w.attempt, w.degraded,
+                        rss, self.rss_cap, job.attempt, job.degraded,
                     )
-                    return self._exit(w, "oom", rss)
+                    return self._exit(job, "oom", rss)
                 continue
-            _reap(proc)
+            w.job = None
             if kind == "ok":
-                return self._exit(w, "ok", payload)
-            return self._exit(w, "crash" if kind == "crash" else "error", str(payload))
+                if w.table is not self._table:
+                    self._stop(w)  # nothing else it can serve
+                return self._exit(job, "ok", payload)
+            self._stop(w)  # retired: it exits after an error reply
+            return self._exit(job, "error", str(payload))
         return None
 
     def poll(self) -> List[WorkerExit]:
-        """One supervision pass; returns every worker that terminated."""
+        """One supervision pass; returns every unit that terminated."""
+        if self._exiting:
+            self._exiting = [p for p in self._exiting if p.is_alive()]
         exits: List[WorkerExit] = []
-        finished = []
-        for proc, w in self._active.items():
-            conn = w.conn
-            done = self._drain(proc, w)
+        for w in [w for w in self._workers if w.job is not None]:
+            job = w.job
+            done = self._drain(w)
             now = time.monotonic()
-            if done is None and not proc.is_alive():
-                # A worker that sent its result and exited after the drain
-                # above is not a crash: drain once more before deciding.
-                done = self._drain(proc, w)
+            if done is None and not w.proc.is_alive():
+                # A worker that replied and exited after the drain above
+                # is not a crash: drain once more before deciding.
+                done = self._drain(w)
                 if done is None:
                     # Died without delivering a result: hard crash.
-                    proc.join()
-                    done = self._exit(w, "crash", f"exit code {proc.exitcode}")
+                    w.proc.join()
+                    self._discard(w)
+                    done = self._exit(job, "crash", f"exit code {w.proc.exitcode}")
             if done is not None:
                 exits.append(done)
-                conn.close()
-                finished.append(proc)
             elif (
                 self.heartbeat_s is not None
                 and self.hung_after_s is not None
-                and now - w.last_progress_t > self.hung_after_s
+                and now - job.last_progress_t > self.hung_after_s
             ):
-                # No VM progress for the whole hang window: hung,
+                # No progress for the whole hang window: hung,
                 # regardless of how much flat timeout remains.
-                _kill(proc)
+                self._discard(w)
                 exits.append(
                     self._exit(
-                        w,
+                        job,
                         "hung",
                         f"no VM progress for {self.hung_after_s:.3g}s "
-                        f"(last step count {w.last_steps})",
+                        f"(last step count {job.last_steps})",
                     )
                 )
-                conn.close()
-                finished.append(proc)
-            elif w.deadline is not None and now > w.deadline:
-                progressing = (
-                    self.heartbeat_s is not None
-                    and now - w.last_progress_t <= self.hung_after_s
-                    and now < w.start_t + w.timeout_s * max(self.slow_grace, 1.0)
-                )
-                if progressing:
+            elif job.deadline is not None and now > job.deadline:
+                if now < self._grace_end(job):
                     continue  # slow but advancing: grant grace
-                _kill(proc)
+                self._discard(w)
                 limit = (
-                    w.timeout_s * max(self.slow_grace, 1.0)
+                    job.timeout_s * max(self.slow_grace, 1.0)
                     if self.heartbeat_s is not None
-                    else w.timeout_s
+                    else job.timeout_s
                 )
-                exits.append(self._exit(w, "timeout", f"exceeded {limit:.3g}s"))
-                conn.close()
-                finished.append(proc)
-        for proc in finished:
-            del self._active[proc]
+                exits.append(self._exit(job, "timeout", f"exceeded {limit:.3g}s"))
         return exits
 
+    def _grace_end(self, job: _Job) -> float:
+        """When a unit past its deadline stops being granted slow-grace:
+        now, unless heartbeats show it still advancing."""
+        if self.heartbeat_s is None or (
+            time.monotonic() - job.last_progress_t > self.hung_after_s
+        ):
+            return job.deadline
+        return job.start_t + job.timeout_s * max(self.slow_grace, 1.0)
+
+    def wait(self) -> None:
+        """Block until a running unit may have something to report.
+
+        Returns when a busy worker sends a message or exits, or when the
+        nearest deadline or hang window passes — whichever comes first.
+        """
+        busy = [w for w in self._workers if w.job is not None]
+        if not busy:
+            return
+        due: List[float] = []
+        now = time.monotonic()
+        for w in busy:
+            job = w.job
+            if job.deadline is not None:
+                due.append(job.deadline if now < job.deadline else self._grace_end(job))
+            if self.heartbeat_s is not None and self.hung_after_s is not None:
+                due.append(job.last_progress_t + self.hung_after_s)
+        timeout = max(0.0, min(due) - now) if due else None
+        multiprocessing.connection.wait(
+            [w.conn for w in busy] + [w.proc.sentinel for w in busy], timeout
+        )
+
     def shutdown(self) -> None:
-        """Kill *and reap* every live worker (no zombies), close pipes."""
-        for proc, w in self._active.items():
-            _kill(proc)
-            try:
-                w.conn.close()
-            except Exception:
-                pass
-        self._active.clear()
+        """Kill *and reap* every worker (no zombies), close pipes."""
+        for w in list(self._workers):
+            self._discard(w)
+        for proc in self._exiting:
+            _reap(proc)
+        self._exiting.clear()
 
 
 def _run_pool(
@@ -1318,7 +1463,6 @@ def _run_pool(
     workers: int,
     timeout_s: Optional[float],
     retries: int,
-    poll_interval_s: float,
     journal: Optional[SweepJournal] = None,
     heartbeat_s: Optional[float] = None,
     hung_after_s: Optional[float] = None,
@@ -1326,6 +1470,7 @@ def _run_pool(
     poison_threshold: Optional[int] = None,
     trace_dir: Optional[Union[str, Path]] = None,
     budget: Optional[ResourceBudget] = None,
+    wall_deadline: Optional[float] = None,
 ) -> None:
     pool = WorkerPool(
         workers,
@@ -1335,16 +1480,15 @@ def _run_pool(
         slow_grace=slow_grace,
         rss_cap=budget.max_rss_bytes if budget is not None else None,
         trace_dir=trace_dir,
+        table=specs,
     )
     if pool.ctx.get_start_method() == "fork":
         # Warm the decode/instrumentation caches once in the parent so
-        # every forked child inherits them copy-on-write; a 120-case
-        # sweep then decodes each distinct program once, not per run.
+        # every forked worker inherits them copy-on-write; a 120-case
+        # sweep then decodes each distinct program once, not per worker.
         prewarm_static(specs[i] for i, *_ in pending)
     max_attempts = 1 + max(0, retries)
     rss_cap = pool.rss_cap
-    wall_budget_s = budget.wall_budget_s if budget is not None else None
-    pool_start = time.monotonic()
     #: per-spec count of kill-class failures (timeout/crash/hung)
     infra_counts: Dict[int, int] = {}
     #: per-spec count of over-budget preemptions
@@ -1441,36 +1585,34 @@ def _run_pool(
                 ),
             )
 
+    def dispatch() -> None:
+        if pending and wall_deadline is not None and time.monotonic() > wall_deadline:
+            # Wall budget exhausted: stop dispatching.  In-flight
+            # workers finish under the normal supervision rules;
+            # everything undispatched gets a structured record.
+            while pending:
+                i, key, attempt, _deg = pending.popleft()
+                commit(
+                    i,
+                    key,
+                    _failure_record(
+                        specs[i],
+                        "wall-budget",
+                        attempt - 1,
+                        f"undispatched: wall budget "
+                        f"{budget.wall_budget_s:.3g}s exhausted",
+                    ),
+                )
+        while pending and pool.free_slots:
+            i, key, attempt, degraded = pending.popleft()
+            pool.submit(specs[i], token=(i, key), attempt=attempt, degraded=degraded)
+
     try:
         while pending or pool.active:
-            if (
-                wall_budget_s is not None
-                and pending
-                and time.monotonic() - pool_start > wall_budget_s
-            ):
-                # Wall budget exhausted: stop dispatching.  In-flight
-                # workers finish under the normal supervision rules;
-                # everything undispatched gets a structured record.
-                while pending:
-                    i, key, attempt, _deg = pending.popleft()
-                    commit(
-                        i,
-                        key,
-                        _failure_record(
-                            specs[i],
-                            "wall-budget",
-                            attempt - 1,
-                            f"undispatched: wall budget "
-                            f"{wall_budget_s:.3g}s exhausted",
-                        ),
-                    )
-            while pending and pool.free_slots:
-                i, key, attempt, degraded = pending.popleft()
-                pool.submit(
-                    specs[i], token=(i, key), attempt=attempt, degraded=degraded
-                )
-
             exits = pool.poll()
+            # Freed workers get their next spec before the parent spends
+            # time on this batch's cache entries and journal records.
+            dispatch()
             for exit in exits:
                 i, key = exit.token
                 if exit.peak_rss > peak_rss_by_index.get(i, 0):
@@ -1490,12 +1632,12 @@ def _run_pool(
                         str(exit.payload),
                         degraded=exit.degraded,
                     )
-            if not exits and pool.active:
-                time.sleep(poll_interval_s)
+            if not exits:
+                pool.wait()
     finally:
         # Runs on normal exit, KeyboardInterrupt, and errors alike:
-        # every live child is killed *and reaped* (no zombies), every
-        # pipe closed.
+        # every worker is killed *and reaped* (no zombies), every pipe
+        # closed.
         pool.shutdown()
 
 

@@ -15,6 +15,7 @@ from repro.harness.parallel import (
     RunSpec,
     SweepError,
     WorkerPool,
+    _Job,
     _Worker,
     _sigterm_as_interrupt,
     run_sweep,
@@ -268,6 +269,124 @@ class TestPooledSweepMatchesSerial:
             assert out.report.fingerprint() == ref_out.report.fingerprint()
             assert (out.steps, out.events) == (ref_out.steps, ref_out.events)
             assert out.result.final_memory == ref_out.result.final_memory
+
+
+class TestLongLivedWorkers:
+    """Workers are forked once per pool slot and replaced only on failure."""
+
+    CFG = ToolConfig.helgrind_lib()
+
+    @pytest.fixture
+    def starts(self, monkeypatch):
+        from repro.harness.parallel import _mp_context
+
+        process = _mp_context().Process
+        started = []
+        original = process.start
+
+        def start(proc):
+            started.append(proc)
+            original(proc)
+
+        monkeypatch.setattr(process, "start", start)
+        return started
+
+    def _suite_specs(self):
+        from repro.workloads import build_suite
+
+        names = [wl.name for wl in build_suite()[:10]]
+        return sweep_specs(
+            names,
+            ["helgrind-lib", "helgrind-lib-spin7", "helgrind-nolib-spin7", "drd"],
+        )
+
+    def test_sweep_forks_once_per_pool_slot(self, starts):
+        specs = self._suite_specs()
+        assert len(specs) == 40
+        result = run_sweep(specs, workers=2)
+        assert [r.status for r in result.records] == ["ok"] * 40
+        assert len(starts) == 2
+
+    def test_a_crash_forks_exactly_one_replacement(self, starts):
+        parent = os.getpid()
+
+        def exit_build():
+            if os.getpid() != parent:  # spare the parent's prewarm pass
+                os._exit(23)
+            return flag_handoff_program()
+
+        specs = self._suite_specs()
+        specs.insert(20, RunSpec(Workload("lw_exit", exit_build, seed=1), self.CFG, 1))
+        result = run_sweep(specs, workers=2, retries=0)
+        assert [r.status for r in result.records].count("crash") == 1
+        assert sum(r.status == "ok" for r in result.records) == 40
+        assert len(starts) == 3
+
+    def test_the_spec_after_an_error_runs_in_a_new_worker(self, tmp_path, starts):
+        log_path = tmp_path / "pids"
+
+        def logging_build(tag, fail=False):
+            def build():
+                with open(log_path, "a") as fh:
+                    fh.write(f"{tag} {os.getpid()}\n")
+                if fail:
+                    raise RuntimeError("boom")
+                return flag_handoff_program()
+
+            return Workload(f"lw_{tag}", build, seed=1)
+
+        specs = [
+            RunSpec(logging_build("before"), self.CFG, 1),
+            RunSpec(logging_build("raise", fail=True), self.CFG, 1),
+            RunSpec(logging_build("after"), self.CFG, 1),
+        ]
+        result = run_sweep(specs, workers=1, retries=0)
+        assert [r.status for r in result.records] == ["ok", "error", "ok"]
+        pids = {}
+        for line in log_path.read_text().splitlines():
+            tag, pid = line.split()
+            if int(pid) != os.getpid():  # skip the parent's prewarm builds
+                pids[tag] = int(pid)
+        assert pids["before"] == pids["raise"] != pids["after"]
+        assert len(starts) == 2
+
+    def test_progress_counter_restarts_for_each_unit(self, starts):
+        """Each unit runs longer than the hang window while its step
+        count stays below the previous unit's final one: a counter
+        carried over from that unit would read as no progress."""
+        wl = Workload("lw_spin", _spin_forever_program, seed=1, max_steps=400_000)
+        result = run_sweep(
+            [RunSpec(wl, self.CFG, 1)] * 3,
+            workers=1,
+            retries=0,
+            heartbeat_s=0.02,
+            hung_after_s=0.3,
+        )
+        assert [r.status for r in result.records] == ["step-limit"] * 3
+        assert len(starts) == 1
+
+    def test_wall_budget_counts_trace_prewarm(self, tmp_path):
+        """Recording the sweep's traces takes longer than the budget, so
+        no cell may be dispatched at all."""
+        from repro.harness.resources import ResourceBudget
+
+        def slow_build():
+            time.sleep(0.3)
+            return flag_handoff_program()
+
+        wl = Workload("lw_slow_record", slow_build, seed=1)
+        specs = [
+            RunSpec(wl, cfg, 1, trace_mode="replay")
+            for cfg in ("helgrind-lib", "helgrind-lib-spin7", "drd")
+        ]
+        result = run_sweep(
+            specs,
+            workers=2,
+            trace_dir=tmp_path,
+            budget=ResourceBudget(wall_budget_s=0.2),
+        )
+        assert [r.status for r in result.records] == ["wall-budget"] * 3
+        assert result.summary().wall_budget_stopped == 3
 
 
 class TestRobustness:
@@ -574,6 +693,9 @@ class TestWorkerPoolPoll:
             def recv(self):
                 return ("ok", "outcome")
 
+            def send(self, msg):
+                pass
+
             def close(self):
                 pass
 
@@ -587,8 +709,13 @@ class TestWorkerPoolPoll:
                 pass
 
         pool = WorkerPool(workers=1)
-        pool._active[Proc()] = _Worker(
-            token="t", conn=Conn(), attempt=1, start_t=0.0, deadline=None
+        pool._workers.append(
+            _Worker(
+                proc=Proc(),
+                conn=Conn(),
+                table=["unit"],
+                job=_Job(token="t", attempt=1, start_t=0.0, deadline=None),
+            )
         )
         (done,) = pool.poll()
         assert (done.kind, done.payload) == ("ok", "outcome")
