@@ -1,10 +1,10 @@
 """F7 — streaming-decode peak memory: bounded-memory vs in-memory analysis.
 
 Records the largest PARSEC stand-in traces once each, then analyzes
-every recording two ways in fresh interpreters: materialized
-(:func:`repro.trace.analyze_trace` over a full ``Trace``) and streamed
-(:func:`repro.trace.analyze_trace_streaming` over a
-:class:`~repro.trace.TraceStream`, one event in memory at a time).  The
+every recording two ways in fresh interpreters with
+:func:`repro.trace.analyze_trace`: materialized (``TraceStore.get``, a
+full ``Trace``) and streamed (``TraceStore.open_stream``, a
+:class:`~repro.trace.TraceStream` decoded in bounded chunks).  The
 probe children report the peak traced allocation of the store-read +
 analysis region (``tracemalloc``; byte-precise and deterministic, where
 ``ru_maxrss`` carries kilobyte granularity and import-transient slack)

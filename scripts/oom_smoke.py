@@ -5,10 +5,11 @@
    budget-free 2-worker pass to measure the workers' natural peak RSS.
 2. Reruns journaled under a memory budget sized so that the ballast
    knob (``REPRO_RSS_BALLAST_MB``) pushes every first attempt over the
-   cap: each worker must be preempted and retried once in
-   streaming/degraded mode, the sweep must complete with zero crashes
-   and zero failed records, and every record must match the baseline on
-   all stable fields (streaming is invisible in the verdicts).
+   cap: each worker must be preempted and retried once in degraded
+   mode (which drops the ballast), the sweep must complete with zero
+   crashes and zero failed records, and every record must match the
+   baseline on all stable fields (a degraded retry is invisible in the
+   verdicts).
 3. Resumes the same journal and asserts every record is served from the
    checkpoint without re-execution.
 4. Reruns with the ``!`` ballast form (over budget on degraded retries
@@ -35,7 +36,7 @@ BALLAST_MB = 200
 HEADROOM = 100 << 20  # budget sits this far above the natural peak
 
 #: RunRecord fields that must be identical between the budgeted
-#: (degraded/streaming) run and the unbudgeted baseline — everything
+#: (degraded) run and the unbudgeted baseline — everything
 #: except wall-clock timings and the governance bookkeeping itself.
 STABLE_FIELDS = (
     "workload", "tool", "seed", "steps", "events",
@@ -43,8 +44,8 @@ STABLE_FIELDS = (
 )
 
 #: Governed sweeps need a short heartbeat (RSS samples) and an explicit
-#: hung-after bound: replay/streaming workers never advance the step
-#: counter, so the default hung detection would misread startup time.
+#: hung-after bound: the default (ten heartbeats, 0.2 s) would misread a
+#: worker's startup and ballast allocation as a hang.
 GOVERNED = dict(heartbeat_s=0.02, hung_after_s=10, timeout_s=120)
 
 
@@ -119,7 +120,7 @@ def budget_degrade_check(work: Path, baseline, natural_peak: int) -> None:
         fail(f"record count mismatch: {len(got)} != {len(want)}")
     print(
         f"degrade OK: {summary.oom_preempted} preemptions, "
-        f"{summary.degraded} streaming retries, 0 failures, "
+        f"{summary.degraded} degraded retries, 0 failures, "
         f"records identical to the unbudgeted baseline"
     )
 

@@ -46,8 +46,8 @@ Durability and triage options (sweep/chaos)::
 Resource-governance options (sweep/chaos)::
 
     --mem-budget SIZE    per-worker RSS cap ("256m", "2g"); over-budget
-                         workers are preempted and retried in degraded
-                         (streaming) mode, then quarantined
+                         workers are preempted and retried once in
+                         degraded mode, then quarantined
     --disk-quota SIZE    byte quota for the result cache and the trace
                          store (LRU eviction; full disk degrades to
                          cache-off instead of failing the sweep)
@@ -683,12 +683,12 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
     ``record`` runs one instrumented execution and persists it;
     ``analyze`` re-runs every ``--tools`` preset (default: lib, lib+spin,
-    drd) over the stored recording with no VM in the loop, recording the
-    cell first if it is missing.  ``ls`` and ``gc`` inspect and reclaim
+    drd) over the stored recording with no VM in the loop, streaming it
+    off the store the way a replay sweep cell does (recording the cell
+    first if it is missing).  ``ls`` and ``gc`` inspect and reclaim
     the store.
     """
-    from repro.harness.parallel import RunSpec, prewarm_traces
-    from repro.harness.runner import run_workload_offline
+    from repro.harness.parallel import RunSpec, _run_spec, prewarm_traces
     from repro.trace import TraceStore, key_for_spec
 
     verb = args.rest[0] if args.rest else "ls"
@@ -779,11 +779,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     recorded = prewarm_traces(specs, args.trace_dir)
     rows = []
     for spec in specs:
-        trace = store.get(key_for_spec(spec))
-        if trace is None:
-            print(f"trace analyze: no usable recording for {spec.config}", file=sys.stderr)
-            return 1
-        outcome = run_workload_offline(spec.resolve(), spec.tool(), trace, seed=seed)
+        outcome = _run_spec(spec, trace_dir=args.trace_dir)
         # fingerprint() is a structured tuple; digest it for display
         digest = hashlib.sha256(
             repr(outcome.report.fingerprint()).encode()
@@ -930,7 +926,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         default=None,
         help=(
             "sweep/chaos: per-worker RSS cap (e.g. 256m, 2g); over-budget "
-            "workers are preempted and retried in streaming mode"
+            "workers are preempted and retried once in degraded mode"
         ),
     )
     parser.add_argument(

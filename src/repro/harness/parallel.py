@@ -255,8 +255,8 @@ class RunRecord:
     #: highest worker RSS observed over the run's heartbeats, bytes
     #: (0 without heartbeats or on cached/serial records)
     peak_rss: int = 0
-    #: the run completed in degraded (streaming-decode) mode after a
-    #: memory-budget preemption
+    #: the run completed on its degraded retry after a memory-budget
+    #: preemption
     degraded: bool = False
     #: times a worker for this spec was preempted over the RSS budget
     oom_preempts: int = 0
@@ -315,7 +315,7 @@ class SweepSummary:
     poisoned: int = 0
     #: highest worker RSS observed across the sweep, bytes
     peak_rss: int = 0
-    #: runs that completed in degraded (streaming) mode
+    #: runs that completed on a degraded retry
     degraded: int = 0
     #: worker preemptions over the per-worker RSS budget
     oom_preempted: int = 0
@@ -511,7 +511,10 @@ def prewarm_traces(
         if key in seen:
             continue
         seen.add(key)
-        if spec.trace_mode != "record" and store.get(key) is not None:
+        # A hit needs only the frame checksum and the metadata line; a
+        # checksum-valid but malformed payload surfaces in the worker,
+        # which quarantines it and records afresh.
+        if spec.trace_mode != "record" and store.open_stream(key) is not None:
             continue
         store.put(key, _record_spec_trace(spec))
         recorded += 1
@@ -522,15 +525,16 @@ def _run_spec(
     spec: RunSpec,
     trace_dir: Optional[Union[str, Path]] = None,
     machine_sink=None,
-    streaming: bool = False,
 ) -> RunOutcome:
     """Run one spec in its trace mode (the worker/serial shared path).
 
-    ``streaming=True`` is the degraded replay path a memory-preempted
-    worker retries on: the stored trace is analyzed per-event off the
-    decoder (:func:`~repro.harness.runner.run_workload_offline_streaming`)
-    instead of being materialized — same report fingerprint, bounded
-    RSS.  Live specs ignore the flag (there is nothing to stream).
+    A replay or record cell streams its stored recording
+    (:meth:`~repro.trace.TraceStore.open_stream`) — constant memory, and
+    the stream's decoded-event count is what ``machine_sink`` gets as
+    the heartbeat's progress counter.  On a miss the cell records the
+    program, stores the recording and analyzes it in memory; a stored
+    payload that turns out malformed mid-stream is quarantined and
+    handled like a miss.
     """
     if spec.trace_mode == "live":
         return run_workload(
@@ -545,48 +549,38 @@ def _run_spec(
         )
     from repro.harness.runner import run_workload_offline
     from repro.trace.store import TraceStore, key_for_spec
+    from repro.trace.stream import TraceStreamCorruption
 
     if trace_dir is None:
         raise ValueError(
             f"trace_mode={spec.trace_mode!r} requires a trace store directory"
         )
+
+    def analyze(source) -> RunOutcome:
+        return run_workload_offline(
+            spec.resolve(),
+            spec.tool(),
+            source,
+            seed=spec.effective_seed(),
+            fault_plan=spec.fault_plan,
+            livelock_bound=spec.livelock_bound,
+        )
+
     store = TraceStore(trace_dir)
     key = key_for_spec(spec)
-    if streaming:
-        from repro.harness.runner import run_workload_offline_streaming
-        from repro.trace.stream import TraceStreamCorruption
-
-        stream = store.open_stream(key)
-        if stream is not None:
-            if machine_sink is not None:
-                machine_sink(stream)
-            try:
-                return run_workload_offline_streaming(
-                    spec.resolve(),
-                    spec.tool(),
-                    stream,
-                    seed=spec.effective_seed(),
-                    fault_plan=spec.fault_plan,
-                    livelock_bound=spec.livelock_bound,
-                )
-            except TraceStreamCorruption as exc:
-                # Checksum-valid but malformed payload: quarantine and
-                # fall through to re-record + in-memory analysis.
-                store.quarantine_stream(stream, exc.reason)
-    trace = store.get(key)
-    if trace is None:
-        # Prewarm normally guarantees a hit; recording here keeps a
-        # quarantined/raced-away entry from failing the run.
-        trace = _record_spec_trace(spec)
-        store.put(key, trace)
-    return run_workload_offline(
-        spec.resolve(),
-        spec.tool(),
-        trace,
-        seed=spec.effective_seed(),
-        fault_plan=spec.fault_plan,
-        livelock_bound=spec.livelock_bound,
-    )
+    stream = store.open_stream(key)
+    if stream is not None:
+        if machine_sink is not None:
+            machine_sink(stream)
+        try:
+            return analyze(stream)
+        except TraceStreamCorruption as exc:
+            store.quarantine_stream(stream, exc.reason)
+    # Prewarm normally guarantees a hit; recording here keeps a
+    # quarantined/raced-away entry from failing the run.
+    trace = _record_spec_trace(spec)
+    store.put(key, trace)
+    return analyze(trace)
 
 
 def _worker_main(
@@ -613,11 +607,11 @@ def _worker_main(
     the unit hands to ``machine_sink``: a :class:`~repro.vm.Machine`
     counts VM steps, a :class:`~repro.trace.TraceStream` counts decoded
     events; it restarts at -1 for every unit.  ``degraded`` marks a
-    post-preemption retry: replay specs then analyze their trace in
-    streaming mode instead of materializing it.
+    post-preemption retry; it only decides whether the smoke-test
+    ballast is allocated.
 
     A unit is normally a :class:`RunSpec`, but any object exposing
-    ``execute(machine_sink=..., streaming=..., trace_dir=...)`` is
+    ``execute(machine_sink=..., trace_dir=...)`` is
     accepted — the hook other schedulers (the analysis service's
     trace-upload units in particular) use to ride the same supervised
     worker path without teaching :func:`_run_spec` their payloads.
@@ -704,13 +698,9 @@ def _worker_main(
             unit = table[index]
             execute = getattr(unit, "execute", None)
             if callable(execute):
-                outcome = execute(
-                    machine_sink=sink, streaming=degraded, trace_dir=trace_dir
-                )
+                outcome = execute(machine_sink=sink, trace_dir=trace_dir)
             else:
-                outcome = _run_spec(
-                    unit, trace_dir=trace_dir, machine_sink=sink, streaming=degraded
-                )
+                outcome = _run_spec(unit, trace_dir=trace_dir, machine_sink=sink)
             with send_lock:
                 state["running"] = False
                 conn.send(("ok", outcome))
@@ -853,7 +843,9 @@ def run_sweep(
     :param budget: a :class:`~repro.harness.resources.ResourceBudget`.
         With ``max_rss_bytes`` set (and heartbeats on), a worker whose
         self-sampled RSS exceeds the cap is preempted and retried once
-        in degraded (streaming-decode) mode; a second preemption
+        in degraded mode, outside the attempt budget (replay cells
+        stream their recording in constant memory on every attempt);
+        a second preemption
         quarantines the spec as poison — statuses stay structured, the
         sweep never crashes.  ``disk_quota_bytes`` is applied to the
         result cache and the trace store (LRU eviction on put,
@@ -1121,8 +1113,7 @@ class _Job:
     last_progress_t: float = 0.0
     #: highest self-sampled RSS reported over the heartbeat channel
     peak_rss: int = 0
-    #: the unit is a degraded (streaming-mode) retry after an
-    #: over-budget preemption
+    #: the unit is a degraded retry after an over-budget preemption
     degraded: bool = False
 
 
@@ -1191,7 +1182,7 @@ class WorkerPool:
     never re-runs anything on its own.
 
     ``submit`` accepts :class:`RunSpec` objects or any unit exposing
-    ``execute(machine_sink=..., streaming=..., trace_dir=...)``.
+    ``execute(machine_sink=..., trace_dir=...)``.
     ``timeout_s`` at submit overrides the pool default per request —
     the seam the service's per-request deadlines ride on.
     """
@@ -1560,7 +1551,7 @@ def _run_pool(
         quarantine.
 
         Never a terminal failure: the first preemption re-queues the
-        spec in degraded (streaming) mode *outside* the normal attempt
+        spec in degraded mode *outside* the normal attempt
         budget; a repeat offender — over budget even degraded — goes to
         the poison quarantine.  Either way the sweep keeps going.
         """

@@ -666,9 +666,10 @@ def _streaming_probe(mode: str, trace_dir: str, key: str, tool_name: str) -> Dic
 
     Runs inside a fresh interpreter (see :func:`_run_probe`); measures
     the high-water delta across exactly the store-read + analysis
-    region (``get`` + :func:`~repro.trace.analyze_trace`, or
-    ``open_stream`` + :func:`~repro.trace.analyze_trace_streaming` —
-    materialization cost is the thing being measured, so it stays
+    region (``get`` or ``open_stream``, then
+    :func:`~repro.trace.analyze_trace` over the materialized
+    :class:`~repro.trace.Trace` or the :class:`~repro.trace.TraceStream`
+    — materialization cost is the thing being measured, so it stays
     inside the window).
     """
     import time as _time
@@ -676,22 +677,16 @@ def _streaming_probe(mode: str, trace_dir: str, key: str, tool_name: str) -> Dic
 
     from repro.harness.registry import resolve_tool
     from repro.harness.resources import peak_rss_bytes
-    from repro.trace import TraceStore, analyze_trace, analyze_trace_streaming
+    from repro.trace import TraceStore, analyze_trace
 
     store = TraceStore(trace_dir)
     cfg = resolve_tool(tool_name)
     tracemalloc.start()
     t0 = _time.perf_counter()
-    if mode == "stream":
-        stream = store.open_stream(key)
-        if stream is None:
-            raise RuntimeError(f"trace {key[:16]}… missing from probe store")
-        analysis = analyze_trace_streaming(stream, cfg)
-    else:
-        trace = store.get(key)
-        if trace is None:
-            raise RuntimeError(f"trace {key[:16]}… missing from probe store")
-        analysis = analyze_trace(trace, cfg)
+    source = store.open_stream(key) if mode == "stream" else store.get(key)
+    if source is None:
+        raise RuntimeError(f"trace {key[:16]}… missing from probe store")
+    analysis = analyze_trace(source, cfg)
     duration = _time.perf_counter() - t0
     _, peak_alloc = tracemalloc.get_traced_memory()
     tracemalloc.stop()

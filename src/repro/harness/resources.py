@@ -17,7 +17,7 @@ prevent all three:
   :mod:`repro.durable`, whose stores use it).
 
 Everything degrades instead of failing: over-budget workers are
-preempted and retried in a degraded (streaming) mode, over-quota stores
+preempted and retried once in degraded mode, over-quota stores
 evict LRU entries, a full disk turns the cache off with a structured
 note — a governed sweep finishes with honest records, it never crashes.
 """

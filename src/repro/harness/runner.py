@@ -174,85 +174,42 @@ def run_workload(
 def run_workload_offline(
     workload: Workload,
     config: ToolConfig,
-    trace,
+    source,
     seed: Optional[int] = None,
     fault_plan: Optional[FaultPlan] = None,
     livelock_bound: Optional[int] = None,
 ) -> RunOutcome:
-    """Build a :class:`RunOutcome` from a stored trace — no VM in the loop.
+    """Build a :class:`RunOutcome` from a recording — no VM in the loop.
 
     The offline twin of :func:`run_workload` for replay-mode sweep
     cells: the detector consumes the recorded event stream through
-    :func:`repro.trace.analyze_trace` and the machine-level result is
-    synthesized from the trace's termination status, so the outcome's
-    report fingerprint is bit-identical to the live run's.  One-time
-    costs that a live run charges separately (``instrument_s``,
-    ``decode_s``) are zero here: a replay pays neither.
+    :func:`repro.trace.analyze_trace` — ``source`` is an in-memory
+    :class:`~repro.trace.Trace` or a :class:`~repro.trace.TraceStream`
+    read off a store in constant memory — and the machine-level result
+    is synthesized from the recording's termination status, so the
+    outcome's report fingerprint is bit-identical to the live run's.
+    One-time costs that a live run charges separately (``instrument_s``,
+    ``decode_s``) are zero here: a replay pays neither.  Propagates
+    :class:`~repro.trace.TraceStreamCorruption`: the caller owns the
+    store and the quarantine/fallback decision.
     """
     from repro.trace import analyze_trace, synthesize_result
 
-    analysis = analyze_trace(trace, config)
+    analysis = analyze_trace(source, config)
     detector = analysis.detector
     spin_loops = (
-        sum(1 for s in trace.loop_sizes.values() if s <= config.spin_max_blocks)
+        sum(1 for s in source.loop_sizes.values() if s <= config.spin_max_blocks)
         if config.spin
         else 0
     )
     return RunOutcome(
         workload=workload,
         config=config,
-        seed=seed if seed is not None else trace.seed,
+        seed=seed if seed is not None else source.seed,
         report=analysis.report,
-        result=synthesize_result(trace),
+        result=synthesize_result(source),
         duration_s=analysis.duration_s,
-        steps=trace.steps,
-        events=analysis.events,
-        detector_words=detector.memory_words(),
-        imap_words=0,
-        spin_loops=spin_loops,
-        adhoc_edges=detector.adhoc.edges if detector.adhoc is not None else 0,
-        fault_plan=fault_plan,
-        livelock_bound=livelock_bound,
-        trace_mode="replay",
-    )
-
-
-def run_workload_offline_streaming(
-    workload: Workload,
-    config: ToolConfig,
-    stream,
-    seed: Optional[int] = None,
-    fault_plan: Optional[FaultPlan] = None,
-    livelock_bound: Optional[int] = None,
-) -> RunOutcome:
-    """Bounded-memory twin of :func:`run_workload_offline`.
-
-    Analyzes a :class:`~repro.trace.TraceStream` through
-    :func:`repro.trace.analyze_trace_streaming` instead of a
-    materialized :class:`~repro.trace.Trace` — the degraded path a
-    memory-governed sweep retries an ``oom-preempted`` replay worker
-    on.  The report fingerprint is identical to the in-memory path; the
-    only difference is peak RSS.  Propagates
-    :class:`~repro.trace.TraceStreamCorruption` — the caller owns the
-    store and the quarantine/fallback decision.
-    """
-    from repro.trace import analyze_trace_streaming
-
-    analysis = analyze_trace_streaming(stream, config)
-    detector = analysis.detector
-    spin_loops = (
-        sum(1 for s in stream.loop_sizes().values() if s <= config.spin_max_blocks)
-        if config.spin
-        else 0
-    )
-    return RunOutcome(
-        workload=workload,
-        config=config,
-        seed=seed if seed is not None else stream.seed,
-        report=analysis.report,
-        result=analysis.result,
-        duration_s=analysis.duration_s,
-        steps=stream.steps,
+        steps=source.steps,
         events=analysis.events,
         detector_words=detector.memory_words(),
         imap_words=0,

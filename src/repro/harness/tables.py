@@ -109,7 +109,7 @@ def sweep_records_table(records: Sequence["RunRecord"], title: str) -> str:
         if show_rss:
             row.append(f"{r.peak_rss >> 20}M" if r.peak_rss else "-")
         rows.append(row)
-    note = "\n(* = degraded/streaming attempt)" if any(r.degraded for r in records) else ""
+    note = "\n(* = degraded retry)" if any(r.degraded for r in records) else ""
     return format_table(headers, rows, title=title) + note
 
 
@@ -139,7 +139,7 @@ def sweep_summary_table(summary: "SweepSummary", title: str = "Sweep summary") -
     if summary.peak_rss:
         rows.append(["peak worker RSS", f"{summary.peak_rss >> 20} MiB"])
     if summary.degraded:
-        rows.append(["degraded (streaming) runs", summary.degraded])
+        rows.append(["degraded retries", summary.degraded])
     if summary.oom_preempted:
         rows.append(["oom preemptions", summary.oom_preempted])
     if summary.wall_budget_stopped:

@@ -27,8 +27,9 @@ Robustness properties, each asserted by ``scripts/service_smoke.py``:
 * **Graceful degradation** — between scheduling ticks the engine grades
   RSS + disk usage against its :class:`~repro.harness.resources.
   ResourceBudget` (:func:`~repro.harness.resources.assess_pressure`).
-  Under ``degraded`` pressure new program cells run as streaming trace
-  replays (bounded memory, identical report fingerprint) and responses
+  Under ``degraded`` pressure new program cells run as trace replays
+  (a recording already in the store is streamed in bounded memory;
+  identical report fingerprint), and responses
   say so; under ``critical`` pressure queued work is shed tenant-fairly
   with explicit ``shed`` responses.  The daemon degrades; it does not
   die.
@@ -100,40 +101,30 @@ class TraceUploadUnit:
     """A trace-upload work unit riding the pool's ``execute()`` protocol.
 
     Analyzes a spooled RPRT recording exactly the way a direct
-    ``repro.run(trace=path)`` does — :func:`~repro.trace.open_trace_file`
-    + :func:`~repro.trace.analyze_trace_streaming` — so the served
-    fingerprint is identical to the session API's.  Streaming already,
-    so degraded mode changes nothing.
+    ``repro.run(trace=path)`` does — streamed through
+    :func:`~repro.trace.open_trace_file` into
+    :func:`~repro.harness.runner.run_workload_offline` — so the served
+    fingerprint is identical to the session API's.  The recording is
+    never materialized, so degraded mode changes nothing.
     """
 
     path: str
     tool: str
 
-    def execute(self, machine_sink=None, streaming=False, trace_dir=None) -> RunOutcome:
-        from repro.trace import analyze_trace_streaming, open_trace_file
+    def execute(self, machine_sink=None, trace_dir=None) -> RunOutcome:
+        from repro.harness.runner import run_workload_offline
+        from repro.trace import open_trace_file
 
-        config = ToolConfig.preset(self.tool)
         stream = open_trace_file(self.path)
         if machine_sink is not None:
             # The stream's decoded-event count is the heartbeat's
             # progress counter: no VM runs here.
             machine_sink(stream)
-        analysis = analyze_trace_streaming(stream, config)
         name = f"trace-upload-{Path(self.path).stem[:12]}"
-        return RunOutcome(
-            workload=Workload(name=name, build=_unbuildable),
-            config=config,
-            seed=analysis.meta.get("seed", 0),
-            report=analysis.report,
-            result=analysis.result,
-            duration_s=analysis.duration_s,
-            steps=analysis.meta.get("steps", 0),
-            events=analysis.events,
-            detector_words=0,
-            imap_words=0,
-            spin_loops=0,
-            adhoc_edges=0,
-            trace_mode="replay",
+        return run_workload_offline(
+            Workload(name=name, build=_unbuildable),
+            ToolConfig.preset(self.tool),
+            stream,
         )
 
 
@@ -524,8 +515,9 @@ class Engine:
         if cell.unit is not None:
             work = cell.unit
         elif degraded:
-            # Pressure mode: record once, then analyze as a streaming
-            # replay — bounded memory, identical report fingerprint.
+            # Pressure mode: a replay cell — recorded on first use, then
+            # streamed off the store in bounded memory; identical report
+            # fingerprint.
             work = dataclasses.replace(cell.spec, trace_mode="replay")
         else:
             work = cell.spec
@@ -565,7 +557,7 @@ class Engine:
             )
             return
         if exit.kind == "oom" and not exit.degraded:
-            # Over the memory budget: one degraded (streaming) retry.
+            # Over the memory budget: one degraded retry.
             cell.attempt += 1
             cell.degraded = True
             self.queue.requeue(cell.sub.tenant, cell.key)

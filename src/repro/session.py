@@ -44,13 +44,7 @@ from repro.detectors.reports import Report
 from repro.harness.registry import build_scheduler, resolve_tool, resolve_workload
 from repro.harness.workload import Workload
 from repro.isa import Program, ProgramBuilder
-from repro.trace import (
-    Trace,
-    analyze_trace,
-    analyze_trace_streaming,
-    open_trace_file,
-    synthesize_result,
-)
+from repro.trace import Trace, TraceStream, analyze_trace, open_trace_file, synthesize_result
 from repro.vm import Machine, RandomScheduler
 from repro.vm.faults import FaultPlan
 from repro.vm.machine import RunResult
@@ -89,9 +83,11 @@ class SessionResult:
     decode_s: float = 0.0
     #: wall-clock of machine + detector, seconds
     run_s: float = 0.0
-    #: the recording an offline session analyzed (``None`` for live runs
-    #: and for streaming sessions, which never materialize one)
-    trace: Optional[Trace] = None
+    #: the recording an offline session analyzed (``None`` for live
+    #: runs): a :class:`~repro.trace.Trace`, or the
+    #: :class:`~repro.trace.TraceStream` a framed file was read through
+    #: without materializing it
+    trace: Union[Trace, TraceStream, None] = None
     #: structured provenance/degradation notes (e.g. ``"streaming-decode"``
     #: when a framed trace file was analyzed without materialization)
     notes: Tuple[str, ...] = ()
@@ -218,23 +214,9 @@ def run(
             path = Path(trace)
             with open(path, "rb") as fh:
                 framed = fh.read(4) == b"RPRT"
-            if framed:
-                # A store-framed file: stream it — constant memory, no
-                # materialized Trace, identical report fingerprint.
-                stream = open_trace_file(path)
-                analysis = analyze_trace_streaming(stream, tool)
-                return SessionResult(
-                    program=None,
-                    config=tool,
-                    seed=stream.seed,
-                    report=analysis.report,
-                    result=analysis.result,
-                    detector=analysis.detector,
-                    machine=None,
-                    run_s=analysis.duration_s,
-                    notes=analysis.notes,
-                )
-            trace = Trace.from_json(path.read_text())
+            # A store-framed file streams — constant memory, no
+            # materialized Trace, identical report fingerprint.
+            trace = open_trace_file(path) if framed else Trace.from_json(path.read_text())
         analysis = analyze_trace(trace, tool)
         return SessionResult(
             program=None,
@@ -246,6 +228,7 @@ def run(
             machine=None,
             run_s=analysis.duration_s,
             trace=trace,
+            notes=analysis.notes,
         )
 
     if program_or_workload is None:

@@ -12,8 +12,10 @@ columns (:class:`EventColumns`) plus the metadata needed to re-filter it
 per configuration (each marked loop's effective block count, the symbol
 map).  :func:`analyze_trace` then runs any
 :class:`~repro.detectors.ToolConfig` over the recorded rows with no VM
-in the loop, and its report fingerprint is bit-identical to a live
-run's:
+in the loop — from an in-memory :class:`Trace` or from a
+:class:`TraceStream` that decodes a stored recording in bounded chunks
+without materializing it — and its report fingerprint is bit-identical
+to a live run's:
 
 * the rows reach the same detector kernel a live run's VM flush feeds
   (``consume_batch``), which drops what the configuration ignores
@@ -29,7 +31,9 @@ run's:
 ``(program fingerprint, scheduler, seed, instrumentation, faults)`` —
 compressed, checksummed, and quarantined-on-corruption like the sweep
 result cache — so one recording can serve any number of offline
-analyses.  Traces also serialize to/from JSON for ad-hoc use.
+analyses.  Store-backed replays (sweep cells, ``trace analyze``, service
+uploads) stream their recording through :meth:`TraceStore.open_stream`
+instead of materializing it.  Traces also serialize to/from JSON for ad-hoc use.
 """
 
 from repro.trace.trace import (
@@ -41,25 +45,18 @@ from repro.trace.trace import (
     replay_trace,
     synthesize_result,
 )
-from repro.trace.stream import (
-    StreamAnalysis,
-    TraceStream,
-    TraceStreamCorruption,
-    analyze_trace_streaming,
-)
+from repro.trace.stream import TraceStream, TraceStreamCorruption
 from repro.trace.store import TraceStore, key_for_spec, open_trace_file, trace_key
 from repro.trace.hbgraph import HbGraph, HbNode, build_hb_graph
 
 __all__ = [
     "EventColumns",
-    "StreamAnalysis",
     "Trace",
     "TraceAnalysis",
     "TraceStore",
     "TraceStream",
     "TraceStreamCorruption",
     "analyze_trace",
-    "analyze_trace_streaming",
     "record_trace",
     "replay_trace",
     "synthesize_result",

@@ -184,11 +184,11 @@ class TraceStore(FramedStore):
     def decode(self, payload: bytes) -> Trace:
         return _decode_payload(payload)
 
-    def _open_meta(self, path: Path, key: str) -> Optional[Tuple[int, dict]]:
-        """``(payload offset, meta)`` of an entry, or ``None`` on a miss
-        or a corrupt entry (which is quarantined first)."""
+    def _open_entry(self, path: Path, key: str) -> Optional[TraceStream]:
+        """A stream over an entry, or ``None`` on a miss or a corrupt
+        entry (which is quarantined first)."""
         try:
-            return _verified_meta(path)
+            return _open_verified(path, key)
         except OSError:
             return None
         except Corruption as exc:
@@ -208,19 +208,29 @@ class TraceStore(FramedStore):
         the iterator; pass it to :meth:`quarantine_stream`.
         """
         path = self._path(key)
-        opened = self._open_meta(path, key)
-        if opened is None:
+        stream = self._open_entry(path, key)
+        if stream is None:
             self.misses += 1
             return None
         self.hits += 1
         self._touch(path)
-        offset, meta = opened
-        return TraceStream(path=path, payload_offset=offset, meta=meta, key=key)
+        return stream
 
     def quarantine_stream(self, stream: TraceStream, reason: str) -> None:
-        """Quarantine the entry behind a stream that corrupted mid-read."""
+        """Quarantine the entry behind a stream that corrupted mid-read.
+
+        Readers of one key race: another worker may already have moved
+        the bad entry to ``corrupt/``, or re-recorded the key over it.
+        Either way the file now at the key is not the one this stream
+        read, so it is left alone; this never raises.
+        """
         path = Path(stream.path)
-        self._quarantine(path, stream.key or path.stem, reason)
+        try:
+            same = stream.inode is None or path.stat().st_ino == stream.inode
+        except OSError:
+            same = False  # already moved away
+        if same:
+            self._quarantine(path, stream.key or path.stem, reason)
         self.misses += 1
 
     def entries(self) -> Iterator[Tuple[str, dict, int]]:
@@ -232,24 +242,26 @@ class TraceStore(FramedStore):
         side effect, exactly like ``get``.
         """
         for path in sorted(self._entries()):
-            opened = self._open_meta(path, path.stem)
-            if opened is None:
+            stream = self._open_entry(path, path.stem)
+            if stream is None:
                 continue
             try:
                 size = path.stat().st_size
             except OSError:
                 continue  # raced away after validation
-            yield path.stem, opened[1], size
+            yield path.stem, stream.meta, size
 
 
-def _verified_meta(path: Path) -> Tuple[int, dict]:
-    """Verify a framed trace file in constant memory and decode only its
-    metadata line; returns ``(payload offset, meta)``.  Raises ``OSError``
-    on a miss and :class:`~repro.durable.Corruption` otherwise."""
+def _open_verified(path: Path, key: str = "") -> TraceStream:
+    """Verify a framed trace file in constant memory, decode only its
+    metadata line and open a stream over it.  Raises ``OSError`` on a
+    miss and :class:`~repro.durable.Corruption` otherwise."""
     offset = TraceStore.verify_file(path)
     try:
-        return offset, read_meta_line(path, offset)
-    except (OSError, EOFError, ValueError, TypeError) as exc:
+        return TraceStream(
+            path=path, payload_offset=offset, meta=read_meta_line(path, offset), key=key
+        )
+    except (OSError, EOFError, ValueError, TypeError, AttributeError) as exc:
         raise Corruption(f"undecodable: {type(exc).__name__}") from exc
 
 
@@ -264,9 +276,7 @@ def open_trace_file(path: Union[str, Path]) -> TraceStream:
     :class:`~repro.trace.stream.TraceStreamCorruption` instead of
     returning ``None``.
     """
-    path = Path(path)
     try:
-        offset, meta = _verified_meta(path)
+        return _open_verified(Path(path))
     except Corruption as exc:
         raise TraceStreamCorruption(exc.reason) from exc
-    return TraceStream(path=path, payload_offset=offset, meta=meta)

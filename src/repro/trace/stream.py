@@ -1,19 +1,16 @@
-"""Streaming trace decode: analyze a stored recording in bounded memory.
+"""Streaming trace decode: read a stored recording in bounded memory.
 
-:func:`repro.trace.analyze_trace` materializes a full :class:`Trace`
-(decoded into event columns) before the detector sees a single row.
-That is the right trade for repeated analyses of one recording, but it
-makes peak RSS scale with trace length, which is exactly what a
-memory-governed worker cannot afford.
-
-This module is the constant-memory alternative.  A :class:`TraceStream`
-(obtained from :meth:`repro.trace.store.TraceStore.open_stream`) walks
-the RPRT-framed gzip JSONL payload line by line, decoding one event at
-a time; :func:`analyze_trace_streaming` feeds them as rows to the same
-detector kernel (``consume_batch``) in bounded chunks.  The kernel
-applies the configuration filter itself, so the resulting
-``report.fingerprint()`` is bit-identical to :func:`analyze_trace` for
-every configuration, partial/faulted recordings included.
+:meth:`repro.trace.store.TraceStore.get` materializes a full
+:class:`~repro.trace.Trace` (decoded into event columns) before the
+detector sees a single row, so peak memory scales with trace length.
+A :class:`TraceStream` (obtained from
+:meth:`~repro.trace.store.TraceStore.open_stream`) is the
+constant-memory source: it walks the RPRT-framed gzip JSONL payload
+line by line, decoding one event at a time, and hands the rows to the
+detector kernel in chunks of at most :data:`CHUNK_EVENTS`.
+:func:`repro.trace.analyze_trace` takes either source, and its
+``report.fingerprint()`` is the same for both, partial/faulted
+recordings included.
 
 The stream trusts the store's frame checksum (verified before a
 :class:`TraceStream` is handed out), but still validates shape as it
@@ -28,23 +25,23 @@ from __future__ import annotations
 import gzip
 import io
 import json
-import time
-from dataclasses import dataclass
+import os
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, List, Tuple, Union
+from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple, Union
 
-from repro.detectors import RaceDetector, Report, ToolConfig
-from repro.trace.trace import _decode_event, _loc_parse, _validate_replay
+from repro.isa.program import CodeLocation
+from repro.trace.trace import _decode_event, _loc_parse
 from repro.vm import events as ev
-from repro.vm.machine import RunResult
 from repro.vm.memory import SymbolMap
 
-__all__ = [
-    "StreamAnalysis",
-    "TraceStream",
-    "TraceStreamCorruption",
-    "analyze_trace_streaming",
-]
+__all__ = ["CHUNK_EVENTS", "TraceStream", "TraceStreamCorruption"]
+
+#: rows per ``consume_batch`` call when a stream feeds the detector.
+#: Small enough that peak memory stays a fixed few hundred kilobytes
+#: regardless of trace length, large enough that per-call overhead is
+#: amortized.
+CHUNK_EVENTS = 2048
 
 
 class TraceStreamCorruption(Exception):
@@ -69,9 +66,10 @@ class TraceStream:
     ``meta`` is the recording's metadata line (the same dict
     ``TraceStore.entries`` yields): program, seed, scheduler, status,
     steps, instrumentation parameters, loop sizes, lock sites, symbols,
-    and the expected event count.  :meth:`events` may be called any
-    number of times; each call re-opens the payload and decodes from
-    the start, holding only one line in memory at a time.
+    and the expected event count.  :meth:`events` and
+    :meth:`row_batches` may be called any number of times; each call
+    re-opens the payload and decodes from the start, holding only one
+    line in memory at a time.
     """
 
     path: Path
@@ -80,9 +78,23 @@ class TraceStream:
     meta: dict
     #: store key the stream was opened under ("" for bare files)
     key: str = ""
-    #: events decoded so far over all :meth:`events` passes — the
-    #: progress counter a supervised worker's heartbeat reports
+    #: events decoded so far over all passes — the progress counter a
+    #: supervised worker's heartbeat reports
     decoded: int = 0
+    #: effective basic-block size per marked loop id (parsed at open)
+    loop_sizes: Dict[int, int] = field(init=False)
+    #: recorded lock-acquire CAS sites (parsed at open)
+    lock_sites: FrozenSet[CodeLocation] = field(init=False)
+    #: inode of the file the last pass read — lets the store tell the
+    #: entry this stream saw from one written over it since
+    inode: Optional[int] = field(default=None, init=False)
+    _note_events: List[ev.Event] = field(default_factory=list, init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.loop_sizes = {int(k): v for k, v in self.meta.get("loop_sizes", {}).items()}
+        self.lock_sites = frozenset(
+            _loc_parse(l) for l in self.meta.get("lock_sites", [])
+        )
 
     def events(self) -> Iterator[Tuple[int, ev.Event]]:
         """Yield ``(seq, event)`` in recorded order, decoding lazily.
@@ -93,6 +105,7 @@ class TraceStream:
         seq = 0
         try:
             with open(self.path, "rb") as fh:
+                self.inode = os.fstat(fh.fileno()).st_ino
                 fh.seek(self.payload_offset)
                 gz = gzip.GzipFile(fileobj=fh, mode="rb")
                 text = io.TextIOWrapper(gz, encoding="utf-8")
@@ -116,6 +129,34 @@ class TraceStream:
             raise TraceStreamCorruption(
                 f"event-count-mismatch: meta says {expected}, got {seq}"
             )
+
+    def row_batches(self) -> Iterator[List[tuple]]:
+        """The recording as detector-kernel rows, in chunks of at most
+        :data:`CHUNK_EVENTS`, decoded lazily.
+
+        The bookkeeping (NOTE) rows' events are kept on the way, so
+        :meth:`note_events` — and with it
+        :func:`repro.trace.synthesize_result` — serves the stream once a
+        pass has finished.
+        """
+        size = CHUNK_EVENTS
+        note, event_row = ev.NOTE, ev.event_row
+        notes = self._note_events = []
+        chunk: List[tuple] = []
+        for _seq, e in self.events():
+            row = event_row(e)
+            chunk.append(row)
+            if row[0] == note:
+                notes.append(e)
+            if len(chunk) >= size:
+                yield chunk
+                chunk = []
+        if chunk:
+            yield chunk
+
+    def note_events(self) -> List[ev.Event]:
+        """The bookkeeping events the last :meth:`row_batches` pass saw."""
+        return self._note_events
 
     # -- meta accessors mirroring Trace ------------------------------------
 
@@ -143,12 +184,6 @@ class TraceStream:
     def inline_depth(self) -> int:
         return self.meta.get("inline_depth", 1)
 
-    def loop_sizes(self) -> dict:
-        return {int(k): v for k, v in self.meta.get("loop_sizes", {}).items()}
-
-    def lock_sites(self) -> frozenset:
-        return frozenset(_loc_parse(l) for l in self.meta.get("lock_sites", []))
-
     def symbol_map(self) -> SymbolMap:
         sm = SymbolMap()
         for name, base, size in self.meta.get("symbols", []):
@@ -172,111 +207,3 @@ def read_meta_line(path: Union[str, Path], payload_offset: int) -> dict:
     if not isinstance(meta, dict):
         raise ValueError("metadata line is not an object")
     return meta
-
-
-# ---------------------------------------------------------------------------
-# Streaming analysis
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class StreamAnalysis:
-    """Result of one bounded-memory analysis of a stored recording.
-
-    The streaming twin of :class:`repro.trace.trace.TraceAnalysis`:
-    same report/detector payload, but no :class:`Trace` — only the
-    metadata dict survives the pass — plus a synthesized machine-level
-    :class:`RunResult` (outputs and fault counts are collected during
-    the single event pass instead of a post-hoc scan).
-    """
-
-    meta: dict
-    config: ToolConfig
-    report: Report
-    detector: RaceDetector
-    #: events that passed the configuration's filter
-    events: int
-    #: wall-clock seconds spent streaming + finalization
-    duration_s: float
-    #: machine-level outcome synthesized from the recording
-    result: RunResult
-    #: structured degradation/provenance notes
-    notes: Tuple[str, ...] = ()
-
-
-#: default number of rows per ``consume_batch`` chunk.  Small enough
-#: that peak RSS stays a fixed few hundred kilobytes regardless of trace
-#: length, large enough that per-call overhead is amortized.
-DEFAULT_CHUNK_EVENTS = 2048
-
-
-def analyze_trace_streaming(
-    stream: TraceStream,
-    config,
-    chunk_events: int = DEFAULT_CHUNK_EVENTS,
-) -> StreamAnalysis:
-    """Run a tool configuration over a stored trace in bounded memory.
-
-    Delivers rows straight off the decoder without ever materializing
-    the recording, in chunks of at most ``chunk_events`` rows per
-    ``consume_batch`` call; the kernel filters them exactly as it
-    filters an in-memory replay.  The report is finalized from the
-    recording's termination status, so ``report.fingerprint()`` is
-    bit-identical to :func:`repro.trace.analyze_trace` on the same
-    entry — partial and faulted recordings included.  Outputs and the
-    fault count are collected from the bookkeeping events on the way.
-
-    Raises :class:`TraceStreamCorruption` if the payload turns out
-    malformed mid-pass; the detector state is then abandoned.
-    """
-    from repro.harness.registry import resolve_tool  # lazy: import cycle
-
-    config = resolve_tool(config)
-    _validate_replay(stream, config)
-    detector = RaceDetector(
-        config,
-        symbolize=stream.symbol_map().resolve,
-        lock_sites=stream.lock_sites(),
-        loop_sizes=stream.loop_sizes(),
-    )
-    outputs: List[Tuple[int, int]] = []
-    faults = 0
-
-    t0 = time.perf_counter()
-    consume = detector.consume_batch
-    chunk: list = []
-    for _seq, e in stream.events():
-        row = ev.event_row(e)
-        chunk.append(row)
-        if row[0] == ev.NOTE:
-            if type(e) is ev.PrintEvent:
-                outputs.append((e.tid, e.value))
-            elif isinstance(e, ev.FaultEvent):
-                faults += 1
-        if len(chunk) >= chunk_events:
-            consume(chunk)
-            chunk = []
-    if chunk:
-        consume(chunk)
-
-    status = stream.status
-    report = detector.finalize(partial=status != "ok")
-    duration = time.perf_counter() - t0
-    result = RunResult(
-        steps=stream.steps,
-        timed_out=status == "step-limit",
-        deadlocked=status == "deadlock",
-        outputs=outputs,
-        livelocked=status == "livelock",
-        faults_injected=faults,
-    )
-    return StreamAnalysis(
-        meta=stream.meta,
-        config=config,
-        report=report,
-        detector=detector,
-        events=detector.events_accepted,
-        duration_s=duration,
-        result=result,
-        notes=("streaming-decode",),
-    )

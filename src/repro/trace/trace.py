@@ -3,7 +3,10 @@
 A :class:`Trace` stores its event stream column-wise
 (:class:`EventColumns`): the VM's row buffer flushes straight into the
 columns while recording, and a replay feeds the columns to the detector
-kernel as rows — a recording is just another event source.
+kernel as rows — a recording is just another event source.  A stored
+recording can also be replayed without materializing it, through a
+:class:`~repro.trace.stream.TraceStream`; :func:`analyze_trace` takes
+either.
 """
 
 from __future__ import annotations
@@ -12,7 +15,18 @@ import json
 import time
 from array import array
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.analysis import instrument_program, lock_site_locations
 from repro.detectors import RaceDetector, Report, ToolConfig
@@ -22,6 +36,9 @@ from repro.vm import events as ev
 from repro.vm.faults import FaultPlan
 from repro.vm.machine import RunResult
 from repro.vm.memory import SymbolMap
+
+if TYPE_CHECKING:
+    from repro.trace.stream import TraceStream
 
 
 class EventColumns:
@@ -156,6 +173,14 @@ class Trace:
             sm.add(name, base, size)
         return sm
 
+    def row_batches(self) -> Tuple[Iterator[tuple]]:
+        """The recording as one batch of detector-kernel rows."""
+        return (self.columns.rows(),)
+
+    def note_events(self) -> List[ev.Event]:
+        """The bookkeeping events (thread start/exit, prints, faults)."""
+        return self.columns.notes()
+
     # -- serialization ------------------------------------------------------
 
     def to_json(self) -> str:
@@ -195,6 +220,11 @@ class Trace:
             # pre-spec traces were always seeded-random recordings
             scheduler=data.get("scheduler", "random"),
         )
+
+
+#: what offline analysis reads: a recording in memory, or one streamed
+#: off a store without materialization
+TraceSource = Union[Trace, "TraceStream"]
 
 
 def record_trace(
@@ -262,9 +292,8 @@ def record_trace(
 # ---------------------------------------------------------------------------
 
 
-def _validate_replay(trace, config: ToolConfig) -> None:
-    """Reject a spin config the recording's instrumentation cannot serve
-    (``trace`` is a :class:`Trace` or a streamed recording)."""
+def _validate_replay(trace: TraceSource, config: ToolConfig) -> None:
+    """Reject a spin config the recording's instrumentation cannot serve."""
     if config.spin:
         if config.spin_max_blocks > trace.max_blocks:
             raise ValueError(
@@ -278,16 +307,19 @@ def _validate_replay(trace, config: ToolConfig) -> None:
             )
 
 
-def replay_trace(trace: Trace, config) -> RaceDetector:
+def replay_trace(trace: TraceSource, config) -> RaceDetector:
     """Run one tool configuration over a recorded execution.
 
     The replayed interleaving is identical for every configuration —
-    something re-execution-based tools cannot guarantee.  The recording's
-    columns feed the detector kernel in one ``consume_batch`` call, which
-    filters them for the configuration inline.  Low-level primitive: the
-    returned detector is *not* finalized, so callers can inspect live
-    state; most callers want :func:`analyze_trace`, which also seals the
-    report with the trace's termination status.  ``config`` may be a
+    something re-execution-based tools cannot guarantee.  ``trace`` is
+    an in-memory :class:`Trace`, whose columns feed the detector kernel
+    in one ``consume_batch`` call, or a
+    :class:`~repro.trace.stream.TraceStream`, which feeds it bounded
+    chunks straight off the decoder; the kernel filters the rows for the
+    configuration inline either way.  Low-level primitive: the returned
+    detector is *not* finalized, so callers can inspect live state; most
+    callers want :func:`analyze_trace`, which also seals the report with
+    the trace's termination status.  ``config`` may be a
     :class:`~repro.detectors.ToolConfig` or a preset name.
     """
     from repro.harness.registry import resolve_tool  # lazy: import cycle
@@ -300,7 +332,9 @@ def replay_trace(trace: Trace, config) -> RaceDetector:
         lock_sites=trace.lock_sites,
         loop_sizes=trace.loop_sizes,
     )
-    detector.consume_batch(trace.columns.rows())
+    consume = detector.consume_batch
+    for rows in trace.row_batches():
+        consume(rows)
     return detector
 
 
@@ -308,7 +342,9 @@ def replay_trace(trace: Trace, config) -> RaceDetector:
 class TraceAnalysis:
     """Result of one VM-free analysis of a recorded execution."""
 
-    trace: Trace
+    #: the analyzed source: a :class:`Trace` or a
+    #: :class:`~repro.trace.stream.TraceStream`
+    trace: TraceSource
     config: ToolConfig
     report: Report
     detector: RaceDetector
@@ -316,17 +352,25 @@ class TraceAnalysis:
     events: int
     #: wall-clock seconds spent in replay + finalization
     duration_s: float
+    #: provenance notes: ``("streaming-decode",)`` when the source was a
+    #: stream that was never materialized
+    notes: Tuple[str, ...] = ()
 
 
-def analyze_trace(trace: Trace, config) -> TraceAnalysis:
-    """Run a tool configuration over a stored trace with no VM in the loop.
+def analyze_trace(trace: TraceSource, config) -> TraceAnalysis:
+    """Run a tool configuration over a recording with no VM in the loop.
 
-    The offline twin of :func:`repro.harness.runner.run_workload`:
-    :func:`replay_trace`, then the detector is finalized from
-    ``trace.status`` (``partial=True`` for deadlock / livelock /
-    truncated recordings), so the resulting ``report.fingerprint()`` is
-    bit-identical to the live run's.  ``config`` may be a
-    :class:`~repro.detectors.ToolConfig` or a preset name.
+    The offline twin of :func:`repro.harness.runner.run_workload`.
+    ``trace`` is an in-memory :class:`Trace` or a
+    :class:`~repro.trace.stream.TraceStream` read off a store in
+    constant memory: :func:`replay_trace`, then the detector is
+    finalized from ``trace.status`` (``partial=True`` for deadlock /
+    livelock / truncated recordings), so the resulting
+    ``report.fingerprint()`` is bit-identical to the live run's for
+    either source.  ``config`` may be a
+    :class:`~repro.detectors.ToolConfig` or a preset name.  A stream that
+    turns out malformed mid-pass raises
+    :class:`~repro.trace.stream.TraceStreamCorruption`.
     """
     t0 = time.perf_counter()
     detector = replay_trace(trace, config)
@@ -339,19 +383,22 @@ def analyze_trace(trace: Trace, config) -> TraceAnalysis:
         detector=detector,
         events=detector.events_accepted,
         duration_s=duration,
+        notes=() if isinstance(trace, Trace) else ("streaming-decode",),
     )
 
 
-def synthesize_result(trace: Trace) -> RunResult:
+def synthesize_result(trace: TraceSource) -> RunResult:
     """Reconstruct the machine-level outcome a recording observed.
 
     Offline analyses have no :class:`~repro.vm.machine.RunResult`; sweep
     bookkeeping (status tables, fault accounting, output checks) still
     wants one.  Termination flags come from ``trace.status``; outputs
-    and the fault count from the recorded bookkeeping events.
+    and the fault count from the recorded bookkeeping events — for a
+    :class:`~repro.trace.stream.TraceStream`, the ones its last pass
+    kept.
     """
     status = trace.status
-    notes = trace.columns.notes()
+    notes = trace.note_events()
     return RunResult(
         steps=trace.steps,
         timed_out=status == "step-limit",

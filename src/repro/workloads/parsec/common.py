@@ -13,44 +13,6 @@ from typing import List, Sequence
 
 from repro.isa import instructions as ins
 from repro.isa.builder import FunctionBuilder, ProgramBuilder
-from repro.workloads.common import counted_loop
-
-
-def compute_kernel(fb: FunctionBuilder, arr: str, start: int, count: int, rounds: int = 2) -> None:
-    """A small arithmetic kernel over ``arr[start .. start+count)``.
-
-    Reads, transforms and writes back each cell; gives the perf figures
-    something to chew on and creates distinct access sites.
-    """
-
-    def body(inner: FunctionBuilder, i: str) -> None:
-        idx = inner.add(i, start)
-        base = inner.addr(arr)
-        cell = inner.add(base, idx)
-        v = inner.load(cell)
-        v = inner.add(inner.mul(v, 3), 7)
-        v = inner.mod(v, 9973)
-        inner.store(cell, v)
-
-    for _ in range(rounds):
-        counted_loop(fb, count, body)
-
-
-def unrolled_writes(fb: FunctionBuilder, arr: str, values: Sequence[int], offset: int = 0) -> None:
-    """One store instruction per element — each is a distinct code site."""
-    base = fb.addr(arr)
-    for k, v in enumerate(values):
-        fb.store(base, v, offset=offset + k)
-
-
-def unrolled_read_sum(fb: FunctionBuilder, arr: str, count: int, offset: int = 0) -> str:
-    """One load instruction per element; returns the sum register."""
-    base = fb.addr(arr)
-    s = fb.reg("sum")
-    fb.emit(ins.Const(s, 0))
-    for k in range(count):
-        fb.emit(ins.Mov(s, fb.add(s, fb.load(base, offset=offset + k))))
-    return s
 
 
 def adhoc_publish(fb: FunctionBuilder, flag: str, value: int = 1) -> None:

@@ -1,7 +1,7 @@
 """Resource-governed sweeps: budgets degrade structurally, never crash.
 
 Covers the governance ladder end to end — wall-budget stop, over-RSS
-preemption with a degraded (streaming) retry, second-preemption poison
+preemption with a degraded retry, second-preemption poison
 quarantine — plus the disk side (LRU quota eviction, transient-I/O
 retry, ENOSPC cache-off degradation) and the maintenance races (gc /
 doctor / quarantine vs concurrent writers) that used to be crashes.
@@ -95,7 +95,7 @@ class TestRssPreemption:
         summary = governed.summary()
         assert summary.oom_preempted == 1
         assert summary.degraded == 1
-        # streaming degradation must be invisible in the verdict
+        # a degraded retry must be invisible in the verdict
         assert (
             governed.outcomes[0].report.fingerprint()
             == baseline.outcomes[0].report.fingerprint()

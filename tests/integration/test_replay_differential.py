@@ -7,7 +7,8 @@ same (program, seed, faults) cell under that preset.  The golden verdict
 corpus (``tests/integration/test_golden_corpus.py``) pins that for the
 suite, the chaos cases whose traces truncate partially (deadlock /
 livelock / fault-killed threads) and PARSEC; this module gates the
-streaming decoder against the in-memory path.
+streamed source (a :class:`~repro.trace.TraceStream` read off a store)
+against the in-memory one.
 
 Also pinned here: the no-spin wide-loop regression (the replay filter
 must only apply under spin configurations), scheduler-spec recording,
@@ -16,10 +17,12 @@ session front door.
 """
 
 import dataclasses
+import json
 
 import pytest
 
 import repro
+import repro.trace.stream
 from repro.detectors import ToolConfig
 from repro.harness.chaos import chaos_spec
 from repro.harness.parallel import RunSpec, prewarm_traces, run_sweep, sweep_specs
@@ -28,9 +31,10 @@ from repro.harness.runner import run_workload
 from repro.trace import (
     Trace,
     TraceStore,
+    TraceStream,
     analyze_trace,
-    analyze_trace_streaming,
     record_trace,
+    synthesize_result,
 )
 from repro.workloads.dr_test.faults import chaos_cases
 from repro.workloads.dr_test.suite import build_suite
@@ -99,10 +103,11 @@ def _streamed(store, wl):
 
 
 class TestStreamingDifferential:
-    """The bounded-memory decoder is fingerprint-invisible.
+    """The bounded-memory source is fingerprint-invisible.
 
-    :func:`analyze_trace_streaming` must match :func:`analyze_trace`
-    bit-for-bit on the full report fingerprint — across the whole
+    :func:`analyze_trace` over a :class:`~repro.trace.TraceStream` must
+    match it over the in-memory :class:`Trace` bit-for-bit on the full
+    report fingerprint — across the whole
     120-case suite, every named preset, and the chaos cases whose
     recordings truncate partially — and since the in-memory path is
     already gated against live runs above, transitivity extends the
@@ -117,7 +122,7 @@ class TestStreamingDifferential:
         mismatches = []
         for wl in SUITE:
             inmem = analyze_trace(_recorded(wl), cfg)
-            streamed = analyze_trace_streaming(_streamed(suite_store, wl), cfg)
+            streamed = analyze_trace(_streamed(suite_store, wl), cfg)
             if streamed.report.fingerprint() != inmem.report.fingerprint():
                 mismatches.append(wl.name)
         assert not mismatches, f"{preset}: streaming diverged on {mismatches}"
@@ -143,33 +148,35 @@ class TestStreamingDifferential:
         mismatches = []
         for cfg in PRESETS:
             inmem = analyze_trace(trace, cfg)
-            streamed = analyze_trace_streaming(store.open_stream("c"), cfg)
+            stream = store.open_stream("c")
+            streamed = analyze_trace(stream, cfg)
             # partial (fault-truncated) recordings must finalize
             # identically, and the synthesized machine result must agree
             assert streamed.report.partial == (trace.status != "ok")
-            assert streamed.result.status == trace.status
+            assert synthesize_result(stream) == synthesize_result(trace)
+            assert synthesize_result(stream).status == trace.status
             if streamed.report.fingerprint() != inmem.report.fingerprint():
                 mismatches.append(cfg.name)
         assert not mismatches, f"{case}: streaming diverged under {mismatches}"
 
-    def test_chunk_size_is_invisible(self, suite_store):
+    def test_chunk_size_is_invisible(self, suite_store, monkeypatch):
         # Chunk boundaries must not leak into the three-way seq merge.
         wl = next(w for w in SUITE if w.name == "adhoc7_handoff")
         cfg = resolve_tool("helgrind-lib-spin7")
-        prints = {
-            chunk: analyze_trace_streaming(
-                _streamed(suite_store, wl), cfg, chunk_events=chunk
-            ).report.fingerprint()
-            for chunk in (1, 3, 2048)
-        }
+        prints = {}
+        for chunk in (1, 3, 2048):
+            monkeypatch.setattr(repro.trace.stream, "CHUNK_EVENTS", chunk)
+            stream = _streamed(suite_store, wl)
+            assert max(len(rows) for rows in stream.row_batches()) <= chunk
+            prints[chunk] = analyze_trace(stream, cfg).report.fingerprint()
         assert len(set(prints.values())) == 1
 
     def test_streaming_carries_a_provenance_note(self, suite_store):
         wl = SUITE[0]
-        streamed = analyze_trace_streaming(
-            _streamed(suite_store, wl), resolve_tool("helgrind-lib-spin7")
-        )
+        cfg = resolve_tool("helgrind-lib-spin7")
+        streamed = analyze_trace(_streamed(suite_store, wl), cfg)
         assert streamed.notes == ("streaming-decode",)
+        assert analyze_trace(_recorded(wl), cfg).notes == ()
 
 
 class TestNoSpinWideLoopRegression:
@@ -309,6 +316,82 @@ class TestSweepTraceModes:
             assert o.report.fingerprint() == by_key[(o.workload.name, o.config.name)]
 
 
+def _live_fingerprints(specs):
+    return {
+        (s.workload, s.config): repro.run(s.workload, s.config).report.fingerprint()
+        for s in specs
+    }
+
+
+class TestStoreBackedReplayStreams:
+    """Every store-backed replay cell streams its recording.
+
+    ``_run_spec`` reads a stored recording through ``open_stream`` and
+    never materializes it; prewarm tests for a hit the same way.  A
+    stored payload that is checksum-valid but malformed is quarantined
+    mid-stream and the cell re-records, in workers as in the parent.
+    """
+
+    WORKLOADS = ["adhoc7_handoff", "locks_mutex_counter_t2"]
+
+    def _specs(self):
+        specs = sweep_specs(self.WORKLOADS, TOOLS3, seeds=[None])
+        return [dataclasses.replace(s, trace_mode="replay") for s in specs]
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_replay_sweep_never_materializes_a_stored_trace(
+        self, tmp_path, monkeypatch, workers
+    ):
+        specs = self._specs()
+        assert prewarm_traces(specs, tmp_path) == len(self.WORKLOADS)
+
+        def no_decode(self, payload):
+            raise AssertionError("a stored trace was materialized")
+
+        # A decode that raises is quarantined as corruption, so any
+        # materializing read would leave a note under corrupt/ (the
+        # forked workers inherit the patch).
+        monkeypatch.setattr(TraceStore, "decode", no_decode)
+        prewarm_traces(specs, tmp_path)
+        result = run_sweep(specs, workers=workers, trace_dir=tmp_path)
+        assert not list((tmp_path / "corrupt").glob("*"))
+        assert len(TraceStore(tmp_path)) == len(self.WORKLOADS)
+        live = _live_fingerprints(specs)
+        assert [r.status for r in result.records] == ["ok"] * len(specs)
+        for spec, outcome in zip(specs, result.outcomes):
+            assert outcome.trace_mode == "replay"
+            assert outcome.report.fingerprint() == live[(spec.workload, spec.config)]
+
+    def test_pooled_sweep_quarantines_a_corrupt_stream_and_rerecords(self, tmp_path):
+        from repro.trace.store import key_for_spec
+
+        from tests.integration.test_trace_codec import _cut_mid_jsonl_line
+
+        specs = [s for s in self._specs() if s.workload == "adhoc7_handoff"]
+        prewarm_traces(specs, tmp_path)
+        store = TraceStore(tmp_path)
+        key = key_for_spec(specs[0])
+        path = store._path(key)
+        path.write_bytes(_cut_mid_jsonl_line(path.read_bytes()))
+        # checksum-valid: prewarm sees a hit and records nothing
+        assert prewarm_traces(specs, tmp_path) == 0
+
+        result = run_sweep(specs, workers=2, trace_dir=tmp_path)
+        assert [r.status for r in result.records] == ["ok"] * len(specs)
+        live = _live_fingerprints(specs)
+        for spec, outcome in zip(specs, result.outcomes):
+            assert outcome.report.fingerprint() == live[(spec.workload, spec.config)]
+        notes = [
+            json.loads(n.read_text()) for n in (tmp_path / "corrupt").glob("*.note.json")
+        ]
+        assert notes and all(n["key"] == key for n in notes)
+        assert all("undecodable" in n["reason"] for n in notes)
+        stream = TraceStore(tmp_path).open_stream(key)
+        assert stream is not None
+        # the re-recorded entry streams cleanly to its full length
+        assert sum(len(rows) for rows in stream.row_batches()) == stream.meta["events"]
+
+
 class TestSessionTraceRuns:
     def test_session_replay_matches_live(self):
         cfg = "helgrind-lib-spin7"
@@ -350,7 +433,7 @@ class TestSessionTraceRuns:
         inmem = repro.run(config="helgrind-lib-spin7", trace=trace)
         assert offline.report.fingerprint() == inmem.report.fingerprint()
         assert offline.notes == ("streaming-decode",)
-        assert offline.trace is None  # never materialized
+        assert isinstance(offline.trace, TraceStream)  # never materialized
         assert offline.seed == 2
         assert inmem.notes == ()  # the in-memory path is unchanged
 

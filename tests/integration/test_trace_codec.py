@@ -231,6 +231,26 @@ class TestCorruptStreams:
         assert list((tmp_path / "corrupt").glob("*.note.json"))
         assert store.open_stream("k") is None  # clean miss now
 
+    def test_racing_readers_leave_a_replaced_entry_alone(self, tmp_path):
+        # Two workers stream one corrupt key.  The first quarantines it
+        # and re-records; the second's quarantine must neither raise nor
+        # move the fresh entry.
+        store = _corrupted_store(tmp_path, _cut_mid_jsonl_line)
+        first, second = store.open_stream("k"), store.open_stream("k")
+        for stream in (first, second):
+            with pytest.raises(TraceStreamCorruption):
+                for _ in stream.events():
+                    pass
+        store.quarantine_stream(first, "undecodable mid-stream")
+        store.quarantine_stream(second, "undecodable mid-stream")  # already gone
+        assert len(store.quarantined) == 1
+        store.put("k", record_trace(flag_handoff_program(), seed=2))
+        store.quarantine_stream(second, "undecodable mid-stream")  # replaced
+        assert len(store.quarantined) == 1
+        fresh = store.open_stream("k")
+        assert fresh is not None
+        assert sum(1 for _ in fresh.events()) == fresh.meta["events"]
+
     def test_event_count_mismatch_is_corruption(self, tmp_path):
         # A payload that decodes fine but holds fewer events than its
         # metadata claims: the count check is the backstop.
