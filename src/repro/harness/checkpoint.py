@@ -78,13 +78,9 @@ def spec_key(spec) -> str:
     plan — two sweeps measuring the same computation agree on the key,
     and any change to a workload generator misses cleanly.
     """
-    from repro.harness.registry import program_fingerprint
-
-    if isinstance(spec.workload, str):
-        fingerprint = program_fingerprint(spec.workload)
-    else:
-        fingerprint = spec.resolve().fresh_program().fingerprint()
     from repro.harness.registry import canonical_scheduler
+
+    fingerprint = spec.program().fingerprint()
 
     config_fields = sorted(dataclasses.asdict(spec.tool()).items())
     payload = "\n".join(

@@ -749,14 +749,17 @@ def cmd_trace(args: argparse.Namespace) -> int:
         )
         prewarm_traces([spec], args.trace_dir)
         key = key_for_spec(spec)
-        trace = store.get(key)
-        if trace is None:
+        # The checksum pass plus the metadata line answer everything the
+        # summary prints; the events stay compressed on disk.
+        stream = store.open_stream(key)
+        if stream is None:
             print(f"trace record: store round-trip failed for {key}", file=sys.stderr)
             return 1
         print(
-            f"recorded {workload} seed {seed} scheduler {trace.scheduler} "
-            f"-> {key[:16]}…: status={trace.status} steps={trace.steps} "
-            f"events={len(trace.columns)}"
+            f"recorded {workload} seed {seed} scheduler "
+            f"{stream.meta.get('scheduler', 'random')} -> {key[:16]}…: "
+            f"status={stream.status} steps={stream.steps} "
+            f"events={stream.meta['events']}"
         )
         return 0
 

@@ -60,7 +60,7 @@ from repro.harness.checkpoint import (
     spec_key,
     sweep_digest,
 )
-from repro.harness.registry import resolve_workload
+from repro.harness.registry import resolve_workload, shared_program
 from repro.harness.resources import (
     ResourceBudget,
     current_rss_bytes,
@@ -68,6 +68,7 @@ from repro.harness.resources import (
 )
 from repro.harness.runner import RunOutcome, run_workload
 from repro.harness.workload import Workload
+from repro.isa.program import Program
 from repro.vm import Machine
 from repro.vm.faults import FaultPlan
 
@@ -139,6 +140,19 @@ class RunSpec:
         if isinstance(self.workload, str):
             return resolve_workload(self.workload)
         return self.workload
+
+    def program(self) -> Program:
+        """The program this spec runs and keys on.
+
+        A registry name maps to the process's one shared, read-only
+        build (:func:`~repro.harness.registry.shared_program`), so the
+        cache key, the parent's prewarm and every worker's cell reuse
+        one build and one fingerprint; a :class:`Workload` object is
+        built fresh on every call.
+        """
+        if isinstance(self.workload, str):
+            return shared_program(self.workload)
+        return self.workload.fresh_program()
 
     def tool(self) -> ToolConfig:
         if isinstance(self.config, str):
@@ -470,7 +484,7 @@ def _record_spec_trace(spec: RunSpec):
 
     tool = spec.tool()
     return record_trace(
-        spec.resolve().fresh_program(),
+        spec.program(),
         seed=spec.effective_seed(),
         max_steps=spec.effective_max_steps(),
         max_blocks=max(8, tool.spin_max_blocks),
@@ -540,6 +554,7 @@ def _run_spec(
         return run_workload(
             spec.resolve(),
             spec.tool(),
+            program=spec.program(),
             seed=spec.seed,
             max_steps=spec.max_steps,
             fault_plan=spec.fault_plan,
@@ -1049,9 +1064,13 @@ def prewarm_static(specs: Iterable[RunSpec]) -> int:
     without this every worker of a pool sweep decodes each program it
     meets (and a replacement worker decodes them all again).  The pool
     calls this in the parent just before the first fork: workers inherit
-    the warm caches copy-on-write and hit them on first use.  Workload
-    builds are deterministic (the result-cache contract), so the
-    content-keyed entries warmed here match what each child computes.
+    the warm caches copy-on-write and hit them on first use.  Specs that
+    name a registry workload warm the registry's shared build
+    (:meth:`RunSpec.program`), so workers inherit the built and hashed
+    programs too and a cell builds nothing; a :class:`Workload`-object
+    spec is built fresh here and again in its cell — builds are
+    deterministic (the result-cache contract), so the content-keyed
+    entries warmed here match what each child computes.
 
     Returns the number of distinct (program, markers, watchdog)
     combinations warmed.  Safe to call directly before a serial sweep or
@@ -1080,8 +1099,7 @@ def prewarm_static(specs: Iterable[RunSpec]) -> int:
         try:
             program = programs.get(spec.workload_name)
             if program is None:
-                program = spec.resolve().fresh_program()
-                programs[spec.workload_name] = program
+                program = programs[spec.workload_name] = spec.program()
             imap = None
             if tool.spin or armed:
                 imap = instrument_program_cached(

@@ -10,6 +10,11 @@ a :class:`RegistryBuild` reference that re-resolves lazily on load.
 Built-in families (the 120-case suite, the 13 PARSEC stand-ins, the four
 SPLASH-2 stand-ins) are indexed lazily on first lookup; ad-hoc workloads
 (tests, user experiments) can be added with :func:`register_workload`.
+
+Each registered name is also built at most once per process:
+:func:`shared_program` memoizes one read-only build per name, which
+cache keys, trace keys, sweep cells and ``repro.run`` by name all share
+(sweep workers inherit the parent's builds by fork).
 """
 
 from __future__ import annotations
@@ -17,14 +22,15 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.harness.workload import Workload
+from repro.isa.program import Program
 
 #: explicitly registered workloads; they shadow the built-in families
 _EXTRA: Dict[str, Workload] = {}
 _BUILTIN: Optional[Dict[str, Workload]] = None
-#: name → program fingerprint memo; workload builds are deterministic
-#: (the result-cache contract), so the fingerprint of a registered name
-#: is stable until the name is re-registered.
-_FINGERPRINTS: Dict[str, str] = {}
+#: name → shared read-only program memo; workload builds are
+#: deterministic (the result-cache contract), so one build of a
+#: registered name serves every run until the name is re-registered.
+_PROGRAMS: Dict[str, Program] = {}
 
 
 def _builtin_index() -> Dict[str, Workload]:
@@ -58,27 +64,41 @@ def register_workload(workload: Workload, replace: bool = False) -> Workload:
     if not replace and workload.name in _EXTRA:
         raise ValueError(f"workload {workload.name!r} already registered")
     _EXTRA[workload.name] = workload
-    _FINGERPRINTS.pop(workload.name, None)
+    _PROGRAMS.pop(workload.name, None)
     return workload
 
 
 def unregister_workload(name: str) -> None:
     _EXTRA.pop(name, None)
-    _FINGERPRINTS.pop(name, None)
+    _PROGRAMS.pop(name, None)
+
+
+def shared_program(name: str) -> Program:
+    """The named workload's program, built once per process and frozen.
+
+    Every path that runs or records a workload *by name* — sweep cells,
+    static prewarm, trace recording, ``repro.run("name")`` — executes
+    this one object, so a sweep builds and hashes each program once in
+    the parent and forked workers inherit it.  It is read-only
+    (:meth:`~repro.isa.program.Program.freeze`); callers that mutate a
+    program (triage shrinking) use ``Workload.fresh_program``.  The memo
+    is dropped when the name is (re-)registered or unregistered.
+    """
+    program = _PROGRAMS.get(name)
+    if program is None:
+        program = resolve_workload(name).fresh_program().freeze()
+        _PROGRAMS[name] = program
+    return program
 
 
 def program_fingerprint(name: str) -> str:
-    """Fingerprint of the named workload's program, memoized.
+    """Fingerprint of the named workload's program.
 
-    Sweep cache probes hash the same program once per spec; the memo
-    turns that into one build + hash per distinct workload name.
-    Invalidated when the name is (re-)registered or unregistered.
+    The fingerprint of :func:`shared_program` — memoized on that
+    program, so cache and trace keys cost one build + hash per distinct
+    name, and the run that follows reuses both.
     """
-    fp = _FINGERPRINTS.get(name)
-    if fp is None:
-        fp = resolve_workload(name).fresh_program().fingerprint()
-        _FINGERPRINTS[name] = fp
-    return fp
+    return shared_program(name).fingerprint()
 
 
 def resolve_workload(name: str) -> Workload:

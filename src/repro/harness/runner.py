@@ -16,6 +16,7 @@ from repro.detectors import RaceDetector, ToolConfig
 from repro.detectors.reports import Report
 from repro.harness.registry import RegistryBuild, build_scheduler
 from repro.harness.workload import Workload
+from repro.isa.program import Program
 from repro.vm import Machine, RandomScheduler
 from repro.vm.faults import FaultPlan
 from repro.vm.machine import RunResult
@@ -90,6 +91,7 @@ def run_workload(
     livelock_bound: Optional[int] = None,
     machine_sink: Optional[Callable[[Machine], None]] = None,
     scheduler: Optional[str] = None,
+    program: Optional[Program] = None,
 ) -> RunOutcome:
     """Run ``workload`` under ``config`` with the given scheduler seed.
 
@@ -101,9 +103,13 @@ def run_workload(
     heartbeat thread uses it to observe ``step_count`` from the side.
     ``scheduler`` is a canonical spec string (see
     :func:`repro.harness.registry.canonical_scheduler`); ``None`` keeps
-    the seeded-random default.
+    the seeded-random default.  ``program`` is the build to run (the
+    sweep passes the registry's shared read-only build of a named
+    workload, which a run only reads); by default the workload is built
+    fresh.
     """
-    program = workload.fresh_program()
+    if program is None:
+        program = workload.fresh_program()
     imap: Optional[InstrumentationMap] = None
     lock_sites = frozenset()
     instrument_s = 0.0

@@ -157,11 +157,15 @@ def shrink_candidates(program: Program) -> List[CodeLocation]:
 
 
 def apply_nops(program: Program, locs: Sequence[CodeLocation]) -> Program:
-    """Replace the instructions at ``locs`` with ``Nop`` in place."""
+    """Replace the instructions at ``locs`` with ``Nop`` in place.
+
+    Raises ``ValueError`` on a read-only program (the registry's shared
+    build): shrinking always works on a fresh build.
+    """
+    program._will_mutate()
     for loc in locs:
         block = program.functions[loc.function].blocks[loc.block]
         block.instructions[loc.index] = ins.Nop()
-    program._fingerprint = None  # structural mutation: invalidate the memo
     return program
 
 

@@ -13,8 +13,12 @@ class Workload:
     """A test program with ground truth, as used by the benchmark suites.
 
     :param name: unique identifier.
-    :param build: factory returning a *fresh* program on every call (the
-        instrumentation map must never leak across runs).
+    :param build: factory returning a *fresh* program on every call;
+        callers that mutate what they get (triage's ``apply_nops``) rely
+        on it.  Runs only read a program — the instrumentation map is a
+        separate, content-keyed object — so by-name runs share one
+        read-only build instead
+        (:func:`repro.harness.registry.shared_program`).
     :param racy_symbols: base names of globals with true data races.  An
         empty set means the program is race-free; any warning on another
         symbol is a false alarm.
@@ -48,4 +52,5 @@ class Workload:
         return bool(self.racy_symbols)
 
     def fresh_program(self) -> Program:
+        """A new, mutable build of the program (one ``build()`` call)."""
         return self.build()

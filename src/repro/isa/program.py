@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.isa.instructions import Instruction
 
@@ -154,19 +154,44 @@ class Program:
     _fingerprint: Optional[str] = field(
         default=None, repr=False, compare=False
     )
+    #: set by :meth:`freeze`; a read-only program refuses mutation
+    _read_only: bool = field(default=False, repr=False, compare=False)
+
+    def freeze(self) -> "Program":
+        """Mark this program read-only and return it.
+
+        The workload registry freezes the one build of each name it
+        shares between every run in a process (and, by fork, with every
+        sweep worker).  :meth:`add_function`, :meth:`add_global` (and so
+        :meth:`merge`) then raise, as does
+        :func:`repro.harness.triage.apply_nops`; build a fresh program
+        (``Workload.fresh_program``) to modify one.
+        """
+        self._read_only = True
+        return self
+
+    def _will_mutate(self) -> None:
+        """Raise ``ValueError`` if the program is read-only; otherwise
+        drop the fingerprint memo ahead of a structural mutation."""
+        if self._read_only:
+            raise ValueError(
+                f"program {self.name!r} is a shared read-only build; "
+                f"mutate a fresh build instead"
+            )
+        self._fingerprint = None
 
     def add_function(self, func: Function) -> Function:
+        self._will_mutate()
         if func.name in self.functions:
             raise ValueError(f"duplicate function {func.name!r}")
         self.functions[func.name] = func
-        self._fingerprint = None
         return func
 
     def add_global(self, var: GlobalVar) -> GlobalVar:
+        self._will_mutate()
         if var.name in self.globals:
             raise ValueError(f"duplicate global {var.name!r}")
         self.globals[var.name] = var
-        self._fingerprint = None
         return var
 
     def function(self, name: str) -> Function:
@@ -204,25 +229,42 @@ class Program:
         is cleared by :meth:`add_function` / :meth:`add_global` (and so
         by :meth:`merge`); mutating instruction lists of an already-added
         function in place is not supported by any builder and would go
-        unnoticed here.
+        unnoticed here (:func:`repro.harness.triage.apply_nops` clears
+        it itself).
+
+        The digest is that of the text ``repr(instr)`` builds per
+        instruction.  Each dataclass ``__repr__`` is called through its
+        ``__wrapped__`` function where it has one, skipping the
+        recursion guard (instructions hold only strings, ints, enums
+        and tuples of those, so it never fires), and the text is hashed
+        in one update.
         """
         if self._fingerprint is not None:
             return self._fingerprint
-        h = hashlib.sha256()
-        h.update(f"program|{self.name}|{self.entry}\n".encode())
+        parts = [f"program|{self.name}|{self.entry}\n"]
         for gname in sorted(self.globals):
             g = self.globals[gname]
-            h.update(f"global|{g.name}|{g.size}|{g.init!r}\n".encode())
+            parts.append(f"global|{g.name}|{g.size}|{g.init!r}\n")
+        reprs = _INSTR_REPRS
         for fname in sorted(self.functions):
             f = self.functions[fname]
-            h.update(
+            parts.append(
                 f"function|{f.name}|{f.params!r}|{f.entry}"
-                f"|{f.is_library}|{f.annotation!r}\n".encode()
+                f"|{f.is_library}|{f.annotation!r}\n"
             )
             for label, block in f.blocks.items():
-                h.update(f"block|{label}\n".encode())
+                parts.append(f"block|{label}\n")
                 for instr in block.instructions:
-                    h.update(repr(instr).encode())
-                    h.update(b"\n")
-        self._fingerprint = h.hexdigest()
+                    cls = type(instr)
+                    rep = reprs.get(cls)
+                    if rep is None:
+                        rep = reprs[cls] = getattr(cls.__repr__, "__wrapped__", cls.__repr__)
+                    parts.append(rep(instr))
+                    parts.append("\n")
+        self._fingerprint = hashlib.sha256("".join(parts).encode()).hexdigest()
         return self._fingerprint
+
+
+#: instruction class -> its ``__repr__`` without the dataclass recursion
+#: guard (the guard's thread-id set bookkeeping dominated fingerprinting)
+_INSTR_REPRS: Dict[type, Callable[[Instruction], str]] = {}

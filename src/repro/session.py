@@ -41,7 +41,12 @@ from repro.analysis import (
 )
 from repro.detectors import RaceDetector, ToolConfig
 from repro.detectors.reports import Report
-from repro.harness.registry import build_scheduler, resolve_tool, resolve_workload
+from repro.harness.registry import (
+    build_scheduler,
+    resolve_tool,
+    resolve_workload,
+    shared_program,
+)
 from repro.harness.workload import Workload
 from repro.isa import Program, ProgramBuilder
 from repro.trace import Trace, TraceStream, analyze_trace, open_trace_file, synthesize_result
@@ -62,6 +67,12 @@ class SessionResult:
     Offline sessions (``run(trace=...)``) have no program or machine —
     those fields are ``None`` and ``trace`` holds the analyzed recording
     with a synthesized :class:`~repro.vm.machine.RunResult`.
+
+    A session run by workload *name* holds the registry's shared build
+    in ``program`` (:func:`repro.harness.registry.shared_program`): the
+    same read-only object every by-name run in the process executes.
+    Build a fresh copy (``session.workload.fresh_program()``) to modify
+    it.
     """
 
     program: Optional[Program]
@@ -138,8 +149,7 @@ def _build_program(target: ProgramLike) -> tuple[Program, Optional[Workload]]:
     if isinstance(target, Workload):
         return target.fresh_program(), target
     if isinstance(target, str):
-        wl = resolve_workload(target)
-        return wl.fresh_program(), wl
+        return shared_program(target), resolve_workload(target)
     if callable(target):
         built = target()
         if not isinstance(built, Program):

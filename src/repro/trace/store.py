@@ -83,15 +83,9 @@ def key_for_spec(spec) -> str:
     *same* recording; only a differing inline depth forces a separate
     one.
     """
-    from repro.harness.registry import program_fingerprint  # lazy: cycle
-
-    if isinstance(spec.workload, str):
-        fingerprint = program_fingerprint(spec.workload)
-    else:
-        fingerprint = spec.resolve().fresh_program().fingerprint()
     tool = spec.tool()
     return trace_key(
-        fingerprint,
+        spec.program().fingerprint(),
         seed=spec.effective_seed(),
         max_steps=spec.effective_max_steps(),
         scheduler=getattr(spec, "scheduler", None),

@@ -48,7 +48,10 @@ Two fresh builds of the same workload share one decoded program; the
 same program under different marker tables (spin on vs off, different
 ``spin_max_blocks``) never shares marked-load flags.  The cache is
 process-local; the parallel runner pre-warms it before forking so
-workers inherit the decoded programs copy-on-write.
+workers inherit the decoded programs copy-on-write — together with the
+registry's shared builds they were decoded from
+(:func:`repro.harness.registry.shared_program`), whose fingerprints are
+already memoized, so a worker's cache probe hashes nothing.
 """
 
 from __future__ import annotations

@@ -151,3 +151,31 @@ class TestDurabilityCli:
         assert main(["--shrunk", "triage", "replay", str(dest)]) == 1
         out = capsys.readouterr().out
         assert "shrunk repro" in out and "REPRODUCED" in out
+
+
+class TestTraceCli:
+    def test_record_summary_never_decodes_the_recording(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from repro.harness.parallel import RunSpec
+        from repro.trace import TraceStore, key_for_spec
+
+        def no_decode(self, payload):
+            raise AssertionError("trace record decoded the whole recording")
+
+        tdir = str(tmp_path / "traces")
+        monkeypatch.setattr(TraceStore, "decode", no_decode)
+        assert main(["--trace-dir", tdir, "trace", "record", "streamcluster"]) == 0
+        out = capsys.readouterr().out
+        monkeypatch.undo()
+
+        spec = RunSpec(
+            "streamcluster", "helgrind-lib-spin7", seed=1, trace_mode="record"
+        )
+        key = key_for_spec(spec)
+        trace = TraceStore(tdir).get(key)
+        assert out == (
+            f"recorded streamcluster seed 1 scheduler {trace.scheduler} "
+            f"-> {key[:16]}…: status={trace.status} steps={trace.steps} "
+            f"events={len(trace.columns)}\n"
+        )

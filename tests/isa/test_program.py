@@ -1,7 +1,10 @@
 """Unit tests for program/function/block containers."""
 
+import hashlib
+
 import pytest
 
+from repro.harness.registry import resolve_workload, workload_names
 from repro.isa import instructions as ins
 from repro.isa.program import (
     BasicBlock,
@@ -11,6 +14,12 @@ from repro.isa.program import (
     Program,
     SyncAnnotation,
     SyncKind,
+)
+from repro.workloads import (
+    build_suite,
+    chaos_workloads,
+    parsec_workloads,
+    splash_workloads,
 )
 
 
@@ -108,6 +117,83 @@ class TestProgram:
         p.add_function(self._func("a"))
         p.add_function(self._func("b"))
         assert p.instruction_count() == 2
+
+    def test_frozen_program_refuses_mutation(self):
+        p = Program()
+        p.add_function(self._func("main"))
+        p.add_global(GlobalVar("g"))
+        fp = p.fingerprint()
+        assert p.freeze() is p
+        with pytest.raises(ValueError, match="read-only"):
+            p.add_function(self._func("f"))
+        with pytest.raises(ValueError, match="read-only"):
+            p.add_global(GlobalVar("h"))
+        other = Program()
+        other.add_function(self._func("helper"))
+        with pytest.raises(ValueError, match="read-only"):
+            p.merge(other)
+        assert set(p.functions) == {"main"} and set(p.globals) == {"g"}
+        assert p.fingerprint() == fp
+
+
+def _reference_fingerprint(program: Program) -> str:
+    """The fingerprint as first defined: one sha256 update per line,
+    instructions rendered by plain ``repr``."""
+    h = hashlib.sha256()
+    h.update(f"program|{program.name}|{program.entry}\n".encode())
+    for gname in sorted(program.globals):
+        g = program.globals[gname]
+        h.update(f"global|{g.name}|{g.size}|{g.init!r}\n".encode())
+    for fname in sorted(program.functions):
+        f = program.functions[fname]
+        h.update(
+            f"function|{f.name}|{f.params!r}|{f.entry}"
+            f"|{f.is_library}|{f.annotation!r}\n".encode()
+        )
+        for label, block in f.blocks.items():
+            h.update(f"block|{label}\n".encode())
+            for instr in block.instructions:
+                h.update(repr(instr).encode())
+                h.update(b"\n")
+    return h.hexdigest()
+
+
+class TestFingerprintOracle:
+    def test_every_registry_program_matches_the_plain_repr_digest(self):
+        names = workload_names()
+        families = {
+            "suite": {wl.name for wl in build_suite()},
+            "parsec": {wl.name for wl in parsec_workloads()},
+            "splash": {wl.name for wl in splash_workloads()},
+            "chaos": {wl.name for wl in chaos_workloads()},
+        }
+        for family, members in families.items():
+            assert members and members <= set(names), family
+        for name in names:
+            program = resolve_workload(name).fresh_program()
+            assert program.fingerprint() == _reference_fingerprint(program), name
+
+    def test_every_instruction_kind_matches_the_plain_repr_digest(self):
+        kinds = [
+            ins.Const("r", -3), ins.Mov("a", "b"),
+            ins.Alu(ins.AluOp.ADD, "d", "a", "b"),
+            ins.Cmp(ins.CmpOp.LE, "d", "a", "b"), ins.Not("d", "s"),
+            ins.Load("d", "a", 2), ins.Store("s", "a"),
+            ins.AtomicCas("d", "a", "e", "n"), ins.AtomicAdd("d", "a", "v"),
+            ins.AtomicXchg("d", "a", "v"), ins.Fence(), ins.Jmp("t"),
+            ins.Br("c", "t", "f"), ins.Call("fn", ("a", "b"), "d"),
+            ins.ICall("r", ("a",), None), ins.Ret("r"), ins.Halt(),
+            ins.Spawn("d", "fn", ("a",)), ins.Join("t"), ins.Yield(),
+            ins.Alloc("d", "n"), ins.Addr("d", "g"), ins.FuncAddr("d", "fn"),
+            ins.Print("r"), ins.Nop(),
+        ]
+        assert {type(k) for k in kinds} == set(ins.Instruction.__subclasses__())
+        p = Program(name="kinds")
+        f = Function("main")
+        f.add_block(BasicBlock("entry", kinds))
+        p.add_function(f)
+        p.add_global(GlobalVar("g", 2, (1, 2)))
+        assert p.fingerprint() == _reference_fingerprint(p)
 
 
 class TestSyncAnnotation:
