@@ -1,8 +1,8 @@
 """The chaos sweep: run every fault class against its oracle.
 
-Executes the :mod:`repro.workloads.dr_test.faults` cases through the
-parallel sweep engine, grouped by fault class, and verifies each run
-against its pinned expectation:
+Executes the :mod:`repro.workloads.dr_test.faults` cases as one
+:func:`~repro.harness.parallel.run_sweep` and verifies each run against
+its pinned expectation:
 
 * the harness status is one the case allows (``livelock``/``fault``/
   ``ok`` — never ``error`` or ``crash``: detectors must not raise on
@@ -12,53 +12,27 @@ against its pinned expectation:
 * expected condvar protocol notes (lost signal, spurious wake-up) are
   present on the report.
 
-Infrastructure failures (timeout/crash of a worker process) are retried
-with a per-fault-class :class:`RetryPolicy` — faulted runs legitimately
-take longer (a livelock spins until the watchdog bound), so e.g. the
-drop-store class gets more patience than the clamp class.  Oracle
-*mismatches* are never retried: the runs are deterministic, so a
-mismatch is a bug, not flakiness.
+Infrastructure failures (a worker that times out, crashes, errors or
+hangs) are retried by the sweep's own ``retries``, under its journal,
+heartbeat and poison supervision.  Oracle *mismatches* are never
+retried: the runs are deterministic, so a mismatch is a bug, not
+flakiness.
 """
 
 from __future__ import annotations
 
-import logging
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Union
 
 from repro.detectors import ToolConfig
 from repro.harness.parallel import ResultCache, RunRecord, RunSpec, run_sweep
 from repro.harness.resources import ResourceBudget
 from repro.harness.registry import resolve_tool
 from repro.harness.runner import RunOutcome
+from repro.harness.triage import CaptureUnit, capture_failures, chaos_oracle_predicate
 from repro.workloads.dr_test.faults import ChaosCase, chaos_cases
-
-log = logging.getLogger(__name__)
-
-#: statuses that mean the harness infrastructure (not the oracle) failed
-INFRA_FAILURES = ("timeout", "crash", "error", "hung")
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Retry/backoff knobs for one fault class."""
-
-    retries: int = 1
-    backoff_s: float = 0.05
-
-
-#: default per-fault-class policies; classes that provoke long spins
-#: (watchdog-bounded livelocks) get more patience than instant faults
-DEFAULT_POLICIES: Dict[str, RetryPolicy] = {
-    "drop-store": RetryPolicy(retries=2, backoff_s=0.1),
-    "kill-thread": RetryPolicy(retries=2, backoff_s=0.1),
-    "starvation": RetryPolicy(retries=2, backoff_s=0.1),
-    "delay-store": RetryPolicy(retries=1, backoff_s=0.05),
-    "spurious-wakeup": RetryPolicy(retries=1, backoff_s=0.05),
-    "clamp-steps": RetryPolicy(retries=1, backoff_s=0.0),
-}
 
 
 @dataclass(frozen=True)
@@ -107,7 +81,7 @@ def verify_case(
     """Check one run against the case's pinned expectations."""
     problems: List[str] = []
     status = record.status
-    if status in INFRA_FAILURES:
+    if record.failed:
         problems.append(f"infrastructure failure: {status} {record.error}".strip())
     elif status == "cached":
         # A cache hit replays the stored outcome; re-derive the status it
@@ -115,7 +89,7 @@ def verify_case(
         status = outcome.result.status if outcome is not None else "cached"
         if status in ("deadlock", "step-limit") and outcome.result.faults_injected:
             status = "fault"
-    if status not in INFRA_FAILURES and status not in case.expect_statuses:
+    if not record.failed and status not in case.expect_statuses:
         problems.append(
             f"status {status!r} not in expected {case.expect_statuses!r}"
         )
@@ -154,7 +128,7 @@ def run_chaos(
     workers: int = 0,
     cache: Optional[ResultCache] = None,
     timeout_s: Optional[float] = None,
-    policies: Optional[Dict[str, RetryPolicy]] = None,
+    retries: int = 1,
     journal_dir: Optional[Union[str, Path]] = None,
     resume: bool = False,
     heartbeat_s: Optional[float] = None,
@@ -162,92 +136,63 @@ def run_chaos(
     forensics_dir: Optional[Union[str, Path]] = None,
     budget: Optional[ResourceBudget] = None,
 ) -> ChaosReport:
-    """Run the chaos suite grouped by fault class; verify every case.
+    """Run the chaos suite as one sweep; verify every case.
 
     ``config`` may be a :class:`ToolConfig` or a preset name resolved
-    through :func:`repro.harness.registry.resolve_tool`.
+    through :func:`repro.harness.registry.resolve_tool`.  Verdicts are
+    listed by fault class.
 
-    Durability and supervision knobs (``journal_dir``/``resume``,
-    ``heartbeat_s``, ``poison_threshold``, ``budget``) pass straight
-    through to :func:`~repro.harness.parallel.run_sweep`.  Pair ``resume`` with a
+    Execution and supervision knobs (``workers``, ``cache``,
+    ``timeout_s``, ``retries``, ``journal_dir``/``resume``,
+    ``heartbeat_s``, ``poison_threshold``, ``forensics_dir``,
+    ``budget``) pass straight through to
+    :func:`~repro.harness.parallel.run_sweep`.  Pair ``resume`` with a
     ``cache``: the journal restores records, but note/livelock oracles
-    also inspect detector outcomes, which only the cache can replay.  With ``forensics_dir``
-    set, infrastructure failures are captured by the sweep engine and
-    *oracle mismatches* are captured here — re-executed under
-    ``record_trace`` with the case's fault plan, shrunk via ddmin with
-    the oracle itself as the "still fails" predicate.
+    also inspect detector outcomes, which only the cache can replay.
+    With ``forensics_dir`` set, infrastructure failures are captured by
+    the sweep and *oracle mismatches* are captured here — re-executed
+    under ``record_trace`` with the case's fault plan, shrunk via ddmin
+    with the oracle itself as the "still fails" predicate.
     """
-    cases = list(cases if cases is not None else chaos_cases())
+    cases = sorted(
+        cases if cases is not None else chaos_cases(), key=lambda c: c.fault_class
+    )
     config = resolve_tool(config) if config else ToolConfig.helgrind_lib_spin(7)
-    policies = dict(DEFAULT_POLICIES, **(policies or {}))
     start = time.perf_counter()
-    report = ChaosReport()
-
-    by_class: Dict[str, List[ChaosCase]] = {}
-    for case in cases:
-        by_class.setdefault(case.fault_class, []).append(case)
-
-    for fault_class in sorted(by_class):
-        group = by_class[fault_class]
-        policy = policies.get(fault_class, RetryPolicy())
-        specs = [chaos_spec(c, config) for c in group]
-        result = run_sweep(
-            specs,
-            workers=workers,
-            cache=cache,
-            timeout_s=timeout_s,
-            retries=policy.retries,
-            journal_dir=journal_dir,
-            resume=resume,
-            heartbeat_s=heartbeat_s,
-            poison_threshold=poison_threshold,
-            forensics_dir=forensics_dir,
-            budget=budget,
-        )
-        records = list(result.records)
-        outcomes = list(result.outcomes)
-        # One more class-level pass over infrastructure failures after a
-        # backoff: the whole point of chaos runs is surviving flaky
-        # environments without flaky verdicts.
-        stale = [i for i, r in enumerate(records) if r.status in INFRA_FAILURES]
-        if stale and policy.backoff_s >= 0:
-            time.sleep(policy.backoff_s)
-            redo = run_sweep(
-                [specs[i] for i in stale],
-                workers=workers,
-                cache=cache,
-                timeout_s=timeout_s,
-                retries=policy.retries,
-                budget=budget,
+    specs = [chaos_spec(c, config) for c in cases]
+    result = run_sweep(
+        specs,
+        workers=workers,
+        cache=cache,
+        timeout_s=timeout_s,
+        retries=retries,
+        journal_dir=journal_dir,
+        resume=resume,
+        heartbeat_s=heartbeat_s,
+        poison_threshold=poison_threshold,
+        forensics_dir=forensics_dir,
+        budget=budget,
+    )
+    report = ChaosReport(records=list(result.records))
+    mismatches: List[CaptureUnit] = []
+    for case, spec, record, outcome in zip(
+        cases, specs, result.records, result.outcomes
+    ):
+        verdict = verify_case(case, record, outcome)
+        report.verdicts.append(verdict)
+        # The runs are deterministic, so an oracle mismatch is a
+        # reproducible bug worth a shrunk repro with the oracle as the
+        # failure predicate (the sweep already captured failed runs).
+        if forensics_dir is not None and not verdict.passed and not record.failed:
+            mismatches.append(
+                CaptureUnit(
+                    spec,
+                    record,
+                    forensics_dir,
+                    predicate=chaos_oracle_predicate(case, config),
+                )
             )
-            for j, i in enumerate(stale):
-                if redo.records[j].status not in INFRA_FAILURES:
-                    records[i] = redo.records[j]
-                    outcomes[i] = redo.outcomes[j]
-        for i, (case, record, outcome) in enumerate(zip(group, records, outcomes)):
-            verdict = verify_case(case, record, outcome)
-            report.verdicts.append(verdict)
-            # Oracle mismatches get a forensic artifact too: the runs are
-            # deterministic, so a mismatch is a reproducible bug worth a
-            # shrunk repro with the oracle as the failure predicate.
-            if (
-                forensics_dir is not None
-                and not verdict.passed
-                and record.status not in INFRA_FAILURES
-            ):
-                from repro.harness.triage import capture_failure, chaos_oracle_predicate
-
-                try:
-                    capture_failure(
-                        specs[i],
-                        record,
-                        forensics_dir,
-                        predicate=chaos_oracle_predicate(case, config),
-                    )
-                except Exception as exc:  # forensics must never sink chaos
-                    log.warning("chaos forensics failed for %s: %s", case.name, exc)
-        report.records.extend(records)
-
+    capture_failures(mismatches, workers)
     report.wall_s = time.perf_counter() - start
     return report
 

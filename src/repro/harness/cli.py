@@ -598,6 +598,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         workers=args.workers,
         cache=_cache(args),
         timeout_s=args.timeout,
+        retries=args.retries,
         journal_dir=args.journal_dir,
         resume=args.resume,
         heartbeat_s=args.heartbeat,

@@ -847,8 +847,9 @@ def run_sweep(
         ``"poison"``, reported in the summary, not a sweep failure) and
         never retried again.
     :param forensics_dir: capture a replayable trace artifact (plus an
-        auto-shrunk repro) for every failed or poisoned run — see
-        :mod:`repro.harness.triage`.
+        auto-shrunk repro) for every failed or poisoned run, on a
+        fresh pool of ``workers`` processes once the sweep is done — see
+        :func:`repro.harness.triage.capture_failures`.
     :param trace_dir: :class:`~repro.trace.TraceStore` directory for
         record/replay-mode specs.  Defaults to ``<cache>/traces`` when a
         result cache is given; required (explicitly or via ``cache``)
@@ -1029,16 +1030,16 @@ def run_sweep(
         notes=notes,
     )
     if forensics_dir is not None and not interrupted:
-        from repro.harness.triage import capture_failure
+        from repro.harness.triage import CaptureUnit, capture_failures
 
-        for i, rec in enumerate(records):
-            if rec is not None and (rec.failed or rec.poisoned):
-                try:
-                    capture_failure(specs[i], rec, forensics_dir, key=keys[i])
-                except Exception as exc:  # forensics must never sink a sweep
-                    log.warning(
-                        "forensics capture failed for %s: %s", rec.workload, exc
-                    )
+        capture_failures(
+            [
+                CaptureUnit(specs[i], rec, forensics_dir, key=keys[i])
+                for i, rec in enumerate(records)
+                if rec is not None and (rec.failed or rec.poisoned)
+            ],
+            workers,
+        )
     if strict and result.failed and not interrupted:
         lines = ", ".join(
             f"{r.workload}/{r.tool}/seed={r.seed}: {r.status} {r.error}".strip()

@@ -48,6 +48,9 @@ ARTIFACT_VERSION = 1
 #: default total VM steps the shrinker may spend across all trials
 DEFAULT_STEP_BUDGET = 2_000_000
 
+#: wall-clock bound on one pooled capture (re-run plus shrink)
+CAPTURE_TIMEOUT_S = 120.0
+
 
 # ---------------------------------------------------------------------------
 # Failure predicates
@@ -318,55 +321,30 @@ def capture_failure(
     shrink: bool = True,
     step_budget: int = DEFAULT_STEP_BUDGET,
     predicate: Optional[Callable[[Trace], bool]] = None,
-    isolate: bool = True,
-    timeout_s: float = 120.0,
 ) -> Optional[Path]:
     """Re-execute a failed spec under ``record_trace``; write the artifact.
 
     The failing run re-executes once, deterministically, with the same
     seed, fault plan, and watchdog bound, capturing a replayable
     :class:`~repro.trace.Trace`; with ``shrink=True`` the ddmin loop
-    then minimizes it.  ``isolate=True`` (the default) runs the capture
-    in a forked child so a genuinely crashing workload (the very thing
-    being triaged) cannot take the sweep parent down; the child is
-    killed after ``timeout_s``.
+    then minimizes it.  The capture runs in the calling process: to
+    keep a genuinely crashing workload (the very thing being triaged)
+    away from a sweep parent, run it as a :class:`CaptureUnit` through
+    :func:`capture_failures`.
 
     Returns the artifact directory, or ``None`` when capture itself
     failed (logged, never raised — forensics must not sink sweeps).
     """
     dest = artifact_dir(root, record, key)
-    if isolate:
-        import multiprocessing
-
-        methods = multiprocessing.get_all_start_methods()
-        if "fork" in methods:
-            ctx = multiprocessing.get_context("fork")
-            proc = ctx.Process(
-                target=_capture_inline,
-                args=(spec, record, dest, key, shrink, step_budget, predicate),
-                daemon=True,
-            )
-            proc.start()
-            proc.join(timeout=timeout_s)
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(timeout=1)
-                if proc.is_alive():
-                    proc.kill()
-                    proc.join()
-            if (dest / "repro.json").exists():
-                return dest
-            log.warning("forensics capture did not complete for %s", dest.name)
-            return None
     try:
-        _capture_inline(spec, record, dest, key, shrink, step_budget, predicate)
+        _write_artifact(spec, record, dest, key, shrink, step_budget, predicate)
     except Exception as exc:
         log.warning("forensics capture failed for %s: %s", dest.name, exc)
         return None
-    return dest if (dest / "repro.json").exists() else None
+    return dest
 
 
-def _capture_inline(
+def _write_artifact(
     spec,
     record,
     dest: Path,
@@ -437,6 +415,65 @@ def _capture_inline(
         "shrink": dataclasses.asdict(shrink_stats) if shrink_stats else None,
     }
     (dest / "repro.json").write_text(json.dumps(meta, indent=2))
+
+
+@dataclass(frozen=True)
+class CaptureUnit:
+    """One forensic capture riding the worker pool's ``execute()`` protocol."""
+
+    spec: object
+    record: object
+    root: Union[str, Path]
+    key: str = ""
+    predicate: Optional[Callable[[Trace], bool]] = None
+
+    def execute(self, machine_sink=None, trace_dir=None) -> Optional[Path]:
+        return capture_failure(
+            self.spec, self.record, self.root, key=self.key, predicate=self.predicate
+        )
+
+
+def capture_failures(
+    units: Sequence[CaptureUnit], workers: int
+) -> List[Optional[Path]]:
+    """Run a batch of captures; returns each one's artifact dir or ``None``.
+
+    With ``workers >= 1`` the units run on a
+    :class:`~repro.harness.parallel.WorkerPool` forked holding them, so
+    closure-built workloads and oracle predicates reach the workers
+    without pickling, and a capture that crashes or overruns
+    :data:`CAPTURE_TIMEOUT_S` costs one worker, not the caller.
+    ``workers == 0`` runs them in-process: a serial sweep has already
+    run every failing cell in this process.
+    """
+    if workers <= 0 or not units:
+        return [unit.execute() for unit in units]
+    from repro.harness.parallel import WorkerPool
+
+    results: List[Optional[Path]] = [None] * len(units)
+    pending = list(range(len(units)))
+    pool = WorkerPool(
+        min(workers, len(units)), timeout_s=CAPTURE_TIMEOUT_S, table=units
+    )
+    try:
+        while pending or pool.active:
+            while pending and pool.free_slots:
+                i = pending.pop(0)
+                pool.submit(units[i], token=i)
+            exits = pool.poll()
+            for exit in exits:
+                if exit.kind == "ok":
+                    results[exit.token] = exit.payload
+                else:
+                    log.warning(
+                        "forensics capture %s for %s: %s",
+                        exit.kind, units[exit.token].record.workload, exit.payload,
+                    )
+            if not exits:
+                pool.wait()
+    finally:
+        pool.shutdown()
+    return results
 
 
 # ---------------------------------------------------------------------------

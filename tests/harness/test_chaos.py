@@ -4,14 +4,13 @@ import pytest
 
 from repro.detectors import ToolConfig
 from repro.harness.chaos import (
-    INFRA_FAILURES,
     ChaosReport,
     chaos_spec,
     chaos_table,
     run_chaos,
     verify_case,
 )
-from repro.harness.parallel import ResultCache, RunSpec, run_sweep
+from repro.harness.parallel import FAILED_STATUSES, ResultCache, RunSpec, run_sweep
 from repro.harness.registry import register_workload, unregister_workload
 from repro.harness.runner import run_workload
 from repro.harness.workload import Workload
@@ -41,7 +40,7 @@ class TestOracle:
     def test_no_run_is_failed_or_raises(self):
         report = run_chaos(workers=0)
         assert not any(r.failed for r in report.records)
-        assert not any(r.status in INFRA_FAILURES for r in report.records)
+        assert not any(r.status in FAILED_STATUSES for r in report.records)
 
     def test_abnormal_statuses_carry_diagnostics(self):
         report = run_chaos(workers=0)
@@ -100,7 +99,7 @@ class TestDeterminism:
 class TestDurability:
     def test_infra_failures_cover_supervision_verdicts(self):
         # a hung worker is an infrastructure failure, not an oracle failure
-        assert set(INFRA_FAILURES) == {"timeout", "crash", "error", "hung"}
+        assert set(FAILED_STATUSES) == {"timeout", "crash", "error", "hung"}
 
     def test_resumed_chaos_matches_fresh_verdicts(self, tmp_path):
         # journal gives record durability; the cache supplies the detector
@@ -115,12 +114,11 @@ class TestDurability:
         assert [(v.case, v.status, v.passed) for v in fresh.verdicts] == [
             (v.case, v.status, v.passed) for v in resumed.verdicts
         ]
-        # every record came straight from the journals (one per fault class)
+        # every record came straight from the one sweep's journal
         assert len(resumed.records) == len(fresh.records)
-        journaled = sum(
-            len(f.read_text().splitlines()) - 1
-            for f in jdir.glob("sweep-*.jsonl")
-        )
+        journals = list(jdir.glob("sweep-*.jsonl"))
+        assert len(journals) == 1
+        journaled = len(journals[0].read_text().splitlines()) - 1
         assert journaled == len(fresh.records)
 
 

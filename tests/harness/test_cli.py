@@ -66,6 +66,20 @@ class TestCli:
         assert "drop-flag-store" in out and "livelock" in out
         assert "Faults" in out  # run-log column
 
+    def test_chaos_forwards_retries(self, capsys, monkeypatch):
+        import repro.harness.chaos as chaos
+
+        seen = []
+        real = chaos.run_sweep
+
+        def recording(specs, **kwargs):
+            seen.append(kwargs)
+            return real(specs, **kwargs)
+
+        monkeypatch.setattr(chaos, "run_sweep", recording)
+        assert main(["chaos", "--retries", "3"]) == 0
+        assert [kw["retries"] for kw in seen] == [3]
+
     def test_oracle_sweep(self, capsys):
         assert main(["--seeds", "2", "oracle"]) == 0
         out = capsys.readouterr().out
@@ -143,7 +157,7 @@ class TestDurabilityCli:
         case = next(c for c in chaos_cases() if c.name == "drop-flag-store")
         spec = chaos_spec(case, ToolConfig.helgrind_lib_spin(7))
         record = _failure_record(spec, "livelock", 1, "")
-        dest = capture_failure(spec, record, tmp_path, isolate=False)
+        dest = capture_failure(spec, record, tmp_path)
         # exit 1 = the failure reproduced: the artifact is a live repro
         assert main(["triage", "replay", str(dest)]) == 1
         out = capsys.readouterr().out

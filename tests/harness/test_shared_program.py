@@ -137,7 +137,7 @@ class TestRunsNeverMutateSharedPrograms:
         before = shared.fingerprint()
 
         record = _failure_record(spec, "livelock", 1, "")
-        dest = capture_failure(spec, record, tmp_path, key="cd" * 32, isolate=False)
+        dest = capture_failure(spec, record, tmp_path, key="cd" * 32)
         assert dest is not None and (dest / "shrunk_trace.json").exists()
 
         assert shared_program(spec.workload) is shared

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import os
 
 import pytest
 
@@ -10,7 +11,9 @@ from repro.harness.chaos import chaos_spec, run_chaos
 from repro.harness.parallel import RunSpec, _failure_record, run_sweep
 from repro.harness.triage import (
     ARTIFACT_KIND,
+    CaptureUnit,
     capture_failure,
+    capture_failures,
     chaos_oracle_predicate,
     failure_predicate,
     load_artifact,
@@ -122,9 +125,7 @@ class TestCaptureAndReplay:
         case = _case("drop-flag-store")
         spec = chaos_spec(case, CONFIG)
         record = _failure_record(spec, "timeout", 2, "exceeded 0.1s")
-        dest = capture_failure(
-            spec, record, tmp_path, key="ab" * 32, isolate=False
-        )
+        dest = capture_failure(spec, record, tmp_path, key="ab" * 32)
         assert dest is not None
         meta = json.loads((dest / "repro.json").read_text())
         assert meta["format"] == ARTIFACT_KIND and meta["version"] == 1
@@ -139,7 +140,7 @@ class TestCaptureAndReplay:
         case = _case("drop-flag-store")
         spec = chaos_spec(case, CONFIG)
         record = _failure_record(spec, "livelock", 1, "")
-        dest = capture_failure(spec, record, tmp_path, isolate=False)
+        dest = capture_failure(spec, record, tmp_path)
         trace, detector = replay_artifact(dest, shrunk=True)
         assert trace.status == "livelock"
         assert detector.report is not None
@@ -156,9 +157,9 @@ class TestCaptureAndReplay:
         wl = Workload(name="triage_exit", build=exit_build, seed=1)
         spec = RunSpec(wl, CONFIG, 1)
         record = _failure_record(spec, "crash", 1, "exit code 17")
-        # isolate=True forks the capture: the os._exit kills the child,
-        # not this test process, and capture reports failure gracefully
-        dest = capture_failure(spec, record, tmp_path, isolate=True, timeout_s=30)
+        # the pool runs the capture in a worker: the os._exit kills the
+        # worker, not this test process, and capture reports failure
+        (dest,) = capture_failures([CaptureUnit(spec, record, tmp_path)], workers=1)
         assert dest is None
 
     def test_load_artifact_rejects_foreign_json(self, tmp_path):
@@ -195,6 +196,38 @@ class TestSweepForensics:
         meta = json.loads(artifacts[0].read_text())
         assert meta["record"]["status"] == "timeout"
         assert meta["trace_status"] == "step-limit"
+
+    def test_pooled_forensics_survive_a_crashing_capture(self, tmp_path):
+        from tests.harness.test_parallel import _spin_forever_program
+
+        parent = os.getpid()
+
+        def exit_build():
+            if os.getpid() != parent:  # spare the parent's key and prewarm
+                os._exit(23)
+            return flag_handoff_program()
+
+        slow = Workload(
+            name="triage_pool_spin",
+            build=_spin_forever_program,
+            seed=1,
+            max_steps=300_000,
+        )
+        exiting = Workload(name="triage_pool_exit", build=exit_build, seed=1)
+        result = run_sweep(
+            [RunSpec(slow, CONFIG, 1), RunSpec(exiting, CONFIG, 1)],
+            workers=2,
+            timeout_s=0.05,
+            retries=0,
+            forensics_dir=tmp_path,
+        )
+        assert sorted(r.status for r in result.records) == ["crash", "timeout"]
+        # the crashing workload takes its capture worker down, not the
+        # sweep: only the spinning run leaves an artifact
+        artifacts = list(tmp_path.glob("*/repro.json"))
+        assert len(artifacts) == 1
+        meta = json.loads(artifacts[0].read_text())
+        assert meta["workload"] == "triage_pool_spin"
 
 
 class TestChaosForensics:
