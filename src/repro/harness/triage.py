@@ -438,22 +438,25 @@ def capture_failures(
 ) -> List[Optional[Path]]:
     """Run a batch of captures; returns each one's artifact dir or ``None``.
 
-    With ``workers >= 1`` the units run on a
-    :class:`~repro.harness.parallel.WorkerPool` forked holding them, so
-    closure-built workloads and oracle predicates reach the workers
-    without pickling, and a capture that crashes or overruns
-    :data:`CAPTURE_TIMEOUT_S` costs one worker, not the caller.
-    ``workers == 0`` runs them in-process: a serial sweep has already
-    run every failing cell in this process.
+    The units always run on a :class:`~repro.harness.parallel.WorkerPool`
+    of ``max(1, workers)`` processes forked holding them, so closure-built
+    workloads and oracle predicates reach the workers without pickling,
+    and a capture that crashes or overruns :data:`CAPTURE_TIMEOUT_S`
+    costs one worker, not the caller — even for a serial sweep, whose
+    failed records may come from a resumed journal rather than from
+    cells it ran itself.  A pool that cannot start or be driven (fork
+    refused, units that a spawn-only platform cannot pickle) is logged
+    and yields ``None`` for every capture not yet finished: forensics
+    must not sink sweeps.
     """
-    if workers <= 0 or not units:
-        return [unit.execute() for unit in units]
+    if not units:
+        return []
     from repro.harness.parallel import WorkerPool
 
     results: List[Optional[Path]] = [None] * len(units)
     pending = list(range(len(units)))
     pool = WorkerPool(
-        min(workers, len(units)), timeout_s=CAPTURE_TIMEOUT_S, table=units
+        min(max(1, workers), len(units)), timeout_s=CAPTURE_TIMEOUT_S, table=units
     )
     try:
         while pending or pool.active:
@@ -471,6 +474,8 @@ def capture_failures(
                     )
             if not exits:
                 pool.wait()
+    except Exception as exc:
+        log.warning("forensics capture pool failed: %s", exc)
     finally:
         pool.shutdown()
     return results

@@ -229,6 +229,63 @@ class TestSweepForensics:
         meta = json.loads(artifacts[0].read_text())
         assert meta["workload"] == "triage_pool_spin"
 
+    def test_serial_resume_captures_journaled_crash_off_process(self, tmp_path):
+        parent = os.getpid()
+
+        def exit_build():
+            if os.getpid() != parent:  # spare the parent's key computation
+                os._exit(29)
+            return flag_handoff_program()
+
+        wl = Workload(name="triage_resume_exit", build=exit_build, seed=1)
+        spec = RunSpec(wl, CONFIG, 1)
+        journal = tmp_path / "journal"
+        first = run_sweep([spec], workers=2, retries=0, journal_dir=journal)
+        assert [r.status for r in first.records] == ["crash"]
+        # a serial resume serves the journaled crash without running it;
+        # its capture still runs in a pool worker, where the build exits.
+        # In this process the build succeeds, so an inline capture would
+        # have written an artifact.
+        resumed = run_sweep(
+            [spec],
+            workers=0,
+            retries=0,
+            journal_dir=journal,
+            resume=True,
+            forensics_dir=tmp_path / "forensics",
+        )
+        assert resumed.resumed == 1
+        assert [r.status for r in resumed.records] == ["crash"]
+        assert list((tmp_path / "forensics").glob("*/repro.json")) == []
+
+    def test_capture_pool_that_cannot_fork_does_not_sink_the_sweep(
+        self, tmp_path, monkeypatch, caplog
+    ):
+        from repro.harness.parallel import WorkerPool
+
+        parent = os.getpid()
+
+        def exit_build():
+            if os.getpid() != parent:
+                os._exit(31)
+            return flag_handoff_program()
+
+        fork = WorkerPool._fork
+
+        def refusing_fork(self, table):
+            if table and isinstance(table[0], CaptureUnit):
+                raise OSError("fork refused")
+            return fork(self, table)
+
+        monkeypatch.setattr(WorkerPool, "_fork", refusing_fork)
+        wl = Workload(name="triage_nofork", build=exit_build, seed=1)
+        spec = RunSpec(wl, CONFIG, 1)
+        with caplog.at_level("WARNING"):
+            result = run_sweep([spec], workers=1, retries=0, forensics_dir=tmp_path)
+        assert [r.status for r in result.records] == ["crash"]
+        assert list(tmp_path.glob("*/repro.json")) == []
+        assert "forensics capture pool failed" in caplog.text
+
 
 class TestChaosForensics:
     def test_oracle_mismatch_produces_shrunk_artifact(self, tmp_path):
@@ -236,16 +293,22 @@ class TestChaosForensics:
         case = dataclasses.replace(
             _case("drop-flag-store"), expect_statuses=("ok",), expect_cond_symbol=""
         )
-        report = run_chaos(
-            cases=[case], config=CONFIG, workers=0, forensics_dir=tmp_path
-        )
-        assert not report.ok
-        artifacts = list(tmp_path.glob("*/repro.json"))
-        assert len(artifacts) == 1
-        dest = artifacts[0].parent
-        trace, _ = replay_artifact(dest, shrunk=True)
-        # the shrunk repro still violates the (doctored) oracle
-        assert chaos_oracle_predicate(case, CONFIG)(trace)
+        shrunk = {}
+        for workers in (0, 2):
+            root = tmp_path / f"w{workers}"
+            report = run_chaos(
+                cases=[case], config=CONFIG, workers=workers, forensics_dir=root
+            )
+            assert not report.ok
+            artifacts = list(root.glob("*/repro.json"))
+            assert len(artifacts) == 1
+            dest = artifacts[0].parent
+            trace, _ = replay_artifact(dest, shrunk=True)
+            # the shrunk repro still violates the (doctored) oracle
+            assert chaos_oracle_predicate(case, CONFIG)(trace)
+            shrunk[workers] = (dest.name, (dest / "shrunk_trace.json").read_text())
+        # the oracle predicate reaches a forked capture worker intact
+        assert shrunk[0] == shrunk[2]
 
     def test_passing_chaos_suite_writes_no_artifacts(self, tmp_path):
         cases = [_case("drop-flag-store")]
