@@ -4,38 +4,14 @@ The paper's claim is qualitative: the new feature adds only *minor*
 memory overhead.  Our measure is the detector-state footprint (shadow
 memory, vector clocks, locksets, reports) plus the instrumentation
 marker tables and ad-hoc engine state, in words.
+
+The figure is the ``f1`` config row of
+:data:`repro.harness.figures.FIGURES`, measured and gated by
+:func:`benchmarks.conftest.run_figure`.
 """
 
-from repro.harness.perf import measure_overhead, overhead_summary
-from repro.harness.tables import format_table
-
-from benchmarks.conftest import run_once
+from benchmarks.conftest import run_figure
 
 
-def test_f1_memory_overhead(benchmark, parsec13):
-    rows = run_once(
-        benchmark, lambda: measure_overhead(parsec13, k=7, repeats=1)
-    )
-    print()
-    print(
-        format_table(
-            ["Program", "lib words", "lib+spin words", "ratio"],
-            [
-                [r.program, r.lib_words, r.spin_words, f"{r.memory_overhead:.3f}x"]
-                for r in rows
-            ],
-            title="F1 — detector memory footprint (spin off vs on)",
-        )
-    )
-    mean = overhead_summary(rows)["memory"]
-    print(f"mean memory ratio: {mean:.3f}x")
-    benchmark.extra_info["mean_memory_ratio"] = round(mean, 3)
-    for r in rows:
-        benchmark.extra_info[r.program] = f"{r.memory_overhead:.3f}x"
-
-    # "Minor overhead": the spin feature never doubles detector memory,
-    # and on average stays within ~30% in either direction (suppression
-    # removes shadow/warning state while marker tables add some back).
-    assert 0.5 < mean < 1.5
-    for r in rows:
-        assert r.memory_overhead < 2.0, r.program
+def test_f1_memory_overhead(benchmark):
+    run_figure(benchmark, "f1")

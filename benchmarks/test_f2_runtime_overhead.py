@@ -3,41 +3,14 @@
 The paper's claim: slight runtime overhead.  Our measure: wall-clock of
 VM + detector for ``lib`` vs ``lib+spin(7)`` over the PARSEC programs,
 with the bare (no detector) machine as the common baseline.
+
+The figure is the ``f2`` config row of
+:data:`repro.harness.figures.FIGURES`, measured and gated by
+:func:`benchmarks.conftest.run_figure`.
 """
 
-from repro.harness.perf import measure_overhead, overhead_summary
-from repro.harness.tables import format_table
-
-from benchmarks.conftest import run_once
+from benchmarks.conftest import run_figure
 
 
-def test_f2_runtime_overhead(benchmark, parsec13):
-    rows = run_once(
-        benchmark, lambda: measure_overhead(parsec13, k=7, repeats=3)
-    )
-    print()
-    print(
-        format_table(
-            ["Program", "bare s", "lib s", "lib+spin s", "ratio"],
-            [
-                [
-                    r.program,
-                    f"{r.bare_s:.3f}",
-                    f"{r.lib_s:.3f}",
-                    f"{r.spin_s:.3f}",
-                    f"{r.runtime_overhead:.3f}x",
-                ]
-                for r in rows
-            ],
-            title="F2 — detector runtime (spin off vs on)",
-        )
-    )
-    mean = overhead_summary(rows)["runtime"]
-    print(f"mean runtime ratio: {mean:.3f}x")
-    benchmark.extra_info["mean_runtime_ratio"] = round(mean, 3)
-
-    # "Slight runtime overhead": on average well under 2x, and detection
-    # itself costs more than the spin feature adds on top.
-    assert mean < 2.0
-    slowdowns = [r.lib_s / r.bare_s for r in rows if r.bare_s > 0]
-    assert all(s >= 0.5 for s in slowdowns)  # sanity: detector does work
+def test_f2_runtime_overhead(benchmark):
+    run_figure(benchmark, "f2")

@@ -20,120 +20,14 @@ when one exists: a >30% replay events/sec regression fails the run.
 perf-smoke job; the 5x bar is only enforced on the full sweep (small
 subsets are timer-noise dominated), the regression gate and the
 fingerprint oracle always are.
+
+The figure is the ``f6`` config row of
+:data:`repro.harness.figures.FIGURES`, measured and gated by
+:func:`benchmarks.conftest.run_figure`.
 """
 
-import os
-
-from repro.harness.perf import (
-    load_replay_baseline,
-    measure_replay,
-    replay_summary,
-    write_replay_bench,
-)
-from repro.harness.registry import resolve_tool
-from repro.harness.tables import format_table
-
-from benchmarks.conftest import run_once
-
-BASELINE = os.path.join(os.path.dirname(__file__), "..", "BENCH_replay.json")
-
-#: one recording must serve at least these three presets (the ISSUE's
-#: record-once-analyze-anywhere claim is about fanning configs, not runs)
-TOOLS = ("helgrind-lib", "helgrind-lib-spin7", "drd")
+from benchmarks.conftest import run_figure
 
 
-def _subset():
-    raw = os.environ.get("REPRO_PERF_SUBSET", "")
-    return int(raw) if raw else 0
-
-
-def test_f6_replay_throughput(benchmark, parsec13):
-    subset = _subset()
-    parsec = parsec13[:subset] if subset else parsec13
-    tools = [resolve_tool(name) for name in TOOLS]
-
-    def sweep():
-        return {"parsec": measure_replay(parsec, tools, repeats=3)}
-
-    groups = run_once(benchmark, sweep)
-    rows = groups["parsec"]
-    s = replay_summary(rows)
-
-    print()
-    print(
-        format_table(
-            ["Workload", "Tool", "Events", "live ev/s", "replay ev/s", "speedup"],
-            [
-                [
-                    r.workload,
-                    r.tool,
-                    r.events,
-                    f"{r.live_events_per_s:.0f}",
-                    f"{r.replay_events_per_s:.0f}",
-                    f"{r.speedup:.2f}x",
-                ]
-                for r in rows
-            ],
-            title=f"F6 PARSEC — replay throughput (aggregate {s['speedup']:.2f}x, "
-            f"{s['configs_per_recording']:.0f} configs/recording, "
-            f"one-time record {s['record_s']:.3f}s)",
-        )
-    )
-    benchmark.extra_info["parsec_speedup"] = round(s["speedup"], 3)
-    benchmark.extra_info["parsec_replay_events_per_s"] = round(
-        s["replay_events_per_s"], 1
-    )
-
-    # Replay must be invisible in the verdicts — every row, every preset.
-    mismatched = [(r.workload, r.tool) for r in rows if not r.fingerprints_match]
-    assert not mismatched, f"replayed report diverged from live: {mismatched}"
-
-    if not subset:
-        # Acceptance bar: >=5x aggregate re-analysis speedup with one
-        # recording serving >=3 tool configs.
-        assert s["configs_per_recording"] >= 3
-        assert s["speedup"] >= 5.0, (
-            f"replay speedup {s['speedup']:.2f}x below the 5x acceptance bar"
-        )
-
-    out = os.environ.get("REPRO_BENCH_OUT", None)
-    if out is None:
-        out = BASELINE if not subset else ""
-    baseline = load_replay_baseline(BASELINE)
-    if out:
-        write_replay_bench(out, groups)
-        print(f"wrote {os.path.abspath(out)}")
-
-    # Regression gate vs the committed baseline: >30% replay events/sec
-    # drop fails.  The baseline throughput is recomputed over exactly the
-    # (workload, tool) rows measured this run, so the subset CI job
-    # compares the same mix as the committed full sweep.
-    committed = _baseline_throughput(baseline, "parsec", rows)
-    if committed is not None:
-        current = sum(r.events for r in rows) / sum(r.replay_s for r in rows)
-        benchmark.extra_info["baseline_events_per_s"] = round(committed, 1)
-        benchmark.extra_info["events_per_s"] = round(current, 1)
-        assert current >= 0.7 * committed, (
-            f"replay throughput regressed >30%: "
-            f"{current:.0f} ev/s vs committed {committed:.0f} ev/s"
-        )
-
-
-def _baseline_throughput(baseline, group, measured_rows):
-    """Committed replay events/sec over the measured (workload, tool) rows.
-
-    Returns ``None`` when there is no committed baseline covering them.
-    """
-    if not baseline:
-        return None
-    wanted = {(r.workload, r.tool) for r in measured_rows}
-    events = replay_s = 0.0
-    hits = 0
-    for row in baseline.get("rows", ()):
-        if row.get("group") == group and (row["workload"], row["tool"]) in wanted:
-            events += row["events"]
-            replay_s += row["replay_s"]
-            hits += 1
-    if hits < len(wanted) or replay_s <= 0:
-        return None
-    return events / replay_s
+def test_f6_replay_throughput(benchmark):
+    run_figure(benchmark, "f6")

@@ -25,122 +25,14 @@ per-request cost).
 
 ``REPRO_PERF_SUBSET=N`` caps the sweep at N requests per path for the
 CI perf-smoke job; ``REPRO_BENCH_OUT=`` skips writing the JSON.
+
+The figure is the ``f9`` config row of
+:data:`repro.harness.figures.FIGURES`, measured and gated by
+:func:`benchmarks.conftest.run_figure`.
 """
 
-import os
-
-from repro.harness.perf import (
-    load_service_baseline,
-    measure_service,
-    service_summary,
-    write_service_bench,
-)
-from repro.harness.tables import format_table
-
-from benchmarks.conftest import run_once
-
-BASELINE = os.path.join(os.path.dirname(__file__), "..", "BENCH_service.json")
-
-TOOL = "helgrind-lib-spin7"
-REQUESTS = 24
-CLIENTS = 8
-WORKERS = 2
-
-
-def _subset():
-    raw = os.environ.get("REPRO_PERF_SUBSET", "")
-    return int(raw) if raw else 0
+from benchmarks.conftest import run_figure
 
 
 def test_f9_service_load(benchmark):
-    subset = _subset()
-    requests = min(subset, REQUESTS) if subset else REQUESTS
-    clients = min(CLIENTS, requests)
-
-    def sweep():
-        return {
-            "service": measure_service(
-                requests=requests,
-                clients=clients,
-                workers=WORKERS,
-                tool=TOOL,
-                verify_fingerprints=True,
-            )
-        }
-
-    groups = run_once(benchmark, sweep)
-    rows = groups["service"]
-    s = service_summary(rows)
-
-    print()
-    print(
-        format_table(
-            ["Path", "Requests", "req/s", "p50 ms", "p99 ms", "Errors"],
-            [
-                [
-                    r.path,
-                    r.requests,
-                    f"{r.requests_per_s:.1f}",
-                    f"{r.p50_ms:.2f}",
-                    f"{r.p99_ms:.2f}",
-                    r.errors,
-                ]
-                for r in rows
-            ],
-            title=(
-                f"F9 service load — {clients} clients / {WORKERS} workers "
-                f"(cached p99 {s.get('cached_speedup_p99', 0.0):.1f}x faster "
-                f"than cold)"
-            ),
-        )
-    )
-    benchmark.extra_info["cached_speedup_p99"] = round(
-        s.get("cached_speedup_p99", 0.0), 2
-    )
-    benchmark.extra_info["cold_requests_per_s"] = round(
-        s.get("cold_requests_per_s", 0.0), 2
-    )
-
-    # Correctness is unconditional: no wrong statuses, no verdict that
-    # diverged from the direct-session oracle.
-    assert s["errors"] == 0, f"unexpected response statuses: {rows}"
-    assert s["mismatches"] == 0, "served verdict diverged from direct repro.run"
-
-    if not subset:
-        assert s["cached_speedup_p99"] >= 10.0, (
-            f"cached p99 only {s['cached_speedup_p99']:.1f}x faster than cold "
-            f"— the verdict index is not short-circuiting recomputation"
-        )
-
-    out = os.environ.get("REPRO_BENCH_OUT", None)
-    if out is None:
-        out = BASELINE if not subset else ""
-    baseline = load_service_baseline(BASELINE)
-    if out:
-        write_service_bench(out, groups, extra={"workers": WORKERS})
-        print(f"wrote {os.path.abspath(out)}")
-
-    # Regression gate vs the committed baseline: cold p50 latency more
-    # than 1/0.7x the committed value (the latency image of a >30%
-    # throughput drop) fails.  Per-request p50 is stable across subset
-    # sizes, so the 4-request CI job gates against the committed
-    # 24-request sweep without warmup/tail noise.
-    committed = _baseline_cold_p50(baseline)
-    if committed is not None:
-        current = s.get("cold_p50_ms", 0.0)
-        benchmark.extra_info["baseline_cold_p50_ms"] = round(committed, 3)
-        assert current <= committed / 0.7, (
-            f"cold per-request latency regressed >30%: "
-            f"p50 {current:.1f} ms vs committed {committed:.1f} ms"
-        )
-
-
-def _baseline_cold_p50(baseline):
-    """Committed cold-path p50 ms (``None`` without a usable baseline)."""
-    if not baseline:
-        return None
-    for row in baseline.get("rows", ()):
-        if row.get("group") == "service" and row.get("path") == "cold":
-            if row.get("workers") == WORKERS and row.get("p50_ms"):
-                return float(row["p50_ms"])
-    return None
+    run_figure(benchmark, "f9")

@@ -15,8 +15,11 @@
 * :mod:`repro.harness.metrics` — suite scoring (false alarms / missed
   races / failed / correct) and racy-context averaging;
 * :mod:`repro.harness.tables` — text rendering of the paper's tables;
-* :mod:`repro.harness.perf` — runtime/memory overhead measurements for
-  the paper's two performance figures;
+* :mod:`repro.harness.perf` — the one bench harness: a measurement
+  primitive per run kind, flat records, ratio-of-sums summaries, the
+  ``BENCH_*.json`` layout and the regression gate;
+* :mod:`repro.harness.figures` — every performance figure (the paper's
+  F1/F2 overhead claims, F3/F4/F6/F7/F9) as a config row;
 * :mod:`repro.harness.cli` — ``repro-experiments`` command line.
 """
 

@@ -146,14 +146,20 @@ def run_chaos(
     ``timeout_s``, ``retries``, ``journal_dir``/``resume``,
     ``heartbeat_s``, ``poison_threshold``, ``forensics_dir``,
     ``budget``) pass straight through to
-    :func:`~repro.harness.parallel.run_sweep`.  Pair ``resume`` with a
-    ``cache``: the journal restores records, but note/livelock oracles
-    also inspect detector outcomes, which only the cache can replay.
-    With ``forensics_dir`` set, infrastructure failures are captured by
+    :func:`~repro.harness.parallel.run_sweep`.  ``resume`` requires a
+    ``cache`` (``ValueError`` otherwise): the journal restores records,
+    but the note/livelock oracles also inspect detector outcomes, which
+    only the cache can replay.  With ``forensics_dir`` set, infrastructure failures are captured by
     the sweep and *oracle mismatches* are captured here — re-executed
     under ``record_trace`` with the case's fault plan, shrunk via ddmin
     with the oracle itself as the "still fails" predicate.
     """
+    if resume and cache is None:
+        raise ValueError(
+            "resume needs a result cache: the journal restores run records but "
+            "not the detector outcomes (livelock reports, protocol notes) that "
+            "the chaos oracles read"
+        )
     cases = sorted(
         cases if cases is not None else chaos_cases(), key=lambda c: c.fault_class
     )

@@ -11,6 +11,7 @@ Subcommands::
     repro-experiments f2            # runtime-overhead figure
     repro-experiments f6            # replay throughput (stored trace vs live)
     repro-experiments f7            # streaming-decode peak memory (vs in-memory)
+    repro-experiments f9            # service load (req/s + latency)
     repro-experiments cases         # list the 120 suite cases
     repro-experiments oracle        # detector-free ground-truth sweep
     repro-experiments sweep         # parallel sweep + observability report
@@ -71,24 +72,30 @@ Tool names resolve through the shared preset registry
 sets the spin(k) window.
 
 The perf figures always run serially: their wall-clock numbers would be
-polluted by co-scheduled sibling runs.  Figures, their ``f*``
-subcommands, and their default ``BENCH_*.json`` paths all come from one
-registry (:data:`FIGURES`) — adding a figure there registers the
-subcommand, the ``--out`` default, and the epilog line in one place.
+polluted by co-scheduled sibling runs.  Every ``f*`` subcommand is one
+path (:func:`cmd_figure`) over a config row of
+:data:`repro.harness.figures.FIGURES`, which also supplies the epilog
+line and the ``--out`` default (the row's ``BENCH_*.json``).  ``--limit``
+caps each figure's workloads (F9: requests per path; acceptance bars
+then apply only where the row holds them on subsets), ``--repeats`` its
+repeats, ``--k`` its spin window; ``--tools``/``--tool`` replace its
+presets (not for F1/F2, whose two columns are lib vs lib+spin(k)).  Exit
+1 when an oracle or bar check fails.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import sys
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.detectors import ToolConfig
 from repro.harness.metrics import racy_contexts_table, score_suite
 from repro.harness.parallel import ResultCache, run_sweep, sweep_specs
-from repro.harness.perf import measure_overhead, overhead_summary
+from repro.harness.figures import FIGURES
 from repro.harness.registry import canonical_scheduler, resolve_tool
 from repro.harness.tables import (
     contexts_table,
@@ -130,30 +137,6 @@ def _budget(args: argparse.Namespace):
         wall_budget_s=args.wall_budget,
     )
     return budget if budget.governed else None
-
-
-@dataclasses.dataclass(frozen=True)
-class Figure:
-    """One paper figure: subcommand key, one-line title, bench default.
-
-    :data:`FIGURES` (defined after the ``cmd_f*`` functions) is the
-    single registry that drives the ``experiment`` positional's
-    choices, the ``--out`` default/help text, the parser epilog, the
-    ``all`` ordering, and the command dispatch — add a figure there and
-    every surface updates together.
-    """
-
-    key: str
-    title: str
-    #: the figure's ``cmd_f*`` entry point
-    run: "Callable[[argparse.Namespace], Optional[int]]"
-    #: default ``--out`` path; ``""`` for figures that write no JSON
-    bench: str = ""
-
-
-def _bench_out(args: argparse.Namespace, key: str) -> str:
-    """``--out``, defaulting to the figure's registered ``BENCH_*`` path."""
-    return args.out if args.out is not None else FIGURES[key].bench
 
 
 def cmd_t1(args: argparse.Namespace) -> None:
@@ -237,27 +220,6 @@ def cmd_t5(args: argparse.Namespace) -> None:
     )
 
 
-def _perf_rows(args: argparse.Namespace):
-    from repro.workloads import parsec_workloads
-
-    return measure_overhead(parsec_workloads(), k=args.k, repeats=args.repeats)
-
-
-def cmd_f1(args: argparse.Namespace) -> None:
-    rows = _perf_rows(args)
-    print(
-        format_table(
-            ["Program", "lib words", "lib+spin words", "overhead"],
-            [
-                [r.program, r.lib_words, r.spin_words, f"{r.memory_overhead:.3f}x"]
-                for r in rows
-            ],
-            title="F1 — detector memory consumption (spin feature off vs on)",
-        )
-    )
-    print(f"mean memory overhead: {overhead_summary(rows)['memory']:.3f}x")
-
-
 def cmd_cases(args: argparse.Namespace) -> None:
     from repro.workloads import build_suite
 
@@ -304,121 +266,30 @@ def cmd_oracle(args: argparse.Namespace) -> None:
     print(f"{stable}/{len(verdicts)} cases schedule-stable")
 
 
-def cmd_f2(args: argparse.Namespace) -> None:
-    rows = _perf_rows(args)
-    print(
-        format_table(
-            ["Program", "bare s", "lib s", "lib+spin s", "spin instr s", "overhead"],
-            [
-                [
-                    r.program,
-                    f"{r.bare_s:.3f}",
-                    f"{r.lib_s:.3f}",
-                    f"{r.spin_s:.3f}",
-                    f"{r.spin_instr_s:.3f}",
-                    f"{r.runtime_overhead:.3f}x",
-                ]
-                for r in rows
-            ],
-            title="F2 — detector runtime (spin feature off vs on, incl. instrumentation)",
-        )
-    )
-    print(f"mean runtime overhead: {overhead_summary(rows)['runtime']:.3f}x")
+def cmd_figure(key: str, args: argparse.Namespace) -> int:
+    """Measure one figure; print it, write its bench file, check it."""
+    from repro.harness import perf
 
-
-def cmd_f6(args: argparse.Namespace) -> int:
-    """Replay throughput: stored-trace analysis vs live execution."""
-    from repro.harness.perf import measure_replay, replay_summary, write_replay_bench
-    from repro.workloads import parsec_workloads
-
-    parsec = parsec_workloads()
-    if args.limit:
-        parsec = parsec[: args.limit]
-    tools = (
-        [resolve_tool(n.strip()) for n in args.tools.split(",") if n.strip()]
-        if args.tools
-        else [
-            resolve_tool("helgrind-lib"),
-            resolve_tool(f"helgrind-lib-spin{args.k}"),
-            resolve_tool("drd"),
-        ]
+    fig = FIGURES[key]
+    names = args.tools or args.tool
+    tools = [n.strip() for n in names.split(",") if n.strip()] if names else None
+    groups = perf.measure(
+        fig,
+        limit=args.limit,
+        tools=None if fig.variants else tools,
+        repeats=args.repeats,
+        k=args.k,
+        workers=args.workers or 2,
     )
-    rows = measure_replay(parsec, tools, repeats=args.repeats)
-    s = replay_summary(rows)
-    print(
-        f"F6 PARSEC: {s['events']} events — replay "
-        f"{s['replay_events_per_s']:.0f} ev/s vs live "
-        f"{s['live_events_per_s']:.0f} ev/s ({s['speedup']:.2f}x; "
-        f"{s['configs_per_recording']:.0f} configs/recording, "
-        f"one-time record {s['record_s']:.3f}s), "
-        f"{s['mismatches']} fingerprint mismatch(es)"
-    )
-    out = _bench_out(args, "f6")
+    print(perf.render(fig, groups))
+    out = fig.bench if args.out is None else args.out
     if out:
-        write_replay_bench(out, {"parsec": rows})
+        perf.write_bench(out, fig, groups)
         print(f"wrote {out}")
-    return 1 if s["mismatches"] else 0
-
-
-def cmd_f7(args: argparse.Namespace) -> int:
-    """Streaming-decode peak memory: bounded-memory vs in-memory analysis."""
-    from repro.harness.perf import (
-        F7_WORKLOADS,
-        measure_streaming,
-        streaming_summary,
-        write_streaming_bench,
-    )
-    from repro.workloads import parsec_workloads
-
-    by_name = {wl.name: wl for wl in parsec_workloads()}
-    names = F7_WORKLOADS[: args.limit] if args.limit else F7_WORKLOADS
-    tool = args.tool or f"helgrind-lib-spin{args.k}"
-    rows = measure_streaming([by_name[n] for n in names], tool, repeats=args.repeats)
-    s = streaming_summary(rows)
-    print(
-        f"F7 streaming: {s['events']} events — peak alloc "
-        f"{s['inmem_peak_alloc'] >> 10}KB in-memory vs "
-        f"{s['stream_peak_alloc'] >> 10}KB streamed "
-        f"({s['reduction_min']:.1f}x worst-row, "
-        f"{s['reduction_aggregate']:.1f}x aggregate), "
-        f"{s['mismatches']} fingerprint mismatch(es)"
-    )
-    out = _bench_out(args, "f7")
-    if out:
-        write_streaming_bench(out, {"parsec": rows})
-        print(f"wrote {out}")
-    return 1 if s["mismatches"] else 0
-
-
-def cmd_f9(args: argparse.Namespace) -> int:
-    """Service load: requests/s and p50/p99 for cold/cached/degraded."""
-    from repro.harness.perf import (
-        measure_service,
-        service_summary,
-        write_service_bench,
-    )
-
-    requests = args.limit or 24
-    tool = args.tool or f"helgrind-lib-spin{args.k}"
-    workers = args.workers or 2
-    rows = measure_service(requests=requests, workers=workers, tool=tool)
-    s = service_summary(rows)
-    for r in rows:
-        print(
-            f"F9 service [{r.path:>8}]: {r.requests_per_s:8.1f} req/s   "
-            f"p50 {r.p50_ms:7.2f}ms   p99 {r.p99_ms:7.2f}ms   "
-            f"({r.requests} requests, {r.clients} clients, {r.workers} workers)"
-        )
-    print(
-        f"F9 service: cached p99 {s.get('cached_speedup_p99', 0.0):.1f}x faster "
-        f"than cold; {s['errors']} error(s), {s['mismatches']} fingerprint "
-        f"mismatch(es)"
-    )
-    out = _bench_out(args, "f9")
-    if out:
-        write_service_bench(out, {"service": rows})
-        print(f"wrote {out}")
-    return 1 if (s["errors"] or s["mismatches"]) else 0
+    failed = perf.check(fig, groups, full=not args.limit)
+    for message in failed:
+        print(f"FAIL {message}")
+    return 1 if failed else 0
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
@@ -441,33 +312,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-#: the figure registry — one entry per ``f*`` subcommand (see
-#: :class:`Figure`).  Order here is display/run order everywhere.
-FIGURES = {
-    f.key: f
-    for f in (
-        Figure("f1", "memory-overhead figure", cmd_f1),
-        Figure("f2", "runtime-overhead figure", cmd_f2),
-        Figure(
-            "f6",
-            "replay throughput (stored trace vs live)",
-            cmd_f6,
-            "BENCH_replay.json",
-        ),
-        Figure(
-            "f7",
-            "streaming-decode peak memory (vs in-memory)",
-            cmd_f7,
-            "BENCH_streaming.json",
-        ),
-        Figure(
-            "f9",
-            "service load (req/s + latency: cold/cached/degraded)",
-            cmd_f9,
-            "BENCH_service.json",
-        ),
-    )
-}
+#: the figures with an ``f*`` subcommand, in run order (F3/F4 run only
+#: as benchmarks)
+FIGURE_COMMANDS = ("f1", "f2", "f6", "f7", "f9")
 
 
 def cmd_tools(args: argparse.Namespace) -> None:
@@ -593,19 +440,23 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     """Run the fault-injection suite and verify every oracle expectation."""
     from repro.harness.chaos import chaos_table, run_chaos
 
-    report = run_chaos(
-        config=args.tool or f"helgrind-lib-spin{args.k}",
-        workers=args.workers,
-        cache=_cache(args),
-        timeout_s=args.timeout,
-        retries=args.retries,
-        journal_dir=args.journal_dir,
-        resume=args.resume,
-        heartbeat_s=args.heartbeat,
-        poison_threshold=args.poison_threshold,
-        forensics_dir=args.forensics_dir,
-        budget=_budget(args),
-    )
+    try:
+        report = run_chaos(
+            config=args.tool or f"helgrind-lib-spin{args.k}",
+            workers=args.workers,
+            cache=_cache(args),
+            timeout_s=args.timeout,
+            retries=args.retries,
+            journal_dir=args.journal_dir,
+            resume=args.resume,
+            heartbeat_s=args.heartbeat,
+            poison_threshold=args.poison_threshold,
+            forensics_dir=args.forensics_dir,
+            budget=_budget(args),
+        )
+    except ValueError as exc:
+        print(f"chaos: {exc}", file=sys.stderr)
+        return 2
     print(chaos_table(report))
     print()
     print(sweep_records_table(report.records, "Chaos run log"))
@@ -818,8 +669,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         formatter_class=argparse.RawDescriptionHelpFormatter,
         epilog="figures:\n"
         + "\n".join(
-            f"  {f.key}  {f.title}" + (f" (writes {f.bench})" if f.bench else "")
-            for f in FIGURES.values()
+            f"  {key}  {FIGURES[key].title}"
+            + (f" (writes {FIGURES[key].bench})" if FIGURES[key].bench else "")
+            for key in FIGURE_COMMANDS
         ),
     )
     parser.add_argument("--k", type=int, default=7, help="spin window (default 7)")
@@ -861,7 +713,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         default=None,
         help="single tool preset for chaos (default helgrind-lib-spin<k>)",
     )
-    bench_figures = [f for f in FIGURES.values() if f.bench]
+    bench_figures = [FIGURES[key] for key in FIGURE_COMMANDS if FIGURES[key].bench]
     parser.add_argument(
         "--out",
         default=None,
@@ -906,7 +758,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument(
         "--resume",
         action="store_true",
-        help="sweep/chaos: skip specs already journaled (requires --journal-dir)",
+        help=(
+            "sweep/chaos: skip specs already journaled (requires --journal-dir; "
+            "chaos also --cache-dir)"
+        ),
     )
     parser.add_argument(
         "--heartbeat",
@@ -995,7 +850,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument(
         "experiment",
         choices=[
-            "t1", "t2", "t3", "t4", "t5", *FIGURES,
+            "t1", "t2", "t3", "t4", "t5", *FIGURE_COMMANDS,
             "cases", "oracle", "sweep", "grand", "chaos", "tools", "cache",
             "triage", "trace", "serve", "all",
         ],
@@ -1016,7 +871,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         "t3": cmd_t3,
         "t4": cmd_t4,
         "t5": cmd_t5,
-        **{f.key: f.run for f in FIGURES.values()},
+        **{key: functools.partial(cmd_figure, key) for key in FIGURE_COMMANDS},
         "cases": cmd_cases,
         "oracle": cmd_oracle,
         "sweep": cmd_sweep,
@@ -1029,7 +884,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         "serve": cmd_serve,
     }
     if args.experiment == "all":
-        for name in ("t1", "t2", "t3", "t4", "t5", *FIGURES):
+        for name in ("t1", "t2", "t3", "t4", "t5", *FIGURE_COMMANDS):
             commands[name](args)
             print()
     else:

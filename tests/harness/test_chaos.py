@@ -121,6 +121,14 @@ class TestDurability:
         journaled = len(journals[0].read_text().splitlines()) - 1
         assert journaled == len(fresh.records)
 
+    def test_resume_without_a_cache_is_rejected(self, tmp_path):
+        # the journal alone restores records, not the outcomes the
+        # livelock/note oracles read: resumed verdicts would be bogus FAILs
+        jdir = tmp_path / "journal"
+        with pytest.raises(ValueError, match="cache"):
+            run_chaos(workers=0, journal_dir=jdir, resume=True)
+        assert not jdir.exists()
+
 
 class TestCacheKey:
     def test_key_varies_with_fault_plan_and_bound(self, tmp_path):

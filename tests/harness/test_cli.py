@@ -80,6 +80,11 @@ class TestCli:
         assert main(["chaos", "--retries", "3"]) == 0
         assert [kw["retries"] for kw in seen] == [3]
 
+    def test_chaos_resume_needs_a_cache(self, tmp_path, capsys):
+        journal = ["chaos", "--journal-dir", str(tmp_path / "journal")]
+        assert main([*journal, "--resume"]) == 2
+        assert "cache" in capsys.readouterr().err
+
     def test_oracle_sweep(self, capsys):
         assert main(["--seeds", "2", "oracle"]) == 0
         out = capsys.readouterr().out

@@ -1,12 +1,17 @@
 """Runner, table formatting, and perf measurement."""
 
 from repro.detectors import ToolConfig
-from repro.harness.perf import measure_overhead, overhead_summary
+from repro.harness.figures import F1, F2
+from repro.harness.perf import cells, summarize, value
 from repro.harness.runner import run_bare, run_workload
 from repro.harness.tables import contexts_table, format_table, suite_table
 from repro.harness.workload import Workload
 
 from tests.conftest import flag_handoff_program
+
+
+#: the F1/F2 columns: lib vs lib+spin(7)
+TOOLS = ["helgrind-lib", "helgrind-lib-spin7"]
 
 
 def _wl(seed=1):
@@ -83,39 +88,42 @@ class TestTables:
 
 
 class TestPerf:
+    """F1/F2 records: one row per workload, each tool's fields prefixed
+    ``lib_``/``spin_`` (see the ``f2`` row of ``repro.harness.figures``)."""
+
     def test_measure_overhead_row_fields(self):
-        rows = measure_overhead([_wl()], repeats=1)
+        rows = cells(F2, [_wl()], TOOLS, repeats=1)
         assert len(rows) == 1
         row = rows[0]
-        assert row.lib_words > 0
-        assert row.spin_words > 0
+        assert row["lib_words"] > 0
+        assert row["spin_words"] > 0
         # The spin feature's footprint change is small in either direction:
         # marker tables and engine state add words, while suppressed flag
         # accesses and eliminated warnings remove shadow/report words.
-        assert 0.5 < row.memory_overhead < 2.0
-        assert row.runtime_overhead > 0
+        assert 0.5 < value(F2, rows, "mean_memory_overhead") < 2.0
+        assert row["mean_runtime_overhead"] > 0
 
     def test_overhead_includes_instrumentation_phase(self):
         """Regression: the runtime-overhead figure (slide 32) must charge
         the spin configuration for its instrumentation phase."""
-        rows = measure_overhead([_wl()], repeats=1)
+        rows = cells(F2, [_wl()], TOOLS, repeats=1)
         row = rows[0]
-        assert row.spin_instr_s > 0
-        assert row.spin_total_s == row.spin_s + row.spin_instr_s
-        expected = row.spin_total_s / row.lib_total_s
-        assert abs(row.runtime_overhead - expected) < 1e-12
+        assert row["spin_instr_s"] > 0
+        spin_total_s = row["spin_s"] + row["spin_instr_s"]
+        lib_total_s = row["lib_s"] + row["lib_instr_s"]
+        expected = spin_total_s / lib_total_s
+        assert abs(row["mean_runtime_overhead"] - expected) < 1e-12
         # the instrumented configuration is strictly more expensive than
         # its machine+detector time alone
-        assert row.spin_total_s > row.spin_s
+        assert spin_total_s > row["spin_s"]
 
     def test_overhead_summary(self):
-        rows = measure_overhead([_wl()], repeats=1)
-        summary = overhead_summary(rows)
-        assert 0.5 < summary["memory"] < 2.0
-        assert summary["runtime"] > 0
+        rows = cells(F2, [_wl()], TOOLS, repeats=1)
+        assert 0.5 < summarize(F1, rows)["mean_memory_overhead"] < 2.0
+        assert summarize(F2, rows)["mean_runtime_overhead"] > 0
 
     def test_empty_summary_is_nan(self):
         import math
 
-        s = overhead_summary([])
-        assert math.isnan(s["memory"]) and math.isnan(s["runtime"])
+        assert math.isnan(summarize(F1, [])["mean_memory_overhead"])
+        assert math.isnan(summarize(F2, [])["mean_runtime_overhead"])
