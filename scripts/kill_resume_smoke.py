@@ -7,10 +7,15 @@
    journal holds some — but not all — completed records.
 3. Runs ``ResultCache.doctor(purge=True)`` on the killed sweep's cache
    and asserts only valid entries remain: no ``*.tmp.*`` debris from a
-   put the kill interrupted, and an empty ``corrupt/``.
+   put the kill interrupted, and an empty ``corrupt/``.  Every
+   journaled run has its cache entry: entries are committed before
+   their journal lines.
 4. Reruns with ``resume=True`` and asserts the merged result is
    identical to the baseline on every stable field, with at least the
-   pre-kill journaled fraction served without re-execution.
+   journal lines on disk served without re-execution.
+   Steps 1-4 run twice: on the PARSEC sweep (long cells) and on the
+   480-cell suite sweep of Table 1, whose cells take milliseconds, so
+   the kill lands while finished runs are queued for commit.
 5. Bit-flips a cache entry and asserts the corruption is quarantined
    with a structured note — never raised — and that the sweep heals by
    re-executing.
@@ -43,10 +48,13 @@ from _smoke_common import (
     workdir,
 )
 
+from repro.harness.checkpoint import SweepJournal, spec_key, sweep_digest  # noqa: E402
 from repro.harness.parallel import ResultCache, run_sweep, sweep_specs  # noqa: E402
 
 TOOLS = ["helgrind-lib", "helgrind-lib-spin7"]
 SEEDS = [1]
+#: the paper's four Table 1 tools, for the suite phase
+PAPER_TOOLS = ["helgrind-lib", "helgrind-lib-spin7", "helgrind-nolib-spin7", "drd"]
 
 #: RunRecord fields that must survive kill+resume bit-identically
 #: (everything except wall-clock timings and the attempt counter)
@@ -56,7 +64,11 @@ STABLE_FIELDS = (
 )
 
 
-def _specs():
+def _specs(phase: str = "parsec"):
+    if phase == "suite":
+        from repro.workloads import build_suite
+
+        return sweep_specs([wl.name for wl in build_suite()], PAPER_TOOLS)
     return sweep_specs(parsec_names(), TOOLS, SEEDS)
 
 
@@ -67,16 +79,16 @@ def stable(rec):
     )
 
 
-def child_main(work: str) -> None:
+def child_main(work: str, phase: str = "parsec") -> None:
     run_sweep(
-        _specs(),
+        _specs(phase),
         workers=2,
         journal_dir=Path(work) / "journal",
         cache=ResultCache(Path(work) / "killed-cache"),
     )
 
 
-def killed_cache_check(cache_dir: Path) -> None:
+def killed_cache_check(cache_dir: Path, journal_dir: Path, specs) -> None:
     report = ResultCache(cache_dir).doctor(purge=True)
     debris = sorted(p.name for p in cache_dir.glob("*.tmp.*"))
     if debris:
@@ -86,30 +98,43 @@ def killed_cache_check(cache_dir: Path) -> None:
     after = ResultCache(cache_dir).doctor()
     if after.ok != after.scanned or after.quarantined:
         fail(f"invalid entries survived the purge: {after}")
+    journaled = SweepJournal(
+        journal_dir, sweep_digest(spec_key(s) for s in specs)
+    ).load()
+    uncached = [
+        key for key, rec in journaled.items()
+        if rec.status == "ok" and not ResultCache(cache_dir).has(key)
+    ]
+    if uncached:
+        fail(f"{len(uncached)} journaled run(s) have no cache entry")
     print(
         f"killed cache OK: {report.scanned} entries scanned, "
-        f"{len(report.quarantined)} quarantined and purged, no temp debris"
+        f"{len(report.quarantined)} quarantined and purged, no temp debris, "
+        f"every journaled run cached"
     )
 
 
-def kill_resume_check(work: Path) -> None:
+def kill_resume_check(work: Path, phase: str) -> None:
+    work = work / phase
     journal_dir = work / "journal"
-    specs = _specs()
-    print(f"baseline: {len(specs)} specs, serial ...")
+    specs = _specs(phase)
+    print(f"{phase} baseline: {len(specs)} specs, serial ...")
     baseline = run_sweep(specs, workers=0)
 
-    print("launching journaled 2-worker sweep to be SIGKILLed ...")
-    proc = spawn_child(__file__, str(work))
+    print(f"launching journaled 2-worker {phase} sweep to be SIGKILLed ...")
+    proc = spawn_child(__file__, str(work), phase)
+    # The suite's millisecond cells finish in bursts: let a quarter of
+    # them commit, so the kill lands with the sweep in full flow.
     pre_kill = sigkill_when(
         proc,
         lambda: journal_entries(journal_dir),
-        min_count=2,
-        what="child sweep",
+        min_count=len(specs) // 4 if phase == "suite" else 2,
+        what=f"child {phase} sweep",
     )
     if pre_kill >= len(specs):
         fail("sweep completed before the kill landed; nothing to resume")
     print(f"killed with {pre_kill}/{len(specs)} records journaled")
-    killed_cache_check(work / "killed-cache")
+    killed_cache_check(work / "killed-cache", journal_dir, specs)
 
     resumed = run_sweep(specs, workers=2, journal_dir=journal_dir, resume=True)
     if resumed.resumed < pre_kill:
@@ -216,10 +241,11 @@ def orphan_check(work: Path) -> None:
 
 def main() -> None:
     if len(sys.argv) >= 3 and sys.argv[1] == "--child":
-        child_main(sys.argv[2])
+        child_main(*sys.argv[2:4])
         return
     with workdir(".repro-resume-smoke") as work:
-        kill_resume_check(work)
+        kill_resume_check(work, "parsec")
+        kill_resume_check(work, "suite")
         cache_corruption_check(work)
         orphan_check(work)
     print("kill-resume smoke: all checks passed")

@@ -10,10 +10,14 @@
   ``ResultCache`` and ``TraceStore`` add constants and a codec (and the
   trace store its streaming reads).
 * :class:`Journal` — an append-only JSONL file whose first line pins
-  its identity.  Appends are fsynced before they return; ``load`` folds
-  the complete lines in order, truncates a torn tail and rotates a
-  foreign journal to ``*.stale``.  ``SweepJournal`` and
-  ``RequestJournal`` supply only their header and fold.
+  its identity.  An append writes one or more lines with one write,
+  flush and fsync, and returns only once they are durable; ``load``
+  folds the complete lines in order, truncates a torn tail and rotates
+  a foreign journal to ``*.stale``.  ``SweepJournal`` and
+  ``RequestJournal`` supply only their header and fold.  A sweep
+  appends from one committer thread, a group of lines per fsync, so a
+  SIGKILL loses only the completed runs whose lines were not yet
+  committed, and resume re-runs them.
 
 Every write, fsync, rename, truncate and unlink of the two primitives is
 in this module, so ``tests/harness/test_crash_points.py`` can enumerate
@@ -34,7 +38,9 @@ import struct
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, TypeVar, Union
+from typing import (
+    Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar, Union,
+)
 
 log = logging.getLogger(__name__)
 
@@ -584,29 +590,38 @@ class Journal:
         self.path.unlink(missing_ok=True)
 
     @staticmethod
-    def _write_line(fh, obj: dict) -> None:
-        fh.write(json.dumps(obj, separators=(",", ":")).encode() + b"\n")
+    def _write_lines(fh, objs: Sequence[dict]) -> None:
+        fh.write(b"".join(
+            json.dumps(obj, separators=(",", ":")).encode() + b"\n" for obj in objs
+        ))
         fh.flush()
         os.fsync(fh.fileno())
 
-    def append_entry(self, entry: dict) -> None:
-        """Durably append one entry (fsynced before return).
+    def append_entries(self, entries: Sequence[dict]) -> None:
+        """Durably append ``entries`` as one group: one write, flush and
+        fsync, done before return.
 
         An empty journal gets its header first, and the handle is kept
-        only once the header is down, so no entry lands headerless.
+        only once the header is down, so no entry lands headerless.  A
+        crash mid-group keeps a prefix of the group's lines; ``load``
+        cuts the torn one.
         """
         if self._fh is None:
             fresh = not self.path.exists() or self.path.stat().st_size == 0
             fh = open(self.path, "ab")
             try:
                 if fresh:
-                    self._write_line(fh, self.header())
+                    self._write_lines(fh, [self.header()])
             except BaseException:
                 fh.close()
                 raise
             self._fh = fh
-        self._write_line(self._fh, entry)
-        self.appended += 1
+        self._write_lines(self._fh, entries)
+        self.appended += len(entries)
+
+    def append_entry(self, entry: dict) -> None:
+        """Durably append one entry (a group of one)."""
+        self.append_entries([entry])
 
     def close(self) -> None:
         if self._fh is not None:

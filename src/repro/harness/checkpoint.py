@@ -8,9 +8,9 @@ finished work *durable*:
 * every spec has a content-keyed digest (:func:`spec_key` — the same
   hash the result cache uses), and the whole sweep has a digest over its
   sorted spec keys (:func:`sweep_digest`);
-* a :class:`SweepJournal` appends one fsynced JSON line per *completed*
-  run record to ``sweep-<digest>.jsonl``, so the set of finished specs
-  survives any kind of process death;
+* a :class:`SweepJournal` appends one JSON line per *completed* run
+  record to ``sweep-<digest>.jsonl``, a group of lines per fsync, so
+  the set of committed specs survives any kind of process death;
 * ``run_sweep(..., resume=True)`` loads the journal and serves journaled
   specs without re-execution — only the unfinished tail runs.
 
@@ -35,7 +35,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 from pathlib import Path
-from typing import Dict, Iterable, Union
+from typing import Dict, Iterable, Tuple, Union
 
 from repro.durable import Journal
 
@@ -126,7 +126,7 @@ class SweepJournal(Journal):
 
     One instance is bound to one sweep digest; :meth:`load` returns the
     records of a previous (possibly killed) run of the same sweep, and
-    :meth:`append` durably records each newly finished spec.
+    :meth:`append` durably records a group of newly finished specs.
     """
 
     def __init__(self, root: Union[str, Path], digest: str) -> None:
@@ -157,7 +157,10 @@ class SweepJournal(Journal):
         super().load(fold)
         return entries
 
-    def append(self, key: str, record) -> None:
-        """Durably journal one completed record (fsync before return)."""
-        self.append_entry({"key": key, "record": dataclasses.asdict(record)})
+    def append(self, records: Iterable[Tuple[str, object]]) -> None:
+        """Durably journal ``(key, record)`` pairs of completed runs as
+        one group: one write and one fsync, done before return."""
+        self.append_entries(
+            [{"key": key, "record": dataclasses.asdict(rec)} for key, rec in records]
+        )
 

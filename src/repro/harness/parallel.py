@@ -18,10 +18,13 @@ exploits that in four layers:
   a *hung* worker (no VM progress) from a merely *slow* one, and a spec
   that keeps killing workers can be quarantined as a **poison spec**;
 * **durability** — every completed record can be appended to an fsynced
-  :class:`~repro.harness.checkpoint.SweepJournal`; ``resume=True``
-  serves journaled specs without re-execution, so a SIGKILL/OOM/Ctrl-C
-  mid-sweep loses only the in-flight runs.  ``KeyboardInterrupt``
-  returns (and journals) the partial result instead of discarding it;
+  :class:`~repro.harness.checkpoint.SweepJournal`.  One committer thread
+  per sweep writes the cache entries and journal lines off the dispatch
+  path, a group of lines per fsync.  ``resume=True`` serves journaled
+  specs without re-execution, so a SIGKILL/OOM mid-sweep loses only the
+  in-flight runs and the completed runs whose lines were not yet
+  committed.  ``KeyboardInterrupt`` returns (and journals) the partial
+  result instead of discarding it;
 * **cache** — a :class:`ResultCache` keyed on *content*
   (:meth:`~repro.isa.program.Program.fingerprint` of the built program +
   tool configuration + seed + step budget) persists pickled outcomes
@@ -735,28 +738,118 @@ def _run_serial(
     indices: Sequence[Tuple[int, str]],
     outcomes: List[Optional[RunOutcome]],
     records: List[Optional[RunRecord]],
-    cache: Optional[ResultCache],
-    journal: Optional[SweepJournal] = None,
+    committer: "_Committer",
     trace_dir: Optional[Union[str, Path]] = None,
 ) -> None:
-    """In-process reference executor (``workers=0``) — no isolation."""
+    """In-process reference executor (``workers=0``) — no isolation.
+
+    The committer writes each cell's cache entry and journal line while
+    the next cell runs.
+    """
     for i, key in indices:
         spec = specs[i]
+        outcome: Optional[RunOutcome] = None
         try:
             outcome = _run_spec(spec, trace_dir=trace_dir)
         except KeyboardInterrupt:
             raise
         except Exception as exc:
-            records[i] = _failure_record(spec, "error", 1, f"{type(exc).__name__}: {exc}")
-            if journal is not None and key:
-                journal.append(key, records[i])
-            continue
-        outcomes[i] = outcome
-        records[i] = _record_from_outcome(spec, outcome, attempts=1, cached=False)
-        if cache is not None and key:
-            cache.put(key, outcome)
-        if journal is not None and key:
-            journal.append(key, records[i])
+            record = _failure_record(spec, "error", 1, f"{type(exc).__name__}: {exc}")
+        else:
+            record = _record_from_outcome(spec, outcome, attempts=1, cached=False)
+        committer.commit(key, record, outcome)
+        outcomes[i], records[i] = outcome, record
+
+
+class _Committer:
+    """The one thread that writes a sweep's cache entries and journal lines.
+
+    The sweep loop hands every finished run to :meth:`commit` and goes
+    back to its workers.  The thread drains whatever is queued, puts
+    each outcome into the cache in queue order (temp, fsync, rename),
+    then appends the drained records to the journal as one group (one
+    write and one fsync).  A cache entry is therefore durable before its
+    journal line, and a SIGKILL loses only the completed runs whose
+    lines were not yet committed; resume re-runs them.
+
+    :meth:`close` drains and joins.  An error on the thread stops it and
+    is re-raised by the next :meth:`commit` or by :meth:`close`.  The
+    pool forks workers while the thread runs, so a worker may inherit
+    the queue lock held: no worker path takes it.
+    """
+
+    def __init__(
+        self, cache: Optional[ResultCache], journal: Optional[SweepJournal]
+    ) -> None:
+        self._cache, self._journal = cache, journal
+        #: (key, record, outcome to cache or None), in completion order
+        self._queue: List[Tuple[str, RunRecord, Optional[RunOutcome]]] = []
+        self._cond = threading.Condition(threading.Lock())
+        self._closing = False
+        self._error: Optional[BaseException] = None
+        self._thread: Optional[threading.Thread] = None
+        if cache is not None or journal is not None:
+            self._thread = threading.Thread(
+                target=self._run, name="sweep-committer", daemon=True
+            )
+            self._thread.start()
+
+    def commit(
+        self, key: str, record: RunRecord, outcome: Optional[RunOutcome] = None
+    ) -> None:
+        """Queue one finished run: ``outcome`` (if any) for the cache,
+        ``record`` for the journal."""
+        self.commit_many([(key, record, outcome)])
+
+    def commit_many(
+        self, items: Sequence[Tuple[str, RunRecord, Optional[RunOutcome]]]
+    ) -> None:
+        if self._thread is None:
+            return
+        with self._cond:
+            self._raise_error()
+            self._queue.extend(items)
+            self._cond.notify()
+
+    def _raise_error(self) -> None:
+        error, self._error = self._error, None
+        if error is not None:
+            raise error
+
+    def _run(self) -> None:
+        try:
+            while True:
+                with self._cond:
+                    while not self._queue and not self._closing:
+                        self._cond.wait()
+                    if not self._queue:
+                        return
+                    batch, self._queue = self._queue, []
+                if self._cache is not None:
+                    for key, _record, outcome in batch:
+                        if outcome is not None:
+                            self._cache.put(key, outcome)
+                if self._journal is not None:
+                    self._journal.append([(key, record) for key, record, _ in batch])
+        except BaseException as exc:  # handed to the sweep thread
+            with self._cond:
+                self._error = exc
+
+    def close(self) -> None:
+        """Commit everything queued, join the thread, re-raise its error.
+
+        An interrupt that lands meanwhile is held off: the drain is what
+        an interrupted sweep waits for before it returns.
+        """
+        while self._thread is not None and self._thread.is_alive():
+            try:
+                with self._cond:
+                    self._closing = True
+                    self._cond.notify()
+                self._thread.join()
+            except KeyboardInterrupt:
+                continue
+        self._raise_error()
 
 
 def default_workers() -> int:
@@ -828,8 +921,12 @@ def run_sweep(
     :param strict: raise :class:`SweepError` if any run failed
         terminally instead of returning ``None`` outcomes (skipped when
         the sweep was interrupted — the partial result is returned).
-    :param journal_dir: directory for the fsynced checkpoint journal;
-        every completed record is appended durably.
+    :param journal_dir: directory for the fsynced checkpoint journal.
+        Every completed record is appended by the sweep's committer
+        thread, after its cache entry, in groups of one fsync; all of
+        them are durable before this call returns.  A SIGKILL loses
+        only the completed runs whose lines were not yet committed,
+        and ``resume`` re-runs them.
     :param resume: with ``journal_dir``, serve specs already journaled
         by an earlier (possibly killed) run of the *same* sweep without
         re-executing them.  Without ``resume`` an existing journal for
@@ -878,8 +975,9 @@ def run_sweep(
     runs of the same spec.
 
     A ``KeyboardInterrupt`` mid-sweep kills and reaps every live
-    worker, flushes the journal, and returns the partial result with
-    ``interrupted=True`` instead of losing the finished records.
+    worker, commits every finished record, and returns the partial
+    result with ``interrupted=True`` instead of losing them.  A cache
+    or journal write error (``OSError``) is re-raised from here.
     ``SIGTERM`` (what a daemon supervisor sends) gets the identical
     treatment: while the sweep runs on the main thread it is converted
     to ``KeyboardInterrupt``, so a terminated sweep still reaps its
@@ -939,6 +1037,7 @@ def run_sweep(
 
     resumed = 0
     pending: deque = deque()  # (index, cache_key, attempt, degraded)
+    hits: List[Tuple[str, RunRecord, None]] = []
     for i, spec in enumerate(specs):
         key = keys[i]
         prior = journaled.get(key)
@@ -956,8 +1055,7 @@ def run_sweep(
             if hit is not None:
                 outcomes[i] = hit
                 records[i] = _record_from_outcome(spec, hit, attempts=0, cached=True)
-                if journal is not None:
-                    journal.append(key, records[i])
+                hits.append((key, records[i], None))
                 continue
         pending.append((i, key, 1, False))
 
@@ -965,8 +1063,11 @@ def run_sweep(
         workers = default_workers()
 
     interrupted = False
-    try:
-        with _sigterm_as_interrupt():
+    committer = _Committer(cache, journal)
+    with _sigterm_as_interrupt():
+        try:
+            # the hits' journal lines go down as one group
+            committer.commit_many(hits)
             if needs_traces and pending:
                 # Record every missing cell once, before any dispatch:
                 # the whole point of record/replay sweeps is one
@@ -981,8 +1082,7 @@ def run_sweep(
                     [(i, key) for i, key, *_ in pending],
                     outcomes,
                     records,
-                    cache,
-                    journal,
+                    committer,
                     trace_dir=trace_dir,
                 )
             elif pending:
@@ -991,11 +1091,10 @@ def run_sweep(
                     pending,
                     outcomes,
                     records,
-                    cache,
+                    committer,
                     workers,
                     timeout_s,
                     retries,
-                    journal=journal,
                     heartbeat_s=heartbeat_s,
                     hung_after_s=hung_after_s,
                     slow_grace=slow_grace,
@@ -1004,15 +1103,20 @@ def run_sweep(
                     budget=budget,
                     wall_deadline=wall_deadline,
                 )
-    except KeyboardInterrupt:
-        # Children are already reaped (the pool's finally); keep every
-        # finished record instead of throwing the sweep away.  SIGTERM
-        # arrives here too (converted by _sigterm_as_interrupt): a
-        # daemon supervisor's stop is an interrupt, not a crash.
-        interrupted = True
-    finally:
-        if journal is not None:
-            journal.close()
+        except KeyboardInterrupt:
+            # Children are already reaped (the pool's finally); keep every
+            # finished record instead of throwing the sweep away.  SIGTERM
+            # arrives here too (converted by _sigterm_as_interrupt): a
+            # daemon supervisor's stop is an interrupt, not a crash.
+            interrupted = True
+        finally:
+            # Every record this sweep returns is committed before it
+            # returns, on every exit path.
+            try:
+                committer.close()
+            finally:
+                if journal is not None:
+                    journal.close()
 
     wall_s = time.perf_counter() - start
     notes: List[str] = []
@@ -1469,11 +1573,10 @@ def _run_pool(
     pending: deque,
     outcomes: List[Optional[RunOutcome]],
     records: List[Optional[RunRecord]],
-    cache: Optional[ResultCache],
+    committer: _Committer,
     workers: int,
     timeout_s: Optional[float],
     retries: int,
-    journal: Optional[SweepJournal] = None,
     heartbeat_s: Optional[float] = None,
     hung_after_s: Optional[float] = None,
     slow_grace: float = 4.0,
@@ -1516,19 +1619,17 @@ def _run_pool(
             record, peak_rss=peak, degraded=degraded, oom_preempts=ooms
         )
 
-    def commit(i: int, key: str, record: RunRecord) -> None:
-        records[i] = record
-        if journal is not None and key:
-            journal.append(key, record)
+    def commit(
+        i: int, key: str, record: RunRecord, outcome: Optional[RunOutcome] = None
+    ) -> None:
+        committer.commit(key, record, outcome)
+        outcomes[i], records[i] = outcome, record
 
     def finish_ok(
         i: int, key: str, outcome: RunOutcome, attempt: int, degraded: bool = False
     ) -> None:
-        outcomes[i] = outcome
-        if cache is not None and key:
-            cache.put(key, outcome)
         record = _record_from_outcome(specs[i], outcome, attempt, cached=False)
-        commit(i, key, govern(i, record, degraded))
+        commit(i, key, govern(i, record, degraded), outcome)
 
     def retry_or_fail(
         i: int,
@@ -1620,8 +1721,8 @@ def _run_pool(
     try:
         while pending or pool.active:
             exits = pool.poll()
-            # Freed workers get their next spec before the parent spends
-            # time on this batch's cache entries and journal records.
+            # Freed workers get their next spec before the parent stamps
+            # this batch's records; the committer thread writes them.
             dispatch()
             for exit in exits:
                 i, key = exit.token

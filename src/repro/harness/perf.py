@@ -298,7 +298,7 @@ def _service(workload: str, tool: str, requests: int, workers: int) -> List[Reco
     import tempfile
 
     import repro
-    from repro.service.app import _handle_http
+    from repro.service.app import HttpServer
     from repro.service.client import post
     from repro.service.engine import FORCE_PRESSURE_ENV, Engine
 
@@ -351,10 +351,8 @@ def _service(workload: str, tool: str, requests: int, workers: int) -> List[Reco
                 tenant_rate=1e9, tenant_burst=1e9, default_deadline_s=300.0,
             )
             await engine.startup()
-            server = await asyncio.start_server(
-                lambda r, w: _handle_http(engine, r, w), "127.0.0.1", 0
-            )
-            port = server.sockets[0].getsockname()[1]
+            http = await HttpServer.start(engine, "127.0.0.1", 0)
+            port = http.port
             forced_before = os.environ.get(FORCE_PRESSURE_ENV)
             try:
                 seeds = list(range(1, requests + 1))
@@ -367,9 +365,9 @@ def _service(workload: str, tool: str, requests: int, workers: int) -> List[Reco
                     os.environ.pop(FORCE_PRESSURE_ENV, None)
                 else:
                     os.environ[FORCE_PRESSURE_ENV] = forced_before
-                server.close()
-                await server.wait_closed()
+                http.close()
                 await engine.shutdown()
+                await http.wait_closed()
 
     return asyncio.run(main())
 

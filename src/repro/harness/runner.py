@@ -17,7 +17,7 @@ from repro.detectors.reports import Report
 from repro.harness.registry import RegistryBuild, build_scheduler
 from repro.harness.workload import Workload
 from repro.isa.program import Program
-from repro.vm import Machine, RandomScheduler
+from repro.vm import Machine
 from repro.vm.faults import FaultPlan
 from repro.vm.machine import RunResult
 
@@ -226,19 +226,3 @@ def run_workload_offline(
         trace_mode="replay",
     )
 
-
-def run_bare(workload: Workload, seed: Optional[int] = None) -> float:
-    """Run the workload with *no* detector attached; returns seconds.
-
-    The baseline for the paper's runtime-overhead figure (native execution
-    under plain Valgrind corresponds to our VM without a listener).
-    """
-    program = workload.fresh_program()
-    machine = Machine(
-        program,
-        scheduler=RandomScheduler(seed if seed is not None else workload.seed),
-        max_steps=workload.max_steps,
-    )
-    start = time.perf_counter()
-    machine.run()
-    return time.perf_counter() - start

@@ -31,13 +31,13 @@ import logging
 import signal
 import sys
 from pathlib import Path
-from typing import Optional, Union
+from typing import Dict, Optional, Set, Union
 
 from repro.harness.resources import ResourceBudget
 from repro.service.engine import Engine
 from repro.service.schema import make_response, response_http_status
 
-__all__ = ["serve", "serve_async"]
+__all__ = ["HttpServer", "serve", "serve_async"]
 
 log = logging.getLogger("repro.service")
 
@@ -81,43 +81,94 @@ async def _read_request(reader: asyncio.StreamReader):
     return method.upper(), path, body, close
 
 
-async def _handle_http(engine: Engine, reader, writer) -> None:
-    try:
-        while True:
-            try:
-                req = await _read_request(reader)
-            except (asyncio.IncompleteReadError, ConnectionError):
-                return
-            if req is None:
-                return
-            method, path, body, close = req
-            if method == "POST" and path == "/v1/analyze":
-                try:
-                    obj = json.loads(body.decode("utf-8"))
-                except (ValueError, UnicodeDecodeError):
-                    resp = make_response("invalid", error="request body is not JSON")
-                else:
-                    resp = await engine.submit(obj)
-            elif method == "GET" and path == "/v1/stats":
-                resp = dict(engine.stats_snapshot())
-                resp["status"] = "ok"
-                resp["v"] = 1
-            elif method == "GET" and path == "/healthz":
-                resp = {"v": 1, "status": "ok", "ok": True}
-            else:
-                resp = make_response("invalid", error=f"no route {method} {path}")
-            writer.write(_http_payload(resp))
-            await writer.drain()
-            if close:
-                return
-    except ConnectionError:
-        pass
-    finally:
+class HttpServer:
+    """The HTTP transport: an asyncio server and the connections it holds.
+
+    Shutdown is :meth:`close` (stop accepting, end the idle keep-alive
+    connections), then the engine's own shutdown, then
+    :meth:`wait_closed`, which awaits every handler: a busy one answers
+    its request first.  No handler is left for the closing event loop to
+    cancel, which asyncio would report as an unhandled ``CancelledError``.
+    """
+
+    def __init__(self, engine: Engine) -> None:
+        self.engine = engine
+        self.server: asyncio.AbstractServer
+        self.closing = False
+        #: handler task -> its connection's writer
+        self._handlers: Dict[asyncio.Task, asyncio.StreamWriter] = {}
+        #: the handlers awaiting their connection's next request
+        self._idle: Set[asyncio.Task] = set()
+
+    @classmethod
+    async def start(cls, engine: Engine, host: str, port: int) -> "HttpServer":
+        """Bind ``host:port`` and start accepting connections."""
+        http = cls(engine)
+        http.server = await asyncio.start_server(http._serve, host, port)
+        return http
+
+    @property
+    def port(self) -> int:
+        return self.server.sockets[0].getsockname()[1]
+
+    async def _serve(self, reader, writer) -> None:
+        """Answer one connection's requests until it closes or we do."""
+        task = asyncio.current_task()
+        self._handlers[task] = writer
         try:
-            writer.close()
-            await writer.wait_closed()
-        except (ConnectionError, OSError):
+            while not self.closing:
+                self._idle.add(task)
+                try:
+                    req = await _read_request(reader)
+                except (asyncio.IncompleteReadError, ConnectionError):
+                    return
+                finally:
+                    self._idle.discard(task)
+                if req is None:
+                    return
+                method, path, body, close = req
+                writer.write(_http_payload(await self._respond(method, path, body)))
+                await writer.drain()
+                if close:
+                    return
+        except ConnectionError:
             pass
+        finally:
+            del self._handlers[task]
+            try:
+                writer.close()
+                await writer.wait_closed()
+            except (ConnectionError, OSError):
+                pass
+
+    async def _respond(self, method: str, path: str, body: bytes) -> dict:
+        engine = self.engine
+        if method == "POST" and path == "/v1/analyze":
+            try:
+                obj = json.loads(body.decode("utf-8"))
+            except (ValueError, UnicodeDecodeError):
+                return make_response("invalid", error="request body is not JSON")
+            return await engine.submit(obj)
+        if method == "GET" and path == "/v1/stats":
+            resp = dict(engine.stats_snapshot())
+            resp["status"] = "ok"
+            resp["v"] = 1
+            return resp
+        if method == "GET" and path == "/healthz":
+            return {"v": 1, "status": "ok", "ok": True}
+        return make_response("invalid", error=f"no route {method} {path}")
+
+    def close(self) -> None:
+        """Stop accepting and end every connection idle between requests."""
+        self.closing = True
+        self.server.close()
+        for task in self._idle:
+            self._handlers[task].close()
+
+    async def wait_closed(self) -> None:
+        """Await the server and every connection handler."""
+        await self.server.wait_closed()
+        await asyncio.gather(*self._handlers, return_exceptions=True)
 
 
 async def _stdin_lines() -> "asyncio.Queue":
@@ -204,10 +255,8 @@ async def serve_async(
         except (NotImplementedError, ValueError):  # pragma: no cover
             pass
 
-    server = await asyncio.start_server(
-        lambda r, w: _handle_http(engine, r, w), host, port
-    )
-    bound_port = server.sockets[0].getsockname()[1]
+    http = await HttpServer.start(engine, host, port)
+    bound_port = http.port
     ready = ready_stream if ready_stream is not None else sys.stdout
     import os
 
@@ -223,11 +272,11 @@ async def serve_async(
     try:
         await stop.wait()
     finally:
-        server.close()
-        await server.wait_closed()
+        http.close()
         if stdin_task is not None:
             stdin_task.cancel()
         await engine.shutdown()
+        await http.wait_closed()
         log.info("drained and stopped")
 
 

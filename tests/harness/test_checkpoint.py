@@ -100,8 +100,8 @@ class TestKeysAndDigests:
 class TestJournal:
     def test_append_then_load_round_trips(self, tmp_path):
         j = SweepJournal(tmp_path, "d" * 64)
-        j.append("k1", _record(status="ok"))
-        j.append("k2", _record(status="timeout", seed=2))
+        j.append([("k1", _record(status="ok"))])
+        j.append([("k2", _record(status="timeout", seed=2))])
         j.close()
         loaded = SweepJournal(tmp_path, "d" * 64).load()
         assert set(loaded) == {"k1", "k2"}
@@ -110,8 +110,8 @@ class TestJournal:
 
     def test_torn_tail_is_truncated_not_fatal(self, tmp_path):
         j = SweepJournal(tmp_path, "d" * 64)
-        j.append("k1", _record())
-        j.append("k2", _record(seed=2))
+        j.append([("k1", _record())])
+        j.append([("k2", _record(seed=2))])
         j.close()
         # simulate a crash mid-append: garbage half-line at the tail
         with open(j.path, "ab") as fh:
@@ -120,7 +120,7 @@ class TestJournal:
         assert set(loaded) == {"k1", "k2"}
         # the torn bytes are gone; appending continues on a clean boundary
         j2 = SweepJournal(tmp_path, "d" * 64)
-        j2.append("k3", _record(seed=3))
+        j2.append([("k3", _record(seed=3))])
         j2.close()
         assert set(SweepJournal(tmp_path, "d" * 64).load()) == {"k1", "k2", "k3"}
 
@@ -129,7 +129,7 @@ class TestJournal:
         # the record nor keep it on disk, or resume would trust a record
         # the file no longer holds.
         j = SweepJournal(tmp_path, "d" * 64)
-        j.append("k1", _record())
+        j.append([("k1", _record())])
         j.close()
         entry = {"key": "k2", "record": dataclasses.asdict(_record(seed=2))}
         with open(j.path, "ab") as fh:
@@ -139,7 +139,7 @@ class TestJournal:
 
     def test_unreadable_garbage_tail_line(self, tmp_path):
         j = SweepJournal(tmp_path, "d" * 64)
-        j.append("k1", _record())
+        j.append([("k1", _record())])
         j.close()
         with open(j.path, "ab") as fh:
             fh.write(b"\xff\xfe not json\n")
@@ -147,7 +147,7 @@ class TestJournal:
 
     def test_mismatched_header_rotates_stale(self, tmp_path):
         j = SweepJournal(tmp_path, "a" * 64)
-        j.append("k1", _record())
+        j.append([("k1", _record())])
         j.close()
         other = SweepJournal(tmp_path, "a" * 64)
         other.digest = "b" * 64  # same path, different sweep identity
@@ -157,7 +157,7 @@ class TestJournal:
 
     def test_header_pins_version_and_schema(self, tmp_path):
         j = SweepJournal(tmp_path, "c" * 64)
-        j.append("k1", _record())
+        j.append([("k1", _record())])
         j.close()
         header = json.loads(j.path.read_text().splitlines()[0])
         assert header == {
@@ -169,7 +169,7 @@ class TestJournal:
 
     def test_record_round_trip_ignores_unknown_keys(self, tmp_path):
         j = SweepJournal(tmp_path, "e" * 64)
-        j.append("k1", _record())
+        j.append([("k1", _record())])
         j.close()
         # a future RunRecord field must not break older readers
         lines = j.path.read_text().splitlines()

@@ -412,13 +412,13 @@ class _SweepJournalOp:
         if self.held:
             with self.journal(root) as j:
                 for i in self.held:
-                    j.append(f"k{i}", _rec(i))
+                    j.append([(f"k{i}", _rec(i))])
 
     def run(self, root, done):
         j = self.journal(root)
         for i in self.appends:
             try:
-                j.append(f"k{i}", _rec(i))
+                j.append([(f"k{i}", _rec(i))])
             except OSError:
                 continue
             done.append(_sweep_entry(i))
@@ -440,6 +440,29 @@ class JournalAppend(_SweepJournalOp):
     points = ("open",) + APPEND * 2
     held = (1,)
     appends = (2, 3)
+
+
+class JournalGroup(_SweepJournalOp):
+    """One group commit of three lines onto a journal holding one."""
+
+    points = ("open",) + APPEND
+    held = (1,)
+    appends = (2, 3, 4)
+
+    def run(self, root, done):
+        try:
+            self.journal(root).append([(f"k{i}", _rec(i)) for i in self.appends])
+        except OSError:
+            return
+        done.extend(_sweep_entry(i) for i in self.appends)
+
+
+class JournalGroupFresh(JournalGroup):
+    """The same group on a fresh journal: its header, then the group."""
+
+    points = ("open",) + APPEND * 2
+    held = ()
+    appends = (1, 2, 3)
 
 
 class TornTailTruncation(_SweepJournalOp):
@@ -470,7 +493,7 @@ class StaleRotation(_SweepJournalOp):
     def setup(self, root):
         # same file name (digest[:24]), different sweep in the header
         with SweepJournal(root, DIGEST[:24] + "e" * 40) as j:
-            j.append("k1", _rec(1))
+            j.append([("k1", _rec(1))])
 
     def run(self, root, done):
         assert self.journal(root).load() == {}
@@ -547,6 +570,8 @@ OPERATIONS = {
     "trace-entries": TraceEntries(),
     "journal-header": JournalHeader(),
     "journal-append": JournalAppend(),
+    "journal-group": JournalGroup(),
+    "journal-group-fresh": JournalGroupFresh(),
     "torn-tail-truncation": TornTailTruncation(),
     "stale-rotation": StaleRotation(),
     "request-journal": RequestJournalOps(),
@@ -554,7 +579,7 @@ OPERATIONS = {
 }
 
 #: every point the enumeration below visits; a new syscall changes it
-TOTAL_POINTS = 75
+TOTAL_POINTS = 86
 
 
 def test_enumeration_covers_every_point():
@@ -563,17 +588,22 @@ def test_enumeration_covers_every_point():
 
 def test_put_and_append_syscalls_are_pinned(fs, tmp_path):
     """``put`` is open/write/flush/fsync/rename and an append on an open
-    journal is write/flush/fsync — no directory fsync or other extra."""
+    journal is write/flush/fsync — no directory fsync or other extra —
+    whether it carries one line or a group of them."""
     store = _cache(tmp_path / "cache")
     fs.arm()
     store.put("k", NEW)
     assert tuple(fs.points) == PUT
     j = SweepJournal(tmp_path / "journal", DIGEST)
-    j.append("k1", _rec(1))
+    j.append([("k1", _rec(1))])
     fs.arm()
-    j.append("k2", _rec(2))
+    j.append([("k2", _rec(2))])
+    assert tuple(fs.points) == APPEND
+    fs.arm()
+    j.append([(f"k{i}", _rec(i)) for i in range(3, 8)])
     assert tuple(fs.points) == APPEND
     fs.disarm()
+    assert list(j.load()) == [f"k{i}" for i in range(1, 8)]
 
 
 @pytest.mark.parametrize("name", sorted(OPERATIONS))

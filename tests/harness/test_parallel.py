@@ -1,5 +1,6 @@
 """The parallel sweep engine: equivalence, cache, robustness, registry."""
 
+import errno
 import json
 import os
 import pickle
@@ -15,6 +16,7 @@ from repro.harness.parallel import (
     RunSpec,
     SweepError,
     WorkerPool,
+    _Committer,
     _Job,
     _Worker,
     _sigterm_as_interrupt,
@@ -22,6 +24,7 @@ from repro.harness.parallel import (
     sweep_specs,
     summarize_records,
 )
+from repro.harness.checkpoint import SweepJournal, spec_key, sweep_digest
 from repro.harness.registry import (
     RegistryBuild,
     register_workload,
@@ -783,3 +786,199 @@ class TestSummary:
     def test_summarize_empty(self):
         s = summarize_records([], wall_s=0.0)
         assert s.runs == 0 and s.steps_per_s == 0.0 and s.speedup == 0.0
+
+
+class _SlowCache(ResultCache):
+    """A result cache whose puts take long enough for commits to queue."""
+
+    def _atomic_write(self, tmp, path, data):
+        time.sleep(0.01)
+        super()._atomic_write(tmp, path, data)
+
+
+class TestCommitter:
+    """One committer thread writes a sweep's cache entries and journal
+    lines, off the dispatch path and in groups."""
+
+    CFG = ToolConfig.helgrind_lib()
+
+    def _specs(self, n=8):
+        from repro.workloads import build_suite
+
+        return sweep_specs([wl.name for wl in build_suite()[:n]], ["helgrind-lib"])
+
+    @staticmethod
+    def _journaled(journal_dir, specs):
+        keys = [spec_key(s) for s in specs]
+        return SweepJournal(journal_dir, sweep_digest(keys)).load()
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_cache_entry_is_on_disk_before_its_journal_line(
+        self, tmp_path, monkeypatch, workers
+    ):
+        cache = ResultCache(tmp_path / "cache")
+        real_append = SweepJournal.append
+        early = []
+
+        def append(journal, records):
+            records = list(records)
+            early.extend(key for key, _ in records if not cache._path(key).exists())
+            real_append(journal, records)
+
+        monkeypatch.setattr(SweepJournal, "append", append)
+        specs = self._specs()
+        result = run_sweep(
+            specs, workers=workers, cache=cache, journal_dir=tmp_path / "j"
+        )
+        assert [r.status for r in result.records] == ["ok"] * len(specs)
+        assert early == []
+        assert len(self._journaled(tmp_path / "j", specs)) == len(specs)
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_journal_error_surfaces_from_run_sweep(
+        self, tmp_path, monkeypatch, workers
+    ):
+        def append(journal, records):
+            raise OSError(errno.EIO, "injected journal write error")
+
+        monkeypatch.setattr(SweepJournal, "append", append)
+        with pytest.raises(OSError, match="injected journal write error"):
+            run_sweep(
+                self._specs(),
+                workers=workers,
+                cache=ResultCache(tmp_path / "cache"),
+                journal_dir=tmp_path / "j",
+            )
+        assert not [t for t in threading.enumerate() if t.name == "sweep-committer"]
+
+    def test_interrupt_returns_only_journaled_records(self, tmp_path, monkeypatch):
+        """Ctrl-C lands while commits are queued behind slow cache puts:
+        every record the partial result returns is journaled, after its
+        cache entry, by the time ``run_sweep`` returns."""
+        real_poll = WorkerPool.poll
+        finished = []
+
+        def poll(pool):
+            if len(finished) >= 4:
+                raise KeyboardInterrupt
+            exits = real_poll(pool)
+            finished.extend(exits)
+            return exits
+
+        monkeypatch.setattr(WorkerPool, "poll", poll)
+        specs = self._specs(12)
+        cache = _SlowCache(tmp_path / "cache")
+        result = run_sweep(specs, workers=2, cache=cache, journal_dir=tmp_path / "j")
+        assert result.interrupted
+        assert 4 <= len(result.records) < len(specs)
+        journaled = self._journaled(tmp_path / "j", specs)
+        assert len(journaled) == len(result.records)
+        for spec, outcome in zip(specs, result.outcomes):
+            if outcome is not None:
+                key = spec_key(spec)
+                assert key in journaled and cache.has(key)
+
+    def test_replacement_fork_while_commits_are_queued(self, tmp_path):
+        """A spec that crashes once forks a replacement worker while the
+        committer thread is busy with queued puts; the sweep completes."""
+        parent = os.getpid()
+        for it in range(20):
+            marker = tmp_path / f"crashed-{it}"
+
+            def crash_once_build(marker=marker):
+                if os.getpid() != parent and not marker.exists():
+                    marker.touch()
+                    os._exit(23)
+                return flag_handoff_program()
+
+            crash_once = Workload(f"crash_once_{it}", crash_once_build, seed=1)
+            specs = self._specs(4)
+            specs.insert(1, RunSpec(crash_once, self.CFG, 1))
+            cache = _SlowCache(tmp_path / f"cache-{it}")
+            result = run_sweep(
+                specs,
+                workers=2,
+                retries=1,
+                cache=cache,
+                journal_dir=tmp_path / f"j-{it}",
+            )
+            assert marker.exists()
+            assert [r.status for r in result.records] == ["ok"] * len(specs)
+            assert result.records[1].attempts == 2
+            assert len(self._journaled(tmp_path / f"j-{it}", specs)) == len(specs)
+            assert len(cache) == len(specs)
+
+    def test_resumed_fully_cached_sweep_commits_hits_with_one_fsync(
+        self, tmp_path, monkeypatch
+    ):
+        specs = self._specs()
+        cache = ResultCache(tmp_path / "cache")
+        run_sweep(specs, workers=0, cache=cache, journal_dir=tmp_path / "j")
+        journal = SweepJournal(tmp_path / "j", sweep_digest(map(spec_key, specs)))
+        lines = journal.path.read_text().splitlines()
+        journal.path.write_text("\n".join(lines[:3]) + "\n")  # header + 2
+
+        fsyncs = []
+        real_fsync = os.fsync
+        monkeypatch.setattr(os, "fsync", lambda fd: (fsyncs.append(fd), real_fsync(fd)))
+        groups = []
+        real_append = SweepJournal.append
+
+        def append(journal, records):
+            before = len(fsyncs)
+            real_append(journal, records)
+            groups.append((len(records), len(fsyncs) - before))
+
+        monkeypatch.setattr(SweepJournal, "append", append)
+        result = run_sweep(
+            specs, workers=2, cache=cache, journal_dir=tmp_path / "j", resume=True
+        )
+        assert result.resumed == 2
+        assert result.summary().cached == len(specs) - 2
+        assert groups == [(len(specs) - 2, 1)]
+        assert len(self._journaled(tmp_path / "j", specs)) == len(specs)
+
+    def test_commits_under_rapid_thread_switches_land_once_in_order(self, tmp_path):
+        """The sweep thread queues while the committer drains; with the
+        interpreter switching threads every microsecond, a lost or
+        doubled queue update would show as a missing or repeated line."""
+        import dataclasses
+        import sys
+
+        journal = SweepJournal(tmp_path, "d" * 64)
+        committer = _Committer(None, journal)
+        record = run_sweep([RunSpec(_handoff(), self.CFG, 1)], workers=0).records[0]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for i in range(300):
+                committer.commit(f"k{i}", dataclasses.replace(record, seed=i))
+        finally:
+            sys.setswitchinterval(interval)
+            committer.close()
+            journal.close()
+        loaded = SweepJournal(tmp_path, "d" * 64).load()
+        assert list(loaded) == [f"k{i}" for i in range(300)]
+        assert [r.seed for r in loaded.values()] == list(range(300))
+        assert journal.appended == 300
+
+    def test_worker_forked_while_the_commit_lock_is_held(self, tmp_path):
+        """A worker forked while the committer's lock is held (here by
+        this thread, as the committer holds it to take a batch) inherits
+        it locked; the worker must still run its unit."""
+        committer = _Committer(ResultCache(tmp_path / "cache"), None)
+        spec = RunSpec(_handoff(), self.CFG, 1)
+        exits = []
+        try:
+            with committer._cond:
+                pool = WorkerPool(1, timeout_s=20.0, table=[spec])
+                try:
+                    pool.submit(spec, token=0)
+                    while not exits:
+                        pool.wait()
+                        exits = pool.poll()
+                finally:
+                    pool.shutdown()
+        finally:
+            committer.close()
+        assert [e.kind for e in exits] == ["ok"]

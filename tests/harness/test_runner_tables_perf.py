@@ -3,7 +3,7 @@
 from repro.detectors import ToolConfig
 from repro.harness.figures import F1, F2
 from repro.harness.perf import cells, summarize, value
-from repro.harness.runner import run_bare, run_workload
+from repro.harness.runner import run_workload
 from repro.harness.tables import contexts_table, format_table, suite_table
 from repro.harness.workload import Workload
 
@@ -39,9 +39,6 @@ class TestRunner:
     def test_seed_override(self):
         a = run_workload(_wl(seed=1), ToolConfig.drd(), seed=9)
         assert a.seed == 9
-
-    def test_run_bare(self):
-        assert run_bare(_wl()) >= 0
 
     def test_instrumentation_phase_is_timed(self):
         """Regression: the spin configuration pays a static analysis pass

@@ -2,8 +2,11 @@
 
 import asyncio
 import json
+import logging
+import os
+import signal
 
-from repro.service.app import _handle_http
+from repro.service.app import HttpServer, serve_async
 from repro.service.engine import Engine
 
 WORKLOAD = "locks_mutex_counter_t2"
@@ -15,10 +18,8 @@ def http_roundtrip(tmp_path, requests):
     async def main():
         engine = Engine(tmp_path / "svc", workers=2)
         await engine.startup()
-        server = await asyncio.start_server(
-            lambda r, w: _handle_http(engine, r, w), "127.0.0.1", 0
-        )
-        port = server.sockets[0].getsockname()[1]
+        http = await HttpServer.start(engine, "127.0.0.1", 0)
+        port = http.port
         results = []
         try:
             reader, writer = await asyncio.open_connection("127.0.0.1", port)
@@ -47,9 +48,9 @@ def http_roundtrip(tmp_path, requests):
             writer.close()
             await writer.wait_closed()
         finally:
-            server.close()
-            await server.wait_closed()
+            http.close()
             await engine.shutdown(drain_s=2.0)
+            await http.wait_closed()
         return results
 
     return asyncio.run(main())
@@ -96,3 +97,45 @@ def test_error_routes_map_to_http_codes(tmp_path):
     assert codes == [400, 400, 400]
     assert all(body["status"] == "invalid" for _, body in results)
     assert "v=1" in results[1][1]["error"]
+
+
+def test_shutdown_with_an_idle_keep_alive_connection_logs_no_error(
+    tmp_path, caplog
+):
+    """A client keeps its connection open after its last request while
+    the daemon stops.  The handler awaiting that connection's next
+    request must end with the daemon: one left for the closing loop to
+    cancel makes asyncio log an unhandled ``CancelledError``."""
+
+    async def main():
+        loop = asyncio.get_running_loop()
+        port = loop.create_future()
+
+        class Ready:
+            def write(self, line):
+                port.set_result(json.loads(line)["port"])
+
+            def flush(self):
+                pass
+
+        daemon = asyncio.ensure_future(
+            serve_async(tmp_path / "svc", workers=1, ready_stream=Ready())
+        )
+        reader, writer = await asyncio.open_connection("127.0.0.1", await port)
+        writer.write(b"GET /healthz HTTP/1.1\r\nHost: localhost\r\n\r\n")
+        await writer.drain()
+        assert b" 200 " in await reader.readline()
+        os.kill(os.getpid(), signal.SIGTERM)  # the daemon's graceful stop
+        await asyncio.wait_for(daemon, 30)
+        # No await past this point: the server must not learn of the
+        # close before the loop shuts down.
+        writer.transport.abort()
+
+    prev = signal.getsignal(signal.SIGTERM)
+    try:
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            asyncio.run(main())
+    finally:
+        signal.signal(signal.SIGTERM, prev)
+    errors = [r.getMessage() for r in caplog.records if r.name == "asyncio"]
+    assert errors == []
