@@ -15,9 +15,9 @@ ferret, x264, dedup, streamcluster) drop to exactly the lib+spin
 columns.
 """
 
+import repro
 from repro.detectors import ToolConfig
 from repro.harness.metrics import score_suite
-from repro.harness.runner import run_workload
 from repro.harness.tables import suite_table
 from repro.workloads.parsec.registry import parsec_workload
 
@@ -40,7 +40,7 @@ def test_a5_lock_inference(benchmark, suite120):
         for name in TAS_PROGRAMS:
             wl = parsec_workload(name)
             parsec[name] = {
-                cfg.name: run_workload(wl, cfg, seed=1).report.racy_contexts
+                cfg.name: repro.run(wl, cfg, seed=1).report.racy_contexts
                 for cfg in (
                     ToolConfig.helgrind_lib_spin(7),
                     ToolConfig.helgrind_nolib_spin(7),

@@ -8,9 +8,9 @@ loops it finds (library-internal loops counted separately), plus the
 false-context impact of the spin feature on the SPLASH programs.
 """
 
+import repro
 from repro.analysis import SpinLoopDetector
 from repro.detectors import ToolConfig
-from repro.harness.runner import run_workload
 from repro.harness.tables import format_table
 from repro.workloads.parsec.registry import parsec_workloads
 from repro.workloads.splash import splash_workloads
@@ -38,7 +38,7 @@ def test_s1_adhoc_census(benchmark):
         detect = {}
         for wl in splash_workloads():
             detect[wl.name] = {
-                cfg.name: run_workload(wl, cfg, seed=1).report.racy_contexts
+                cfg.name: repro.run(wl, cfg, seed=1).report.racy_contexts
                 for cfg in (ToolConfig.helgrind_lib(), ToolConfig.helgrind_lib_spin(7))
             }
         return splash, parsec, detect

@@ -10,8 +10,8 @@ Run:  python examples/parsec_sweep.py
 
 import time
 
+import repro
 from repro import ToolConfig
-from repro.harness.runner import run_workload
 from repro.harness.tables import contexts_table
 from repro.workloads.parsec.registry import parsec_workloads, program_metadata
 
@@ -24,7 +24,7 @@ def main():
     for workload in parsec_workloads():
         row = {}
         for config in tools:
-            outcome = run_workload(workload, config, seed=1)
+            outcome = repro.run(workload, config, seed=1)
             assert outcome.ok, (workload.name, config.name)
             row[config.name] = outcome.report.racy_contexts
         data[workload.name] = row

@@ -4,11 +4,12 @@
 1. Runs a live serial baseline of a PARSEC subset under two presets.
 2. Runs the same sweep in replay mode on 2 workers: the parent records
    each (program, seed) cell once into the trace store, workers analyze
-   detector-only, and every outcome's report fingerprint must equal the
-   live baseline's.
+   detector-only, and every outcome's report fingerprint — and every
+   record's status, steps, events, detector words, spin loops, ad-hoc
+   edges, racy contexts and faults — must equal the live baseline's.
 3. Re-analyzes the *same* recordings under a second preset set (drd,
    eraser) — zero new recordings may be made — and checks those
-   fingerprints against live runs too.
+   fingerprints and records against live runs too.
 4. Asserts the store holds exactly one entry per cell (the recording is
    shared across presets) and that a cached replay re-run executes
    nothing.
@@ -43,11 +44,36 @@ def _specs(tools, trace_mode):
     ]
 
 
+#: the RunRecord fields a replay must reproduce from the live run
+RECORD_FIELDS = (
+    "status", "steps", "events", "detector_words", "spin_loops",
+    "adhoc_edges", "racy_contexts", "faults",
+)
+
+
 def fingerprints(result):
     return {
         (o.workload.name, o.config.name, o.seed): o.report.fingerprint()
         for o in result.outcomes
     }
+
+
+def records(result):
+    return {
+        (r.workload, r.tool, r.seed): tuple(getattr(r, f) for f in RECORD_FIELDS)
+        for r in result.records
+    }
+
+
+def check_records(result, baseline, what):
+    for key, fields in records(result).items():
+        if fields != baseline[key]:
+            diff = {
+                f: (want, got)
+                for f, want, got in zip(RECORD_FIELDS, baseline[key], fields)
+                if want != got
+            }
+            fail(f"{what} record diverged from live for {key}: {diff}")
 
 
 def check(work) -> int:
@@ -58,6 +84,7 @@ def check(work) -> int:
     if live.failed:
         fail(f"live baseline failed: {live.failed}")
     baseline = fingerprints(live)
+    baseline_records = records(live)
 
     # 2. replay-mode sweep on 2 workers, first preset set
     replayed = run_sweep(
@@ -68,6 +95,7 @@ def check(work) -> int:
     for key, fp in fingerprints(replayed).items():
         if fp != baseline[key]:
             fail(f"replayed fingerprint diverged from live for {key}")
+    check_records(replayed, baseline_records, "replayed")
     for o in replayed.outcomes:
         if o.trace_mode != "replay":
             fail(f"outcome {o.workload.name}/{o.config.name} not marked replay")
@@ -85,6 +113,7 @@ def check(work) -> int:
     for key, fp in fingerprints(second).items():
         if fp != baseline[key]:
             fail(f"second-preset fingerprint diverged from live for {key}")
+    check_records(second, baseline_records, "second-preset")
     if len(store) != LIMIT:
         fail(f"second preset set grew the store to {len(store)} entries")
 

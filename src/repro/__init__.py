@@ -56,7 +56,7 @@ from repro.vm import (
 from repro.runtime import build_library
 from repro.analysis import SpinLoopDetector, instrument_program
 from repro.detectors import RaceDetector, Report, ToolConfig
-from repro.harness import Workload, run_workload
+from repro.harness import Workload
 from repro.session import SessionResult, run
 from repro.trace import Trace, record_trace, replay_trace
 
@@ -80,7 +80,6 @@ __all__ = [
     "Report",
     "ToolConfig",
     "Workload",
-    "run_workload",
     "run",
     "SessionResult",
     "Trace",

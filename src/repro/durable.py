@@ -624,12 +624,9 @@ class Journal:
         self.append_entries([entry])
 
     def close(self) -> None:
+        # Every write went through _write_lines, which already flushed
+        # and fsynced it.
         if self._fh is not None:
-            try:
-                self._fh.flush()
-                os.fsync(self._fh.fileno())
-            except (OSError, ValueError):
-                pass
             self._fh.close()
             self._fh = None
 

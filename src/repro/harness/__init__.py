@@ -2,7 +2,6 @@
 
 * :mod:`repro.harness.workload` — the workload abstraction (program
   factory + ground truth);
-* :mod:`repro.harness.runner` — execute (workload, tool, seed) triples;
 * :mod:`repro.harness.registry` — name → workload resolution (pickling
   and cross-process dispatch);
 * :mod:`repro.harness.parallel` — process-pool sweep engine with
@@ -24,7 +23,6 @@
 """
 
 from repro.harness.workload import Workload
-from repro.harness.runner import RunOutcome, run_workload
 from repro.harness.registry import register_workload, resolve_workload
 from repro.harness.parallel import (
     ResultCache,
@@ -50,8 +48,6 @@ from repro.harness.oracle import OracleVerdict, check_suite, check_workload
 
 __all__ = [
     "Workload",
-    "RunOutcome",
-    "run_workload",
     "register_workload",
     "resolve_workload",
     "ResultCache",

@@ -30,8 +30,8 @@ from repro.detectors import ToolConfig
 from repro.harness.parallel import ResultCache, RunRecord, RunSpec, run_sweep
 from repro.harness.resources import ResourceBudget
 from repro.harness.registry import resolve_tool
-from repro.harness.runner import RunOutcome
 from repro.harness.triage import CaptureUnit, capture_failures, chaos_oracle_predicate
+from repro.session import SessionResult
 from repro.workloads.dr_test.faults import ChaosCase, chaos_cases
 
 
@@ -76,7 +76,7 @@ def chaos_spec(case: ChaosCase, config: ToolConfig) -> RunSpec:
 
 
 def verify_case(
-    case: ChaosCase, record: RunRecord, outcome: Optional[RunOutcome]
+    case: ChaosCase, record: RunRecord, outcome: Optional[SessionResult]
 ) -> CaseVerdict:
     """Check one run against the case's pinned expectations."""
     problems: List[str] = []

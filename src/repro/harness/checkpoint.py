@@ -39,13 +39,13 @@ from typing import Dict, Iterable, Tuple, Union
 
 from repro.durable import Journal
 
-#: bump when RunOutcome's schema or run semantics change incompatibly —
+#: bump when SessionResult's pickled schema or run semantics change incompatibly —
 #: stale cache entries from an older layout must not be deserialized.
-#: 2: fault plans + livelock watchdog (RunOutcome/RunResult diagnostics).
+#: 2: fault plans + livelock watchdog (outcome/RunResult diagnostics).
 #: 3: epoch fast path + batched event pipeline (ToolConfig gained two
 #:    pipeline flags; event accounting changed in lib mode).
 #: 4: pre-decoded threaded-code interpreter (ToolConfig gained an
-#:    interpreter flag; RunOutcome gained decode_s; instrument_s now
+#:    interpreter flag; outcomes gained decode_s; instrument_s now
 #:    reflects the cached static phase).
 #: 5: checksummed cache entries (framed header + sha256) and journaled
 #:    checkpoints; entries written by the unframed layout are
@@ -62,7 +62,9 @@ from repro.durable import Journal
 #:    the filtered stream's total.
 #: 10: RunSpec lost shard; spec keys no longer carry it; ShardReport
 #:     pickles gone.
-CACHE_SCHEMA = 10
+#: 11: one result type (SessionResult) for live runs and replays;
+#:     ``events`` counts the detector's accepted events in both modes.
+CACHE_SCHEMA = 11
 
 #: bump on incompatible journal layout changes
 JOURNAL_VERSION = 1

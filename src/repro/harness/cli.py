@@ -293,7 +293,7 @@ def cmd_figure(key: str, args: argparse.Namespace) -> int:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    """Run the analysis service daemon (HTTP JSON + optional stdin-JSONL)."""
+    """Run the analysis service daemon (HTTP JSON)."""
     from repro.service.app import serve
 
     work_dir = args.work_dir or ".repro-service"
@@ -307,7 +307,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         tenant_burst=args.tenant_burst,
         default_deadline_s=args.timeout or 60.0,
         budget=_budget(args),
-        stdin_jsonl=args.stdin_jsonl,
     )
     return 0
 
@@ -645,7 +644,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
                 outcome.result.status,
                 outcome.report.racy_contexts,
                 outcome.events,
-                f"{outcome.duration_s * 1000:.1f}ms",
+                f"{outcome.run_s * 1000:.1f}ms",
                 digest[:12],
             ]
         )
@@ -841,11 +840,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         type=float,
         default=32.0,
         help="serve: per-tenant burst capacity (token-bucket size)",
-    )
-    parser.add_argument(
-        "--stdin-jsonl",
-        action="store_true",
-        help="serve: also accept newline-delimited JSON requests on stdin",
     )
     parser.add_argument(
         "experiment",

@@ -18,8 +18,8 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.detectors import ToolConfig
 from repro.detectors.reports import Report
-from repro.harness.runner import RunOutcome, run_workload
 from repro.harness.workload import Workload
+from repro.session import SessionResult, run
 
 if TYPE_CHECKING:
     from repro.harness.parallel import ResultCache
@@ -109,7 +109,7 @@ def _sweep_outcomes(
     seeds: Sequence[Optional[int]],
     workers: int,
     cache: Optional["ResultCache"],
-) -> List[RunOutcome]:
+) -> List[SessionResult]:
     """Run the cross product via the parallel engine, workload-major.
 
     Strict: a terminally failed run raises rather than silently skewing
@@ -132,7 +132,7 @@ def score_suite(
     config: ToolConfig,
     workers: int = 0,
     cache: Optional["ResultCache"] = None,
-) -> Tuple[SuiteScore, List[RunOutcome]]:
+) -> Tuple[SuiteScore, List[SessionResult]]:
     """Run every case once (its own seed) under ``config`` and aggregate.
 
     ``workers > 0`` fans the cases out over that many processes (with
@@ -142,7 +142,7 @@ def score_suite(
     if workers > 0 or cache is not None:
         outcomes = _sweep_outcomes(workloads, [config], [None], workers, cache)
     else:
-        outcomes = [run_workload(wl, config) for wl in workloads]
+        outcomes = [run(wl, config).detached() for wl in workloads]
     for wl, outcome in zip(workloads, outcomes):
         score.cases.append(score_case(wl, outcome.report, abnormal=not outcome.ok))
     return score, outcomes
@@ -152,7 +152,7 @@ def racy_contexts_avg(
     workload: Workload, config: ToolConfig, seeds: Sequence[int]
 ) -> float:
     """Average distinct racy contexts across seeds (PARSEC tables)."""
-    counts = [run_workload(workload, config, seed=s).report.racy_contexts for s in seeds]
+    counts = [run(workload, config, seed=s).racy_contexts for s in seeds]
     return sum(counts) / len(counts)
 
 

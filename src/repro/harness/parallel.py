@@ -4,7 +4,7 @@ Every table and figure of the reproduction is a sweep over (workload,
 tool configuration, seed) triples, and each triple is an independent,
 deterministic computation: the seeded scheduler fixes the interleaving,
 so re-running a triple anywhere — another process, another day — yields
-a bit-identical :class:`~repro.harness.runner.RunOutcome`.  This module
+a bit-identical :class:`~repro.session.SessionResult`.  This module
 exploits that in four layers:
 
 * **fan-out** — :func:`run_sweep` executes :class:`RunSpec` triples on a
@@ -69,9 +69,9 @@ from repro.harness.resources import (
     current_rss_bytes,
     test_ballast_bytes,
 )
-from repro.harness.runner import RunOutcome, run_workload
 from repro.harness.workload import Workload
 from repro.isa.program import Program
+from repro.session import SessionResult, run_pipeline
 from repro.vm import Machine
 from repro.vm.faults import FaultPlan
 
@@ -194,7 +194,7 @@ def sweep_specs(
 
 
 class ResultCache(FramedStore):
-    """Content-keyed on-disk cache of pickled :class:`RunOutcome` objects.
+    """Content-keyed on-disk cache of pickled :class:`SessionResult` objects.
 
     The key hashes the *built program* (not the workload name), so two
     sweeps measuring the same program under the same configuration and
@@ -216,13 +216,13 @@ class ResultCache(FramedStore):
     def key(self, spec: RunSpec) -> str:
         return spec_key(spec)
 
-    def encode(self, outcome: RunOutcome) -> bytes:
+    def encode(self, outcome: SessionResult) -> bytes:
         return pickle.dumps(outcome, protocol=pickle.HIGHEST_PROTOCOL)
 
-    def decode(self, payload: bytes) -> RunOutcome:
+    def decode(self, payload: bytes) -> SessionResult:
         return pickle.loads(payload)
 
-    def put(self, key: str, outcome: RunOutcome) -> None:
+    def put(self, key: str, outcome: SessionResult) -> None:
         # Defined here, not inherited: the benchmark's layer tracer
         # (bench/layers.py) wraps ResultCache.put by class attribute.
         super().put(key, outcome)
@@ -385,20 +385,20 @@ def summarize_records(records: Sequence[RunRecord], wall_s: float) -> SweepSumma
     )
 
 
-def outcome_status(outcome: RunOutcome) -> str:
+def outcome_status(outcome: SessionResult) -> str:
     """Harness status of a completed outcome (livelock/fault/... mapping)."""
     result = outcome.result
-    if getattr(result, "livelocked", False):
+    if result.livelocked:
         return "livelock"
     if result.timed_out:
-        return "fault" if getattr(result, "faults_injected", 0) else "step-limit"
+        return "fault" if result.faults_injected else "step-limit"
     if result.deadlocked:
-        return "fault" if getattr(result, "faults_injected", 0) else "deadlock"
+        return "fault" if result.faults_injected else "deadlock"
     return "ok"
 
 
 def _record_from_outcome(
-    spec: RunSpec, outcome: RunOutcome, attempts: int, cached: bool
+    spec: RunSpec, outcome: SessionResult, attempts: int, cached: bool
 ) -> RunRecord:
     result = outcome.result
     status = "cached" if cached else outcome_status(outcome)
@@ -407,26 +407,23 @@ def _record_from_outcome(
     # abandoned which lock.
     error = ""
     if status in ("livelock", "fault", "deadlock", "step-limit"):
-        try:
-            error = result.diagnose()
-        except Exception:  # pragma: no cover - old cached RunResult layout
-            error = ""
+        error = result.diagnose()
     return RunRecord(
         workload=spec.workload_name,
         tool=outcome.config.name,
         seed=outcome.seed,
         status=status,
         attempts=attempts,
-        duration_s=outcome.duration_s,
+        duration_s=outcome.run_s,
         instrument_s=outcome.instrument_s,
-        decode_s=getattr(outcome, "decode_s", 0.0),
+        decode_s=outcome.decode_s,
         steps=outcome.steps,
         events=outcome.events,
         detector_words=outcome.detector_words,
         spin_loops=outcome.spin_loops,
         adhoc_edges=outcome.adhoc_edges,
         racy_contexts=outcome.report.racy_contexts,
-        faults=getattr(result, "faults_injected", 0),
+        faults=result.faults_injected,
         error=error,
     )
 
@@ -452,7 +449,7 @@ class SweepResult:
 
     specs: List[RunSpec]
     #: one entry per spec; ``None`` where the run failed terminally
-    outcomes: List[Optional[RunOutcome]]
+    outcomes: List[Optional[SessionResult]]
     records: List[RunRecord]
     wall_s: float
     #: True when the sweep was cut short by KeyboardInterrupt; the
@@ -542,7 +539,7 @@ def _run_spec(
     spec: RunSpec,
     trace_dir: Optional[Union[str, Path]] = None,
     machine_sink=None,
-) -> RunOutcome:
+) -> SessionResult:
     """Run one spec in its trace mode (the worker/serial shared path).
 
     A replay or record cell streams its stored recording
@@ -554,18 +551,17 @@ def _run_spec(
     handled like a miss.
     """
     if spec.trace_mode == "live":
-        return run_workload(
-            spec.resolve(),
+        return run_pipeline(
+            spec.program(),
             spec.tool(),
-            program=spec.program(),
-            seed=spec.seed,
-            max_steps=spec.max_steps,
-            fault_plan=spec.fault_plan,
+            workload=spec.resolve(),
+            seed=spec.effective_seed(),
+            max_steps=spec.effective_max_steps(),
+            faults=spec.fault_plan,
             livelock_bound=spec.livelock_bound,
-            machine_sink=machine_sink,
             scheduler=spec.scheduler,
+            machine_sink=machine_sink,
         )
-    from repro.harness.runner import run_workload_offline
     from repro.trace.store import TraceStore, key_for_spec
     from repro.trace.stream import TraceStreamCorruption
 
@@ -573,32 +569,21 @@ def _run_spec(
         raise ValueError(
             f"trace_mode={spec.trace_mode!r} requires a trace store directory"
         )
-
-    def analyze(source) -> RunOutcome:
-        return run_workload_offline(
-            spec.resolve(),
-            spec.tool(),
-            source,
-            seed=spec.effective_seed(),
-            fault_plan=spec.fault_plan,
-            livelock_bound=spec.livelock_bound,
-        )
-
     store = TraceStore(trace_dir)
     key = key_for_spec(spec)
     stream = store.open_stream(key)
     if stream is not None:
-        if machine_sink is not None:
-            machine_sink(stream)
         try:
-            return analyze(stream)
+            return run_pipeline(
+                stream, spec.tool(), workload=spec.resolve(), machine_sink=machine_sink
+            )
         except TraceStreamCorruption as exc:
             store.quarantine_stream(stream, exc.reason)
     # Prewarm normally guarantees a hit; recording here keeps a
     # quarantined/raced-away entry from failing the run.
     trace = _record_spec_trace(spec)
     store.put(key, trace)
-    return analyze(trace)
+    return run_pipeline(trace, spec.tool(), workload=spec.resolve())
 
 
 def _worker_main(
@@ -730,27 +715,30 @@ def _worker_main(
                 except Exception:
                     pass
             return
-        ballast = None  # freed before the next unit allocates its own
+        # Freed before the next unit runs: a live outcome holds its
+        # machine and detector.
+        outcome = ballast = None
 
 
 def _run_serial(
     specs: Sequence[RunSpec],
     indices: Sequence[Tuple[int, str]],
-    outcomes: List[Optional[RunOutcome]],
+    outcomes: List[Optional[SessionResult]],
     records: List[Optional[RunRecord]],
     committer: "_Committer",
     trace_dir: Optional[Union[str, Path]] = None,
 ) -> None:
     """In-process reference executor (``workers=0``) — no isolation.
 
-    The committer writes each cell's cache entry and journal line while
-    the next cell runs.
+    Outcomes are kept detached, as a pool's arrive.  The committer
+    writes each cell's cache entry and journal line while the next cell
+    runs.
     """
     for i, key in indices:
         spec = specs[i]
-        outcome: Optional[RunOutcome] = None
+        outcome: Optional[SessionResult] = None
         try:
-            outcome = _run_spec(spec, trace_dir=trace_dir)
+            outcome = _run_spec(spec, trace_dir=trace_dir).detached()
         except KeyboardInterrupt:
             raise
         except Exception as exc:
@@ -783,7 +771,7 @@ class _Committer:
     ) -> None:
         self._cache, self._journal = cache, journal
         #: (key, record, outcome to cache or None), in completion order
-        self._queue: List[Tuple[str, RunRecord, Optional[RunOutcome]]] = []
+        self._queue: List[Tuple[str, RunRecord, Optional[SessionResult]]] = []
         self._cond = threading.Condition(threading.Lock())
         self._closing = False
         self._error: Optional[BaseException] = None
@@ -795,14 +783,14 @@ class _Committer:
             self._thread.start()
 
     def commit(
-        self, key: str, record: RunRecord, outcome: Optional[RunOutcome] = None
+        self, key: str, record: RunRecord, outcome: Optional[SessionResult] = None
     ) -> None:
         """Queue one finished run: ``outcome`` (if any) for the cache,
         ``record`` for the journal."""
         self.commit_many([(key, record, outcome)])
 
     def commit_many(
-        self, items: Sequence[Tuple[str, RunRecord, Optional[RunOutcome]]]
+        self, items: Sequence[Tuple[str, RunRecord, Optional[SessionResult]]]
     ) -> None:
         if self._thread is None:
             return
@@ -1015,7 +1003,7 @@ def run_sweep(
             quota_bytes=budget.disk_quota_bytes if budget is not None else None,
         )
     start = time.perf_counter()
-    outcomes: List[Optional[RunOutcome]] = [None] * len(specs)
+    outcomes: List[Optional[SessionResult]] = [None] * len(specs)
     records: List[Optional[RunRecord]] = [None] * len(specs)
 
     # Content keys are needed by the cache, the journal, and forensics
@@ -1571,7 +1559,7 @@ class WorkerPool:
 def _run_pool(
     specs: Sequence[RunSpec],
     pending: deque,
-    outcomes: List[Optional[RunOutcome]],
+    outcomes: List[Optional[SessionResult]],
     records: List[Optional[RunRecord]],
     committer: _Committer,
     workers: int,
@@ -1620,13 +1608,13 @@ def _run_pool(
         )
 
     def commit(
-        i: int, key: str, record: RunRecord, outcome: Optional[RunOutcome] = None
+        i: int, key: str, record: RunRecord, outcome: Optional[SessionResult] = None
     ) -> None:
         committer.commit(key, record, outcome)
         outcomes[i], records[i] = outcome, record
 
     def finish_ok(
-        i: int, key: str, outcome: RunOutcome, attempt: int, degraded: bool = False
+        i: int, key: str, outcome: SessionResult, attempt: int, degraded: bool = False
     ) -> None:
         record = _record_from_outcome(specs[i], outcome, attempt, cached=False)
         commit(i, key, govern(i, record, degraded), outcome)

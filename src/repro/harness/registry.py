@@ -4,7 +4,7 @@ The parallel runner ships run specifications between processes, and a
 :class:`~repro.harness.workload.Workload` carries an arbitrary ``build``
 callable — often a closure — that does not survive pickling.  The
 registry solves both problems: specs can name workloads by string, and a
-pickled :class:`~repro.harness.runner.RunOutcome` swaps the callable for
+pickled :class:`~repro.session.SessionResult` swaps the callable for
 a :class:`RegistryBuild` reference that re-resolves lazily on load.
 
 Built-in families (the 120-case suite, the 13 PARSEC stand-ins, the four

@@ -2,7 +2,7 @@
 
 The hardened front-end over the one-call :func:`repro.run` seam —
 submissions (registry workloads, assembly sources, RPRT trace uploads)
-arrive over HTTP JSON or stdin-JSONL, are validated against a strict
+arrive over HTTP JSON, are validated against a strict
 versioned schema, admitted through per-tenant token-bucket fairness,
 journaled durably, scheduled onto the supervised
 :class:`~repro.harness.parallel.WorkerPool`, and answered with verdicts
@@ -14,7 +14,7 @@ Layering (one module per concern)::
     fairness.py  token buckets + bounded tenant-fair admission queue
     journal.py   fsynced request journal + trace-upload spool
     engine.py    the shared asyncio engine (admission → pool → verdict)
-    app.py       HTTP and stdin-JSONL transports, daemon lifecycle
+    app.py       HTTP transport, daemon lifecycle
     client.py    the ``repro-service-client`` command
 
 See ``docs/internals.md`` §13 for the architecture and failure matrix.

@@ -1,13 +1,11 @@
-"""Service transports: HTTP JSON and stdin-JSONL over one shared engine.
+"""Service transport: HTTP JSON over the shared engine.
 
 Dependency-free by design (the repo rule: no new packages): the HTTP
 side is a minimal asyncio HTTP/1.1 server speaking exactly the three
 routes the service defines, with keep-alive, ``Content-Length`` framing
 and the status-code mapping :func:`repro.service.schema.
 response_http_status` pins (429 for backpressure, 503 for shed, 400
-for invalid).  The stdin-JSONL side reads one request object per line
-and writes one response object per line — the transport a supervisor
-or test harness drives without a socket.
+for invalid).
 
 Routes::
 
@@ -171,58 +169,6 @@ class HttpServer:
         await asyncio.gather(*self._handlers, return_exceptions=True)
 
 
-async def _stdin_lines() -> "asyncio.Queue":
-    """Feed stdin lines into a queue (``None`` = EOF), without ever
-    leaving a non-daemon thread blocked in ``readline`` at shutdown."""
-    loop = asyncio.get_running_loop()
-    queue: asyncio.Queue = asyncio.Queue()
-    try:
-        reader = asyncio.StreamReader()
-        await loop.connect_read_pipe(
-            lambda: asyncio.StreamReaderProtocol(reader), sys.stdin
-        )
-
-        async def _pump_pipe() -> None:
-            while True:
-                line = await reader.readline()
-                await queue.put(line.decode("utf-8", "replace") if line else None)
-                if not line:
-                    return
-
-        asyncio.ensure_future(_pump_pipe())
-    except (ValueError, OSError):  # stdin not pipe-able (e.g. a file)
-        import threading
-
-        def _pump_thread() -> None:
-            for line in sys.stdin:
-                asyncio.run_coroutine_threadsafe(queue.put(line), loop).result()
-            asyncio.run_coroutine_threadsafe(queue.put(None), loop).result()
-
-        threading.Thread(target=_pump_thread, daemon=True).start()
-    return queue
-
-
-async def _stdin_jsonl(engine: Engine, stop: asyncio.Event) -> None:
-    """Serve newline-delimited JSON requests from stdin to stdout."""
-    lines = await _stdin_lines()
-    while not stop.is_set():
-        line = await lines.get()
-        if line is None:  # EOF: the supervisor hung up
-            stop.set()
-            return
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            obj = json.loads(line)
-        except ValueError:
-            resp = make_response("invalid", error="line is not JSON")
-        else:
-            resp = await engine.submit(obj)
-        sys.stdout.write(json.dumps(resp, separators=(",", ":")) + "\n")
-        sys.stdout.flush()
-
-
 async def serve_async(
     work_dir: Union[str, Path],
     host: str = "127.0.0.1",
@@ -233,10 +179,9 @@ async def serve_async(
     tenant_burst: float = 32.0,
     default_deadline_s: float = 60.0,
     budget: Optional[ResourceBudget] = None,
-    stdin_jsonl: bool = False,
     ready_stream=None,
 ) -> None:
-    """Run the daemon until SIGTERM/SIGINT (or stdin EOF in JSONL mode)."""
+    """Run the daemon until SIGTERM/SIGINT."""
     engine = Engine(
         work_dir,
         workers=workers,
@@ -266,15 +211,10 @@ async def serve_async(
     ready.flush()
     log.info("serving on %s:%d (work_dir=%s)", host, bound_port, work_dir)
 
-    stdin_task = (
-        asyncio.ensure_future(_stdin_jsonl(engine, stop)) if stdin_jsonl else None
-    )
     try:
         await stop.wait()
     finally:
         http.close()
-        if stdin_task is not None:
-            stdin_task.cancel()
         await engine.shutdown()
         await http.wait_closed()
         log.info("drained and stopped")

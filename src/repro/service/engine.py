@@ -57,12 +57,12 @@ from repro.harness.checkpoint import spec_key
 from repro.harness.parallel import ResultCache, RunSpec, WorkerExit, WorkerPool
 from repro.harness.registry import resolve_workload
 from repro.harness.resources import ResourceBudget, assess_pressure
-from repro.harness.runner import RunOutcome
 from repro.harness.workload import Workload
 from repro.isa.asm import AsmError, assemble
 from repro.service.fairness import AdmissionQueue
 from repro.service.journal import RequestJournal
 from repro.service.schema import SchemaError, Submission, make_response, validate_request
+from repro.session import SessionResult, run_pipeline
 
 __all__ = ["Engine", "report_fingerprint_hex"]
 
@@ -79,7 +79,7 @@ def report_fingerprint_hex(report) -> str:
     return hashlib.sha256(report.fingerprint().encode()).hexdigest()
 
 
-def _verdict(outcome: RunOutcome) -> dict:
+def _verdict(outcome: SessionResult) -> dict:
     report = outcome.report
     return {
         "fingerprint": report_fingerprint_hex(report),
@@ -92,10 +92,6 @@ def _verdict(outcome: RunOutcome) -> dict:
     }
 
 
-def _unbuildable() -> None:  # pragma: no cover - never called
-    raise RuntimeError("trace-upload workloads have no program to rebuild")
-
-
 @dataclass(frozen=True)
 class TraceUploadUnit:
     """A trace-upload work unit riding the pool's ``execute()`` protocol.
@@ -103,7 +99,7 @@ class TraceUploadUnit:
     Analyzes a spooled RPRT recording exactly the way a direct
     ``repro.run(trace=path)`` does — streamed through
     :func:`~repro.trace.open_trace_file` into
-    :func:`~repro.harness.runner.run_workload_offline` — so the served
+    :func:`~repro.session.run_pipeline` — so the served
     fingerprint is identical to the session API's.  The recording is
     never materialized, so degraded mode changes nothing.
     """
@@ -111,20 +107,13 @@ class TraceUploadUnit:
     path: str
     tool: str
 
-    def execute(self, machine_sink=None, trace_dir=None) -> RunOutcome:
-        from repro.harness.runner import run_workload_offline
+    def execute(self, machine_sink=None, trace_dir=None) -> SessionResult:
         from repro.trace import open_trace_file
 
-        stream = open_trace_file(self.path)
-        if machine_sink is not None:
-            # The stream's decoded-event count is the heartbeat's
-            # progress counter: no VM runs here.
-            machine_sink(stream)
-        name = f"trace-upload-{Path(self.path).stem[:12]}"
-        return run_workload_offline(
-            Workload(name=name, build=_unbuildable),
-            ToolConfig.preset(self.tool),
-            stream,
+        # The stream's decoded-event count is the heartbeat's progress
+        # counter: no VM runs here.
+        return run_pipeline(
+            open_trace_file(self.path), self.tool, machine_sink=machine_sink
         )
 
 
@@ -538,7 +527,7 @@ class Engine:
         if cell is None:
             return  # already resolved (shed/deadline) — late straggler
         if exit.kind == "ok":
-            outcome: RunOutcome = exit.payload
+            outcome: SessionResult = exit.payload
             if not exit.degraded and (cell.spec is not None or cell.unit is not None):
                 # Non-degraded verdicts enter the shared result cache
                 # under the same key a direct sweep would use; degraded

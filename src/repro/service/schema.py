@@ -1,11 +1,11 @@
 """Versioned request/response schema for the analysis service.
 
-Every submission — over HTTP JSON or the stdin-JSONL transport — is one
-JSON object validated *strictly* against schema version 1 before it
-touches the engine: unknown fields, a missing tenant, a payload that
-does not match its declared ``kind``, an unknown tool preset — each is
-rejected with a precise message rather than half-accepted.  A service
-that journals requests durably must never journal one it cannot replay.
+Every submission is one JSON object validated *strictly* against
+schema version 1 before it touches the engine: unknown fields, a
+missing tenant, a payload that does not match its declared ``kind``, an
+unknown tool preset — each is rejected with a precise message rather
+than half-accepted.  A service that journals requests durably must never
+journal one it cannot replay.
 
 Request (``v`` = 1)::
 

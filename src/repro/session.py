@@ -1,4 +1,11 @@
-"""One-call session API: build → instrument → detect → run → report.
+"""One run pipeline: instrument → detect → run (or replay) → report.
+
+:func:`run_pipeline` is the package's one execution path.  Every live
+run and every replay — :func:`run`, sweep cells in all three trace
+modes, service trace uploads, the perf figures, suite scoring and
+:func:`repro.trace.analyze_trace` — wires its detector here and returns
+one :class:`SessionResult`, so a replay of a recording reports what the
+live run reported.
 
 :func:`run` is the package's front door.  It accepts anything
 program-shaped — a built :class:`~repro.isa.program.Program`, a
@@ -6,12 +13,10 @@ program-shaped — a built :class:`~repro.isa.program.Program`, a
 :class:`~repro.harness.workload.Workload`, a registry workload name, or
 a zero-argument callable returning a program — plus a tool
 configuration (a :class:`~repro.detectors.ToolConfig` or a preset name
-like ``"helgrind-nolib-spin7"``), and performs the whole wiring that the
-pre-1.1 quickstart spelled out by hand: the instrumentation phase when
-the configuration needs it, lock-site inference, detector and machine
-construction (symbolization is wired by attachment — the old manual
-``detector.algorithm.symbolize = machine.memory.symbols.resolve`` step
-is gone), execution, and finalization.
+like ``"helgrind-nolib-spin7"``), normalizes them and hands them to the
+pipeline: the instrumentation phase when the configuration needs it,
+lock-site inference, detector and machine construction (symbolization is
+wired by attachment), execution, and finalization.
 
 The returned :class:`SessionResult` keeps the live objects (detector,
 machine, instrumentation map) so everything the long-form API exposes
@@ -22,15 +27,15 @@ stays reachable::
     session = repro.run(program, "helgrind-lib-spin7", seed=1)
     print(session.report.summary())
     session.detector.adhoc.edges     # drill into any layer
-
-The long-form constructors remain supported; :func:`run` is sugar, not a
-new execution path.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Optional, Tuple, Union
 
@@ -42,6 +47,7 @@ from repro.analysis import (
 from repro.detectors import RaceDetector, ToolConfig
 from repro.detectors.reports import Report
 from repro.harness.registry import (
+    RegistryBuild,
     build_scheduler,
     resolve_tool,
     resolve_workload,
@@ -49,8 +55,8 @@ from repro.harness.registry import (
 )
 from repro.harness.workload import Workload
 from repro.isa import Program, ProgramBuilder
-from repro.trace import Trace, TraceStream, analyze_trace, open_trace_file, synthesize_result
-from repro.vm import Machine, RandomScheduler
+from repro.trace import Trace, TraceStream, open_trace_file, replay_trace, synthesize_result
+from repro.vm import Machine
 from repro.vm.faults import FaultPlan
 from repro.vm.machine import RunResult
 from repro.vm.scheduler import Scheduler
@@ -59,14 +65,29 @@ ProgramLike = Union[Program, ProgramBuilder, Workload, str, Callable[[], Program
 ConfigLike = Union[ToolConfig, str, None]
 TraceLike = Union[Trace, str, Path, None]
 
+#: live objects a session holds in memory; pickling drops them
+_LIVE = ("program", "machine", "detector", "instrumentation", "trace")
+#: values derived from the live objects on first read; pickling freezes them
+_DERIVED = ("result", "trace_mode", "steps", "events", "detector_words",
+            "imap_words", "spin_loops", "adhoc_edges")
+
 
 @dataclass
 class SessionResult:
-    """Everything one :func:`run` call produced, live objects included.
+    """Everything one pipeline run produced, live objects included.
 
-    Offline sessions (``run(trace=...)``) have no program or machine —
-    those fields are ``None`` and ``trace`` holds the analyzed recording
-    with a synthesized :class:`~repro.vm.machine.RunResult`.
+    Replays (``run(trace=...)``, replay-mode sweep cells,
+    :func:`repro.trace.analyze_trace`) have no program or machine —
+    those fields are ``None``, ``trace`` holds the analyzed recording,
+    and ``result`` is synthesized from its termination status on first
+    read.
+
+    The counters (``steps``, ``events``, ``detector_words``, ...) are
+    computed from the live objects on first read.  :meth:`detached` and
+    pickling freeze them and drop the live objects; pickling also swaps the workload's ``build``
+    callable (often an unpicklable closure) for a by-name
+    :class:`~repro.harness.registry.RegistryBuild`: the parallel sweep
+    and the result cache ship sessions that way.
 
     A session run by workload *name* holds the registry's shared build
     in ``program`` (:func:`repro.harness.registry.shared_program`): the
@@ -75,33 +96,102 @@ class SessionResult:
     it.
     """
 
-    program: Optional[Program]
     config: ToolConfig
     seed: int
     report: Report
-    result: RunResult
-    detector: RaceDetector
-    machine: Optional[Machine]
+    detector: Optional[RaceDetector]
+    program: Optional[Program] = None
+    machine: Optional[Machine] = None
     #: the workload the session ran, when one was given (else ``None``)
     workload: Optional[Workload] = None
     #: marker tables from the instrumentation phase (``None`` when the
     #: configuration needed none)
     instrumentation: Optional[InstrumentationMap] = None
-    #: wall-clock of the instrumentation phase, seconds
+    #: wall-clock of the instrumentation phase (spin-loop analysis and
+    #: lock-site inference), seconds; 0 for a replay
     instrument_s: float = 0.0
     #: wall-clock of the threaded-code decode pass, seconds (near zero on
-    #: a decode-cache hit)
+    #: a decode-cache hit; 0 for a replay)
     decode_s: float = 0.0
-    #: wall-clock of machine + detector, seconds
+    #: wall-clock of machine + detector (a replay: delivery plus
+    #: finalize), seconds
     run_s: float = 0.0
-    #: the recording an offline session analyzed (``None`` for live
-    #: runs): a :class:`~repro.trace.Trace`, or the
-    #: :class:`~repro.trace.TraceStream` a framed file was read through
-    #: without materializing it
+    #: the recording a replay analyzed (``None`` for live runs): a
+    #: :class:`~repro.trace.Trace`, or the
+    #: :class:`~repro.trace.TraceStream` a stored recording was read
+    #: through without materializing it
     trace: Union[Trace, TraceStream, None] = None
     #: structured provenance/degradation notes (e.g. ``"streaming-decode"``
-    #: when a framed trace file was analyzed without materialization)
+    #: when a recording was analyzed without materialization)
     notes: Tuple[str, ...] = ()
+
+    @cached_property
+    def result(self) -> RunResult:
+        """The machine-level outcome: a live run sets it, a replay
+        synthesizes it from the recording's termination status."""
+        return synthesize_result(self.trace)
+
+    @cached_property
+    def trace_mode(self) -> str:
+        """``"live"`` for a VM execution, ``"replay"`` for a recording's."""
+        return "live" if self.trace is None else "replay"
+
+    @cached_property
+    def steps(self) -> int:
+        """VM steps executed (a replay: the recording's)."""
+        return self.trace.steps if self.trace is not None else self.machine.step_count
+
+    @cached_property
+    def events(self) -> int:
+        """Events the configuration's filter let through to the detector.
+
+        Live and replay agree on it; the delivered count does not, since
+        a recording carries every loop marker.
+        """
+        return self.detector.events_accepted
+
+    @cached_property
+    def detector_words(self) -> int:
+        """Detector state footprint at end of run, in words."""
+        return self.detector.memory_words()
+
+    @cached_property
+    def imap_words(self) -> int:
+        """Instrumentation (marker-table) footprint, in words."""
+        imap = self.instrumentation
+        return imap.memory_words() if imap is not None else 0
+
+    @cached_property
+    def spin_loops(self) -> int:
+        """Spinning read loops the tool's instrumentation marks."""
+        if self.trace is not None:
+            if not self.config.spin:
+                return 0
+            window = self.config.spin_max_blocks
+            return sum(1 for size in self.trace.loop_sizes.values() if size <= window)
+        imap = self.instrumentation
+        return imap.num_loops if imap is not None else 0
+
+    @cached_property
+    def adhoc_edges(self) -> int:
+        """Happens-before edges the ad-hoc runtime phase established."""
+        adhoc = self.detector.adhoc
+        return adhoc.edges if adhoc is not None else 0
+
+    def detached(self) -> "SessionResult":
+        """This result without its live objects, counters frozen first:
+        what a sweep keeps and what pickling ships."""
+        frozen = {name: getattr(self, name) for name in _DERIVED}
+        clone = dataclasses.replace(self, **dict.fromkeys(_LIVE))
+        clone.__dict__.update(frozen)
+        return clone
+
+    def __getstate__(self):
+        state = self.detached().__dict__
+        wl = state["workload"]
+        if wl is not None and not isinstance(wl.build, RegistryBuild):
+            state["workload"] = dataclasses.replace(wl, build=RegistryBuild(wl.name))
+        return state
 
     @property
     def ok(self) -> bool:
@@ -113,8 +203,6 @@ class SessionResult:
         """sha256 hex digest of :meth:`Report.fingerprint` — the wire
         form the analysis service serves in verdicts, so a served
         verdict and a direct session compare with ``==``."""
-        import hashlib
-
         return hashlib.sha256(self.report.fingerprint().encode()).hexdigest()
 
     @property
@@ -139,6 +227,118 @@ class SessionResult:
             f"seed={self.seed}, status={self.result.status!r}, "
             f"racy_contexts={self.racy_contexts})"
         )
+
+
+def run_pipeline(
+    source: Union[Program, Trace, TraceStream],
+    tool: Union[ToolConfig, str],
+    *,
+    workload: Optional[Workload] = None,
+    seed: int = 1,
+    max_steps: int = 2_000_000,
+    faults: Optional[FaultPlan] = None,
+    livelock_bound: Optional[int] = None,
+    scheduler: Union[Scheduler, str, None] = None,
+    symbolize: Optional[Callable[[int], str]] = None,
+    machine_sink: Optional[Callable[[object], None]] = None,
+) -> SessionResult:
+    """Run ``source`` under ``tool``: the one execution path.
+
+    A :class:`Program` runs live: the cached instrumentation phase and
+    lock-site inference when the tool needs them, the machine feeding
+    the detector, then finalization from the run's status.  A recording
+    (a :class:`Trace`, or a :class:`TraceStream` read off a store in
+    constant memory) replays: :func:`~repro.trace.replay_trace`, then
+    finalization from ``trace.status``, so the report fingerprint is the
+    live run's; the arguments that shape an execution do not apply, and
+    a stream that turns out malformed raises
+    :class:`~repro.trace.TraceStreamCorruption`.
+
+    ``scheduler`` is a :class:`Scheduler` or a canonical spec string
+    seeded with ``seed`` (``None``: seeded random).  ``machine_sink``
+    receives the :class:`Machine` (or the stream) before execution
+    starts: the worker heartbeat reads its progress counter from the
+    side.
+    """
+    tool = resolve_tool(tool)
+    if not isinstance(source, Program):
+        if machine_sink is not None:
+            machine_sink(source)
+        start = time.perf_counter()
+        detector = replay_trace(source, tool)
+        report = detector.finalize(partial=source.status != "ok")
+        return SessionResult(
+            config=tool,
+            seed=source.seed,
+            report=report,
+            detector=detector,
+            workload=workload,
+            run_s=time.perf_counter() - start,
+            trace=source,
+            notes=() if isinstance(source, Trace) else ("streaming-decode",),
+        )
+
+    imap: Optional[InstrumentationMap] = None
+    lock_sites = frozenset()
+    instrument_s = 0.0
+    if tool.spin or tool.infer_locks:
+        instrument_start = time.perf_counter()
+        if tool.spin:
+            # Content-keyed cache: repeats and sibling configs with the
+            # same spin window share one static analysis, so instrument_s
+            # is what this run paid (near zero on a hit).
+            imap = instrument_program_cached(
+                source,
+                max_blocks=tool.spin_max_blocks,
+                inline_depth=tool.inline_depth,
+            )
+        if tool.infer_locks:
+            lock_sites = lock_site_locations(source)
+        instrument_s = time.perf_counter() - instrument_start
+    # The livelock watchdog consumes marked-loop events, so it needs the
+    # marker tables even under a non-spin tool (watchdog plumbing, not
+    # charged to the tool being measured).
+    watch_imap = imap
+    if watch_imap is None and livelock_bound is not None:
+        watch_imap = instrument_program_cached(
+            source,
+            max_blocks=tool.spin_max_blocks,
+            inline_depth=tool.inline_depth,
+        )
+
+    detector = RaceDetector(tool, symbolize=symbolize, lock_sites=lock_sites)
+    if scheduler is None or isinstance(scheduler, str):
+        scheduler = build_scheduler(scheduler, seed)
+    machine = Machine(
+        source,
+        scheduler=scheduler,
+        listener=detector,
+        instrumentation=watch_imap,
+        max_steps=max_steps,
+        faults=faults,
+        livelock_bound=livelock_bound,
+    )
+    if machine_sink is not None:
+        machine_sink(machine)
+    start = time.perf_counter()
+    result = machine.run()
+    run_s = time.perf_counter() - start
+    detector.finalize(partial=not result.ok)
+    session = SessionResult(
+        config=tool,
+        seed=seed,
+        report=detector.report,
+        detector=detector,
+        program=source,
+        machine=machine,
+        workload=workload,
+        instrumentation=imap,
+        instrument_s=instrument_s,
+        decode_s=machine.decode_s,
+        run_s=run_s,
+    )
+    session.result = result  # fills the cached property
+    return session
 
 
 def _build_program(target: ProgramLike) -> tuple[Program, Optional[Workload]]:
@@ -227,19 +427,7 @@ def run(
             # A store-framed file streams — constant memory, no
             # materialized Trace, identical report fingerprint.
             trace = open_trace_file(path) if framed else Trace.from_json(path.read_text())
-        analysis = analyze_trace(trace, tool)
-        return SessionResult(
-            program=None,
-            config=tool,
-            seed=trace.seed,
-            report=analysis.report,
-            result=synthesize_result(trace),
-            detector=analysis.detector,
-            machine=None,
-            run_s=analysis.duration_s,
-            trace=trace,
-            notes=analysis.notes,
-        )
+        return run_pipeline(trace, tool)
 
     if program_or_workload is None:
         raise ValueError("pass a program/workload or a trace")
@@ -248,59 +436,14 @@ def run(
         seed = workload.seed if workload is not None else 1
     if max_steps is None:
         max_steps = workload.max_steps if workload is not None else 2_000_000
-
-    imap: Optional[InstrumentationMap] = None
-    lock_sites = frozenset()
-    instrument_s = 0.0
-    if tool.spin or tool.infer_locks:
-        instrument_start = time.perf_counter()
-        if tool.spin:
-            imap = instrument_program_cached(
-                program,
-                max_blocks=tool.spin_max_blocks,
-                inline_depth=tool.inline_depth,
-            )
-        if tool.infer_locks:
-            lock_sites = lock_site_locations(program)
-        instrument_s = time.perf_counter() - instrument_start
-    # The livelock watchdog consumes marked-loop events, so it needs the
-    # marker tables even under a non-spin tool (watchdog plumbing, not
-    # charged to the tool being measured).
-    watch_imap = imap
-    if watch_imap is None and livelock_bound is not None:
-        watch_imap = instrument_program_cached(
-            program,
-            max_blocks=tool.spin_max_blocks,
-            inline_depth=tool.inline_depth,
-        )
-
-    detector = RaceDetector(tool, symbolize=symbolize, lock_sites=lock_sites)
-    if isinstance(scheduler, str):
-        scheduler = build_scheduler(scheduler, seed)
-    machine = Machine(
+    return run_pipeline(
         program,
-        scheduler=scheduler or RandomScheduler(seed),
-        listener=detector,
-        instrumentation=watch_imap,
+        tool,
+        workload=workload,
+        seed=seed,
         max_steps=max_steps,
         faults=faults,
         livelock_bound=livelock_bound,
-    )
-    start = time.perf_counter()
-    result = machine.run()
-    run_s = time.perf_counter() - start
-    detector.finalize(partial=not result.ok)
-    return SessionResult(
-        program=program,
-        config=tool,
-        seed=seed,
-        report=detector.report,
-        result=result,
-        detector=detector,
-        machine=machine,
-        workload=workload,
-        instrumentation=imap,
-        instrument_s=instrument_s,
-        decode_s=machine.decode_s,
-        run_s=run_s,
+        scheduler=scheduler,
+        symbolize=symbolize,
     )

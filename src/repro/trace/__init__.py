@@ -39,7 +39,6 @@ instead of materializing it.  Traces also serialize to/from JSON for ad-hoc use.
 from repro.trace.trace import (
     EventColumns,
     Trace,
-    TraceAnalysis,
     analyze_trace,
     record_trace,
     replay_trace,
@@ -52,7 +51,6 @@ from repro.trace.hbgraph import HbGraph, HbNode, build_hb_graph
 __all__ = [
     "EventColumns",
     "Trace",
-    "TraceAnalysis",
     "TraceStore",
     "TraceStream",
     "TraceStreamCorruption",

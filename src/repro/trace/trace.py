@@ -12,7 +12,6 @@ either.
 from __future__ import annotations
 
 import json
-import time
 from array import array
 from dataclasses import dataclass
 from typing import (
@@ -29,7 +28,7 @@ from typing import (
 )
 
 from repro.analysis import instrument_program, lock_site_locations
-from repro.detectors import RaceDetector, Report, ToolConfig
+from repro.detectors import RaceDetector, ToolConfig
 from repro.isa.program import CodeLocation, Program, SyncKind
 from repro.vm import Machine
 from repro.vm import events as ev
@@ -338,53 +337,19 @@ def replay_trace(trace: TraceSource, config) -> RaceDetector:
     return detector
 
 
-@dataclass
-class TraceAnalysis:
-    """Result of one VM-free analysis of a recorded execution."""
-
-    #: the analyzed source: a :class:`Trace` or a
-    #: :class:`~repro.trace.stream.TraceStream`
-    trace: TraceSource
-    config: ToolConfig
-    report: Report
-    detector: RaceDetector
-    #: events that passed the configuration's filter
-    events: int
-    #: wall-clock seconds spent in replay + finalization
-    duration_s: float
-    #: provenance notes: ``("streaming-decode",)`` when the source was a
-    #: stream that was never materialized
-    notes: Tuple[str, ...] = ()
-
-
-def analyze_trace(trace: TraceSource, config) -> TraceAnalysis:
+def analyze_trace(trace: TraceSource, config):
     """Run a tool configuration over a recording with no VM in the loop.
 
-    The offline twin of :func:`repro.harness.runner.run_workload`.
     ``trace`` is an in-memory :class:`Trace` or a
     :class:`~repro.trace.stream.TraceStream` read off a store in
-    constant memory: :func:`replay_trace`, then the detector is
-    finalized from ``trace.status`` (``partial=True`` for deadlock /
-    livelock / truncated recordings), so the resulting
-    ``report.fingerprint()`` is bit-identical to the live run's for
-    either source.  ``config`` may be a
-    :class:`~repro.detectors.ToolConfig` or a preset name.  A stream that
-    turns out malformed mid-pass raises
-    :class:`~repro.trace.stream.TraceStreamCorruption`.
+    constant memory; ``config`` is a :class:`~repro.detectors.ToolConfig`
+    or a preset name.  Returns the :class:`~repro.session.SessionResult`
+    of :func:`repro.session.run_pipeline`, whose report fingerprint is
+    bit-identical to the live run's.
     """
-    t0 = time.perf_counter()
-    detector = replay_trace(trace, config)
-    report = detector.finalize(partial=trace.status != "ok")
-    duration = time.perf_counter() - t0
-    return TraceAnalysis(
-        trace=trace,
-        config=detector.config,
-        report=report,
-        detector=detector,
-        events=detector.events_accepted,
-        duration_s=duration,
-        notes=() if isinstance(trace, Trace) else ("streaming-decode",),
-    )
+    from repro.session import run_pipeline  # lazy: import cycle
+
+    return run_pipeline(trace, config)
 
 
 def synthesize_result(trace: TraceSource) -> RunResult:

@@ -12,9 +12,9 @@ from repro.harness.chaos import (
 )
 from repro.harness.parallel import FAILED_STATUSES, ResultCache, RunSpec, run_sweep
 from repro.harness.registry import register_workload, unregister_workload
-from repro.harness.runner import run_workload
 from repro.harness.workload import Workload
 from repro.isa import ProgramBuilder, instructions as ins
+from repro.session import run
 from repro.vm.faults import DropStore, FaultPlan
 from repro.workloads import chaos_cases, chaos_workloads
 
@@ -71,11 +71,11 @@ class TestDeterminism:
     def test_same_spec_reproduces_report_and_diagnosis(self):
         case = _case("drop-flag-store")
         outs = [
-            run_workload(
+            run(
                 _workload(case.workload),
                 CFG,
                 seed=case.seed,
-                fault_plan=case.plan,
+                faults=case.plan,
                 livelock_bound=case.livelock_bound,
             )
             for _ in range(2)
@@ -184,7 +184,7 @@ class TestDeadlockDiagnostics:
 
     def test_deadlock_outcome_finalizes_partial(self):
         wl = Workload(name="chaos_self_join2", build=_self_join_deadlock, seed=1)
-        out = run_workload(wl, ToolConfig.helgrind_lib())
+        out = run(wl, ToolConfig.helgrind_lib())
         assert out.result.deadlocked
         assert out.report.partial
         diag = out.result.thread_diags[0]

@@ -19,6 +19,8 @@ from repro.harness.parallel import (
     _Committer,
     _Job,
     _Worker,
+    _record_from_outcome,
+    _run_spec,
     _sigterm_as_interrupt,
     run_sweep,
     sweep_specs,
@@ -31,10 +33,10 @@ from repro.harness.registry import (
     resolve_workload,
     unregister_workload,
 )
-from repro.harness.runner import run_workload
 from repro.harness.workload import Workload
 from repro.isa import ProgramBuilder
 from repro.runtime import build_library
+from repro.session import run
 
 from tests.conftest import flag_handoff_program
 
@@ -103,12 +105,34 @@ class TestRegistry:
 
 
 class TestPicklableOutcome:
+    LIVE = ("program", "machine", "detector", "instrumentation", "trace")
+
     def test_outcome_roundtrip_with_closure_build(self):
-        out = run_workload(_handoff(), ToolConfig.helgrind_lib_spin(7))
+        out = run(_handoff(), ToolConfig.helgrind_lib_spin(7))
         clone = pickle.loads(pickle.dumps(out))
         assert clone.workload.name == out.workload.name
         assert _report_key(clone.report) == _report_key(out.report)
         assert (clone.steps, clone.events, clone.seed) == (out.steps, out.events, out.seed)
+
+    @pytest.mark.parametrize("mode", ["live", "replay"])
+    def test_pickle_drops_live_objects_and_keeps_the_record(self, mode, tmp_path):
+        spec = RunSpec("blackscholes", "helgrind-lib-spin7", trace_mode=mode)
+        out = _run_spec(spec, trace_dir=tmp_path)
+        record = _record_from_outcome(spec, out, attempts=1, cached=False)
+        clone = pickle.loads(pickle.dumps(out))
+        assert all(getattr(clone, name) is None for name in self.LIVE)
+        assert isinstance(clone.workload.build, RegistryBuild)
+        assert clone.workload.fresh_program().fingerprint() == spec.program().fingerprint()
+        assert _record_from_outcome(spec, clone, attempts=1, cached=False) == record
+        assert clone.result.status == out.result.status
+
+    def test_serial_sweep_keeps_outcomes_detached(self):
+        # as a pool's outcomes arrive, pickled: a sweep that held every
+        # cell's machine and detector would grow with its length
+        result = run_sweep([RunSpec("blackscholes", "drd")], workers=0)
+        (out,) = result.outcomes
+        assert all(getattr(out, name) is None for name in self.LIVE)
+        assert out.events == result.records[0].events > 0
 
 
 class TestCacheKey:
@@ -552,6 +576,16 @@ class TestCacheIntegrity:
         assert cache.get("f" * 64) is None
         assert cache.quarantined[-1].reason == "bad-magic"
 
+    def test_previous_schema_entry_is_a_stale_miss(self, tmp_path, monkeypatch):
+        # an entry pickled under schema 10 (the previous outcome layout) must
+        # never reach the unpickler
+        cache, key = self._prime(tmp_path)
+        monkeypatch.setattr(ResultCache, "SCHEMA", 10)
+        cache.put(key, cache.get(key))
+        monkeypatch.undo()
+        assert cache.get(key) is None
+        assert cache.quarantined[-1].reason == "schema-10"
+
     def test_legacy_unframed_pickle_is_quarantined(self, tmp_path):
         # an entry written by the pre-framing layout must not deserialize
         cache = ResultCache(tmp_path)
@@ -920,7 +954,9 @@ class TestCommitter:
 
         fsyncs = []
         real_fsync = os.fsync
-        monkeypatch.setattr(os, "fsync", lambda fd: (fsyncs.append(fd), real_fsync(fd)))
+        monkeypatch.setattr(
+            os, "fsync", lambda fd: (fsyncs.append(os.fstat(fd).st_ino), real_fsync(fd))
+        )
         groups = []
         real_append = SweepJournal.append
 
@@ -936,6 +972,8 @@ class TestCommitter:
         assert result.resumed == 2
         assert result.summary().cached == len(specs) - 2
         assert groups == [(len(specs) - 2, 1)]
+        # closing the journal syncs nothing the group commit did not
+        assert fsyncs.count(journal.path.stat().st_ino) == 1
         assert len(self._journaled(tmp_path / "j", specs)) == len(specs)
 
     def test_commits_under_rapid_thread_switches_land_once_in_order(self, tmp_path):

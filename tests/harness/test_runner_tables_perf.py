@@ -1,11 +1,11 @@
-"""Runner, table formatting, and perf measurement."""
+"""Session outcome fields, table formatting, and perf measurement."""
 
 from repro.detectors import ToolConfig
 from repro.harness.figures import F1, F2
 from repro.harness.perf import cells, summarize, value
-from repro.harness.runner import run_workload
 from repro.harness.tables import contexts_table, format_table, suite_table
 from repro.harness.workload import Workload
+from repro.session import run
 
 from tests.conftest import flag_handoff_program
 
@@ -19,8 +19,8 @@ def _wl(seed=1):
 
 
 class TestRunner:
-    def test_run_workload_outcome_fields(self):
-        out = run_workload(_wl(), ToolConfig.helgrind_lib_spin(7))
+    def test_run_outcome_fields(self):
+        out = run(_wl(), ToolConfig.helgrind_lib_spin(7))
         assert out.ok
         assert out.steps > 0
         assert out.events > 0
@@ -28,29 +28,27 @@ class TestRunner:
         assert out.imap_words > 0
         assert out.spin_loops >= 1  # the consumer loop + library loops
         assert out.adhoc_edges >= 1
-        assert out.duration_s >= 0
+        assert out.run_s >= 0
 
     def test_no_instrumentation_without_spin(self):
-        out = run_workload(_wl(), ToolConfig.helgrind_lib())
+        out = run(_wl(), ToolConfig.helgrind_lib())
         assert out.imap_words == 0
         assert out.spin_loops == 0
         assert out.adhoc_edges == 0
 
     def test_seed_override(self):
-        a = run_workload(_wl(seed=1), ToolConfig.drd(), seed=9)
+        a = run(_wl(seed=1), ToolConfig.drd(), seed=9)
         assert a.seed == 9
 
     def test_instrumentation_phase_is_timed(self):
         """Regression: the spin configuration pays a static analysis pass
         before execution; it must be measured, not silently dropped."""
-        out = run_workload(_wl(), ToolConfig.helgrind_lib_spin(7))
+        out = run(_wl(), ToolConfig.helgrind_lib_spin(7))
         assert out.instrument_s > 0
-        assert out.total_s == out.duration_s + out.instrument_s
 
     def test_no_instrumentation_time_without_spin(self):
-        out = run_workload(_wl(), ToolConfig.helgrind_lib())
+        out = run(_wl(), ToolConfig.helgrind_lib())
         assert out.instrument_s == 0
-        assert out.total_s == out.duration_s
 
 
 class TestTables:

@@ -22,10 +22,10 @@ from repro.harness.registry import (
     shared_program,
     unregister_workload,
 )
-from repro.harness.runner import run_workload
 from repro.harness.triage import apply_nops, capture_failure, shrink_candidates
 from repro.harness.workload import Workload
 from repro.isa.program import BasicBlock, Function, GlobalVar
+from repro.session import run
 from repro.workloads import build_suite, parsec_workloads
 from repro.workloads.dr_test.faults import chaos_cases
 
@@ -78,7 +78,7 @@ class TestOneBuildPerProcessTree:
 
         wl = resolve_workload(self.NAME)
         fresh = [
-            run_workload(wl, spec.tool(), seed=spec.seed).report.fingerprint()
+            run(wl, spec.tool(), seed=spec.seed).report.fingerprint()
             for spec in specs
         ]
         assert _report_fps(pooled) == fresh

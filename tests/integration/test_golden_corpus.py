@@ -30,7 +30,7 @@ from typing import Dict
 
 import pytest
 
-from repro.harness.runner import run_workload
+from repro.session import run
 from repro.trace import analyze_trace
 from repro.trace import Trace
 from tests.corpus import ABLATIONS, CASE_BY_ID, CASES, CONFIGS, Case, recording, sha
@@ -39,19 +39,20 @@ CORPUS_PATH = Path(__file__).resolve().parents[1] / "data" / "golden_corpus.json
 
 
 def live_cell(case: Case, name: str) -> Dict[str, object]:
-    out = run_workload(
+    out = run(
         case.workload,
         CONFIGS[name],
         seed=case.seed,
         max_steps=case.max_steps,
-        fault_plan=case.fault_plan,
+        faults=case.fault_plan,
         livelock_bound=case.livelock_bound,
     )
     return {
         "fingerprint": sha(out.report.fingerprint()),
         "status": out.result.status,
         "steps": out.steps,
-        "events": out.events,
+        # pinned as the delivered count, filtered events included
+        "events": out.detector.events_processed,
         "outputs": sha(repr(out.result.outputs)),
         "memory": sha(repr(sorted(out.result.final_memory.items()))),
     }

@@ -2,8 +2,8 @@
 
 import pytest
 
+import repro
 from repro.detectors import ToolConfig
-from repro.harness.runner import run_workload
 from repro.workloads.parsec.registry import (
     WITH_ADHOC,
     WITHOUT_ADHOC,
@@ -17,7 +17,7 @@ def contexts():
     out = {}
     for wl in parsec_workloads():
         out[wl.name] = {
-            cfg.name: run_workload(wl, cfg, seed=1).report.racy_contexts
+            cfg.name: repro.run(wl, cfg, seed=1).report.racy_contexts
             for cfg in ToolConfig.paper_tools(7)
         }
     return out
@@ -87,7 +87,7 @@ class TestSeedStability:
 
         wl = parsec_workload("blackscholes")
         for seed in range(1, 5):
-            out = run_workload(wl, ToolConfig.helgrind_lib_spin(7), seed=seed)
+            out = repro.run(wl, ToolConfig.helgrind_lib_spin(7), seed=seed)
             assert out.ok and out.report.racy_contexts == 0
 
     def test_vips_clean_under_spin_across_seeds(self):
@@ -95,5 +95,5 @@ class TestSeedStability:
 
         wl = parsec_workload("vips")
         for seed in range(1, 4):
-            out = run_workload(wl, ToolConfig.helgrind_lib_spin(7), seed=seed)
+            out = repro.run(wl, ToolConfig.helgrind_lib_spin(7), seed=seed)
             assert out.ok and out.report.racy_contexts == 0

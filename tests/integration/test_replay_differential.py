@@ -27,7 +27,6 @@ from repro.detectors import ToolConfig
 from repro.harness.chaos import chaos_spec
 from repro.harness.parallel import RunSpec, prewarm_traces, run_sweep, sweep_specs
 from repro.harness.registry import resolve_tool
-from repro.harness.runner import run_workload
 from repro.trace import (
     Trace,
     TraceStore,
@@ -200,7 +199,7 @@ class TestNoSpinWideLoopRegression:
         assert any(size > 3 for size in trace.loop_sizes.values())
         cfg = dataclasses.replace(resolve_tool("helgrind-lib"), spin_max_blocks=3)
         assert not cfg.spin
-        live = run_workload(wl, cfg, seed=wl.seed)
+        live = repro.run(wl, cfg, seed=wl.seed)
         replayed = analyze_trace(trace, cfg)
         assert replayed.report.fingerprint() == live.report.fingerprint()
 
@@ -314,6 +313,48 @@ class TestSweepTraceModes:
         }
         for o in pooled.outcomes:
             assert o.report.fingerprint() == by_key[(o.workload.name, o.config.name)]
+
+
+#: the RunRecord fields a replay must reproduce from the live run
+RECORD_FIELDS = (
+    "status", "steps", "events", "detector_words", "spin_loops",
+    "adhoc_edges", "racy_contexts", "faults",
+)
+PAPER_TOOLS = ["helgrind-lib", "helgrind-lib-spin7", "helgrind-nolib-spin7", "drd"]
+
+
+class TestReplayRecordsEqualLive:
+    """A replayed cell's journaled record is the live cell's record.
+
+    Fingerprint equality alone let the two modes count ``events``
+    differently (delivered vs accepted) for the same cell.
+    """
+
+    def _specs(self):
+        specs = sweep_specs(
+            ["adhoc7_handoff", "locks_mutex_counter_t2", "blackscholes"], PAPER_TOOLS
+        )
+        cases = {c.name: c for c in chaos_cases()}
+        specs += [
+            chaos_spec(cases[name], tool)
+            for name in ("drop-flag-store", "kill-lock-holder")
+            for tool in PAPER_TOOLS
+        ]
+        return specs
+
+    def test_replay_records_match_live(self, tmp_path):
+        specs = self._specs()
+        live = run_sweep(specs, workers=0)
+        replay = run_sweep(
+            [dataclasses.replace(s, trace_mode="replay") for s in specs],
+            workers=0,
+            trace_dir=tmp_path,
+        )
+        assert not live.failed and not replay.failed
+        for spec, want, got in zip(specs, live.records, replay.records):
+            assert [getattr(got, f) for f in RECORD_FIELDS] == [
+                getattr(want, f) for f in RECORD_FIELDS
+            ], (spec.workload_name, want.tool)
 
 
 def _live_fingerprints(specs):

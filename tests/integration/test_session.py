@@ -5,7 +5,6 @@ import pytest
 import repro
 from repro import ProgramBuilder, ToolConfig, build_library
 from repro.harness.registry import resolve_workload, workload_names
-from repro.harness.runner import run_workload
 from repro.session import SessionResult
 from repro.vm.faults import DropStore, FaultPlan
 
@@ -70,7 +69,7 @@ def test_run_program_factory():
     assert session.config == ToolConfig.drd()
 
 
-def test_run_workload_name_uses_pinned_seed():
+def test_run_by_workload_name_uses_pinned_seed():
     name = workload_names()[0]
     wl = resolve_workload(name)
     session = repro.run(name)
@@ -79,13 +78,14 @@ def test_run_workload_name_uses_pinned_seed():
     assert session.seed == wl.seed
 
 
-def test_run_matches_run_workload_report():
+def test_run_by_name_matches_run_by_workload():
     name = workload_names()[0]
     wl = resolve_workload(name)
     cfg = ToolConfig.helgrind_lib_spin(7)
-    session = repro.run(wl, cfg)
-    outcome = run_workload(wl, cfg)
-    assert session.report.fingerprint() == outcome.report.fingerprint()
+    by_workload = repro.run(wl, cfg)
+    by_name = repro.run(name, cfg)
+    assert by_workload.report.fingerprint() == by_name.report.fingerprint()
+    assert by_workload.program is not by_name.program  # fresh vs shared build
 
 
 def test_symbolization_wired_automatically():

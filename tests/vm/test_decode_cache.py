@@ -171,8 +171,8 @@ class TestFingerprintMemo:
 
 
 class TestResultCacheKey:
-    def test_schema_is_10(self):
-        assert CACHE_SCHEMA == 10
+    def test_schema_is_11(self):
+        assert CACHE_SCHEMA == 11
 
 
 class TestCrossProcessReuse:
