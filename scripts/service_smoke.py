@@ -6,7 +6,9 @@
    verdict must come back ``ok`` and the fingerprint must be identical
    to a direct in-process ``repro.run`` of the same cell.  Resubmitting
    the same requests must be served from the verdict index with the
-   ``executed`` counter unchanged (zero recomputation).
+   ``executed`` counter unchanged (zero recomputation).  A second batch
+   of fresh requests must run on the same worker processes as the
+   first (the daemon's children, read from ``/proc``): no request forks.
 2. Fires a fresh batch of concurrent requests and SIGKILLs the whole
    daemon process group once all are journaled ``accepted`` but not all
    ``done`` — the crash window the journal exists for.
@@ -167,6 +169,14 @@ def direct_fingerprint(seed: int) -> str:
     return repro.run(WORKLOAD, TOOL, seed=seed, max_steps=MAX_STEPS).fingerprint
 
 
+def worker_pids(pid: int) -> set:
+    """The daemon's child processes — its pool workers — from /proc."""
+    pids = set()
+    for path in Path(f"/proc/{pid}/task").glob("*/children"):
+        pids.update(int(p) for p in path.read_text().split())
+    return pids
+
+
 def graceful_stop(proc) -> None:
     proc.send_signal(signal.SIGTERM)
     rc = proc.wait(timeout=60)
@@ -174,7 +184,7 @@ def graceful_stop(proc) -> None:
         fail(f"daemon did not exit cleanly on SIGTERM (rc={rc})")
 
 
-def warm_and_identity_check(state: Path, port: int) -> dict:
+def warm_and_identity_check(state: Path, proc, port: int) -> dict:
     seeds = list(range(1, 7))
     reqs = [request(s, TENANTS[i % 2]) for i, s in enumerate(seeds)]
     print(f"submitting {len(reqs)} concurrent requests across {len(TENANTS)} tenants ...")
@@ -199,9 +209,25 @@ def warm_and_identity_check(state: Path, port: int) -> dict:
     stats = get_stats(port)
     if stats["executed"] != len(reqs):
         fail("resubmission recomputed instead of serving the verdict index")
+
+    workers = worker_pids(proc.pid)
+    if len(workers) != 2:
+        fail(f"expected the daemon's 2 pool workers, /proc lists {sorted(workers)}")
+    fresh = [request(s, TENANTS[i % 2]) for i, s in enumerate(range(101, 107))]
+    for code, body in post_concurrent(port, fresh):
+        if code != 200 or body.get("status") != "ok":
+            fail(f"second batch request failed: {code} {body}")
+    if get_stats(port)["executed"] != len(reqs) + len(fresh):
+        fail("second batch did not execute every fresh request")
+    if worker_pids(proc.pid) != workers:
+        fail(
+            f"second batch forked: workers {sorted(workers)} became "
+            f"{sorted(worker_pids(proc.pid))}"
+        )
     print(
         f"warm OK: {len(reqs)} verdicts, fingerprints identical to direct "
-        f"runs, resubmission served with zero recomputation"
+        f"runs, resubmission served with zero recomputation, a second "
+        f"batch of {len(fresh)} ran on the same {len(workers)} workers"
     )
     return fingerprints
 
@@ -310,7 +336,7 @@ def main() -> None:
         proc, port = start_daemon(state, workers=2, queue_depth=16)
         killed = False
         try:
-            fingerprints = warm_and_identity_check(state, port)
+            fingerprints = warm_and_identity_check(state, proc, port)
             pending = kill_mid_flight(state, proc, port)
             killed = True
         finally:

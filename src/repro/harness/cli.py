@@ -539,7 +539,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     first if it is missing).  ``ls`` and ``gc`` inspect and reclaim
     the store.
     """
-    from repro.harness.parallel import RunSpec, _run_spec, prewarm_traces
+    from repro.harness.parallel import RunSpec, prewarm_traces
     from repro.trace import TraceStore, key_for_spec
 
     verb = args.rest[0] if args.rest else "ls"
@@ -633,7 +633,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     recorded = prewarm_traces(specs, args.trace_dir)
     rows = []
     for spec in specs:
-        outcome = _run_spec(spec, trace_dir=args.trace_dir)
+        outcome = spec.execute(trace_dir=args.trace_dir)
         # fingerprint() is a structured tuple; digest it for display
         digest = hashlib.sha256(
             repr(outcome.report.fingerprint()).encode()

@@ -52,6 +52,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field, replace
+from multiprocessing.reduction import ForkingPickler
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -171,6 +172,56 @@ class RunSpec:
 
     def effective_max_steps(self) -> int:
         return self.max_steps if self.max_steps is not None else self.resolve().max_steps
+
+    def execute(
+        self,
+        machine_sink=None,
+        trace_dir: Optional[Union[str, Path]] = None,
+    ) -> SessionResult:
+        """Run this spec in its trace mode — the pool's unit protocol.
+
+        A replay or record cell streams its stored recording
+        (:meth:`~repro.trace.TraceStore.open_stream`) — constant memory,
+        and the stream's decoded-event count is what ``machine_sink``
+        gets as the heartbeat's progress counter.  On a miss the cell
+        records the program, stores the recording and analyzes it in
+        memory; a stored payload that turns out malformed mid-stream is
+        quarantined and handled like a miss.
+        """
+        if self.trace_mode == "live":
+            return run_pipeline(
+                self.program(),
+                self.tool(),
+                workload=self.resolve(),
+                seed=self.effective_seed(),
+                max_steps=self.effective_max_steps(),
+                faults=self.fault_plan,
+                livelock_bound=self.livelock_bound,
+                scheduler=self.scheduler,
+                machine_sink=machine_sink,
+            )
+        from repro.trace.store import TraceStore, key_for_spec
+        from repro.trace.stream import TraceStreamCorruption
+
+        if trace_dir is None:
+            raise ValueError(
+                f"trace_mode={self.trace_mode!r} requires a trace store directory"
+            )
+        store = TraceStore(trace_dir)
+        key = key_for_spec(self)
+        stream = store.open_stream(key)
+        if stream is not None:
+            try:
+                return run_pipeline(
+                    stream, self.tool(), workload=self.resolve(), machine_sink=machine_sink
+                )
+            except TraceStreamCorruption as exc:
+                store.quarantine_stream(stream, exc.reason)
+        # Prewarm normally guarantees a hit; recording here keeps a
+        # quarantined/raced-away entry from failing the run.
+        trace = _record_spec_trace(self)
+        store.put(key, trace)
+        return run_pipeline(trace, self.tool(), workload=self.resolve())
 
 
 def sweep_specs(
@@ -535,57 +586,6 @@ def prewarm_traces(
     return recorded
 
 
-def _run_spec(
-    spec: RunSpec,
-    trace_dir: Optional[Union[str, Path]] = None,
-    machine_sink=None,
-) -> SessionResult:
-    """Run one spec in its trace mode (the worker/serial shared path).
-
-    A replay or record cell streams its stored recording
-    (:meth:`~repro.trace.TraceStore.open_stream`) — constant memory, and
-    the stream's decoded-event count is what ``machine_sink`` gets as
-    the heartbeat's progress counter.  On a miss the cell records the
-    program, stores the recording and analyzes it in memory; a stored
-    payload that turns out malformed mid-stream is quarantined and
-    handled like a miss.
-    """
-    if spec.trace_mode == "live":
-        return run_pipeline(
-            spec.program(),
-            spec.tool(),
-            workload=spec.resolve(),
-            seed=spec.effective_seed(),
-            max_steps=spec.effective_max_steps(),
-            faults=spec.fault_plan,
-            livelock_bound=spec.livelock_bound,
-            scheduler=spec.scheduler,
-            machine_sink=machine_sink,
-        )
-    from repro.trace.store import TraceStore, key_for_spec
-    from repro.trace.stream import TraceStreamCorruption
-
-    if trace_dir is None:
-        raise ValueError(
-            f"trace_mode={spec.trace_mode!r} requires a trace store directory"
-        )
-    store = TraceStore(trace_dir)
-    key = key_for_spec(spec)
-    stream = store.open_stream(key)
-    if stream is not None:
-        try:
-            return run_pipeline(
-                stream, spec.tool(), workload=spec.resolve(), machine_sink=machine_sink
-            )
-        except TraceStreamCorruption as exc:
-            store.quarantine_stream(stream, exc.reason)
-    # Prewarm normally guarantees a hit; recording here keeps a
-    # quarantined/raced-away entry from failing the run.
-    trace = _record_spec_trace(spec)
-    store.put(key, trace)
-    return run_pipeline(trace, spec.tool(), workload=spec.resolve())
-
-
 def _worker_main(
     table: Sequence,
     conn,
@@ -593,14 +593,17 @@ def _worker_main(
     trace_dir: Optional[Union[str, Path]] = None,
     inherited: Sequence = (),
 ) -> None:
-    """Worker entry point: run units of ``table`` by index until stopped.
+    """Worker entry point: run units until stopped.
 
-    Each request on the duplex pipe is ``(index, degraded)``; the reply
-    is ``("ok", outcome)`` or ``("error", text)``.  After an error the
+    Each request on the duplex pipe is ``(index, degraded)`` for a unit
+    of ``table`` — the worker was forked holding it, so closure-built
+    workloads work — or ``(unit, degraded)`` for any other unit, which
+    travelled pickled.  Either way the worker calls
+    ``unit.execute(machine_sink=..., trace_dir=...)``; the reply is
+    ``("ok", outcome)`` or ``("error", text)``.  After an error the
     worker exits — it is retired, since a unit that raised may have left
     process state half-updated.  ``None`` or EOF (the parent closed its
-    end, or died) stops it.  Units never travel by pickle: the worker
-    was forked holding ``table``, so closure-built workloads work.
+    end, or died) stops it.
 
     With ``heartbeat_s`` set, a daemon thread reports a progress counter
     *and the worker's self-sampled RSS* over the pipe at that interval
@@ -612,12 +615,6 @@ def _worker_main(
     events; it restarts at -1 for every unit.  ``degraded`` marks a
     post-preemption retry; it only decides whether the smoke-test
     ballast is allocated.
-
-    A unit is normally a :class:`RunSpec`, but any object exposing
-    ``execute(machine_sink=..., trace_dir=...)`` is
-    accepted — the hook other schedulers (the analysis service's
-    trace-upload units in particular) use to ride the same supervised
-    worker path without teaching :func:`_run_spec` their payloads.
     """
     import gc
 
@@ -682,7 +679,7 @@ def _worker_main(
             return
         if request is None:
             return
-        index, degraded = request
+        unit, degraded = request
         # Deterministic memory pressure for the budget smoke test; None in
         # normal operation.  Held alive for the duration of the unit.
         ballast = test_ballast_bytes(degraded)  # noqa: F841 — liveness is the point
@@ -698,12 +695,9 @@ def _worker_main(
             # on a busy single-core host.)
             _send_beat()
         try:
-            unit = table[index]
-            execute = getattr(unit, "execute", None)
-            if callable(execute):
-                outcome = execute(machine_sink=sink, trace_dir=trace_dir)
-            else:
-                outcome = _run_spec(unit, trace_dir=trace_dir, machine_sink=sink)
+            if isinstance(unit, int):
+                unit = table[unit]
+            outcome = unit.execute(machine_sink=sink, trace_dir=trace_dir)
             with send_lock:
                 state["running"] = False
                 conn.send(("ok", outcome))
@@ -738,7 +732,7 @@ def _run_serial(
         spec = specs[i]
         outcome: Optional[SessionResult] = None
         try:
-            outcome = _run_spec(spec, trace_dir=trace_dir).detached()
+            outcome = spec.execute(trace_dir=trace_dir).detached()
         except KeyboardInterrupt:
             raise
         except Exception as exc:
@@ -1234,8 +1228,6 @@ class _Worker:
 
     proc: object
     conn: object
-    #: the units this worker can run, by index: it was forked holding them
-    table: Sequence
     job: Optional[_Job] = None
 
 
@@ -1266,21 +1258,19 @@ _POOL_DEFAULT = object()
 class WorkerPool:
     """Supervised long-lived forked workers, submitted to incrementally.
 
-    The execution substrate both :func:`run_sweep` and the analysis
-    service daemon (:mod:`repro.service`) schedule onto.  Each worker
-    runs :func:`_worker_main`: it is forked holding a *table* of units
-    and then runs one unit per ``(index, degraded)`` request on its
-    duplex pipe, so a unit never travels by pickle.  Workers hold the
-    pool's ``table`` (a sweep passes its whole spec list); a submitted
-    unit that is not in it gets a worker holding just itself.
+    The execution substrate :func:`run_sweep`, forensic capture and the
+    analysis service daemon (:mod:`repro.service`) all schedule onto.
+    Each worker runs :func:`_worker_main`: it is forked holding the
+    pool's ``table`` (a sweep's spec list, triage's captures, or none)
+    and runs one unit per request on its duplex pipe.  A unit in the
+    table travels as its index, so closure-built workloads work; any
+    other unit travels pickled, and one that cannot be pickled comes
+    back from :meth:`poll` as an ``error`` exit.
 
     A worker is reused until something goes wrong: after an ``error``
     it is retired, after a ``crash``/``timeout``/``hung``/``oom`` it is
-    killed, and the next dispatch forks a replacement.  A worker with
-    nothing else it can serve (one forked for a unit outside the table)
-    is stopped without blocking once its unit is done.  So a sweep forks
-    ``workers`` processes plus one per failure, and a service request
-    one.
+    killed, and the next dispatch forks a replacement.  So a pool forks
+    ``workers`` processes plus one per failure.
 
     :meth:`poll` performs one non-blocking supervision pass — drains
     heartbeats, distinguishes hung workers (progress counter frozen past
@@ -1292,10 +1282,10 @@ class WorkerPool:
     degraded re-queues, journaling) stays with the caller: the pool
     never re-runs anything on its own.
 
-    ``submit`` accepts :class:`RunSpec` objects or any unit exposing
-    ``execute(machine_sink=..., trace_dir=...)``.
-    ``timeout_s`` at submit overrides the pool default per request —
-    the seam the service's per-request deadlines ride on.
+    A unit is any object exposing ``execute(machine_sink=...,
+    trace_dir=...)``: a :class:`RunSpec`, a forensic capture, a service
+    trace upload.  ``timeout_s`` at submit overrides the pool default
+    per request — the seam the service's per-request deadlines ride on.
     """
 
     def __init__(
@@ -1326,6 +1316,8 @@ class WorkerPool:
         self._index = {id(unit): i for i, unit in enumerate(self._table)}
         #: stopped and retired processes, reaped as they exit
         self._exiting: List = []
+        #: exits of units that could not be sent, for the next poll
+        self._refused: List[WorkerExit] = []
 
     @property
     def active(self) -> int:
@@ -1338,23 +1330,24 @@ class WorkerPool:
 
     def submit(
         self,
-        spec,
+        unit,
         token: object = None,
         attempt: int = 1,
         degraded: bool = False,
         timeout_s: object = _POOL_DEFAULT,
     ) -> None:
-        """Run ``spec`` on an idle worker that holds it, else on a new one.
+        """Run ``unit`` on an idle worker, else on a newly forked one.
 
         Over-submission is allowed — ``free_slots`` is the caller's
         throttle, not an enforced cap."""
-        index = self._index.get(id(spec))
-        worker = self._idle() if index is not None else None
-        if worker is None:
-            if index is None:
-                worker, index = self._fork([spec]), 0
-            else:
-                worker = self._fork(self._table)
+        index = self._index.get(id(unit))
+        try:
+            request = ForkingPickler.dumps((unit if index is None else index, degraded))
+        except Exception as exc:  # any __reduce__ may raise; report, never crash
+            error = f"unit cannot be sent to a worker: {type(exc).__name__}: {exc}"
+            self._refused.append(WorkerExit(token, "error", error, attempt, degraded))
+            return
+        worker = self._idle() or self._fork()
         now = time.monotonic()
         limit = self.timeout_s if timeout_s is _POOL_DEFAULT else timeout_s
         worker.job = _Job(
@@ -1367,32 +1360,32 @@ class WorkerPool:
             degraded=degraded,
         )
         try:
-            worker.conn.send((index, degraded))
+            worker.conn.send_bytes(request)
         except OSError:
             pass  # died while idle: the next poll reports the crash
 
     def _idle(self) -> Optional[_Worker]:
-        """A live idle worker holding the pool's table, if there is one."""
+        """A live idle worker, if there is one."""
         for w in list(self._workers):
-            if w.job is None and w.table is self._table:
+            if w.job is None:
                 if w.proc.is_alive():
                     return w
                 self._discard(w)  # died while idle
         return None
 
-    def _fork(self, table: Sequence) -> _Worker:
+    def _fork(self) -> _Worker:
         parent_conn, child_conn = self.ctx.Pipe()
         inherited: List = []
         if self.ctx.get_start_method() == "fork":
             inherited = [w.conn for w in self._workers] + [parent_conn]
         proc = self.ctx.Process(
             target=_worker_main,
-            args=(table, child_conn, self.heartbeat_s, self.trace_dir, inherited),
+            args=(self._table, child_conn, self.heartbeat_s, self.trace_dir, inherited),
             daemon=True,
         )
         proc.start()
         child_conn.close()
-        worker = _Worker(proc=proc, conn=parent_conn, table=table)
+        worker = _Worker(proc=proc, conn=parent_conn)
         self._workers.append(worker)
         return worker
 
@@ -1461,8 +1454,6 @@ class WorkerPool:
                 continue
             w.job = None
             if kind == "ok":
-                if w.table is not self._table:
-                    self._stop(w)  # nothing else it can serve
                 return self._exit(job, "ok", payload)
             self._stop(w)  # retired: it exits after an error reply
             return self._exit(job, "error", str(payload))
@@ -1472,7 +1463,7 @@ class WorkerPool:
         """One supervision pass; returns every unit that terminated."""
         if self._exiting:
             self._exiting = [p for p in self._exiting if p.is_alive()]
-        exits: List[WorkerExit] = []
+        exits, self._refused = self._refused, []
         for w in [w for w in self._workers if w.job is not None]:
             job = w.job
             done = self._drain(w)
@@ -1532,7 +1523,7 @@ class WorkerPool:
         nearest deadline or hang window passes — whichever comes first.
         """
         busy = [w for w in self._workers if w.job is not None]
-        if not busy:
+        if not busy or self._refused:
             return
         due: List[float] = []
         now = time.monotonic()

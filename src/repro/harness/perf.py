@@ -298,6 +298,7 @@ def _service(workload: str, tool: str, requests: int, workers: int) -> List[Reco
     import asyncio
     import os
     import tempfile
+    from concurrent.futures import ThreadPoolExecutor
 
     import repro
     from repro.service.app import HttpServer
@@ -324,12 +325,14 @@ def _service(workload: str, tool: str, requests: int, workers: int) -> List[Reco
             for i, seed in work:
                 # http.client blocks; run each round trip off-loop so the
                 # daemon (same loop) keeps scheduling underneath
-                await loop.run_in_executor(None, request, i, seed)
+                await loop.run_in_executor(threads, request, i, seed)
 
         work = list(enumerate(seeds))
-        start = time.perf_counter()
-        await asyncio.gather(*(client(work[c::clients]) for c in range(clients)))
-        total_s = time.perf_counter() - start
+        # one thread per client: the default executor may have fewer
+        with ThreadPoolExecutor(max_workers=clients) as threads:
+            start = time.perf_counter()
+            await asyncio.gather(*(client(work[c::clients]) for c in range(clients)))
+            total_s = time.perf_counter() - start
         expect = "degraded" if path == "degraded" else "ok"
         errors = sum(1 for _, _, resp in done if resp.get("status") != expect)
         match = path != "cold" or errors > 0 or all(

@@ -13,6 +13,13 @@ request::
         → journal "done" + cache put    — restart serves it from index
         → response future resolved
 
+Each request kind is one picklable pool unit — a
+:class:`~repro.harness.parallel.RunSpec` over a registry name or over a
+:class:`~repro.harness.workload.Workload` that re-assembles the source,
+or a :class:`TraceUploadUnit` over the spooled upload — run on
+``workers`` long-lived pool processes that keep their decode and
+instrumentation caches warm across requests.
+
 Robustness properties, each asserted by ``scripts/service_smoke.py``:
 
 * **Crash safety** — ``accepted`` is journaled before the client hears
@@ -44,6 +51,7 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
+import functools
 import hashlib
 import logging
 import os
@@ -139,10 +147,8 @@ class _Cell:
 
     key: str
     sub: Submission
-    #: the canonical live-mode spec (program cells; None for uploads)
-    spec: Optional[RunSpec]
-    #: the upload unit (trace cells; None for program cells)
-    unit: Optional[TraceUploadUnit]
+    #: the pool unit: a live-mode spec (program cells) or an upload
+    unit: Union[RunSpec, TraceUploadUnit]
     accepted_t: float
     deadline_s: Optional[float]
     #: response futures of every coalesced client waiting on this key
@@ -277,7 +283,7 @@ class Engine:
             )
 
         try:
-            key, spec, unit = self._content_key(sub)
+            key, unit = self._content_key(sub)
         except SchemaError as exc:
             self.stats["invalid"] += 1
             return make_response("invalid", id=sub.id, error=str(exc))
@@ -331,14 +337,7 @@ class Engine:
         if sub.trace_bytes is not None:
             self.journal.spool_upload(key, sub.trace_bytes)
         self.journal.accepted(key, self._journal_request(sub, key))
-        cell = _Cell(
-            key=key,
-            sub=sub,
-            spec=spec,
-            unit=unit,
-            accepted_t=now,
-            deadline_s=sub.deadline_s or self.default_deadline_s,
-        )
+        cell = self._cell(key, sub, unit, now)
         self.inflight[key] = cell
         fut = asyncio.get_running_loop().create_future()
         cell.futures.append(fut)
@@ -357,15 +356,25 @@ class Engine:
 
     # -- internals ----------------------------------------------------------
 
+    def _cell(self, key: str, sub: Submission, unit, accepted_t: float) -> _Cell:
+        return _Cell(
+            key=key,
+            sub=sub,
+            unit=unit,
+            accepted_t=accepted_t,
+            deadline_s=sub.deadline_s or self.default_deadline_s,
+        )
+
+    def _upload_unit(self, key: str, tool: str) -> TraceUploadUnit:
+        """The unit analyzing the upload spooled under ``key``."""
+        return TraceUploadUnit(path=str(self.journal.uploads / f"{key}.trc"), tool=tool)
+
     def _content_key(self, sub: Submission):
-        """(key, spec, unit) for a submission; raises SchemaError."""
+        """(key, unit) for a submission; raises SchemaError."""
         if sub.kind == "trace":
             digest = hashlib.sha256(sub.trace_bytes).hexdigest()
             key = _trace_upload_key(digest, sub.tool)
-            unit = TraceUploadUnit(
-                path=str(self.journal.uploads / f"{key}.trc"), tool=sub.tool
-            )
-            return key, None, unit
+            return key, self._upload_unit(key, sub.tool)
         if sub.kind == "workload":
             try:
                 resolve_workload(sub.workload)
@@ -379,14 +388,15 @@ class Engine:
                 raise SchemaError(f"source does not assemble: {exc}")
             del program  # assembled only to validate; build re-assembles fresh
             name = f"src-{hashlib.sha256(sub.source.encode()).hexdigest()[:12]}"
-            workload = Workload(name=name, build=lambda text=sub.source: assemble(text))
+            # a partial, not a closure: the spec travels to the worker pickled
+            workload = Workload(name=name, build=functools.partial(assemble, sub.source))
         spec = RunSpec(
             workload=workload,
             config=sub.tool,
             seed=sub.seed,
             max_steps=sub.max_steps,
         )
-        return spec_key(spec), spec, None
+        return spec_key(spec), spec
 
     def _journal_request(self, sub: Submission, key: str) -> dict:
         """The replayable request form the journal stores (no payload blobs)."""
@@ -422,22 +432,12 @@ class Engine:
             if sub.kind == "trace":
                 if self.journal.upload_path(key) is None:
                     return None
-                unit = TraceUploadUnit(
-                    path=str(self.journal.uploads / f"{key}.trc"), tool=sub.tool
-                )
-                return _Cell(
-                    key=key, sub=sub, spec=None, unit=unit,
-                    accepted_t=time.monotonic(),
-                    deadline_s=sub.deadline_s or self.default_deadline_s,
-                )
-            rebuilt_key, spec, _ = self._content_key(sub)
-            if rebuilt_key != key:
-                return None  # generator drifted since journaling: honest miss
-            return _Cell(
-                key=key, sub=sub, spec=spec, unit=None,
-                accepted_t=time.monotonic(),
-                deadline_s=sub.deadline_s or self.default_deadline_s,
-            )
+                unit = self._upload_unit(key, sub.tool)
+            else:
+                rebuilt_key, unit = self._content_key(sub)
+                if rebuilt_key != key:
+                    return None  # generator drifted since journaling: honest miss
+            return self._cell(key, sub, unit, time.monotonic())
         except (SchemaError, KeyError, TypeError):
             return None
 
@@ -501,15 +501,12 @@ class Engine:
                 )
                 return False
         cell.degraded = degraded
-        if cell.unit is not None:
-            work = cell.unit
-        elif degraded:
+        work = cell.unit
+        if degraded and isinstance(work, RunSpec):
             # Pressure mode: a replay cell — recorded on first use, then
             # streamed off the store in bounded memory; identical report
-            # fingerprint.
-            work = dataclasses.replace(cell.spec, trace_mode="replay")
-        else:
-            work = cell.spec
+            # fingerprint.  (An upload is streamed in every mode.)
+            work = dataclasses.replace(work, trace_mode="replay")
         self.pool.submit(
             work,
             token=cell.key,
@@ -528,7 +525,7 @@ class Engine:
             return  # already resolved (shed/deadline) — late straggler
         if exit.kind == "ok":
             outcome: SessionResult = exit.payload
-            if not exit.degraded and (cell.spec is not None or cell.unit is not None):
+            if not exit.degraded:
                 # Non-degraded verdicts enter the shared result cache
                 # under the same key a direct sweep would use; degraded
                 # ones are only indexed (their outcome shape differs).

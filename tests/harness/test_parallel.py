@@ -20,7 +20,6 @@ from repro.harness.parallel import (
     _Job,
     _Worker,
     _record_from_outcome,
-    _run_spec,
     _sigterm_as_interrupt,
     run_sweep,
     sweep_specs,
@@ -117,7 +116,7 @@ class TestPicklableOutcome:
     @pytest.mark.parametrize("mode", ["live", "replay"])
     def test_pickle_drops_live_objects_and_keeps_the_record(self, mode, tmp_path):
         spec = RunSpec("blackscholes", "helgrind-lib-spin7", trace_mode=mode)
-        out = _run_spec(spec, trace_dir=tmp_path)
+        out = spec.execute(trace_dir=tmp_path)
         record = _record_from_outcome(spec, out, attempts=1, cached=False)
         clone = pickle.loads(pickle.dumps(out))
         assert all(getattr(clone, name) is None for name in self.LIVE)
@@ -750,7 +749,6 @@ class TestWorkerPoolPoll:
             _Worker(
                 proc=Proc(),
                 conn=Conn(),
-                table=["unit"],
                 job=_Job(token="t", attempt=1, start_t=0.0, deadline=None),
             )
         )
@@ -789,6 +787,33 @@ class TestWorkerPoolPoll:
         (done,) = exits
         assert done.kind == "ok", done.payload
         assert done.payload.events == len(events)
+
+    def test_unpicklable_unit_outside_the_table_is_an_error_exit(self):
+        """A unit outside the pool's table travels pickled; one that
+        cannot be pickled comes back as that token's ``error`` exit,
+        with no worker forked or left busy, and the pool keeps serving."""
+        closure = RunSpec(
+            Workload("closure_unit", lambda: flag_handoff_program()), "drd", 1
+        )
+        pool = WorkerPool(workers=1, timeout_s=60)
+        try:
+            pool.submit(closure, token="closure")
+            assert pool.active == 0 and pool._workers == []
+            (refused,) = pool.poll()
+            assert (refused.token, refused.kind) == ("closure", "error")
+            assert "cannot be sent to a worker" in refused.payload
+            assert pool.poll() == []
+            spec = RunSpec(_handoff(), "drd", 1)
+            pool.submit(spec, token="named")
+            exits = []
+            while not exits:
+                pool.wait()
+                exits = pool.poll()
+        finally:
+            pool.shutdown()
+        (done,) = exits
+        assert (done.token, done.kind) == ("named", "ok"), done.payload
+        assert done.payload.fingerprint == run(_handoff(), "drd", seed=1).fingerprint
 
 
 class TestMetricsIntegration:

@@ -169,7 +169,7 @@ class TestBenchFiles:
             ("f4", 680771, 13),  # steps/s
             ("f6", 648694, 39),  # replay events/s
             ("f7", 9982136, 4),  # streamed peak bytes
-            ("f9", 94.302, 3),  # cold p50 ms
+            ("f9", 59.595, 3),  # cold p50 ms
         ],
     )
     def test_gate_reads_the_committed_values(self, key, committed, rows):

@@ -272,10 +272,10 @@ class TestSweepForensics:
 
         fork = WorkerPool._fork
 
-        def refusing_fork(self, table):
-            if table and isinstance(table[0], CaptureUnit):
+        def refusing_fork(self):
+            if self._table and isinstance(self._table[0], CaptureUnit):
                 raise OSError("fork refused")
-            return fork(self, table)
+            return fork(self)
 
         monkeypatch.setattr(WorkerPool, "_fork", refusing_fork)
         wl = Workload(name="triage_nofork", build=exit_build, seed=1)

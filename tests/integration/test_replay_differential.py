@@ -367,7 +367,7 @@ def _live_fingerprints(specs):
 class TestStoreBackedReplayStreams:
     """Every store-backed replay cell streams its recording.
 
-    ``_run_spec`` reads a stored recording through ``open_stream`` and
+    ``RunSpec.execute`` reads a stored recording through ``open_stream`` and
     never materializes it; prewarm tests for a hit the same way.  A
     stored payload that is checksum-valid but malformed is quarantined
     mid-stream and the cell re-records, in workers as in the parent.

@@ -44,6 +44,32 @@ entry:
 """
 
 
+SPIN_SOURCE = """\
+program spin entry=main
+global FLAG size=1 init=0
+func main() {
+entry:
+    a = addr FLAG
+    jmp loop
+loop:
+    v = load a+0
+    jmp loop
+}
+"""
+
+
+def source_req(source, seed=1, tool="drd", max_steps=10_000, **over):
+    return {
+        "v": 1, "tenant": "t", "kind": "source", "source": source,
+        "tool": tool, "seed": seed, "max_steps": max_steps, **over,
+    }
+
+
+def trace_req(trace_file, tool):
+    payload = base64.b64encode(trace_file.read_bytes()).decode("ascii")
+    return {"v": 1, "tenant": "team-b", "kind": "trace", "trace_b64": payload, "tool": tool}
+
+
 def req(seed=1, tenant="team-a", tool="helgrind-lib-spin7", **over):
     base = {
         "v": 1,
@@ -159,6 +185,87 @@ class TestGoldenIdentity:
         assert resp["verdict"]["fingerprint"] == direct_fingerprint("eraser")
 
 
+@pytest.fixture
+def starts(monkeypatch):
+    """Every worker process the pool starts."""
+    from repro.harness.parallel import _mp_context
+
+    process = _mp_context().Process
+    started = []
+    original = process.start
+
+    def start(proc):
+        started.append(proc)
+        original(proc)
+
+    monkeypatch.setattr(process, "start", start)
+    return started
+
+
+class TestLongLivedWorkers:
+    """Requests run on ``workers`` long-lived processes, replaced only
+    when one is killed."""
+
+    def test_cold_requests_of_every_kind_share_the_pool_workers(
+        self, tmp_path, trace_file, starts
+    ):
+        requests = [
+            req(seed=1),
+            req(seed=2, tool="drd"),
+            source_req(RACY_SOURCE, seed=1),
+            source_req(RACY_SOURCE, seed=2),
+            trace_req(trace_file, "drd"),
+            trace_req(trace_file, "helgrind-lib-spin7"),
+        ]
+        direct = [
+            direct_fingerprint("helgrind-lib-spin7", seed=1),
+            direct_fingerprint("drd", seed=2),
+            repro.run(assemble(RACY_SOURCE), "drd", seed=1, max_steps=10_000).fingerprint,
+            repro.run(assemble(RACY_SOURCE), "drd", seed=2, max_steps=10_000).fingerprint,
+            repro.run(config="drd", trace=trace_file).fingerprint,
+            repro.run(config="helgrind-lib-spin7", trace=trace_file).fingerprint,
+        ]
+
+        async def submit_all(engine):
+            return await asyncio.gather(*(engine.submit(r) for r in requests))
+
+        responses = run_engine(tmp_path / "svc", submit_all, workers=2)
+        assert [r["status"] for r in responses] == ["ok"] * 6, responses
+        assert [r["verdict"]["fingerprint"] for r in responses] == direct
+        assert len(starts) == 2
+
+    def test_a_request_past_its_deadline_costs_exactly_one_worker(
+        self, tmp_path, starts
+    ):
+        # ``long`` keeps the other worker busy (about 1.5 s of VM steps)
+        # from before ``stuck`` is killed until after ``after`` is
+        # dispatched, so ``after`` runs on the replacement.
+        stuck = source_req(SPIN_SOURCE, max_steps=10**9, deadline_s=0.3)
+        long = source_req(SPIN_SOURCE, max_steps=1_500_000)
+
+        async def scenario(engine):
+            long_task = asyncio.ensure_future(engine.submit(long))
+            stuck_resp = await engine.submit(stuck)
+            after = await engine.submit(req(seed=3))
+            # the replacement is long-lived too: no fork for this one
+            again = await engine.submit(req(seed=4))
+            return stuck_resp, await long_task, after, again
+
+        stuck_resp, long_resp, after, again = run_engine(
+            tmp_path / "svc", scenario, workers=2
+        )
+        assert stuck_resp["status"] == "error"
+        assert "deadline exceeded" in stuck_resp["error"]
+        assert long_resp["status"] == "ok", long_resp
+        assert long_resp["verdict"]["run_status"] == "step-limit"
+        assert after["status"] == "ok", after
+        assert after["verdict"]["fingerprint"] == direct_fingerprint(
+            "helgrind-lib-spin7", seed=3
+        )
+        assert again["status"] == "ok", again
+        assert len(starts) == 3
+
+
 class TestCachingAndCoalescing:
     def test_resubmission_serves_verdict_without_recompute(self, tmp_path):
         async def twice(engine):
@@ -204,7 +311,7 @@ class TestCrashRecovery:
         # leaves behind.
         dead = Engine(work, workers=2)
         sub = validate_request(req())
-        key, _, _ = dead._content_key(sub)
+        key, _ = dead._content_key(sub)
         dead.journal.accepted(key, dead._journal_request(sub, key))
         dead.journal.close()
         dead.pool.shutdown()
