@@ -8,13 +8,17 @@ makes it explicit: record once, replay under every configuration, and
 know that any verdict difference is due to the *detector*, never the
 schedule.
 
-The demo also round-trips the trace through JSON, the offline-analysis
-format.
+The demo also round-trips the trace through a file — the checksummed
+RPRT frame a trace store holds — and replays it streamed off disk.
 
 Run:  python examples/trace_compare.py
 """
 
-from repro import Trace, ToolConfig, record_trace, replay_trace
+import tempfile
+from pathlib import Path
+
+from repro import ToolConfig, record_trace, replay_trace
+from repro.trace import open_trace_file, save_trace_file
 from repro.workloads.dr_test.suite import build_suite
 
 
@@ -28,15 +32,17 @@ def main():
         print(f"=== {case}: {trace.steps} steps, {len(trace.columns)} events, "
               f"{len(trace.loop_sizes)} marked loops")
 
-        # Serialize and reload — the offline path.
-        trace = Trace.from_json(trace.to_json())
-
         configs = ToolConfig.paper_tools(7) + (ToolConfig.universal_hybrid(7),)
-        for config in configs:
-            detector = replay_trace(trace, config)
-            report = detector.report
-            syms = sorted(report.reported_base_symbols)
-            print(f"  {config.name:36s} contexts={report.racy_contexts:3d}  {syms}")
+        with tempfile.TemporaryDirectory() as scratch:
+            # Save and reopen — the offline path; the reopened file streams.
+            path = Path(scratch) / f"{case}.trc"
+            save_trace_file(trace, path)
+            stream = open_trace_file(path)
+            for config in configs:
+                detector = replay_trace(stream, config)
+                report = detector.report
+                syms = sorted(report.reported_base_symbols)
+                print(f"  {config.name:36s} contexts={report.racy_contexts:3d}  {syms}")
         print()
 
     print(

@@ -245,8 +245,9 @@ class FramedStore:
 
     # -- framing ------------------------------------------------------------
 
-    def _frame(self, payload: bytes) -> bytes:
-        header = FRAME_HEADER.pack(self.MAGIC, FRAME_VERSION, self.SCHEMA)
+    @classmethod
+    def _frame(cls, payload: bytes) -> bytes:
+        header = FRAME_HEADER.pack(cls.MAGIC, FRAME_VERSION, cls.SCHEMA)
         return header + hashlib.sha256(payload).digest() + payload
 
     @classmethod

@@ -492,8 +492,10 @@ def cmd_triage(args: argparse.Namespace) -> int:
 
     Exit code 1 means the failure *reproduced* (abnormal machine status
     or racy contexts on replay) — the artifact is still a live repro.
+    An unreadable artifact exits 2 with a one-line reason.
     """
     from repro.harness.triage import load_artifact, replay_artifact
+    from repro.trace import TraceStreamCorruption
 
     if not args.rest or args.rest[0] != "replay":
         print("usage: repro-experiments triage replay ARTIFACT_DIR", file=sys.stderr)
@@ -502,8 +504,13 @@ def cmd_triage(args: argparse.Namespace) -> int:
         print("triage replay: missing ARTIFACT_DIR", file=sys.stderr)
         return 2
     path = args.rest[1]
-    meta = load_artifact(path)
-    trace, detector = replay_artifact(path, config=args.tool, shrunk=args.shrunk)
+    try:
+        meta = load_artifact(path)
+        trace, detector = replay_artifact(path, config=args.tool, shrunk=args.shrunk)
+    except (OSError, KeyError, ValueError, TraceStreamCorruption) as exc:
+        what = "corrupt trace file: " if isinstance(exc, TraceStreamCorruption) else ""
+        print(f"triage replay: cannot replay {path}: {what}{exc}", file=sys.stderr)
+        return 2
     which = "shrunk repro" if args.shrunk else "full trace"
     print(
         f"triage replay — {meta['workload']} under "
@@ -522,7 +529,7 @@ def cmd_triage(args: argparse.Namespace) -> int:
         )
     print(
         f"  replayed: status={trace.status} steps={trace.steps} "
-        f"events={len(trace.columns)} racy_contexts={detector.report.racy_contexts}"
+        f"events={trace.meta['events']} racy_contexts={detector.report.racy_contexts}"
     )
     reproduced = trace.status != "ok" or detector.report.racy_contexts > 0
     print(f"  failure {'REPRODUCED' if reproduced else 'not reproduced'}")

@@ -1516,15 +1516,13 @@ class WorkerPool:
             return job.deadline
         return job.start_t + job.timeout_s * max(self.slow_grace, 1.0)
 
-    def wait(self) -> None:
-        """Block until a running unit may have something to report.
-
-        Returns when a busy worker sends a message or exits, or when the
-        nearest deadline or hang window passes — whichever comes first.
-        """
+    def wait_handles(self) -> Tuple[List[int], Optional[float]]:
+        """The fds of the busy workers' pipes and sentinels, and the
+        seconds to the nearest deadline or hang window (``None``: no
+        timer).  No fds: nothing runs, or a refused exit waits (``0``)."""
         busy = [w for w in self._workers if w.job is not None]
         if not busy or self._refused:
-            return
+            return [], 0.0 if self._refused else None
         due: List[float] = []
         now = time.monotonic()
         for w in busy:
@@ -1534,9 +1532,14 @@ class WorkerPool:
             if self.heartbeat_s is not None and self.hung_after_s is not None:
                 due.append(job.last_progress_t + self.hung_after_s)
         timeout = max(0.0, min(due) - now) if due else None
-        multiprocessing.connection.wait(
-            [w.conn for w in busy] + [w.proc.sentinel for w in busy], timeout
-        )
+        return [w.conn.fileno() for w in busy] + [w.proc.sentinel for w in busy], timeout
+
+    def wait(self) -> None:
+        """Block until a busy worker sends a message or exits, or the
+        nearest deadline or hang window passes."""
+        fds, timeout = self.wait_handles()
+        if fds:
+            multiprocessing.connection.wait(fds, timeout)
 
     def shutdown(self) -> None:
         """Kill *and reap* every worker (no zombies), close pipes."""

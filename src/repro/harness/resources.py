@@ -172,7 +172,7 @@ def assess_pressure(
 ) -> PressureReport:
     """Grade current memory/disk usage against ``budget``.
 
-    The analysis-service daemon samples this between scheduling ticks:
+    The analysis-service daemon samples this on every scheduling wake:
     ``degraded`` downgrades new work to streaming replay, ``critical``
     sheds queued load tenant-fairly.  ``disk_bytes`` is whatever the
     caller meters (cache + store + spool usage); RSS defaults to a live

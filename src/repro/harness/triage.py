@@ -8,12 +8,14 @@ artifact directory::
 
     <forensics_dir>/<workload>--<tool>--seed<seed>--<key>/
         repro.json          # metadata: spec, tool config, record, shrink stats
-        trace.json          # full recorded trace (repro.trace format)
-        shrunk_trace.json   # minimized still-failing repro (when shrinking ran)
+        trace.trc           # full recorded trace (RPRT-framed, as in a store)
+        shrunk_trace.trc    # minimized still-failing repro (when shrinking ran)
 
-``trace.json`` is a standard :class:`~repro.trace.Trace` — anything that
-replays traces replays these artifacts, and the ``repro-experiments
-triage replay`` subcommand does exactly that.
+The ``.trc`` files are written by :func:`~repro.trace.save_trace_file`
+and are byte-for-byte what a :class:`~repro.trace.TraceStore` entry
+holds — anything that opens trace files (:func:`~repro.trace.open_trace_file`,
+``repro.run(trace=path)``) replays these artifacts, and the
+``repro-experiments triage replay`` subcommand streams them.
 
 The shrinker is classic ddmin (Zeller's delta debugging) over the
 program's *instruction list*: candidate instructions (non-terminator,
@@ -37,13 +39,15 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 from repro.isa import instructions as ins
 from repro.isa.instructions import is_terminator
 from repro.isa.program import CodeLocation, Program
-from repro.trace import Trace, record_trace
+from repro.trace import (
+    Trace, TraceStream, open_trace_file, record_trace, save_trace_file,
+)
 
 log = logging.getLogger(__name__)
 
 #: artifact format marker + version, pinned in every ``repro.json``
 ARTIFACT_KIND = "repro-triage"
-ARTIFACT_VERSION = 1
+ARTIFACT_VERSION = 2
 
 #: default total VM steps the shrinker may spend across all trials
 DEFAULT_STEP_BUDGET = 2_000_000
@@ -355,63 +359,49 @@ def _write_artifact(
 ) -> None:
     workload = spec.resolve()
     config = spec.tool()
-    seed = spec.effective_seed()
-    max_steps = spec.effective_max_steps()
-    max_blocks = max(8, config.spin_max_blocks)
-    # A round-robin/adversarial failure must be recorded under the same
-    # scheduling policy — a random-scheduler stand-in replays a
-    # different interleaving than the failure being triaged.
-    scheduler = getattr(spec, "scheduler", None)
-    if predicate is None:
-        predicate = failure_predicate(record.status)
-
-    trace = record_trace(
-        workload.fresh_program(),
-        seed=seed,
-        max_steps=max_steps,
-        max_blocks=max_blocks,
+    # Everything that shapes the recording.  A round-robin/adversarial
+    # failure must be recorded under the same scheduling policy — a
+    # random-scheduler stand-in replays a different interleaving than
+    # the failure being triaged.
+    env = dict(
+        seed=spec.effective_seed(),
+        max_steps=spec.effective_max_steps(),
+        max_blocks=max(8, config.spin_max_blocks),
         inline_depth=config.inline_depth,
         fault_plan=spec.fault_plan,
         livelock_bound=spec.livelock_bound,
-        scheduler=scheduler,
+        scheduler=getattr(spec, "scheduler", None),
     )
-
+    if predicate is None:
+        predicate = failure_predicate(record.status)
+    trace = record_trace(workload.fresh_program(), **env)
     shrunk: Optional[Trace] = None
     shrink_stats: Optional[ShrinkResult] = None
     if shrink:
         shrunk, shrink_stats = shrink_failure(
-            workload.fresh_program,
-            predicate,
-            seed=seed,
-            max_steps=max_steps,
-            max_blocks=max_blocks,
-            inline_depth=config.inline_depth,
-            fault_plan=spec.fault_plan,
-            livelock_bound=spec.livelock_bound,
-            step_budget=step_budget,
-            scheduler=scheduler,
+            workload.fresh_program, predicate, step_budget=step_budget, **env
         )
 
     dest.mkdir(parents=True, exist_ok=True)
-    (dest / "trace.json").write_text(trace.to_json())
+    save_trace_file(trace, dest / "trace.trc")
     if shrunk is not None:
-        (dest / "shrunk_trace.json").write_text(shrunk.to_json())
+        save_trace_file(shrunk, dest / "shrunk_trace.trc")
     meta = {
         "format": ARTIFACT_KIND,
         "version": ARTIFACT_VERSION,
         "workload": record.workload,
         "tool": record.tool,
         "config": dataclasses.asdict(config),
-        "seed": seed,
-        "max_steps": max_steps,
+        "seed": env["seed"],
+        "max_steps": env["max_steps"],
         "fault_plan": repr(spec.fault_plan) if spec.fault_plan else None,
         "livelock_bound": spec.livelock_bound,
         "scheduler": trace.scheduler,
         "key": key,
         "record": dataclasses.asdict(record),
-        "trace": "trace.json",
+        "trace": "trace.trc",
         "trace_status": trace.status,
-        "shrunk": "shrunk_trace.json" if shrunk is not None else None,
+        "shrunk": "shrunk_trace.trc" if shrunk is not None else None,
         "shrink": dataclasses.asdict(shrink_stats) if shrink_stats else None,
     }
     (dest / "repro.json").write_text(json.dumps(meta, indent=2))
@@ -486,11 +476,12 @@ def capture_failures(
 
 
 def load_artifact(path: Union[str, Path]) -> dict:
-    """Read and validate an artifact's ``repro.json``."""
+    """Read and validate an artifact's ``repro.json`` (``OSError`` if
+    unreadable, ``ValueError`` if not a current-version artifact)."""
     path = Path(path)
     meta = json.loads((path / "repro.json").read_text())
-    if meta.get("format") != ARTIFACT_KIND:
-        raise ValueError(f"{path} is not a {ARTIFACT_KIND} artifact")
+    if not isinstance(meta, dict) or meta.get("format") != ARTIFACT_KIND:
+        raise ValueError(f"not a {ARTIFACT_KIND} artifact")
     if meta.get("version") != ARTIFACT_VERSION:
         raise ValueError(
             f"artifact version {meta.get('version')} != {ARTIFACT_VERSION}"
@@ -502,14 +493,16 @@ def replay_artifact(
     path: Union[str, Path],
     config=None,
     shrunk: bool = False,
-) -> Tuple[Trace, "object"]:
-    """Replay an artifact's trace; returns ``(trace, finalized detector)``.
+) -> Tuple[TraceStream, "object"]:
+    """Stream an artifact's trace file through the session pipeline;
+    returns ``(stream, finalized detector)``.
 
     ``config`` defaults to the tool configuration the failure was
     captured under (stored in ``repro.json``); pass a
     :class:`~repro.detectors.ToolConfig` or preset name to analyze the
     same failing execution under a different tool.  ``shrunk=True``
-    replays the minimized repro instead of the full trace.
+    replays the minimized repro instead of the full trace.  An invalid
+    trace file raises :class:`~repro.trace.TraceStreamCorruption`.
     """
     from repro.detectors import ToolConfig
     from repro.trace import analyze_trace
@@ -519,9 +512,9 @@ def replay_artifact(
     name = meta["shrunk"] if shrunk else meta["trace"]
     if name is None:
         raise ValueError(f"{path} has no shrunk trace")
-    trace = Trace.from_json((path / name).read_text())
+    stream = open_trace_file(path / name)
     if config is None:
         config = ToolConfig(**meta["config"])
     # analyze_trace resolves preset names and finalizes the detector
     # from the trace's termination status.
-    return trace, analyze_trace(trace, config).detector
+    return stream, analyze_trace(stream, config).detector

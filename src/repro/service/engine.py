@@ -31,7 +31,7 @@ Robustness properties, each asserted by ``scripts/service_smoke.py``:
 * **Deadlines** — each request's remaining deadline rides the pool's
   per-submit ``timeout_s``; the pool kills and reaps the worker, the
   client gets a structured ``error``.
-* **Graceful degradation** — between scheduling ticks the engine grades
+* **Graceful degradation** — on every scheduling wake the engine grades
   RSS + disk usage against its :class:`~repro.harness.resources.
   ResourceBudget` (:func:`~repro.harness.resources.assess_pressure`).
   Under ``degraded`` pressure new program cells run as trace replays
@@ -50,6 +50,7 @@ cell the nightly sweep already ran is a cache hit here, and vice versa.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import dataclasses
 import functools
 import hashlib
@@ -169,7 +170,6 @@ class Engine:
         tenant_burst: float = 32.0,
         default_deadline_s: float = 60.0,
         budget: Optional[ResourceBudget] = None,
-        poll_interval_s: float = 0.005,
         heartbeat_s: Optional[float] = 0.05,
     ) -> None:
         self.work_dir = Path(work_dir)
@@ -182,7 +182,6 @@ class Engine:
         self.trace_dir = self.work_dir / "traces"
         self.budget = budget
         self.default_deadline_s = default_deadline_s
-        self.poll_interval_s = poll_interval_s
         self.queue = AdmissionQueue(
             depth=queue_depth, tenant_rate=tenant_rate, tenant_burst=tenant_burst
         )
@@ -212,6 +211,8 @@ class Engine:
         }
         self._task: Optional[asyncio.Task] = None
         self._stopping = False
+        self._wake = asyncio.Event()  # set by submit: new work queued
+        self._drained = asyncio.Event()  # set when inflight empties
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -245,15 +246,14 @@ class Engine:
     async def shutdown(self, drain_s: float = 5.0) -> None:
         """Stop scheduling; give in-flight work ``drain_s`` to finish."""
         self._stopping = True
-        deadline = time.monotonic() + drain_s
-        while self.inflight and time.monotonic() < deadline:
-            await asyncio.sleep(self.poll_interval_s)
+        self._drained.clear()
+        if self.inflight:
+            with contextlib.suppress(asyncio.TimeoutError):
+                await asyncio.wait_for(self._drained.wait(), drain_s)
         if self._task is not None:
             self._task.cancel()
-            try:
+            with contextlib.suppress(asyncio.CancelledError):
                 await self._task
-            except asyncio.CancelledError:
-                pass
             self._task = None
         self.pool.shutdown()
         for cell in self.inflight.values():
@@ -339,6 +339,7 @@ class Engine:
         self.journal.accepted(key, self._journal_request(sub, key))
         cell = self._cell(key, sub, unit, now)
         self.inflight[key] = cell
+        self._wake.set()
         fut = asyncio.get_running_loop().create_future()
         cell.futures.append(fut)
         return await fut
@@ -479,6 +480,8 @@ class Engine:
             self.journal.done(cell.key, canonical)
             self.completed[cell.key] = canonical
         self.inflight.pop(cell.key, None)
+        if not self.inflight:
+            self._drained.set()
         for fut in cell.futures:
             if not fut.done():
                 fut.set_result(dict(resp))
@@ -567,8 +570,27 @@ class Engine:
             ),
         )
 
+    async def _sleep(self) -> None:
+        """Wait for the first of: a busy worker's pipe or sentinel turns
+        readable, the pool's nearest deadline or hang time, or a wake
+        from :meth:`submit`."""
+        loop = asyncio.get_running_loop()
+        fds, timeout = self.pool.wait_handles()
+        for fd in fds:
+            loop.add_reader(fd, self._wake.set)
+        try:
+            with contextlib.suppress(asyncio.TimeoutError):
+                await asyncio.wait_for(self._wake.wait(), timeout)
+        finally:
+            for fd in fds:
+                loop.remove_reader(fd)
+            self._wake.clear()
+
     async def _run(self) -> None:
-        """The scheduling loop: pressure → shed → dispatch → poll."""
+        """The scheduling loop: pressure → shed → dispatch → poll → sleep.
+
+        Each wake (a busy worker's heartbeat included) re-assesses
+        pressure; after exits it skips the sleep to dispatch at once."""
         while True:
             pressure = self._pressure()
             if pressure.critical and len(self.queue):
@@ -592,6 +614,8 @@ class Engine:
                 if cell is None:
                     continue
                 self._dispatch(cell, degraded=cell.degraded or pressure.degraded)
-            for exit in self.pool.poll():
+            exits = self.pool.poll()
+            for exit in exits:
                 self._handle_exit(exit)
-            await asyncio.sleep(self.poll_interval_s)
+            if not exits:
+                await self._sleep()

@@ -395,12 +395,13 @@ def run(
         an instance overrides ``seed``, a spec string is seeded with it.
     :param symbolize: custom address symbolizer; default is the
         machine's symbol table, wired automatically at attachment.
-    :param trace: a recorded :class:`~repro.trace.Trace` (or a path to
-        its JSON serialization, or a path to an RPRT-framed store file)
-        to analyze offline — no VM runs, the report fingerprint matches
-        the live run's, and the session's ``result`` is synthesized from
-        the trace's termination status.  Framed (``.trc``) files are
-        analyzed in streaming mode — constant memory, never
+    :param trace: a recorded :class:`~repro.trace.Trace`, or the path of
+        an RPRT-framed trace file (:func:`~repro.trace.save_trace_file`
+        or a store entry; anything else raises
+        :class:`~repro.trace.TraceStreamCorruption`), to analyze offline
+        — no VM runs, the report fingerprint matches the live run's, and
+        the session's ``result`` is synthesized from the trace's
+        termination status.  A file streams — constant memory, never
         materialized — and the session carries a ``"streaming-decode"``
         note.  Mutually exclusive with ``program_or_workload`` and with
         the live-only arguments (``seed``, ``max_steps``, ``faults``,
@@ -421,12 +422,7 @@ def run(
                     f"analyzes an already-recorded one"
                 )
         if isinstance(trace, (str, Path)):
-            path = Path(trace)
-            with open(path, "rb") as fh:
-                framed = fh.read(4) == b"RPRT"
-            # A store-framed file streams — constant memory, no
-            # materialized Trace, identical report fingerprint.
-            trace = open_trace_file(path) if framed else Trace.from_json(path.read_text())
+            trace = open_trace_file(trace)  # streamed, never materialized
         return run_pipeline(trace, tool)
 
     if program_or_workload is None:

@@ -33,7 +33,9 @@ compressed, checksummed, and quarantined-on-corruption like the sweep
 result cache — so one recording can serve any number of offline
 analyses.  Store-backed replays (sweep cells, ``trace analyze``, service
 uploads) stream their recording through :meth:`TraceStore.open_stream`
-instead of materializing it.  Traces also serialize to/from JSON for ad-hoc use.
+instead of materializing it.  Outside a store a recording is one framed
+file: :func:`save_trace_file` writes it and :func:`open_trace_file`
+streams it back.
 """
 
 from repro.trace.trace import (
@@ -45,7 +47,9 @@ from repro.trace.trace import (
     synthesize_result,
 )
 from repro.trace.stream import TraceStream, TraceStreamCorruption
-from repro.trace.store import TraceStore, key_for_spec, open_trace_file, trace_key
+from repro.trace.store import (
+    TraceStore, key_for_spec, open_trace_file, save_trace_file, trace_key,
+)
 from repro.trace.hbgraph import HbGraph, HbNode, build_hb_graph
 
 __all__ = [
@@ -60,6 +64,7 @@ __all__ = [
     "synthesize_result",
     "key_for_spec",
     "open_trace_file",
+    "save_trace_file",
     "trace_key",
     "HbGraph",
     "HbNode",

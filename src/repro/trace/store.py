@@ -13,7 +13,8 @@ Entries are :class:`~repro.durable.FramedStore` frames (magic ``RPRT``
 fails validation is quarantined and treated as a miss, never raised.
 The payload is gzip-compressed JSONL — one metadata line followed by
 one line per event — so a multi-hundred-thousand-event recording stays
-a few hundred kilobytes on disk.
+a few hundred kilobytes on disk.  Outside a store the same frame is a
+recording's one file form (:func:`save_trace_file`, :func:`open_trace_file`).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import json
 from pathlib import Path
 from typing import Iterator, Optional, Tuple, Union
 
-from repro.durable import Corruption, FramedStore
+from repro.durable import Corruption, FramedStore, atomic_write, temp_path
 from repro.durable import DIGEST_LEN as _DIGEST_LEN  # noqa: F401 — codec tests
 from repro.durable import FRAME_HEADER as _TRACE_HEADER  # noqa: F401 — codec tests
 from repro.trace.stream import TraceStream, TraceStreamCorruption, read_meta_line
@@ -259,14 +260,22 @@ def _open_verified(path: Path, key: str = "") -> TraceStream:
         raise Corruption(f"undecodable: {type(exc).__name__}") from exc
 
 
+def save_trace_file(trace: Trace, path: Union[str, Path]) -> None:
+    """Write ``trace`` to ``path`` atomically, as the very bytes
+    :meth:`TraceStore.put` stores for it."""
+    path = Path(path)
+    atomic_write(temp_path(path), path, TraceStore._frame(_encode_payload(trace)))
+
+
 def open_trace_file(path: Union[str, Path]) -> TraceStream:
     """Open a bare RPRT-framed trace file for streaming, outside any store.
 
     Validates the frame (header + full checksum, constant memory) and
     decodes the metadata line, exactly as
     :meth:`TraceStore.open_stream` does for store entries — but for a
-    standalone file (e.g. one copied out of a store's directory), so
-    there is no quarantine side channel: an invalid file raises
+    standalone file (one from :func:`save_trace_file`, or one copied
+    out of a store's directory), so there is no quarantine side
+    channel: an invalid file raises
     :class:`~repro.trace.stream.TraceStreamCorruption` instead of
     returning ``None``.
     """

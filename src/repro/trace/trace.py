@@ -1,4 +1,4 @@
-"""Trace recording, VM-free analysis, replay, and JSON serialization.
+"""Trace recording, VM-free analysis, replay, and the event codec.
 
 A :class:`Trace` stores its event stream column-wise
 (:class:`EventColumns`): the VM's row buffer flushes straight into the
@@ -6,12 +6,12 @@ columns while recording, and a replay feeds the columns to the detector
 kernel as rows — a recording is just another event source.  A stored
 recording can also be replayed without materializing it, through a
 :class:`~repro.trace.stream.TraceStream`; :func:`analyze_trace` takes
-either.
+either.  The event codec at the bottom serves the store's payload
+(:mod:`repro.trace.store`), the one on-disk form of a recording.
 """
 
 from __future__ import annotations
 
-import json
 from array import array
 from dataclasses import dataclass
 from typing import (
@@ -179,46 +179,6 @@ class Trace:
     def note_events(self) -> List[ev.Event]:
         """The bookkeeping events (thread start/exit, prints, faults)."""
         return self.columns.notes()
-
-    # -- serialization ------------------------------------------------------
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "program": self.program_name,
-                "seed": self.seed,
-                "max_blocks": self.max_blocks,
-                "inline_depth": self.inline_depth,
-                "steps": self.steps,
-                "ok": self.ok,
-                "status": self.status,
-                "scheduler": self.scheduler,
-                "loop_sizes": self.loop_sizes,
-                "lock_sites": [_loc_str(l) for l in sorted(self.lock_sites, key=str)],
-                "symbols": self.symbols,
-                "events": [_encode_event(e) for e in self.columns.iter_events()],
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "Trace":
-        data = json.loads(text)
-        return cls(
-            program_name=data["program"],
-            seed=data["seed"],
-            columns=EventColumns.from_events(_decode_event(e) for e in data["events"]),
-            loop_sizes={int(k): v for k, v in data["loop_sizes"].items()},
-            lock_sites=frozenset(_loc_parse(l) for l in data["lock_sites"]),
-            symbols=[tuple(s) for s in data["symbols"]],
-            max_blocks=data["max_blocks"],
-            inline_depth=data["inline_depth"],
-            steps=data["steps"],
-            ok=data["ok"],
-            # traces recorded before the status field default sensibly
-            status=data.get("status", "ok" if data["ok"] else "step-limit"),
-            # pre-spec traces were always seeded-random recordings
-            scheduler=data.get("scheduler", "random"),
-        )
 
 
 #: what offline analysis reads: a recording in memory, or one streamed

@@ -172,6 +172,51 @@ class TestDurabilityCli:
         assert "shrunk repro" in out and "REPRODUCED" in out
 
 
+    def test_triage_replay_of_an_unreadable_artifact_exits_2(self, tmp_path, capsys):
+        import dataclasses
+        import json
+
+        from repro.detectors import ToolConfig
+        from repro.harness.triage import ARTIFACT_KIND, ARTIFACT_VERSION
+        from repro.trace import record_trace, save_trace_file
+
+        from tests.conftest import flag_handoff_program
+
+        def replay(dest, *reason):
+            assert main(["triage", "replay", str(dest)]) == 2
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and err.startswith("triage replay:"), err
+            for part in reason:
+                assert part in err, err
+
+        foreign = tmp_path / "foreign"
+        foreign.mkdir()
+        (foreign / "repro.json").write_text(json.dumps({"format": "other"}))
+        replay(foreign, "not a repro-triage artifact")
+        replay(tmp_path / "missing", "No such file")
+
+        old = tmp_path / "v1"
+        old.mkdir()
+        (old / "trace.json").write_text(json.dumps({"program": "x", "events": []}))
+        (old / "repro.json").write_text(json.dumps(
+            {"format": ARTIFACT_KIND, "version": 1, "trace": "trace.json"}
+        ))
+        replay(old, "artifact version 1")
+
+        bad = tmp_path / "bad"
+        bad.mkdir()
+        save_trace_file(record_trace(flag_handoff_program(), seed=1), bad / "trace.trc")
+        blob = bytearray((bad / "trace.trc").read_bytes())
+        blob[-1] ^= 0xFF
+        (bad / "trace.trc").write_bytes(bytes(blob))
+        (bad / "repro.json").write_text(json.dumps({
+            "format": ARTIFACT_KIND, "version": ARTIFACT_VERSION,
+            "trace": "trace.trc", "shrunk": None,
+            "config": dataclasses.asdict(ToolConfig.helgrind_lib()),
+        }))
+        replay(bad, "corrupt trace file", "checksum-mismatch")
+
+
 class TestTraceCli:
     def test_record_summary_never_decodes_the_recording(
         self, tmp_path, capsys, monkeypatch

@@ -138,7 +138,7 @@ class TestRunsNeverMutateSharedPrograms:
 
         record = _failure_record(spec, "livelock", 1, "")
         dest = capture_failure(spec, record, tmp_path, key="cd" * 32)
-        assert dest is not None and (dest / "shrunk_trace.json").exists()
+        assert dest is not None and (dest / "shrunk_trace.trc").exists()
 
         assert shared_program(spec.workload) is shared
         assert _recomputed(shared) == before

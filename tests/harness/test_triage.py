@@ -23,7 +23,13 @@ from repro.harness.triage import (
 )
 from repro.harness.workload import Workload
 from repro.isa import instructions as ins
-from repro.trace import replay_trace
+from repro.trace import (
+    TraceStream,
+    analyze_trace,
+    open_trace_file,
+    record_trace,
+    replay_trace,
+)
 from repro.workloads.dr_test.faults import chaos_cases
 
 from tests.conftest import flag_handoff_program
@@ -128,10 +134,10 @@ class TestCaptureAndReplay:
         dest = capture_failure(spec, record, tmp_path, key="ab" * 32)
         assert dest is not None
         meta = json.loads((dest / "repro.json").read_text())
-        assert meta["format"] == ARTIFACT_KIND and meta["version"] == 1
+        assert meta["format"] == ARTIFACT_KIND and meta["version"] == 2
         assert meta["trace_status"] == "livelock"
-        assert (dest / "trace.json").exists()
-        assert meta["shrunk"] and (dest / "shrunk_trace.json").exists()
+        assert open_trace_file(dest / "trace.trc").status == "livelock"
+        assert meta["shrunk"] and (dest / "shrunk_trace.trc").exists()
         assert meta["shrink"]["nopped"] > 0
         # the tool config round-trips through the artifact
         assert ToolConfig(**meta["config"]) == CONFIG
@@ -166,6 +172,34 @@ class TestCaptureAndReplay:
         (tmp_path / "repro.json").write_text(json.dumps({"format": "other"}))
         with pytest.raises(ValueError):
             load_artifact(tmp_path)
+        # a version 1 artifact holds JSON traces, which nothing reads
+        (tmp_path / "repro.json").write_text(
+            json.dumps({"format": ARTIFACT_KIND, "version": 1, "trace": "trace.json"})
+        )
+        with pytest.raises(ValueError, match="artifact version 1"):
+            load_artifact(tmp_path)
+
+    def test_replay_artifact_streams_and_matches_in_memory_analysis(self, tmp_path):
+        case = _case("drop-flag-store")
+        spec = chaos_spec(case, CONFIG)
+        record = _failure_record(spec, "livelock", 1, "")
+        dest = capture_failure(spec, record, tmp_path, shrink=False)
+        assert load_artifact(dest)["shrunk"] is None
+        stream, detector = replay_artifact(dest)
+        assert isinstance(stream, TraceStream)
+        trace = record_trace(
+            spec.resolve().fresh_program(),
+            seed=spec.effective_seed(),
+            max_steps=spec.effective_max_steps(),
+            max_blocks=8,
+            fault_plan=spec.fault_plan,
+            livelock_bound=spec.livelock_bound,
+        )
+        assert stream.meta["events"] == len(trace.columns)
+        expected = analyze_trace(trace, CONFIG).report.fingerprint()
+        assert detector.report.fingerprint() == expected
+        with pytest.raises(ValueError, match="no shrunk trace"):
+            replay_artifact(dest, shrunk=True)
 
 
 class TestSweepForensics:
@@ -306,7 +340,7 @@ class TestChaosForensics:
             trace, _ = replay_artifact(dest, shrunk=True)
             # the shrunk repro still violates the (doctored) oracle
             assert chaos_oracle_predicate(case, CONFIG)(trace)
-            shrunk[workers] = (dest.name, (dest / "shrunk_trace.json").read_text())
+            shrunk[workers] = (dest.name, (dest / "shrunk_trace.trc").read_bytes())
         # the oracle predicate reaches a forked capture worker intact
         assert shrunk[0] == shrunk[2]
 

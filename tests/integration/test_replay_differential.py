@@ -28,11 +28,13 @@ from repro.harness.chaos import chaos_spec
 from repro.harness.parallel import RunSpec, prewarm_traces, run_sweep, sweep_specs
 from repro.harness.registry import resolve_tool
 from repro.trace import (
-    Trace,
     TraceStore,
     TraceStream,
+    TraceStreamCorruption,
     analyze_trace,
+    open_trace_file,
     record_trace,
+    save_trace_file,
     synthesize_result,
 )
 from repro.workloads.dr_test.faults import chaos_cases
@@ -234,17 +236,24 @@ class TestSchedulerRecording:
         assert rnd.scheduler == "random"
         assert rnd.events != rr.events
 
-    def test_scheduler_survives_json(self):
+    def test_scheduler_survives_the_trace_file(self, tmp_path):
         trace = record_trace(flag_handoff_program(), seed=2, scheduler="round-robin")
-        assert Trace.from_json(trace.to_json()).scheduler == "round-robin"
+        save_trace_file(trace, tmp_path / "t.trc")
+        assert open_trace_file(tmp_path / "t.trc").meta["scheduler"] == "round-robin"
 
-    def test_pre_scheduler_json_defaults_to_random(self):
-        import json
+    def test_pre_scheduler_store_entry_defaults_to_random(self, tmp_path):
+        import gzip
+
+        from repro.trace.store import _encode_payload
 
         trace = record_trace(flag_handoff_program(), seed=2)
-        data = json.loads(trace.to_json())
-        del data["scheduler"]
-        assert Trace.from_json(json.dumps(data)).scheduler == "random"
+        lines = gzip.decompress(_encode_payload(trace)).decode().split("\n")
+        meta = json.loads(lines[0])
+        del meta["scheduler"]
+        payload = "\n".join([json.dumps(meta)] + lines[1:]).encode()
+        store = TraceStore(tmp_path)
+        store._path("k").write_bytes(TraceStore._frame(gzip.compress(payload)))
+        assert store.get("k").scheduler == "random"
 
     def test_unknown_scheduler_rejected(self):
         with pytest.raises(ValueError, match="scheduler"):
@@ -456,13 +465,19 @@ class TestSessionTraceRuns:
 
     def test_session_accepts_a_trace_file(self, tmp_path):
         trace = record_trace(flag_handoff_program(), seed=2)
-        path = tmp_path / "t.json"
-        path.write_text(trace.to_json())
-        offline = repro.run(config="helgrind-lib-spin7", trace=path)
+        path = tmp_path / "t.trc"
+        save_trace_file(trace, path)
+        offline = repro.run(config="helgrind-lib-spin7", trace=str(path))
         assert (
             offline.report.fingerprint()
             == repro.run(config="helgrind-lib-spin7", trace=trace).report.fingerprint()
         )
+
+    def test_session_rejects_a_json_trace_file(self, tmp_path):
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps({"program": "flag_handoff", "events": []}))
+        with pytest.raises(TraceStreamCorruption, match="bad-magic"):
+            repro.run(config="helgrind-lib-spin7", trace=path)
 
     def test_session_streams_a_framed_trace_file(self, tmp_path):
         trace = record_trace(flag_handoff_program(), seed=2)

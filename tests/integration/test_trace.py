@@ -1,9 +1,17 @@
-"""Trace record/replay: fidelity against live runs, serialization."""
+"""Trace record/replay: fidelity against live runs, the trace file."""
 
 import pytest
 
 from repro.detectors import ToolConfig
-from repro.trace import Trace, record_trace, replay_trace
+from repro.trace import (
+    Trace,
+    TraceStore,
+    analyze_trace,
+    open_trace_file,
+    record_trace,
+    replay_trace,
+    save_trace_file,
+)
 from repro.workloads.dr_test.suite import build_suite
 
 from tests.conftest import detect, flag_handoff_program
@@ -74,54 +82,59 @@ class TestReplayFidelity:
             replay_trace(trace, cfg)
 
 
-class TestSerialization:
-    def test_json_round_trip(self):
+class TestTraceFile:
+    """``save_trace_file`` / ``open_trace_file``: a recording's one file form."""
+
+    @staticmethod
+    def _reopen(trace, tmp_path):
+        path = tmp_path / "t.trc"
+        save_trace_file(trace, path)
+        return open_trace_file(path)
+
+    def test_file_round_trip(self, tmp_path):
         trace = record_trace(flag_handoff_program(), seed=3)
-        text = trace.to_json()
-        back = Trace.from_json(text)
+        back = self._reopen(trace, tmp_path)
         assert back.program_name == trace.program_name
         assert back.seed == trace.seed
         assert back.steps == trace.steps
         assert back.loop_sizes == trace.loop_sizes
         assert back.lock_sites == trace.lock_sites
-        assert back.symbols == trace.symbols
-        assert back.events == trace.events
+        assert [tuple(s) for s in back.meta["symbols"]] == trace.symbols
+        assert [e for _seq, e in back.events()] == trace.events
         assert back.status == trace.status == "ok"
 
-    def test_json_is_stable_across_cache_schema_bumps(self, monkeypatch):
-        """Trace artifacts outlive cache generations: the JSON layout must
+    def test_file_holds_the_store_entry_bytes(self, tmp_path):
+        trace = record_trace(flag_handoff_program(), seed=3)
+        store = TraceStore(tmp_path / "store")
+        store.put("k", trace)
+        save_trace_file(trace, tmp_path / "t.trc")
+        assert (tmp_path / "t.trc").read_bytes() == store._path("k").read_bytes()
+
+    def test_file_is_stable_across_cache_schema_bumps(self, tmp_path, monkeypatch):
+        """Trace artifacts outlive cache generations: the file bytes must
         not depend on the harness CACHE_SCHEMA in any way."""
         import repro.harness.checkpoint as checkpoint
 
         trace = record_trace(flag_handoff_program(), seed=3)
-        before = trace.to_json()
+        save_trace_file(trace, tmp_path / "before.trc")
         monkeypatch.setattr(checkpoint, "CACHE_SCHEMA", checkpoint.CACHE_SCHEMA + 1)
-        assert trace.to_json() == before
-        back = Trace.from_json(before)
-        assert back.events == trace.events and back.status == trace.status
+        save_trace_file(trace, tmp_path / "after.trc")
+        before = (tmp_path / "before.trc").read_bytes()
+        assert (tmp_path / "after.trc").read_bytes() == before
+        back = open_trace_file(tmp_path / "before.trc")
+        assert [e for _seq, e in back.events()] == trace.events
+        assert back.status == trace.status
 
-    def test_from_json_tolerates_pre_status_traces(self):
-        """Artifacts recorded before the status field still load."""
-        import json
-
-        trace = record_trace(flag_handoff_program(), seed=3)
-        data = json.loads(trace.to_json())
-        del data["status"]
-        back = Trace.from_json(json.dumps(data))
-        assert back.status == "ok"
-        data["ok"] = False
-        assert Trace.from_json(json.dumps(data)).status == "step-limit"
-
-    def test_fault_events_round_trip(self):
+    def test_fault_events_round_trip(self, tmp_path):
         """Chaos traces carry injected-fault events; forensics needs them
-        to survive serialization."""
+        to survive the file, and the reopened file to analyze exactly as
+        the recording in memory does."""
         from repro.harness.chaos import chaos_spec
-        from repro.detectors import ToolConfig as TC
         from repro.vm import events as ev
         from repro.workloads.dr_test.faults import chaos_cases
 
         case = next(c for c in chaos_cases() if c.name == "drop-flag-store")
-        spec = chaos_spec(case, TC.helgrind_lib_spin(7))
+        spec = chaos_spec(case, ToolConfig.helgrind_lib_spin(7))
         trace = record_trace(
             spec.resolve().fresh_program(),
             seed=spec.effective_seed(),
@@ -131,13 +144,18 @@ class TestSerialization:
         )
         assert trace.status == "livelock"
         assert any(isinstance(e, ev.StoreDroppedEvent) for e in trace.events)
-        back = Trace.from_json(trace.to_json())
-        assert back.events == trace.events
+        back = self._reopen(trace, tmp_path)
+        assert [e for _seq, e in back.events()] == trace.events
         assert back.status == "livelock"
+        for config in ToolConfig.paper_tools(7):
+            assert (
+                analyze_trace(back, config).fingerprint
+                == analyze_trace(trace, config).fingerprint
+            ), config.name
 
-    def test_round_tripped_trace_replays_identically(self):
+    def test_reopened_file_replays_identically(self, tmp_path):
         trace = record_trace(flag_handoff_program(), seed=3)
-        back = Trace.from_json(trace.to_json())
+        back = self._reopen(trace, tmp_path)
         for config in ToolConfig.paper_tools(7):
             a = replay_trace(trace, config).report
             b = replay_trace(back, config).report

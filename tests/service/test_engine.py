@@ -9,6 +9,7 @@ degraded alike.
 
 import asyncio
 import base64
+import time
 
 import pytest
 
@@ -406,3 +407,53 @@ class TestAdmission:
         not_obj, missing, unknown = run_engine(tmp_path / "svc", submit)
         assert not_obj["status"] == missing["status"] == unknown["status"] == "invalid"
         assert "error" in unknown
+
+
+class TestSchedulingWakes:
+    """The scheduling loop sleeps until a worker has news, a deadline is
+    due, or a request arrives — not on a fixed timer."""
+
+    def test_a_running_request_costs_polls_per_heartbeat_not_per_tick(self, tmp_path):
+        polls = []
+
+        async def scenario(engine):
+            poll = engine.pool.poll
+
+            def counting():
+                polls.append(time.monotonic())
+                return poll()
+
+            engine.pool.poll = counting
+            t0 = time.monotonic()
+            resp = await engine.submit(source_req(SPIN_SOURCE, max_steps=300_000))
+            return resp, t0, time.monotonic()
+
+        resp, t0, t1 = run_engine(tmp_path / "svc", scenario, workers=1)
+        assert resp["status"] == "ok", resp
+        assert resp["verdict"]["run_status"] == "step-limit"
+        # One wake per 50 ms heartbeat plus a few for submit and exit; a
+        # 5 ms timer would poll about 60 times over a 0.3 s request.
+        during = [t for t in polls if t0 <= t <= t1]
+        assert len(during) <= 4 + 2 * (t1 - t0) / 0.05, (len(during), t1 - t0)
+
+    def test_heartbeats_keep_shedding_prompt_while_workers_are_busy(
+        self, tmp_path, monkeypatch
+    ):
+        async def scenario(engine):
+            busy = asyncio.ensure_future(
+                engine.submit(source_req(SPIN_SOURCE, max_steps=1_500_000))
+            )
+            await asyncio.sleep(0.1)
+            queued = asyncio.ensure_future(engine.submit(req()))
+            await asyncio.sleep(0.01)
+            assert len(engine.queue) == 1  # the only worker is busy
+            monkeypatch.setenv(FORCE_PRESSURE_ENV, "critical")
+            shed = await asyncio.wait_for(queued, 0.5)
+            still_running = not busy.done()
+            monkeypatch.delenv(FORCE_PRESSURE_ENV)
+            return shed, still_running, await busy
+
+        shed, still_running, busy = run_engine(tmp_path / "svc", scenario, workers=1)
+        assert shed["status"] == "shed"
+        assert still_running
+        assert busy["status"] == "ok", busy
