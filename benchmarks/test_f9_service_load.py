@@ -1,7 +1,7 @@
 """F9 — service load: requests/s and latency on cold, cached, degraded paths.
 
 Boots the real daemon (engine + HTTP transport on an ephemeral port) and
-drives it with concurrent clients spread over two tenants, three ways:
+drives it with concurrent clients, three ways:
 **cold** (seed-varied submissions, every one executed on the worker
 pool), **cached** (the same submissions again, served from the journaled
 verdict index with zero recomputation), and **degraded** (fresh seeds

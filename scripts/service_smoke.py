@@ -2,7 +2,7 @@
 """Crash-safety smoke test for the analysis service daemon.
 
 1. Starts the daemon (``repro.harness.cli serve``), waits for the ready
-   line, and drives concurrent clients across two tenants: every
+   line, and drives concurrent clients: every
    verdict must come back ``ok`` and the fingerprint must be identical
    to a direct in-process ``repro.run`` of the same cell.  Resubmitting
    the same requests must be served from the verdict index with the
@@ -44,13 +44,11 @@ from _smoke_common import REPO, fail, sigkill_group, workdir
 WORKLOAD = "locks_mutex_counter_t2"
 TOOL = "helgrind-lib-spin7"
 MAX_STEPS = 60_000
-TENANTS = ("team-a", "team-b")
 
 
-def request(seed: int, tenant: str) -> dict:
+def request(seed: int) -> dict:
     return {
         "v": 1,
-        "tenant": tenant,
         "kind": "workload",
         "workload": WORKLOAD,
         "tool": TOOL,
@@ -72,8 +70,6 @@ def start_daemon(
             "--port", "0",
             "--workers", str(workers),
             "--queue-depth", str(queue_depth),
-            "--tenant-rate", "1000000",
-            "--tenant-burst", "1000000",
         ],
         cwd=REPO,
         env=env,
@@ -186,8 +182,8 @@ def graceful_stop(proc) -> None:
 
 def warm_and_identity_check(state: Path, proc, port: int) -> dict:
     seeds = list(range(1, 7))
-    reqs = [request(s, TENANTS[i % 2]) for i, s in enumerate(seeds)]
-    print(f"submitting {len(reqs)} concurrent requests across {len(TENANTS)} tenants ...")
+    reqs = [request(s) for s in seeds]
+    print(f"submitting {len(reqs)} concurrent requests ...")
     results = post_concurrent(port, reqs)
     fingerprints = {}
     for (code, body), seed in zip(results, seeds):
@@ -213,7 +209,7 @@ def warm_and_identity_check(state: Path, proc, port: int) -> dict:
     workers = worker_pids(proc.pid)
     if len(workers) != 2:
         fail(f"expected the daemon's 2 pool workers, /proc lists {sorted(workers)}")
-    fresh = [request(s, TENANTS[i % 2]) for i, s in enumerate(range(101, 107))]
+    fresh = [request(s) for s in range(101, 107)]
     for code, body in post_concurrent(port, fresh):
         if code != 200 or body.get("status") != "ok":
             fail(f"second batch request failed: {code} {body}")
@@ -233,8 +229,7 @@ def warm_and_identity_check(state: Path, proc, port: int) -> dict:
 
 
 def kill_mid_flight(state: Path, proc, port: int) -> set:
-    seeds = [301, 302, 303, 304]
-    reqs = [request(s, TENANTS[i % 2]) for i, s in enumerate(seeds)]
+    reqs = [request(s) for s in (301, 302, 303, 304)]
     accepted_before, done_before = journal_ops(state)
     print(f"submitting {len(reqs)} requests and SIGKILLing mid-flight ...")
     threads, _results = post_threads(port, reqs)
@@ -284,12 +279,12 @@ def restart_drain_check(state: Path, pending: set, fingerprints: dict) -> None:
 
         # Resubmissions of killed requests: verdicts now exist, served
         # from the index without recomputation.
-        for i, seed in enumerate([301, 302, 303, 304]):
-            code, body = post(port, request(seed, TENANTS[i % 2]))
+        for seed in (301, 302, 303, 304):
+            code, body = post(port, request(seed))
             if code != 200 or body.get("status") != "ok" or not body.get("cached"):
                 fail(f"drained seed={seed} not served from the index: {code} {body}")
         # And a pre-kill verdict survives the restart bit-identically.
-        code, body = post(port, request(1, TENANTS[0]))
+        code, body = post(port, request(1))
         if code != 200 or not body.get("cached"):
             fail(f"pre-kill verdict not cached across restart: {code} {body}")
         if body["verdict"]["fingerprint"] != fingerprints[1]:
@@ -309,8 +304,7 @@ def backpressure_check(work: Path) -> None:
     state = work / "state-bp"
     proc, port = start_daemon(state, workers=1, queue_depth=2)
     try:
-        seeds = list(range(401, 409))
-        reqs = [request(s, TENANTS[i % 2]) for i, s in enumerate(seeds)]
+        reqs = [request(s) for s in range(401, 409)]
         print(f"flooding 1-worker/depth-2 daemon with {len(reqs)} concurrent requests ...")
         results = post_concurrent(port, reqs)
         refused = [r for r in results if r[0] == 429]

@@ -303,8 +303,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         port=args.port,
         workers=args.workers or 2,
         queue_depth=args.queue_depth,
-        tenant_rate=args.tenant_rate,
-        tenant_burst=args.tenant_burst,
         default_deadline_s=args.timeout or 60.0,
         budget=_budget(args),
     )
@@ -566,7 +564,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
             [
                 key[:16] + "…",
                 meta["program"],
-                meta["scheduler"],
+                meta.get("scheduler", "random"),
                 meta["seed"],
                 meta["status"],
                 meta["events"],
@@ -615,7 +613,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
             return 1
         print(
             f"recorded {workload} seed {seed} scheduler "
-            f"{stream.meta.get('scheduler', 'random')} -> {key[:16]}…: "
+            f"{stream.scheduler} -> {key[:16]}…: "
             f"status={stream.status} steps={stream.steps} "
             f"events={stream.meta['events']}"
         )
@@ -835,18 +833,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         type=int,
         default=32,
         help="serve: bounded admission queue depth (full = 429 backpressure)",
-    )
-    parser.add_argument(
-        "--tenant-rate",
-        type=float,
-        default=16.0,
-        help="serve: sustained requests/s per tenant (token-bucket refill)",
-    )
-    parser.add_argument(
-        "--tenant-burst",
-        type=float,
-        default=32.0,
-        help="serve: per-tenant burst capacity (token-bucket size)",
     )
     parser.add_argument(
         "experiment",

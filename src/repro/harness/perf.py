@@ -290,8 +290,8 @@ SERVICE_REQUESTS, SERVICE_CLIENTS, SERVICE_MAX_STEPS = 24, 8, 60_000
 
 def _service(workload: str, tool: str, requests: int, workers: int) -> List[Record]:
     """Boot the engine + HTTP transport on an ephemeral port and time
-    ``requests`` round trips per path from concurrent clients over two
-    tenants: **cold** (seed-varied, each executed), **cached** (the same
+    ``requests`` round trips per path from concurrent clients:
+    **cold** (seed-varied, each executed), **cached** (the same
     again, served from the journaled verdict index) and **degraded**
     (fresh seeds under forced resource pressure: streaming replays).
     Each cold verdict is checked against a direct :func:`repro.run`."""
@@ -313,9 +313,8 @@ def _service(workload: str, tool: str, requests: int, workers: int) -> List[Reco
 
         def request(i: int, seed: int) -> None:
             body = {
-                "v": 1, "id": f"{path}-{i}", "tenant": "bench-a" if i % 2 == 0 else "bench-b",
-                "kind": "workload", "workload": workload, "tool": tool, "seed": seed,
-                "max_steps": SERVICE_MAX_STEPS,
+                "v": 1, "id": f"{path}-{i}", "kind": "workload", "workload": workload,
+                "tool": tool, "seed": seed, "max_steps": SERVICE_MAX_STEPS,
             }
             t0 = time.perf_counter()
             resp = post("127.0.0.1", port, body, timeout=120)
@@ -352,8 +351,7 @@ def _service(workload: str, tool: str, requests: int, workers: int) -> List[Reco
         with tempfile.TemporaryDirectory(prefix="repro-svc-bench-") as td:
             engine = Engine(
                 td, workers=workers, queue_depth=max(64, requests * 2),
-                # the bench measures the pool, not the tenant bucket
-                tenant_rate=1e9, tenant_burst=1e9, default_deadline_s=300.0,
+                default_deadline_s=300.0,
             )
             await engine.startup()
             http = await HttpServer.start(engine, "127.0.0.1", 0)

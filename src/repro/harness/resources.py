@@ -174,7 +174,7 @@ def assess_pressure(
 
     The analysis-service daemon samples this on every scheduling wake:
     ``degraded`` downgrades new work to streaming replay, ``critical``
-    sheds queued load tenant-fairly.  ``disk_bytes`` is whatever the
+    sheds all queued load.  ``disk_bytes`` is whatever the
     caller meters (cache + store + spool usage); RSS defaults to a live
     self-sample.  With no budget (or no governed axis) the level is
     always ``"ok"`` — pressure is only defined against a budget.

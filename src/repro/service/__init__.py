@@ -1,19 +1,18 @@
-"""Race-detection-as-a-service: the crash-safe multi-tenant daemon.
+"""Race-detection-as-a-service: the crash-safe analysis daemon.
 
 The hardened front-end over the one-call :func:`repro.run` seam —
 submissions (registry workloads, assembly sources, RPRT trace uploads)
 arrive over HTTP JSON, are validated against a strict
-versioned schema, admitted through per-tenant token-bucket fairness,
-journaled durably, scheduled onto the supervised
+versioned schema, admitted to a bounded FIFO queue (a full queue
+answers ``backpressure``), journaled durably, scheduled onto the supervised
 :class:`~repro.harness.parallel.WorkerPool`, and answered with verdicts
 whose report fingerprints are bit-identical to direct session runs.
 
 Layering (one module per concern)::
 
     schema.py    versioned request/response validation, golden examples
-    fairness.py  token buckets + bounded tenant-fair admission queue
     journal.py   fsynced request journal + trace-upload spool
-    engine.py    the shared asyncio engine (admission → pool → verdict)
+    engine.py    the shared asyncio engine (queue → pool → verdict)
     app.py       HTTP transport, daemon lifecycle
     client.py    the ``repro-service-client`` command
 
@@ -21,7 +20,6 @@ See ``docs/internals.md`` §13 for the architecture and failure matrix.
 """
 
 from repro.service.engine import Engine, report_fingerprint_hex
-from repro.service.fairness import AdmissionQueue, TokenBucket
 from repro.service.journal import RequestJournal
 from repro.service.schema import (
     SCHEMA_VERSION,
@@ -32,13 +30,11 @@ from repro.service.schema import (
 )
 
 __all__ = [
-    "AdmissionQueue",
     "Engine",
     "RequestJournal",
     "SCHEMA_VERSION",
     "SchemaError",
     "Submission",
-    "TokenBucket",
     "make_response",
     "report_fingerprint_hex",
     "validate_request",

@@ -175,8 +175,6 @@ async def serve_async(
     port: int = 0,
     workers: int = 2,
     queue_depth: int = 32,
-    tenant_rate: float = 16.0,
-    tenant_burst: float = 32.0,
     default_deadline_s: float = 60.0,
     budget: Optional[ResourceBudget] = None,
     ready_stream=None,
@@ -186,8 +184,6 @@ async def serve_async(
         work_dir,
         workers=workers,
         queue_depth=queue_depth,
-        tenant_rate=tenant_rate,
-        tenant_burst=tenant_burst,
         default_deadline_s=default_deadline_s,
         budget=budget,
     )

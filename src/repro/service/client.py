@@ -13,7 +13,7 @@ a status-class code scripts can branch on::
 Examples::
 
     repro-service-client --workload racy-counter --tool helgrind-lib-spin7
-    repro-service-client --trace-file rec.trc --tenant team-b
+    repro-service-client --trace-file rec.trc --tool drd
     repro-service-client --source-file prog.asm --deadline 10 --retry 3
 """
 
@@ -40,7 +40,7 @@ EXIT_BY_STATUS = {
 
 
 def build_request(args: argparse.Namespace) -> dict:
-    req = {"v": SCHEMA_VERSION, "tenant": args.tenant, "tool": args.tool}
+    req = {"v": SCHEMA_VERSION, "tool": args.tool}
     if args.id:
         req["id"] = args.id
     if args.workload:
@@ -83,7 +83,6 @@ def main(argv: Optional[list] = None) -> int:
     )
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=8077)
-    parser.add_argument("--tenant", default="default")
     parser.add_argument("--tool", default="helgrind-lib-spin7")
     parser.add_argument("--id", default=None, help="client request id (echoed back)")
     what = parser.add_mutually_exclusive_group(required=True)

@@ -7,7 +7,7 @@ request::
         → content key (spec_key for program cells, payload digest for
           trace uploads)
         → verdict index / result cache  — hit: served, zero recompute
-        → admission (fairness.py)       — full/over-rate: backpressure
+        → bounded FIFO queue            — full: backpressure
         → journal "accepted" (fsync)    — survives SIGKILL from here on
         → WorkerPool (harness.parallel) — supervised, deadline-killed
         → journal "done" + cache put    — restart serves it from index
@@ -26,8 +26,10 @@ Robustness properties, each asserted by ``scripts/service_smoke.py``:
   anything; a SIGKILL'd daemon reloads the journal, re-runs the
   accepted-but-unfinished tail (the *drain*) and serves completed keys
   from the journaled verdict index without recomputation.
-* **Backpressure** — a full admission queue or an over-rate tenant gets
-  an explicit ``backpressure`` response (HTTP 429), never a hang.
+* **Backpressure** — a request that finds ``queue_depth`` requests
+  already queued gets an explicit ``backpressure`` response (HTTP 429),
+  never a hang.  Work that is already journaled (the restart drain, a
+  degraded retry) is re-queued past the bound, never bounced.
 * **Deadlines** — each request's remaining deadline rides the pool's
   per-submit ``timeout_s``; the pool kills and reaps the worker, the
   client gets a structured ``error``.
@@ -37,8 +39,8 @@ Robustness properties, each asserted by ``scripts/service_smoke.py``:
   Under ``degraded`` pressure new program cells run as trace replays
   (a recording already in the store is streamed in bounded memory;
   identical report fingerprint), and responses
-  say so; under ``critical`` pressure queued work is shed tenant-fairly
-  with explicit ``shed`` responses.  The daemon degrades; it does not
+  say so; under ``critical`` pressure all queued work is shed with
+  explicit ``shed`` responses.  The daemon degrades; it does not
   die.
 
 Program cells reuse the sweep engine's content keys
@@ -57,9 +59,10 @@ import hashlib
 import logging
 import os
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Deque, Dict, List, Optional, Union
 
 from repro.detectors import ToolConfig
 from repro.harness.checkpoint import spec_key
@@ -68,7 +71,6 @@ from repro.harness.registry import resolve_workload
 from repro.harness.resources import ResourceBudget, assess_pressure
 from repro.harness.workload import Workload
 from repro.isa.asm import AsmError, assemble
-from repro.service.fairness import AdmissionQueue
 from repro.service.journal import RequestJournal
 from repro.service.schema import SchemaError, Submission, make_response, validate_request
 from repro.session import SessionResult, run_pipeline
@@ -166,8 +168,6 @@ class Engine:
         work_dir: Union[str, Path],
         workers: int = 2,
         queue_depth: int = 32,
-        tenant_rate: float = 16.0,
-        tenant_burst: float = 32.0,
         default_deadline_s: float = 60.0,
         budget: Optional[ResourceBudget] = None,
         heartbeat_s: Optional[float] = 0.05,
@@ -182,9 +182,9 @@ class Engine:
         self.trace_dir = self.work_dir / "traces"
         self.budget = budget
         self.default_deadline_s = default_deadline_s
-        self.queue = AdmissionQueue(
-            depth=queue_depth, tenant_rate=tenant_rate, tenant_burst=tenant_burst
-        )
+        #: keys of accepted cells waiting for a worker, oldest first
+        self.queue: Deque[str] = deque()
+        self.queue_depth = queue_depth
         self.pool = WorkerPool(
             workers,
             timeout_s=default_deadline_s,
@@ -232,7 +232,8 @@ class Engine:
                 self.completed[key] = resp
                 continue
             self.inflight[key] = cell
-            self.queue.requeue(cell.sub.tenant, cell.key)
+            # past the depth bound: journaled work is never bounced
+            self.queue.append(key)
             self.stats["drained"] += 1
         if self.stats["drained"]:
             log.info(
@@ -321,16 +322,16 @@ class Engine:
                 error="daemon shutting down",
                 retry_after_s=1.0,
             )
-        now = time.monotonic()
-        ok, retry_after = self.queue.push(sub.tenant, key, now)
-        if not ok:
+        if len(self.queue) >= self.queue_depth:
             self.stats["backpressure"] += 1
             return make_response(
                 "backpressure",
                 id=sub.id,
-                error="admission queue full or tenant over rate",
-                retry_after_s=round(retry_after, 3),
+                error="admission queue full",
+                retry_after_s=0.5,
             )
+        self.queue.append(key)
+        now = time.monotonic()
 
         # Durably accepted from here: spool the payload first (trace
         # uploads), then the fsynced journal line.
@@ -401,12 +402,7 @@ class Engine:
 
     def _journal_request(self, sub: Submission, key: str) -> dict:
         """The replayable request form the journal stores (no payload blobs)."""
-        req = {
-            "v": 1,
-            "tenant": sub.tenant,
-            "kind": sub.kind,
-            "tool": sub.tool,
-        }
+        req = {"v": 1, "kind": sub.kind, "tool": sub.tool}
         for f in ("id", "workload", "source", "seed", "max_steps", "deadline_s"):
             value = getattr(sub, f)
             if value is not None:
@@ -416,10 +412,11 @@ class Engine:
         return req
 
     def _rebuild_cell(self, key: str, req: dict) -> Optional[_Cell]:
-        """Reconstruct a journaled in-flight request for the restart drain."""
+        """Reconstruct a journaled in-flight request for the restart drain.
+
+        A ``tenant`` field (journaled by older daemons) is ignored."""
         try:
             sub = Submission(
-                tenant=req["tenant"],
                 kind=req["kind"],
                 id=req.get("id"),
                 workload=req.get("workload"),
@@ -549,7 +546,7 @@ class Engine:
             # Over the memory budget: one degraded retry.
             cell.attempt += 1
             cell.degraded = True
-            self.queue.requeue(cell.sub.tenant, cell.key)
+            self.queue.append(cell.key)
             return
         self.stats["errors"] += 1
         label = {
@@ -593,11 +590,9 @@ class Engine:
         pressure; after exits it skips the sleep to dispatch at once."""
         while True:
             pressure = self._pressure()
-            if pressure.critical and len(self.queue):
-                for key in self.queue.shed(len(self.queue)):
-                    cell = self.inflight.get(key)
-                    if cell is None:
-                        continue
+            while pressure.critical and self.queue:
+                cell = self.inflight.get(self.queue.popleft())
+                if cell is not None:
                     self.stats["shed"] += 1
                     self._resolve(
                         cell,
@@ -608,9 +603,8 @@ class Engine:
                             retry_after_s=1.0,
                         ),
                     )
-            while len(self.queue) and self.pool.free_slots and not self._stopping:
-                key = self.queue.pop()
-                cell = self.inflight.get(key)
+            while self.queue and self.pool.free_slots and not self._stopping:
+                cell = self.inflight.get(self.queue.popleft())
                 if cell is None:
                     continue
                 self._dispatch(cell, degraded=cell.degraded or pressure.degraded)

@@ -1,17 +1,20 @@
 """Versioned request/response schema for the analysis service.
 
 Every submission is one JSON object validated *strictly* against
-schema version 1 before it touches the engine: unknown fields, a
-missing tenant, a payload that does not match its declared ``kind``, an
+schema version 1 before it touches the engine: unknown fields, a blank
+``tenant``, a payload that does not match its declared ``kind``, an
 unknown tool preset — each is rejected with a precise message rather
 than half-accepted.  A service that journals requests durably must never
 journal one it cannot replay.
 
 Request (``v`` = 1)::
 
-    {"v": 1, "id": "req-1", "tenant": "team-a", "kind": "workload",
+    {"v": 1, "id": "req-1", "kind": "workload",
      "workload": "racy-counter", "tool": "helgrind-lib-spin7",
      "seed": 1, "deadline_s": 30.0}
+
+``tenant`` is optional: a client label the service checks (a non-empty
+string) and otherwise ignores.
 
 ``kind`` selects the payload field:
 
@@ -60,7 +63,7 @@ REQUEST_KINDS = ("workload", "source", "trace")
 RESPONSE_STATUSES = (
     "ok",            # analyzed (or served from cache/journal)
     "degraded",      # analyzed under pressure in streaming-replay mode
-    "backpressure",  # admission queue full or tenant over its token rate
+    "backpressure",  # admission queue full
     "shed",          # accepted load dropped under critical pressure
     "invalid",       # request failed schema validation
     "error",         # analysis failed (crash, deadline, poison)
@@ -79,7 +82,6 @@ _KNOWN_FIELDS = frozenset(
 GOLDEN_REQUEST = {
     "v": 1,
     "id": "req-1",
-    "tenant": "team-a",
     "kind": "workload",
     "workload": "racy-counter",
     "tool": "helgrind-lib-spin7",
@@ -114,7 +116,6 @@ class SchemaError(ValueError):
 class Submission:
     """One validated request, payload decoded and tool preset resolved."""
 
-    tenant: str
     kind: str
     id: Optional[str] = None
     workload: Optional[str] = None
@@ -147,11 +148,12 @@ def validate_request(obj: object) -> Submission:
         f"unsupported schema version {obj['v']!r}; this server speaks v={SCHEMA_VERSION}",
     )
 
-    tenant = obj.get("tenant")
-    _require(
-        isinstance(tenant, str) and tenant.strip() != "",
-        "missing or empty 'tenant' (a non-empty string)",
-    )
+    if "tenant" in obj:
+        tenant = obj["tenant"]
+        _require(
+            isinstance(tenant, str) and tenant.strip() != "",
+            "'tenant' is optional but must be a non-empty string when given",
+        )
 
     kind = obj.get("kind")
     _require(
@@ -214,7 +216,6 @@ def validate_request(obj: object) -> Submission:
         )
 
     return Submission(
-        tenant=tenant.strip(),
         kind=kind,
         id=rid,
         workload=payload if kind == "workload" else None,

@@ -165,6 +165,15 @@ class TraceStream:
         return self.meta.get("status", "ok")
 
     @property
+    def ok(self) -> bool:
+        return self.meta.get("ok", self.status == "ok")
+
+    @property
+    def scheduler(self) -> str:
+        # pre-spec recordings ran under the seeded random scheduler
+        return self.meta.get("scheduler", "random")
+
+    @property
     def steps(self) -> int:
         return self.meta.get("steps", 0)
 
@@ -184,9 +193,13 @@ class TraceStream:
     def inline_depth(self) -> int:
         return self.meta.get("inline_depth", 1)
 
+    @property
+    def symbols(self) -> List[Tuple[str, int, int]]:
+        return [tuple(s) for s in self.meta.get("symbols", [])]
+
     def symbol_map(self) -> SymbolMap:
         sm = SymbolMap()
-        for name, base, size in self.meta.get("symbols", []):
+        for name, base, size in self.symbols:
             sm.add(name, base, size)
         return sm
 

@@ -243,3 +243,23 @@ class TestTraceCli:
             f"-> {key[:16]}…: status={trace.status} steps={trace.steps} "
             f"events={len(trace.columns)}\n"
         )
+
+    def test_ls_lists_a_pre_scheduler_entry_as_random(self, tmp_path, capsys):
+        import gzip
+        import json
+
+        from repro.trace import TraceStore, record_trace
+        from repro.trace.store import _encode_payload
+        from tests.conftest import flag_handoff_program
+
+        trace = record_trace(flag_handoff_program(), seed=2, scheduler="round-robin")
+        lines = gzip.decompress(_encode_payload(trace)).decode().split("\n")
+        meta = json.loads(lines[0])
+        del meta["scheduler"]
+        payload = "\n".join([json.dumps(meta)] + lines[1:]).encode()
+        store = TraceStore(tmp_path)
+        store._path("k" * 64).write_bytes(TraceStore._frame(gzip.compress(payload)))
+
+        assert main(["--trace-dir", str(tmp_path), "trace", "ls"]) == 0
+        row = [l for l in capsys.readouterr().out.splitlines() if "kkkk" in l]
+        assert len(row) == 1 and "random" in row[0].split()

@@ -241,6 +241,14 @@ class TestSchedulerRecording:
         save_trace_file(trace, tmp_path / "t.trc")
         assert open_trace_file(tmp_path / "t.trc").meta["scheduler"] == "round-robin"
 
+    def test_reopened_file_answers_the_trace_metadata(self, tmp_path):
+        trace = record_trace(flag_handoff_program(), seed=2, scheduler="round-robin")
+        save_trace_file(trace, tmp_path / "t.trc")
+        stream = open_trace_file(tmp_path / "t.trc")
+        assert stream.scheduler == trace.scheduler == "round-robin"
+        assert stream.ok == trace.ok
+        assert stream.symbols == trace.symbols
+
     def test_pre_scheduler_store_entry_defaults_to_random(self, tmp_path):
         import gzip
 
@@ -254,6 +262,7 @@ class TestSchedulerRecording:
         store = TraceStore(tmp_path)
         store._path("k").write_bytes(TraceStore._frame(gzip.compress(payload)))
         assert store.get("k").scheduler == "random"
+        assert store.open_stream("k").scheduler == "random"
 
     def test_unknown_scheduler_rejected(self):
         with pytest.raises(ValueError, match="scheduler"):

@@ -153,6 +153,23 @@ class TestTraceFile:
                 == analyze_trace(trace, config).fingerprint
             ), config.name
 
+    def test_reopened_livelock_is_not_ok(self, tmp_path):
+        from repro.harness.chaos import chaos_spec
+        from repro.workloads.dr_test.faults import chaos_cases
+
+        case = next(c for c in chaos_cases() if c.name == "drop-flag-store")
+        spec = chaos_spec(case, ToolConfig.helgrind_lib_spin(7))
+        trace = record_trace(
+            spec.resolve().fresh_program(),
+            seed=spec.effective_seed(),
+            max_steps=spec.effective_max_steps(),
+            fault_plan=spec.fault_plan,
+            livelock_bound=spec.livelock_bound,
+        )
+        back = self._reopen(trace, tmp_path)
+        assert back.ok is trace.ok is False
+        assert back.status == trace.status == "livelock"
+
     def test_reopened_file_replays_identically(self, tmp_path):
         trace = record_trace(flag_handoff_program(), seed=3)
         back = self._reopen(trace, tmp_path)

@@ -60,7 +60,6 @@ def test_analyze_stats_and_health_over_one_connection(tmp_path):
     analyze = json.dumps(
         {
             "v": 1,
-            "tenant": "t",
             "kind": "workload",
             "workload": WORKLOAD,
             "seed": 1,

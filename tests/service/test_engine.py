@@ -61,20 +61,19 @@ loop:
 
 def source_req(source, seed=1, tool="drd", max_steps=10_000, **over):
     return {
-        "v": 1, "tenant": "t", "kind": "source", "source": source,
+        "v": 1, "kind": "source", "source": source,
         "tool": tool, "seed": seed, "max_steps": max_steps, **over,
     }
 
 
 def trace_req(trace_file, tool):
     payload = base64.b64encode(trace_file.read_bytes()).decode("ascii")
-    return {"v": 1, "tenant": "team-b", "kind": "trace", "trace_b64": payload, "tool": tool}
+    return {"v": 1, "kind": "trace", "trace_b64": payload, "tool": tool}
 
 
-def req(seed=1, tenant="team-a", tool="helgrind-lib-spin7", **over):
+def req(seed=1, tool="helgrind-lib-spin7", **over):
     base = {
         "v": 1,
-        "tenant": tenant,
         "kind": "workload",
         "workload": WORKLOAD,
         "tool": tool,
@@ -140,7 +139,6 @@ class TestGoldenIdentity:
                 tool: await engine.submit(
                     {
                         "v": 1,
-                        "tenant": "team-b",
                         "kind": "trace",
                         "trace_b64": payload,
                         "tool": tool,
@@ -160,7 +158,6 @@ class TestGoldenIdentity:
             return await engine.submit(
                 {
                     "v": 1,
-                    "tenant": "t",
                     "kind": "source",
                     "source": RACY_SOURCE,
                     "tool": "drd",
@@ -304,6 +301,20 @@ class TestCachingAndCoalescing:
         assert stats["executed"] == 0  # zero recomputation across restart
 
 
+def wait_completed(keys):
+    """An ``fn`` for :func:`run_engine`: wait until every key has a
+    verdict (the restart drain), then snapshot the index and stats."""
+
+    async def wait(engine):
+        for _ in range(600):
+            if all(key in engine.completed for key in keys):
+                break
+            await asyncio.sleep(0.05)
+        return dict(engine.completed), engine.stats_snapshot()
+
+    return wait
+
+
 class TestCrashRecovery:
     def test_restart_drains_journaled_inflight_requests(self, tmp_path):
         work = tmp_path / "svc"
@@ -317,26 +328,79 @@ class TestCrashRecovery:
         dead.journal.close()
         dead.pool.shutdown()
 
-        async def wait_drained(engine):
-            for _ in range(600):
-                if key in engine.completed:
-                    break
-                await asyncio.sleep(0.05)
-            return dict(engine.completed), engine.stats_snapshot()
-
-        completed, stats = run_engine(work, wait_drained)
+        completed, stats = run_engine(work, wait_completed([key]))
         assert stats["drained"] == 1 and stats["executed"] == 1
         assert completed[key]["status"] == "ok"
         assert completed[key]["verdict"]["fingerprint"] == direct_fingerprint(
             "helgrind-lib-spin7"
         )
 
+    def test_drain_requeues_past_the_queue_depth(self, tmp_path):
+        # Journaled work was accepted once; a restart with a smaller
+        # queue must run all of it, not bounce the overflow.
+        work = tmp_path / "svc"
+        dead = Engine(work, workers=1)
+        keys = []
+        for seed in (1, 2, 3):
+            sub = validate_request(req(seed=seed))
+            key, _ = dead._content_key(sub)
+            dead.journal.accepted(key, dead._journal_request(sub, key))
+            keys.append(key)
+        dead.journal.close()
+        dead.pool.shutdown()
+
+        completed, stats = run_engine(
+            work, wait_completed(keys), workers=1, queue_depth=1
+        )
+        assert stats["drained"] == 3 and stats["executed"] == 3
+        assert stats["backpressure"] == 0
+        for seed, key in zip((1, 2, 3), keys):
+            assert completed[key]["status"] == "ok"
+            assert completed[key]["verdict"]["fingerprint"] == direct_fingerprint(
+                "helgrind-lib-spin7", seed=seed
+            )
+
+    def test_journal_line_carrying_a_tenant_drains(self, tmp_path):
+        # The line as daemons that journaled ``tenant`` wrote it: the
+        # field is ignored and the drained verdict is a direct run's.
+        work = tmp_path / "svc"
+        probe = Engine(work, workers=1)
+        key, _ = probe._content_key(validate_request(req()))
+        probe.journal.close()
+        probe.pool.shutdown()
+        (work / "journal" / "requests.jsonl").write_text(
+            '{"journal":"repro-service","version":1,"schema":1}\n'
+            '{"op":"accepted","key":"%s","request":{"v":1,"tenant":"t",'
+            '"kind":"workload","tool":"helgrind-lib-spin7",'
+            '"workload":"%s","seed":1,"max_steps":%d}}\n'
+            % (key, WORKLOAD, MAX_STEPS)
+        )
+
+        completed, stats = run_engine(work, wait_completed([key]), workers=1)
+        assert stats["drained"] == 1
+        assert completed[key]["status"] == "ok"
+        assert completed[key]["verdict"]["fingerprint"] == direct_fingerprint(
+            "helgrind-lib-spin7"
+        )
+
+    def test_journaled_request_drops_the_tenant_label(self, tmp_path):
+        engine = Engine(tmp_path / "svc", workers=1)
+        try:
+            sub = validate_request(req(tenant="team-a"))
+            key, _ = engine._content_key(sub)
+            line = engine._journal_request(sub, key)
+            assert "tenant" not in line
+            assert engine._rebuild_cell(key, line).sub == sub
+        finally:
+            engine.journal.close()
+            engine.pool.shutdown()
+
     def test_unreconstructable_journal_entry_becomes_error_verdict(self, tmp_path):
         work = tmp_path / "svc"
         dead = Engine(work, workers=2)
         # A journaled trace request whose spool file is gone.
         dead.journal.accepted(
-            "f" * 64, {"v": 1, "tenant": "t", "kind": "trace", "tool": "drd"}
+            "f" * 64, {"v": 1, "kind": "trace", "tool": "drd"}
         )
         dead.journal.close()
         dead.pool.shutdown()
@@ -365,26 +429,6 @@ class TestAdmission:
             if resp["status"] == "backpressure":
                 assert resp["retry_after_s"] > 0
 
-    def test_tenant_rate_backpressure_is_per_tenant(self, tmp_path):
-        async def two_tenants(engine):
-            a1, a2, b1 = await asyncio.gather(
-                engine.submit(req(seed=1, tenant="a")),
-                engine.submit(req(seed=2, tenant="a")),
-                engine.submit(req(seed=3, tenant="b")),
-            )
-            return a1, a2, b1
-
-        a1, a2, b1 = run_engine(
-            tmp_path / "svc",
-            two_tenants,
-            tenant_rate=1e-9,
-            tenant_burst=1.0,
-        )
-        # Tenant a's second request is over rate; tenant b is untouched.
-        assert a1["status"] == "ok"
-        assert a2["status"] == "backpressure"
-        assert b1["status"] == "ok"
-
     def test_critical_pressure_sheds_queued_work(self, tmp_path, monkeypatch):
         monkeypatch.setenv(FORCE_PRESSURE_ENV, "critical")
 
@@ -395,6 +439,81 @@ class TestAdmission:
         assert resp["status"] == "shed"
         assert resp["retry_after_s"] > 0
         assert stats["shed"] == 1 and stats["executed"] == 0
+
+    def test_critical_pressure_sheds_every_queued_request(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(FORCE_PRESSURE_ENV, "critical")
+
+        async def flood(engine):
+            responses = await asyncio.gather(
+                *(engine.submit(req(seed=s)) for s in (1, 2, 3))
+            )
+            return responses, engine.stats_snapshot()
+
+        responses, stats = run_engine(tmp_path / "svc", flood, workers=1)
+        assert [r["status"] for r in responses] == ["shed"] * 3
+        assert stats["shed"] == 3 and stats["executed"] == 0
+        assert stats["queued"] == stats["inflight"] == 0
+
+    def test_queued_requests_run_in_arrival_order(self, tmp_path):
+        dispatched = []
+
+        async def scenario(engine):
+            submit = engine.pool.submit
+
+            def recording(work, **kw):
+                dispatched.append(work.seed)
+                return submit(work, **kw)
+
+            engine.pool.submit = recording
+            return await asyncio.gather(
+                *(engine.submit(req(seed=s)) for s in (4, 1, 3, 2))
+            )
+
+        responses = run_engine(tmp_path / "svc", scenario, workers=1)
+        assert [r["status"] for r in responses] == ["ok"] * 4
+        assert dispatched == [4, 1, 3, 2]
+
+    def test_refused_request_is_not_journaled_and_runs_on_retry(self, tmp_path):
+        from repro.service.schema import response_http_status
+
+        async def scenario(engine):
+            first, refused = await asyncio.gather(
+                engine.submit(req(seed=1)), engine.submit(req(seed=2))
+            )
+            accepted = engine.journal.path.read_text().count('"op":"accepted"')
+            retried = await engine.submit(req(seed=2))
+            return first, refused, accepted, retried
+
+        first, refused, accepted, retried = run_engine(
+            tmp_path / "svc", scenario, workers=1, queue_depth=1
+        )
+        assert first["status"] == "ok"
+        assert refused["status"] == "backpressure"
+        assert refused["retry_after_s"] == 0.5
+        assert response_http_status(refused)[0] == 429
+        assert accepted == 1  # the refusal wrote nothing
+        assert retried["status"] == "ok", retried
+        assert retried["verdict"]["fingerprint"] == direct_fingerprint(
+            "helgrind-lib-spin7", seed=2
+        )
+
+    def test_oom_retry_requeues_past_a_full_queue(self, tmp_path):
+        from repro.harness.parallel import WorkerExit
+
+        engine = Engine(tmp_path / "svc", workers=1, queue_depth=1)
+        try:
+            sub = validate_request(req())
+            key, unit = engine._content_key(sub)
+            engine.inflight[key] = engine._cell(key, sub, unit, time.monotonic())
+            engine.queue.append("another-key")  # the queue is full
+            engine._handle_exit(
+                WorkerExit(token=key, kind="oom", payload=1 << 30, attempt=1, degraded=False)
+            )
+            assert list(engine.queue) == ["another-key", key]
+            assert engine.inflight[key].degraded and engine.inflight[key].attempt == 2
+        finally:
+            engine.journal.close()
+            engine.pool.shutdown()
 
     def test_invalid_requests_get_structured_rejection(self, tmp_path):
         async def submit(engine):

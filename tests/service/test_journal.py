@@ -7,7 +7,7 @@ import pytest
 
 from repro.service.journal import RequestJournal
 
-REQ = {"v": 1, "tenant": "t", "kind": "workload", "workload": "w"}
+REQ = {"v": 1, "kind": "workload", "workload": "w"}
 RESP = {"v": 1, "status": "ok", "verdict": {"fingerprint": "f" * 64}}
 
 

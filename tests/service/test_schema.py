@@ -27,7 +27,6 @@ TRACE_B64 = base64.b64encode(b"RPRT\x00fake-but-framed").decode("ascii")
 def valid(**overrides):
     req = {
         "v": 1,
-        "tenant": "team-a",
         "kind": "workload",
         "workload": "racy-counter",
     }
@@ -38,7 +37,6 @@ def valid(**overrides):
 class TestValidRequests:
     def test_golden_request_validates(self):
         sub = validate_request(GOLDEN_REQUEST)
-        assert sub.tenant == "team-a"
         assert sub.kind == "workload"
         assert sub.workload == "racy-counter"
         assert sub.id == "req-1"
@@ -49,19 +47,23 @@ class TestValidRequests:
         assert sub.tool == "helgrind-lib-spin7"  # the paper's default
         assert sub.seed is None and sub.max_steps is None
 
-    def test_tenant_is_stripped(self):
-        assert validate_request(valid(tenant="  team-a ")).tenant == "team-a"
+    def test_request_without_tenant_validates(self):
+        assert "tenant" not in GOLDEN_REQUEST
+        assert validate_request(valid()).kind == "workload"
+
+    def test_tenant_label_validates_and_is_ignored(self):
+        assert validate_request(valid(tenant="  team-a ")) == validate_request(valid())
 
     def test_source_kind(self):
         sub = validate_request(
-            {"v": 1, "tenant": "t", "kind": "source", "source": "program x ..."}
+            {"v": 1, "kind": "source", "source": "program x ..."}
         )
         assert sub.source == "program x ..."
         assert sub.workload is None
 
     def test_trace_kind_decodes_payload(self):
         sub = validate_request(
-            {"v": 1, "tenant": "t", "kind": "trace", "trace_b64": TRACE_B64}
+            {"v": 1, "kind": "trace", "trace_b64": TRACE_B64}
         )
         assert sub.trace_bytes.startswith(b"RPRT")
 
@@ -88,13 +90,11 @@ class TestRejections:
     def test_wrong_version(self):
         self.expect(valid(v=2), f"v={SCHEMA_VERSION}")
 
-    def test_missing_tenant(self):
-        req = valid()
-        del req["tenant"]
-        self.expect(req, "tenant")
-
     def test_blank_tenant(self):
         self.expect(valid(tenant="   "), "tenant")
+
+    def test_non_string_tenant(self):
+        self.expect(valid(tenant=7), "tenant")
 
     def test_bad_kind(self):
         self.expect(valid(kind="program"), "kind")
@@ -134,14 +134,14 @@ class TestRejections:
 
     def test_trace_not_base64(self):
         self.expect(
-            {"v": 1, "tenant": "t", "kind": "trace", "trace_b64": "!!!"},
+            {"v": 1, "kind": "trace", "trace_b64": "!!!"},
             "base64",
         )
 
     def test_trace_not_rprt_framed(self):
         payload = base64.b64encode(b"GIFbytes").decode("ascii")
         self.expect(
-            {"v": 1, "tenant": "t", "kind": "trace", "trace_b64": payload},
+            {"v": 1, "kind": "trace", "trace_b64": payload},
             "RPRT",
         )
 
