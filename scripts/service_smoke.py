@@ -21,6 +21,12 @@
    floods it: at least one client must get an explicit HTTP 429
    ``backpressure`` response with ``retry_after_s`` — never a hang —
    while the admitted requests still complete ``ok``.
+5. Starts a daemon under forced critical pressure
+   (``REPRO_SERVICE_FORCE_PRESSURE=critical``): a request must be
+   ``shed``.  Stops it, restarts it on the same state directory without
+   the variable and resubmits: the request must execute — not be served
+   the shed from the verdict index — with a fingerprint identical to a
+   direct ``repro.run``.
 
 Exits non-zero (with a message) on any violation.  Used by the CI
 ``service-smoke`` job; safe to run locally from the repo root.
@@ -38,8 +44,11 @@ import sys
 import threading
 import time
 from pathlib import Path
+from typing import Optional
 
 from _smoke_common import REPO, fail, sigkill_group, workdir
+
+from repro.service.engine import FORCE_PRESSURE_ENV
 
 WORKLOAD = "locks_mutex_counter_t2"
 TOOL = "helgrind-lib-spin7"
@@ -58,10 +67,19 @@ def request(seed: int) -> dict:
 
 
 def start_daemon(
-    state: Path, *, workers: int, queue_depth: int, timeout_s: float = 90.0
+    state: Path,
+    *,
+    workers: int,
+    queue_depth: int,
+    timeout_s: float = 90.0,
+    pressure: Optional[str] = None,
 ):
-    """Launch ``serve`` and block on its JSON ready line."""
+    """Launch ``serve`` and block on its JSON ready line; ``pressure``
+    forces the daemon's resource-pressure level."""
     env = dict(os.environ)
+    env.pop(FORCE_PRESSURE_ENV, None)
+    if pressure is not None:
+        env[FORCE_PRESSURE_ENV] = pressure
     env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.Popen(
         [
@@ -324,6 +342,33 @@ def backpressure_check(work: Path) -> None:
         graceful_stop(proc)
 
 
+def shed_restart_retry_check(work: Path) -> None:
+    state = work / "state-shed"
+    seed = 501
+    proc, port = start_daemon(state, workers=1, queue_depth=4, pressure="critical")
+    try:
+        code, body = post(port, request(seed))
+        if code != 503 or body.get("status") != "shed":
+            fail(f"request under critical pressure was not shed: {code} {body}")
+    finally:
+        graceful_stop(proc)
+    proc, port = start_daemon(state, workers=1, queue_depth=4)
+    try:
+        code, body = post(port, request(seed))
+        if code != 200 or body.get("status") != "ok" or body.get("cached"):
+            fail(f"retry after the shed did not execute: {code} {body}")
+        if get_stats(port)["executed"] != 1:
+            fail("retry after the shed was not executed exactly once")
+        if body["verdict"]["fingerprint"] != direct_fingerprint(seed):
+            fail("retried verdict fingerprint diverged from a direct repro.run")
+        print(
+            "shed OK: a request shed under critical pressure executed on "
+            "retry after a restart, fingerprint identical to a direct run"
+        )
+    finally:
+        graceful_stop(proc)
+
+
 def main() -> None:
     with workdir(".repro-service-smoke") as work:
         state = work / "state"
@@ -338,6 +383,7 @@ def main() -> None:
                 sigkill_group(proc)
         restart_drain_check(state, pending, fingerprints)
         backpressure_check(work)
+        shed_restart_retry_check(work)
     print("service smoke: all checks passed")
 
 

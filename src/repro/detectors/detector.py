@@ -521,9 +521,9 @@ class RaceDetector:
 
     Every event source feeds the same kernel, :meth:`consume_batch`:
     the VM's flush during a live run, a recording's columns during
-    replay, decoded chunks while streaming.  ``__call__`` adapts a
-    single Event to it.  The row loop behind it is built once, at
-    construction, for this configuration (:func:`build_kernel`).
+    replay, decoded chunks while streaming.  The row loop behind it is
+    built once, at construction, for this configuration
+    (:func:`build_kernel`).
     """
 
     def __init__(
@@ -606,7 +606,13 @@ class RaceDetector:
     # -- the kernel --------------------------------------------------------
 
     def __call__(self, e: ev.Event) -> None:
-        """Consume one Event (direct VM stepping, tests)."""
+        """Consume one Event as a one-row batch.
+
+        No event source calls this: the VM, replays and streams all
+        feed :meth:`consume_batch`.  It stays only because the
+        benchmark's layer tracer (``bench/layers.py``) counts calls to it
+        as ``detectors.per_event_calls``, which must read 0.
+        """
         self.consume_batch((ev.event_row(e),))
 
     def consume_batch(self, rows: Iterable[tuple]) -> None:

@@ -173,6 +173,28 @@ class RunSpec:
     def effective_max_steps(self) -> int:
         return self.max_steps if self.max_steps is not None else self.resolve().max_steps
 
+    def recording_params(self) -> dict:
+        """The :func:`~repro.trace.record_trace` keywords that shape this
+        cell's recording — also what its trace key digests
+        (:func:`~repro.trace.store.key_for_spec`).
+
+        Instrumentation is widened to ``max(8, spin window)`` so every
+        paper preset sharing the cell's ``(program, scheduler, seed,
+        faults)`` coordinates — whatever its spin window — maps to the
+        *same* recording; only a differing inline depth forces a
+        separate one.
+        """
+        tool = self.tool()
+        return dict(
+            seed=self.effective_seed(),
+            max_steps=self.effective_max_steps(),
+            max_blocks=max(8, tool.spin_max_blocks),
+            inline_depth=tool.inline_depth,
+            fault_plan=self.fault_plan,
+            livelock_bound=self.livelock_bound,
+            scheduler=self.scheduler,
+        )
+
     def execute(
         self,
         machine_sink=None,
@@ -525,25 +547,10 @@ class SweepResult:
 
 
 def _record_spec_trace(spec: RunSpec):
-    """Record the trace a record/replay spec's cell maps to.
-
-    Instrumentation is widened to ``max(8, spin window)`` — matching
-    :func:`repro.trace.store.key_for_spec` — so one recording serves
-    every spin window up to the paper's maximum.
-    """
+    """Record the trace a record/replay spec's cell maps to."""
     from repro.trace import record_trace
 
-    tool = spec.tool()
-    return record_trace(
-        spec.program(),
-        seed=spec.effective_seed(),
-        max_steps=spec.effective_max_steps(),
-        max_blocks=max(8, tool.spin_max_blocks),
-        inline_depth=tool.inline_depth,
-        fault_plan=spec.fault_plan,
-        livelock_bound=spec.livelock_bound,
-        scheduler=spec.scheduler,
-    )
+    return record_trace(spec.program(), **spec.recording_params())
 
 
 def prewarm_traces(
@@ -882,7 +889,6 @@ def run_sweep(
     resume: bool = False,
     heartbeat_s: Optional[float] = None,
     hung_after_s: Optional[float] = None,
-    slow_grace: float = 4.0,
     poison_threshold: Optional[int] = None,
     forensics_dir: Optional[Union[str, Path]] = None,
     trace_dir: Optional[Union[str, Path]] = None,
@@ -917,10 +923,10 @@ def run_sweep(
         over the result pipe; enables hung/slow discrimination.
     :param hung_after_s: kill a worker whose step counter has not
         advanced for this long (default ``10 * heartbeat_s``); recorded
-        as status ``"hung"``.
-    :param slow_grace: a worker past ``timeout_s`` that *is* making
-        progress is granted up to ``slow_grace * timeout_s`` total
-        wall-clock before being killed as a timeout.
+        as status ``"hung"``.  A worker past ``timeout_s`` that *is*
+        making progress is granted up to four times ``timeout_s`` in
+        total (:class:`WorkerPool`'s ``slow_grace``) before being killed
+        as a timeout.
     :param poison_threshold: a spec whose workers are killed or hang
         this many times is quarantined as a **poison spec** (status
         ``"poison"``, reported in the summary, not a sweep failure) and
@@ -1079,7 +1085,6 @@ def run_sweep(
                     retries,
                     heartbeat_s=heartbeat_s,
                     hung_after_s=hung_after_s,
-                    slow_grace=slow_grace,
                     poison_threshold=poison_threshold,
                     trace_dir=trace_dir,
                     budget=budget,
@@ -1561,7 +1566,6 @@ def _run_pool(
     retries: int,
     heartbeat_s: Optional[float] = None,
     hung_after_s: Optional[float] = None,
-    slow_grace: float = 4.0,
     poison_threshold: Optional[int] = None,
     trace_dir: Optional[Union[str, Path]] = None,
     budget: Optional[ResourceBudget] = None,
@@ -1572,7 +1576,6 @@ def _run_pool(
         timeout_s=timeout_s,
         heartbeat_s=heartbeat_s,
         hung_after_s=hung_after_s,
-        slow_grace=slow_grace,
         rss_cap=budget.max_rss_bytes if budget is not None else None,
         trace_dir=trace_dir,
         table=specs,

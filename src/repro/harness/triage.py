@@ -359,19 +359,10 @@ def _write_artifact(
 ) -> None:
     workload = spec.resolve()
     config = spec.tool()
-    # Everything that shapes the recording.  A round-robin/adversarial
-    # failure must be recorded under the same scheduling policy — a
-    # random-scheduler stand-in replays a different interleaving than
-    # the failure being triaged.
-    env = dict(
-        seed=spec.effective_seed(),
-        max_steps=spec.effective_max_steps(),
-        max_blocks=max(8, config.spin_max_blocks),
-        inline_depth=config.inline_depth,
-        fault_plan=spec.fault_plan,
-        livelock_bound=spec.livelock_bound,
-        scheduler=getattr(spec, "scheduler", None),
-    )
+    # Everything that shapes the recording, the scheduler included: a
+    # random-scheduler stand-in for a round-robin/adversarial failure
+    # replays a different interleaving than the failure being triaged.
+    env = spec.recording_params()
     if predicate is None:
         predicate = failure_predicate(record.status)
     trace = record_trace(workload.fresh_program(), **env)

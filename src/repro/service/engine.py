@@ -10,7 +10,7 @@ request::
         → bounded FIFO queue            — full: backpressure
         → journal "accepted" (fsync)    — survives SIGKILL from here on
         → WorkerPool (harness.parallel) — supervised, deadline-killed
-        → journal "done" + cache put    — restart serves it from index
+        → journal "done" + cache put    — restart serves verdicts from index
         → response future resolved
 
 Each request kind is one picklable pool unit — a
@@ -41,7 +41,9 @@ Robustness properties, each asserted by ``scripts/service_smoke.py``:
   identical report fingerprint), and responses
   say so; under ``critical`` pressure all queued work is shed with
   explicit ``shed`` responses.  The daemon degrades; it does not
-  die.
+  die.  A shed, like an error that depends on the moment (deadline,
+  timeout, a hung, crashed or over-budget worker), is never served
+  from the verdict index: the client's retry runs.
 
 Program cells reuse the sweep engine's content keys
 (:func:`~repro.harness.checkpoint.spec_key`), so the service shares its
@@ -223,13 +225,16 @@ class Engine:
         for key, req in pending.items():
             cell = self._rebuild_cell(key, req)
             if cell is None:
-                # Unreconstructable (e.g. spool file lost): answer any
-                # future resubmission honestly instead of crashing.
-                resp = make_response(
-                    "error", error="journaled request could not be rebuilt"
+                # Unreconstructable (e.g. spool file lost): done, so no
+                # later restart drains it again; not indexed, so a
+                # resubmission carrying its payload runs.
+                self.journal.done(
+                    key,
+                    make_response(
+                        "error", error="journaled request could not be rebuilt"
+                    ),
+                    indexed=False,
                 )
-                self.journal.done(key, resp)
-                self.completed[key] = resp
                 continue
             self.inflight[key] = cell
             # past the depth bound: journaled work is never bounced
@@ -470,12 +475,24 @@ class Engine:
             disk = self.journal.spool_bytes() + self.cache.total_bytes()
         return assess_pressure(self.budget, disk_bytes=disk)
 
-    def _resolve(self, cell: _Cell, resp: dict, journal: bool = True) -> None:
-        """Journal, index, and deliver one cell's response."""
+    def _resolve(
+        self, cell: _Cell, resp: dict, journal: bool = True, unit_error: bool = False
+    ) -> None:
+        """Journal, index, and deliver one cell's response.
+
+        Only a verdict (``ok``/``degraded``) or an error the unit itself
+        raised (``unit_error``) enters the verdict index.  A shed, or an
+        error that depends on the moment — a deadline, a timeout, a
+        hung, crashed or over-budget worker — is still journaled as
+        done, so a restart does not drain it, but a resubmission runs
+        afresh.
+        """
         if journal:
             canonical = self._canonical(resp)
-            self.journal.done(cell.key, canonical)
-            self.completed[cell.key] = canonical
+            indexed = unit_error or resp["status"] in ("ok", "degraded")
+            self.journal.done(cell.key, canonical, indexed)
+            if indexed:
+                self.completed[cell.key] = canonical
         self.inflight.pop(cell.key, None)
         if not self.inflight:
             self._drained.set()
@@ -565,6 +582,7 @@ class Engine:
                 degraded=exit.degraded,
                 duration_s=time.monotonic() - cell.accepted_t,
             ),
+            unit_error=exit.kind == "error",
         )
 
     async def _sleep(self) -> None:

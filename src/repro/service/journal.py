@@ -8,15 +8,18 @@ Two operations::
 
     {"journal": "repro-service", "version": 1, "schema": 1}
     {"op": "accepted", "key": "<content key>", "request": {...}}
-    {"op": "done", "key": "<content key>", "response": {...}}
+    {"op": "done", "key": "<content key>", "response": {...}, "indexed": true}
 
 ``accepted`` is journaled *before* the client sees the accept — an
 accepted request survives any SIGKILL.  ``done`` carries the full
 response object, so a restarted daemon rebuilds its verdict index
 without touching the result cache.  :meth:`RequestJournal.load` folds
-the log: a key with ``done`` is completed (served from the index, zero
-recomputation); ``accepted`` without ``done`` is in-flight and gets
-re-run on restart (the drain).
+the log: a key whose ``done`` is ``indexed`` is completed (served from
+the index, zero recomputation); ``accepted`` without any ``done`` is
+in-flight and gets re-run on restart (the drain).  ``indexed`` is false for answers that depend on
+the moment (a shed, a deadline, a killed worker): a resubmission runs
+afresh.  A ``done`` line without the field, as older daemons wrote
+it, is indexed only when it holds an ``ok``/``degraded`` verdict.
 
 Trace uploads are spooled to ``uploads/<key>.trc`` (fsynced, atomic
 rename) *before* their ``accepted`` line — the journal stores only the
@@ -60,7 +63,8 @@ class RequestJournal(Journal):
         ``pending`` maps content key → the original request object for
         every ``accepted`` without a matching ``done`` (in insertion
         order — the restart drain re-runs them oldest first);
-        ``completed`` maps key → the journaled response.  Torn tail
+        ``completed`` maps key → the journaled response of every
+        ``indexed`` ``done``.  Torn tail
         lines are truncated away; a journal with a foreign header is
         rotated to ``*.stale`` and treated as empty.  Spool temp files
         left by a daemon killed mid-upload are deleted.
@@ -73,7 +77,9 @@ class RequestJournal(Journal):
             if op == "accepted":
                 pending.setdefault(key, obj["request"])
             elif op == "done":
-                completed[key] = obj["response"]
+                response = obj["response"]
+                if obj.get("indexed", response.get("status") in ("ok", "degraded")):
+                    completed[key] = response
                 pending.pop(key, None)
             else:
                 raise ValueError(f"unknown op {op!r}")
@@ -86,9 +92,12 @@ class RequestJournal(Journal):
         """Durably journal an accepted request (fsync before return)."""
         self.append_entry({"op": "accepted", "key": key, "request": request})
 
-    def done(self, key: str, response: dict) -> None:
-        """Durably journal a completed request with its full response."""
-        self.append_entry({"op": "done", "key": key, "response": response})
+    def done(self, key: str, response: dict, indexed: bool = True) -> None:
+        """Durably journal a completed request with its full response;
+        ``indexed`` says whether a restart serves it from the index."""
+        self.append_entry(
+            {"op": "done", "key": key, "response": response, "indexed": indexed}
+        )
 
     # -- trace upload spool -------------------------------------------------
 

@@ -76,25 +76,10 @@ def trace_key(
 
 
 def key_for_spec(spec) -> str:
-    """The trace key a sweep cell records under.
-
-    Instrumentation is widened to ``max(8, spin window)`` so every
-    paper preset sharing the cell's ``(program, scheduler, seed,
-    faults)`` coordinates — whatever its spin window — maps to the
-    *same* recording; only a differing inline depth forces a separate
-    one.
-    """
-    tool = spec.tool()
-    return trace_key(
-        spec.program().fingerprint(),
-        seed=spec.effective_seed(),
-        max_steps=spec.effective_max_steps(),
-        scheduler=getattr(spec, "scheduler", None),
-        max_blocks=max(8, tool.spin_max_blocks),
-        inline_depth=tool.inline_depth,
-        fault_plan=spec.fault_plan,
-        livelock_bound=spec.livelock_bound,
-    )
+    """The trace key a sweep cell records under: the digest of the
+    parameters its recording is made with
+    (:meth:`~repro.harness.parallel.RunSpec.recording_params`)."""
+    return trace_key(spec.program().fingerprint(), **spec.recording_params())
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +176,7 @@ class TraceStore(FramedStore):
             return None
 
     def open_stream(self, key: str) -> Optional[TraceStream]:
-        """Open an entry for per-event iteration, without materializing it.
+        """Open an entry for chunked row iteration, without materializing it.
 
         Verifies the frame (header + full sha256, streamed in chunks)
         and decodes only the metadata line, then hands back a

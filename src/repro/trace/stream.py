@@ -61,15 +61,15 @@ class TraceStreamCorruption(Exception):
 
 @dataclass
 class TraceStream:
-    """One stored recording, iterable per event without materialization.
+    """One stored recording, iterable in row chunks without materialization.
 
     ``meta`` is the recording's metadata line (the same dict
     ``TraceStore.entries`` yields): program, seed, scheduler, status,
     steps, instrumentation parameters, loop sizes, lock sites, symbols,
-    and the expected event count.  :meth:`events` and
-    :meth:`row_batches` may be called any number of times; each call
-    re-opens the payload and decodes from the start, holding only one
-    line in memory at a time.
+    and the expected event count.  :meth:`row_batches` may be called
+    any number of times; each call re-opens the payload and decodes
+    from the start, holding one line and one chunk in memory at a
+    time.
     """
 
     path: Path
@@ -96,12 +96,22 @@ class TraceStream:
             _loc_parse(l) for l in self.meta.get("lock_sites", [])
         )
 
-    def events(self) -> Iterator[Tuple[int, ev.Event]]:
-        """Yield ``(seq, event)`` in recorded order, decoding lazily.
+    def row_batches(self) -> Iterator[List[tuple]]:
+        """The recording as detector-kernel rows, in recorded order, in
+        chunks of at most :data:`CHUNK_EVENTS`, decoded lazily.
 
-        ``seq`` is the event's index in the full recorded stream.
+        The bookkeeping (NOTE) rows' events are kept on the way, so
+        :meth:`note_events` — and with it
+        :func:`repro.trace.synthesize_result` — serves the stream once a
+        pass has finished.  A payload cut mid-line, an undecodable
+        event, or an event count that disagrees with the metadata raises
+        :class:`TraceStreamCorruption`.
         """
         expected = self.meta.get("events")
+        size = CHUNK_EVENTS
+        note, event_row = ev.NOTE, ev.event_row
+        notes = self._note_events = []
+        chunk: List[tuple] = []
         seq = 0
         try:
             with open(self.path, "rb") as fh:
@@ -114,11 +124,16 @@ class TraceStream:
                 for line in lines:
                     if not line.strip():
                         continue
-                    yield seq, _decode_event(json.loads(line))
+                    e = _decode_event(json.loads(line))
                     seq += 1
                     self.decoded += 1
-        except TraceStreamCorruption:
-            raise
+                    row = event_row(e)
+                    chunk.append(row)
+                    if row[0] == note:
+                        notes.append(e)
+                    if len(chunk) >= size:
+                        yield chunk
+                        chunk = []
         except (OSError, EOFError, ValueError, TypeError, IndexError, KeyError) as exc:
             # gzip truncation, JSON cut mid-line, codec drift — all the
             # ways a checksum-valid payload can still be malformed.
@@ -129,28 +144,6 @@ class TraceStream:
             raise TraceStreamCorruption(
                 f"event-count-mismatch: meta says {expected}, got {seq}"
             )
-
-    def row_batches(self) -> Iterator[List[tuple]]:
-        """The recording as detector-kernel rows, in chunks of at most
-        :data:`CHUNK_EVENTS`, decoded lazily.
-
-        The bookkeeping (NOTE) rows' events are kept on the way, so
-        :meth:`note_events` — and with it
-        :func:`repro.trace.synthesize_result` — serves the stream once a
-        pass has finished.
-        """
-        size = CHUNK_EVENTS
-        note, event_row = ev.NOTE, ev.event_row
-        notes = self._note_events = []
-        chunk: List[tuple] = []
-        for _seq, e in self.events():
-            row = event_row(e)
-            chunk.append(row)
-            if row[0] == note:
-                notes.append(e)
-            if len(chunk) >= size:
-                yield chunk
-                chunk = []
         if chunk:
             yield chunk
 
@@ -209,7 +202,7 @@ def read_meta_line(path: Union[str, Path], payload_offset: int) -> dict:
 
     Streams the gzip member just far enough for the first line — the
     events stay compressed on disk.  Raises the same shape errors
-    :meth:`TraceStream.events` maps to corruption; callers (the store)
+    :meth:`TraceStream.row_batches` maps to corruption; callers (the store)
     translate them.
     """
     with open(path, "rb") as fh:

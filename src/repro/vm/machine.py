@@ -1,11 +1,11 @@
 """The interpreter: executes programs one instruction per step.
 
-The machine owns memory, the thread table, and the event stream.  Each
-call to :meth:`Machine.step` asks the scheduler for a runnable thread and
-executes exactly one instruction of it, emitting events to the listener.
-This per-instruction interleaving is the precision level at which real
-races manifest (e.g. a non-atomic ``counter++`` is three instructions and
-can be preempted between them).
+The machine owns memory, the thread table, and the event stream.
+:meth:`Machine.run` loops until the program ends: each iteration asks
+the scheduler for a runnable thread and executes exactly one
+instruction of it.  This per-instruction interleaving is the precision
+level at which real races manifest (e.g. a non-atomic ``counter++`` is
+three instructions and can be preempted between them).
 
 If an *instrumentation map* (produced by the paper's instrumentation
 phase, :mod:`repro.analysis.instrument`) is supplied, the machine also
@@ -20,29 +20,34 @@ call with every operand and marker already bound.
 Batched delivery
 ----------------
 
-A listener that implements ``consume_batch(rows)`` gets the event stream
-as one ordered buffer of flat rows ``(kind, tid, addr, value, loc,
-atomic, in_library, aux)`` (see :func:`repro.vm.events.event_row`)
-instead of one Python call per event.  Memory accesses and marker events
-are appended as rows without ever becoming Event objects; the rare
-control/sync events ride along as rows whose ``aux`` is the Event.  The
-buffer is in emission order, so the consumer needs no merge.  It is
-flushed at sync points (library-call annotations), marked-loop exits, at
-a size cap checked at scheduler-switch boundaries (between steps), and
-at the end of the run.  Batching is active only inside
-:meth:`Machine.run`; driving :meth:`Machine.step` directly delivers
-per-event.  If the listener also sets ``skip_in_library_traffic``,
-library-internal memory and marker events (which such a listener drops
-unconditionally) are not buffered — or counted — at all.  A listener
-with a ``step_log`` array (a recording) gets each buffered row's step
-appended to it at emission, since rows carry no step.
+Events leave the machine in one form only: flat rows ``(kind, tid,
+addr, value, loc, atomic, in_library, aux)`` (see
+:func:`repro.vm.events.event_row`), handed in ordered batches to the
+listener's ``consume_batch(rows)``.  A listener is such a batch sink
+(:class:`~repro.detectors.RaceDetector`,
+:class:`~repro.trace.EventColumns`) or ``None`` for a bare run, which
+only counts events; anything else is refused with ``TypeError`` at
+construction.  Memory accesses and marker events are appended as rows
+without ever becoming Event objects; the rare control/sync events ride
+along as rows whose ``aux`` is the Event.  The buffer is in emission
+order, so the consumer needs no merge.  It is flushed at sync points
+(library-call annotations), marked-loop exits, when it reaches
+:data:`BATCH_SIZE` rows (checked at scheduler-switch boundaries,
+between steps), and at the end of the run.  If the listener also sets
+``skip_in_library_traffic``, library-internal memory and marker events
+(which such a listener drops unconditionally) are not buffered — or
+counted — at all.  A listener with a ``step_log`` array (a recording)
+gets each buffered row's step appended to it at emission, since rows
+carry no step.  A caller that wants Event objects from a live run
+passes an :class:`~repro.trace.EventColumns` and reads
+``iter_events()``.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.isa.program import CodeLocation, Function, Program, SyncKind
 from repro.vm import events as ev
@@ -55,7 +60,8 @@ from repro.vm.scheduler import RandomScheduler, Scheduler
 
 FUNC_BASE = 0x200000
 
-Listener = Callable[[ev.Event], None]
+#: rows buffered before the run loop flushes them to the listener
+BATCH_SIZE = 4096
 
 
 class MachineError(Exception):
@@ -126,30 +132,28 @@ class Machine:
         self,
         program: Program,
         scheduler: Optional[Scheduler] = None,
-        listener: Optional[Listener] = None,
+        listener: Optional[object] = None,
         instrumentation: Optional[object] = None,
         max_steps: int = 2_000_000,
         faults: Optional[FaultPlan] = None,
         livelock_bound: Optional[int] = None,
-        batch_size: int = 4096,
     ) -> None:
+        if listener is not None and not callable(
+            getattr(listener, "consume_batch", None)
+        ):
+            raise TypeError(
+                "listener must be a batch sink with consume_batch(rows) or "
+                f"None, not {type(listener).__name__}"
+            )
         self.program = program
         self.scheduler = scheduler or RandomScheduler()
         self.listener = listener
         self.max_steps = max_steps
-        # Batched delivery (see module docstring): engaged during run()
-        # for a listener that can consume batches.
-        self.batch_size = batch_size
-        self._sink = (
-            listener if callable(getattr(listener, "consume_batch", None)) else None
-        )
-        self._skip_lib = self._sink is not None and bool(
-            getattr(listener, "skip_in_library_traffic", False)
-        )
-        self._rows: Optional[list] = None
-        self._steps = (
-            getattr(listener, "step_log", None) if self._sink is not None else None
-        )
+        # Batched delivery (see module docstring); a bare run buffers
+        # nothing.
+        self._skip_lib = bool(getattr(listener, "skip_in_library_traffic", False))
+        self._rows: Optional[list] = [] if listener is not None else None
+        self._steps = getattr(listener, "step_log", None)
         self.memory = Memory(program)
         self.faults_injected = 0
         self._injector: Optional[FaultInjector] = None
@@ -227,16 +231,6 @@ class Machine:
         self.scheduler.on_spawn(tid)
         return tid
 
-    def _runnable(self) -> List[int]:
-        if self._runnable_dirty:
-            self._runnable_cache = [
-                t.tid
-                for t in self.threads.values()
-                if t.status is ThreadStatus.RUNNABLE
-            ]
-            self._runnable_dirty = False
-        return self._runnable_cache
-
     def kill_thread(self, tid: int) -> None:
         """Terminate ``tid`` abruptly (kill-thread fault).
 
@@ -269,21 +263,15 @@ class Machine:
             rows.append(ev.event_row(event))
             if self._steps is not None:
                 self._steps.append(event.step)
-            return
-        if self.listener is not None:
-            self.listener(event)
 
     def _emit_read(
         self, tid: int, addr: int, value: int, loc: CodeLocation, atomic: bool, in_lib: bool
     ) -> None:
         rows = self._rows
         if rows is None:
-            if self.listener is None:
-                # Bare run: the event is unobservable — count it (the
-                # harness reads ``event_count``) without allocating it.
-                self.event_count += 1
-                return
-            self._emit(ev.MemRead(self.step_count, tid, addr, value, loc, atomic, in_lib))
+            # Bare run: the event is unobservable — count it (the
+            # harness reads ``event_count``) without allocating it.
+            self.event_count += 1
             return
         if in_lib and self._skip_lib:
             return
@@ -297,10 +285,7 @@ class Machine:
     ) -> None:
         rows = self._rows
         if rows is None:
-            if self.listener is None:
-                self.event_count += 1
-                return
-            self._emit(ev.MemWrite(self.step_count, tid, addr, value, loc, atomic, in_lib))
+            self.event_count += 1
             return
         if in_lib and self._skip_lib:
             return
@@ -314,44 +299,33 @@ class Machine:
         in_lib: bool, loop_id: int,
     ) -> None:
         """One marked-loop event (``COND_READ``, ``LOOP_ENTER`` or ``LOOP_EXIT``)."""
-        rows = self._rows
-        if rows is None:
-            if self.listener is None:
-                self.event_count += 1
-                return
-            self._emit(ev.row_event(
-                self.step_count, kind, tid, addr, value, loc, False, in_lib, loop_id
-            ))
-            return
         self.event_count += 1
-        rows.append((kind, tid, addr, value, loc, False, in_lib, loop_id))
-        if self._steps is not None:
-            self._steps.append(self.step_count)
+        rows = self._rows
+        if rows is not None:
+            rows.append((kind, tid, addr, value, loc, False, in_lib, loop_id))
+            if self._steps is not None:
+                self._steps.append(self.step_count)
 
     def flush_events(self) -> None:
         """Deliver any buffered rows to the batch-consuming listener now."""
         rows = self._rows
         if rows:
             self._rows = []
-            self._sink.consume_batch(rows)
+            self.listener.consume_batch(rows)
 
     # -- execution -----------------------------------------------------------
 
     def run(self) -> RunResult:
         """Run to completion (all threads exited, ``Halt``, or budget)."""
-        batching = self._sink is not None
-        if batching:
-            self._rows = []
         try:
-            return self._run_loop(batching)
+            return self._run_loop()
         finally:
-            if batching:
-                self.flush_events()
-                self._rows = None
+            self.flush_events()
 
-    def _run_loop(self, batching: bool) -> RunResult:
+    def _run_loop(self) -> RunResult:
         deadlocked = False
-        batch_size = self.batch_size
+        batch_size = BATCH_SIZE
+        sink = self.listener
         # Per-step overhead is the whole game here: hoist the loop-stable
         # attribute chains into locals.
         injector = self._injector
@@ -385,7 +359,7 @@ class Machine:
             if injector is not None:
                 runnable = injector.filter_runnable(self, runnable)
             tid = scheduler_pick(runnable)
-            # Inlined :meth:`step`, minus one method call per instruction.
+            # One instruction of ``tid``.
             thread = threads[tid]
             if thread.status is not runnable_status:
                 raise MachineError(f"thread {tid} not runnable")
@@ -405,7 +379,7 @@ class Machine:
             self.step_count += 1
             code.handlers[index](self, thread, frame)
             # Size cap, checked at the scheduler-switch boundary.
-            if batching and len(self._rows) >= batch_size:
+            if sink is not None and len(self._rows) >= batch_size:
                 self.flush_events()
             if self._livelock is not None:
                 return self._result(
@@ -469,26 +443,6 @@ class Machine:
                 held_symbols=tuple(self.memory.symbols.resolve(a) for a in held),
             )
         return diags
-
-    def step(self, tid: int) -> None:
-        """Execute one instruction of thread ``tid``."""
-        thread = self.threads[tid]
-        if thread.status is not ThreadStatus.RUNNABLE:
-            raise MachineError(f"thread {tid} not runnable")
-        if not thread.started:
-            thread.started = True
-            self._emit(ev.ThreadStartEvent(self.step_count, tid))
-        frame = thread.frames[-1]
-        code = frame.code
-        index = frame.index
-        if index == 0:
-            loop_id = code.loop_id
-            if loop_id is not None and not (self._skip_lib and thread.lib_depth > 0):
-                self._emit_marker(
-                    LOOP_ENTER, tid, 0, 0, code.entry_loc, thread.lib_depth > 0, loop_id
-                )
-        self.step_count += 1
-        code.handlers[index](self, thread, frame)
 
     # -- helpers ---------------------------------------------------------
 

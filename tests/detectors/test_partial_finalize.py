@@ -11,6 +11,7 @@ import pytest
 
 from repro.analysis import instrument_program
 from repro.detectors import RaceDetector, ToolConfig
+from repro.trace import EventColumns
 from repro.vm import (
     LibExit,
     Machine,
@@ -18,6 +19,7 @@ from repro.vm import (
     MarkedLoopEnter,
     RandomScheduler,
 )
+from repro.vm.events import event_row
 from repro.vm.faults import ClampSteps, FaultPlan
 from repro.workloads import chaos_workloads
 
@@ -46,16 +48,16 @@ def _stream(program, config, seed=1, max_steps=8_000):
             max_blocks=config.spin_max_blocks,
             inline_depth=config.inline_depth,
         )
-    events = []
+    columns = EventColumns()
     machine = Machine(
         program,
         scheduler=RandomScheduler(seed),
-        listener=events.append,
+        listener=columns,
         instrumentation=imap,
         max_steps=max_steps,
     )
     machine.run()
-    return events
+    return list(columns.iter_events())
 
 
 def _cut_points(events):
@@ -71,8 +73,7 @@ def _cut_points(events):
 
 def _finalize_prefix(events, config, cut):
     detector = RaceDetector(config)
-    for e in events[:cut]:
-        detector(e)
+    detector.consume_batch([event_row(e) for e in events[:cut]])
     return detector, detector.finalize(partial=True)
 
 
@@ -124,8 +125,7 @@ class TestFinalizeContract:
         config = ToolConfig.helgrind_lib()
         events = _stream(flag_handoff_program(), config)
         detector = RaceDetector(config)
-        for e in events:
-            detector(e)
+        detector.consume_batch([event_row(e) for e in events])
         report = detector.finalize()
         assert not report.partial
         assert "(partial stream)" not in report.summary()

@@ -510,7 +510,7 @@ class RequestJournalOps:
     def steps(self):
         return [
             {"op": "accepted", "key": "k1", "request": self.REQ},
-            {"op": "done", "key": "k1", "response": self.RESP},
+            {"op": "done", "key": "k1", "response": self.RESP, "indexed": True},
             {"op": "accepted", "key": "k2", "request": self.REQ},
         ]
 

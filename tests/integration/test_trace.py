@@ -19,6 +19,11 @@ from tests.conftest import detect, flag_handoff_program
 SUITE = {w.name: w for w in build_suite()}
 
 
+def _stream_rows(stream):
+    """A reopened recording's rows, every chunk concatenated."""
+    return [row for chunk in stream.row_batches() for row in chunk]
+
+
 def _live(program, config, seed):
     det, result = detect(program, config, seed=seed, max_steps=500_000)
     assert result.ok
@@ -100,7 +105,7 @@ class TestTraceFile:
         assert back.loop_sizes == trace.loop_sizes
         assert back.lock_sites == trace.lock_sites
         assert [tuple(s) for s in back.meta["symbols"]] == trace.symbols
-        assert [e for _seq, e in back.events()] == trace.events
+        assert _stream_rows(back) == list(trace.columns.rows())
         assert back.status == trace.status == "ok"
 
     def test_file_holds_the_store_entry_bytes(self, tmp_path):
@@ -122,7 +127,7 @@ class TestTraceFile:
         before = (tmp_path / "before.trc").read_bytes()
         assert (tmp_path / "after.trc").read_bytes() == before
         back = open_trace_file(tmp_path / "before.trc")
-        assert [e for _seq, e in back.events()] == trace.events
+        assert _stream_rows(back) == list(trace.columns.rows())
         assert back.status == trace.status
 
     def test_fault_events_round_trip(self, tmp_path):
@@ -145,7 +150,7 @@ class TestTraceFile:
         assert trace.status == "livelock"
         assert any(isinstance(e, ev.StoreDroppedEvent) for e in trace.events)
         back = self._reopen(trace, tmp_path)
-        assert [e for _seq, e in back.events()] == trace.events
+        assert _stream_rows(back) == list(trace.columns.rows())
         assert back.status == "livelock"
         for config in ToolConfig.paper_tools(7):
             assert (
@@ -205,26 +210,6 @@ class TestTraceContents:
 
 
 class TestColumns:
-    def test_recorded_columns_are_the_per_event_stream(self):
-        """The VM's row buffer and step log fill the columns with exactly
-        the events, steps included, that a per-event listener sees."""
-        from repro.analysis import instrument_program
-        from repro.harness.registry import build_scheduler
-        from repro.vm import Machine
-
-        wl = SUITE["cv_handoff_c1"]
-        trace = record_trace(wl.build(), seed=wl.seed)
-        events = []
-        Machine(
-            wl.build(),
-            scheduler=build_scheduler("random", wl.seed),
-            listener=events.append,
-            instrumentation=instrument_program(wl.build(), max_blocks=8),
-            max_steps=500_000,
-        ).run()
-        assert trace.events == events
-        assert len(trace.columns) == len(events)
-
     def test_values_beyond_64_bits_survive(self):
         from repro.isa.program import CodeLocation
         from repro.trace import EventColumns

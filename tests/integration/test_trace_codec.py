@@ -225,7 +225,7 @@ class TestCorruptStreams:
             assert len(store.quarantined) == 1
         else:
             with pytest.raises(TraceStreamCorruption, match="undecodable"):
-                for _ in stream.events():
+                for _ in stream.row_batches():
                     pass
             store.quarantine_stream(stream, "undecodable mid-stream")
         assert list((tmp_path / "corrupt").glob("*.note.json"))
@@ -239,7 +239,7 @@ class TestCorruptStreams:
         first, second = store.open_stream("k"), store.open_stream("k")
         for stream in (first, second):
             with pytest.raises(TraceStreamCorruption):
-                for _ in stream.events():
+                for _ in stream.row_batches():
                     pass
         store.quarantine_stream(first, "undecodable mid-stream")
         store.quarantine_stream(second, "undecodable mid-stream")  # already gone
@@ -249,7 +249,7 @@ class TestCorruptStreams:
         assert len(store.quarantined) == 1
         fresh = store.open_stream("k")
         assert fresh is not None
-        assert sum(1 for _ in fresh.events()) == fresh.meta["events"]
+        assert sum(len(chunk) for chunk in fresh.row_batches()) == fresh.meta["events"]
 
     def test_event_count_mismatch_is_corruption(self, tmp_path):
         # A payload that decodes fine but holds fewer events than its
@@ -258,7 +258,7 @@ class TestCorruptStreams:
         stream = store.open_stream("k")
         assert stream is not None
         with pytest.raises(TraceStreamCorruption, match="event-count-mismatch"):
-            for _ in stream.events():
+            for _ in stream.row_batches():
                 pass
 
     def test_bare_file_corruption_raises_structurally(self, tmp_path):
@@ -277,5 +277,5 @@ class TestCorruptStreams:
         trace = record_trace(flag_handoff_program(), seed=2)
         store.put("k", trace)
         stream = store.open_stream("k")
-        streamed = [e for _seq, e in stream.events()]
-        assert streamed == list(store.get("k").events)
+        streamed = [row for chunk in stream.row_batches() for row in chunk]
+        assert streamed == list(store.get("k").columns.rows())

@@ -16,6 +16,7 @@ import pytest
 import repro
 from repro.isa.asm import assemble
 from repro.service.engine import FORCE_PRESSURE_ENV, Engine
+from repro.service.journal import RequestJournal
 from repro.service.schema import validate_request
 
 WORKLOAD = "locks_mutex_counter_t2"
@@ -409,8 +410,97 @@ class TestCrashRecovery:
             return dict(engine.completed), engine.stats_snapshot()
 
         completed, stats = run_engine(work, snapshot)
-        assert completed["f" * 64]["status"] == "error"
         assert stats["drained"] == 0
+        # answered as done, so no later restart drains it again; not
+        # indexed, so a resubmission carrying the payload runs
+        assert "f" * 64 not in completed
+        pending, _ = RequestJournal(work / "journal").load()
+        assert not pending
+        assert '"status":"error"' in (work / "journal" / "requests.jsonl").read_text()
+
+
+class TestVerdictIndex:
+    """Only answers that cannot change on a retry are served from the
+    verdict index: a shed or an expired deadline is answered once."""
+
+    def test_shed_request_runs_when_resubmitted_after_pressure_lifts(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv(FORCE_PRESSURE_ENV, "critical")
+
+        async def scenario(engine):
+            shed = await engine.submit(req())
+            monkeypatch.delenv(FORCE_PRESSURE_ENV)
+            retried = await engine.submit(req())
+            return shed, retried, engine.stats_snapshot()
+
+        shed, retried, stats = run_engine(tmp_path / "svc", scenario)
+        assert shed["status"] == "shed"
+        assert retried["status"] == "ok", retried
+        assert retried["cached"] is False
+        assert stats["executed"] == 1 and stats["served_index"] == 0
+        assert retried["verdict"]["fingerprint"] == direct_fingerprint(
+            "helgrind-lib-spin7"
+        )
+
+    def test_shed_request_runs_when_resubmitted_after_a_restart(
+        self, tmp_path, monkeypatch
+    ):
+        work = tmp_path / "svc"
+        monkeypatch.setenv(FORCE_PRESSURE_ENV, "critical")
+        shed = run_engine(work, lambda engine: engine.submit(req()))
+        assert shed["status"] == "shed"
+        monkeypatch.delenv(FORCE_PRESSURE_ENV)
+
+        async def resubmit(engine):
+            return await engine.submit(req()), engine.stats_snapshot()
+
+        retried, stats = run_engine(work, resubmit)
+        assert retried["status"] == "ok", retried
+        assert retried["cached"] is False
+        assert stats["executed"] == 1
+        assert stats["drained"] == 0  # the shed was journaled as done
+
+    def test_request_whose_deadline_expired_runs_when_resubmitted(self, tmp_path):
+        # ``long`` is queued first and holds the one worker for about
+        # 0.3 s, so the next request's 50 ms deadline runs out in queue.
+        long = source_req(SPIN_SOURCE, max_steps=300_000)
+
+        async def scenario(engine):
+            long_task = asyncio.ensure_future(engine.submit(long))
+            await asyncio.sleep(0)
+            expired = await engine.submit(req(deadline_s=0.05))
+            retried = await engine.submit(req())
+            return expired, await long_task, retried, engine.stats_snapshot()
+
+        expired, long_resp, retried, stats = run_engine(
+            tmp_path / "svc", scenario, workers=1
+        )
+        assert expired["status"] == "error"
+        assert "exceeded in queue" in expired["error"]
+        assert long_resp["status"] == "ok", long_resp
+        assert retried["status"] == "ok", retried
+        assert retried["cached"] is False
+        assert stats["executed"] == 2  # ``long`` and the retry
+        assert retried["verdict"]["fingerprint"] == direct_fingerprint(
+            "helgrind-lib-spin7"
+        )
+
+    def test_error_raised_by_the_unit_is_served_from_the_index(self, tmp_path):
+        bad_join = (
+            "program badjoin entry=main\n"
+            "func main() {\nentry:\n    t = const 5\n    join t\n    halt\n}\n"
+        )
+
+        async def twice(engine):
+            first = await engine.submit(source_req(bad_join))
+            second = await engine.submit(source_req(bad_join))
+            return first, second, engine.stats_snapshot()
+
+        first, second, stats = run_engine(tmp_path / "svc", twice)
+        assert first["status"] == "error" and "unknown thread" in first["error"]
+        assert second["cached"] is True and second["error"] == first["error"]
+        assert stats["executed"] == 1 and stats["served_index"] == 1
 
 
 class TestAdmission:

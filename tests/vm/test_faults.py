@@ -3,6 +3,7 @@
 import pytest
 
 from repro.analysis import instrument_program
+from repro.trace import EventColumns
 from repro.vm import (
     Machine,
     MemWrite,
@@ -35,18 +36,18 @@ def _chaos_program(name):
 
 def _run(program, faults=None, seed=1, livelock_bound=5_000, max_steps=100_000):
     imap = instrument_program(program)
-    events = []
+    columns = EventColumns()
     machine = Machine(
         program,
         scheduler=RandomScheduler(seed),
-        listener=events.append,
+        listener=columns,
         instrumentation=imap,
         max_steps=max_steps,
         faults=faults,
         livelock_bound=livelock_bound,
     )
     result = machine.run()
-    return machine, result, events
+    return machine, result, list(columns.iter_events())
 
 
 class TestFaultPlan:

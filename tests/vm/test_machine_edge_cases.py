@@ -1,11 +1,8 @@
 """Interpreter edge cases: deep stacks, yields, spawn trees, print order."""
 
-import pytest
-
 from repro.isa import instructions as ins
 from repro.isa.builder import ProgramBuilder
-from repro.vm import Machine, RandomScheduler, RoundRobinScheduler
-from repro.vm.machine import MachineError
+from repro.vm import Machine
 
 from tests.conftest import run_program
 
@@ -165,26 +162,7 @@ class TestOutputs:
         assert (1, 7) in result.outputs and (0, 8) in result.outputs
 
 
-class TestStepApi:
-    def test_manual_stepping(self):
-        pb = ProgramBuilder("t")
-        mn = pb.function("main")
-        mn.print_(mn.const(1))
-        mn.halt()
-        machine = Machine(pb.build(), scheduler=RoundRobinScheduler())
-        machine.step(0)  # const
-        machine.step(0)  # print
-        assert machine.outputs == [(0, 1)]
-
-    def test_stepping_nonrunnable_thread_raises(self):
-        pb = ProgramBuilder("t")
-        mn = pb.function("main")
-        mn.halt()
-        machine = Machine(pb.build())
-        machine.run()
-        with pytest.raises(MachineError, match="not runnable"):
-            machine.step(0)
-
+class TestEventCount:
     def test_event_count_tracks_emissions(self):
         pb = ProgramBuilder("t")
         pb.global_("G", 1)

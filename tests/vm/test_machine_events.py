@@ -4,6 +4,7 @@ from repro.analysis import instrument_program
 from repro.isa.builder import ProgramBuilder
 from repro.isa.program import SyncKind
 from repro.runtime import MUTEX_SIZE, build_library
+from repro.trace import EventColumns
 from repro.vm import (
     LibEnter,
     LibExit,
@@ -22,16 +23,16 @@ from tests.conftest import flag_handoff_program
 
 
 def _collect(program, seed=1, instrumentation=None):
-    events = []
+    columns = EventColumns()
     machine = Machine(
         program,
         scheduler=RandomScheduler(seed),
-        listener=events.append,
+        listener=columns,
         instrumentation=instrumentation,
     )
     result = machine.run()
     assert result.ok
-    return events
+    return list(columns.iter_events())
 
 
 class TestMemoryEvents:
