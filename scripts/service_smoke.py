@@ -27,6 +27,13 @@
    the variable and resubmits: the request must execute — not be served
    the shed from the verdict index — with a fingerprint identical to a
    direct ``repro.run``.
+6. Starts a 1-worker daemon under forced degraded pressure
+   (``REPRO_SERVICE_FORCE_PRESSURE=degraded``) with an empty trace
+   store and submits a PARSEC model and the longest chaos model: each
+   runs as a replay cell that misses the store — recorded, stored and
+   streamed back in the worker, longer than the 0.5 s hang window — and
+   must answer ``degraded`` with the fingerprint of a direct
+   ``repro.run``, not ``worker hung``.
 
 Exits non-zero (with a message) on any violation.  Used by the CI
 ``service-smoke`` job; safe to run locally from the repo root.
@@ -369,6 +376,28 @@ def shed_restart_retry_check(work: Path) -> None:
         graceful_stop(proc)
 
 
+def degraded_miss_check(work: Path) -> None:
+    import repro
+
+    state = work / "state-degraded"
+    proc, port = start_daemon(state, workers=1, queue_depth=4, pressure="degraded")
+    try:
+        for name in ("raytrace", "chaos_cv_spurious"):
+            req = {"v": 1, "kind": "workload", "workload": name, "tool": TOOL}
+            code, body = post(port, req)
+            if code != 200 or body.get("status") != "degraded":
+                fail(f"degraded request for {name} failed: {code} {body}")
+            if body["verdict"]["fingerprint"] != repro.run(name, TOOL).fingerprint:
+                fail(f"degraded verdict for {name} diverged from a direct repro.run")
+        print(
+            "degraded OK: replay cells that missed the trace store were "
+            "recorded in the worker and served, fingerprints identical to "
+            "direct runs"
+        )
+    finally:
+        graceful_stop(proc)
+
+
 def main() -> None:
     with workdir(".repro-service-smoke") as work:
         state = work / "state"
@@ -384,6 +413,7 @@ def main() -> None:
         restart_drain_check(state, pending, fingerprints)
         backpressure_check(work)
         shed_restart_retry_check(work)
+        degraded_miss_check(work)
     print("service smoke: all checks passed")
 
 

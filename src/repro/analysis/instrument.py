@@ -17,12 +17,12 @@ loop) keep distinct ids; the runtime phase tracks a per-thread stack.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 from repro.isa.program import CodeLocation, Program
 from repro.analysis.spin import SpinLoop, SpinLoopDetector
+from repro.lru import LRU
 
 
 @dataclass
@@ -67,14 +67,9 @@ def instrument_program(
     return imap
 
 
-#: static-phase memo: (program fingerprint, max_blocks, inline_depth) ->
-#: InstrumentationMap, LRU-bounded.  Content-keyed, so two fresh builds
-#: of the same workload share one analysis; a different spin window or
-#: inline depth misses.
-_IMAP_CACHE: "OrderedDict[Tuple[str, int, int], InstrumentationMap]" = OrderedDict()
-_IMAP_CACHE_MAX = 256
-_IMAP_HITS = 0
-_IMAP_MISSES = 0
+#: static-phase memo keyed by (program fingerprint, max_blocks,
+#: inline_depth): two fresh builds of one workload share one analysis
+_IMAPS: "LRU[InstrumentationMap]" = LRU()
 
 
 def instrument_program_cached(
@@ -88,33 +83,10 @@ def instrument_program_cached(
     returned map is shared — callers must treat it as immutable (the VM
     and the decoder only read it).
     """
-    global _IMAP_HITS, _IMAP_MISSES
     key = (program.fingerprint(), max_blocks, inline_depth)
-    cached = _IMAP_CACHE.get(key)
-    if cached is not None:
-        _IMAP_HITS += 1
-        _IMAP_CACHE.move_to_end(key)
-        return cached
-    _IMAP_MISSES += 1
-    imap = instrument_program(program, max_blocks=max_blocks, inline_depth=inline_depth)
-    _IMAP_CACHE[key] = imap
-    while len(_IMAP_CACHE) > _IMAP_CACHE_MAX:
-        _IMAP_CACHE.popitem(last=False)
-    return imap
+    return _IMAPS.get(key, lambda: instrument_program(program, max_blocks, inline_depth))
 
 
-def instrument_cache_info() -> Dict[str, int]:
-    """Static-phase cache statistics (entries, hits, misses)."""
-    return {
-        "entries": len(_IMAP_CACHE),
-        "hits": _IMAP_HITS,
-        "misses": _IMAP_MISSES,
-    }
-
-
-def clear_instrument_cache() -> None:
-    """Drop every cached instrumentation map (tests; never required)."""
-    global _IMAP_HITS, _IMAP_MISSES
-    _IMAP_CACHE.clear()
-    _IMAP_HITS = 0
-    _IMAP_MISSES = 0
+#: cache statistics (entries, hits, misses), and a reset for tests
+instrument_cache_info = _IMAPS.info
+clear_instrument_cache = _IMAPS.clear

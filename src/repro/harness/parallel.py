@@ -72,8 +72,9 @@ from repro.harness.resources import (
 )
 from repro.harness.workload import Workload
 from repro.isa.program import Program
-from repro.session import SessionResult, run_pipeline
-from repro.vm import Machine
+from repro.session import SessionResult, run_pipeline, static_tables
+from repro.trace import TraceStore, TraceStreamCorruption, key_for_spec, record_trace
+from repro.vm import Machine, get_decoded_program
 from repro.vm.faults import FaultPlan
 
 log = logging.getLogger(__name__)
@@ -206,9 +207,11 @@ class RunSpec:
         (:meth:`~repro.trace.TraceStore.open_stream`) — constant memory,
         and the stream's decoded-event count is what ``machine_sink``
         gets as the heartbeat's progress counter.  On a miss the cell
-        records the program, stores the recording and analyzes it in
-        memory; a stored payload that turns out malformed mid-stream is
-        quarantined and handled like a miss.
+        records the program, stores the recording and streams it back;
+        ``machine_sink`` gets each phase's counter in turn (VM steps,
+        the store's encoded events, decoded events).  A stored payload
+        that turns out malformed mid-stream is quarantined and handled
+        like a miss.
         """
         if self.trace_mode == "live":
             return run_pipeline(
@@ -222,9 +225,6 @@ class RunSpec:
                 scheduler=self.scheduler,
                 machine_sink=machine_sink,
             )
-        from repro.trace.store import TraceStore, key_for_spec
-        from repro.trace.stream import TraceStreamCorruption
-
         if trace_dir is None:
             raise ValueError(
                 f"trace_mode={self.trace_mode!r} requires a trace store directory"
@@ -241,9 +241,19 @@ class RunSpec:
                 store.quarantine_stream(stream, exc.reason)
         # Prewarm normally guarantees a hit; recording here keeps a
         # quarantined/raced-away entry from failing the run.
-        trace = _record_spec_trace(self)
+        trace = record_trace(
+            self.program(), machine_sink=machine_sink, **self.recording_params()
+        )
+        if machine_sink is not None:
+            machine_sink(store)
         store.put(key, trace)
-        return run_pipeline(trace, self.tool(), workload=self.resolve())
+        stream = store.open_stream(key)
+        if stream is None:  # the store is off: analyze in memory
+            return run_pipeline(trace, self.tool(), workload=self.resolve())
+        del trace
+        return run_pipeline(
+            stream, self.tool(), workload=self.resolve(), machine_sink=machine_sink
+        )
 
 
 def sweep_specs(
@@ -546,13 +556,6 @@ class SweepResult:
         return [r for r in self.records if r.poisoned]
 
 
-def _record_spec_trace(spec: RunSpec):
-    """Record the trace a record/replay spec's cell maps to."""
-    from repro.trace import record_trace
-
-    return record_trace(spec.program(), **spec.recording_params())
-
-
 def prewarm_traces(
     specs: Iterable[RunSpec],
     trace_dir: Union[str, Path],
@@ -570,8 +573,6 @@ def prewarm_traces(
     lets the caller supply an already-governed :class:`TraceStore`
     (quota, degradation notes) instead of a fresh ungoverned one.
     """
-    from repro.trace.store import TraceStore, key_for_spec
-
     if store is None:
         store = TraceStore(trace_dir)
     recorded = 0
@@ -588,7 +589,7 @@ def prewarm_traces(
         # which quarantines it and records afresh.
         if spec.trace_mode != "record" and store.open_stream(key) is not None:
             continue
-        store.put(key, _record_spec_trace(spec))
+        store.put(key, record_trace(spec.program(), **spec.recording_params()))
         recorded += 1
     return recorded
 
@@ -618,7 +619,8 @@ def _worker_main(
     from a slow one (counter advancing) and preempts one whose RSS
     exceeds the sweep's memory budget.  The counter belongs to whatever
     the unit hands to ``machine_sink``: a :class:`~repro.vm.Machine`
-    counts VM steps, a :class:`~repro.trace.TraceStream` counts decoded
+    counts VM steps, a :class:`~repro.trace.TraceStore` the events its
+    puts have encoded, a :class:`~repro.trace.TraceStream` decoded
     events; it restarts at -1 for every unit.  ``degraded`` marks a
     post-preemption retry; it only decides whether the smoke-test
     ballast is allocated.
@@ -648,13 +650,15 @@ def _worker_main(
         with send_lock:
             if not state["running"]:
                 return True
-            # The progress counter: VM steps for a live run, decoded
-            # events for a streamed trace analysis (-1 before either).
+            # The progress counter: VM steps, events a store encoded,
+            # or decoded events of a stream (-1 before any of them).
             source = state["source"]
             if source is None:
                 steps = -1
             elif isinstance(source, Machine):
                 steps = source.step_count
+            elif isinstance(source, TraceStore):
+                steps = source.encoded
             else:
                 steps = source.decoded
             try:
@@ -996,8 +1000,6 @@ def run_sweep(
         if cache is not None and cache.quota_bytes is None:
             cache.quota_bytes = budget.disk_quota_bytes
     if needs_traces:
-        from repro.trace.store import TraceStore
-
         trace_store = TraceStore(
             trace_dir,
             quota_bytes=budget.disk_quota_bytes if budget is not None else None,
@@ -1150,60 +1152,44 @@ def _mp_context():
 
 
 def prewarm_static(specs: Iterable[RunSpec]) -> int:
-    """Fill the decode and instrumentation caches for ``specs``.
+    """Fill the decode and instrumentation caches for the live cells of
+    ``specs``.
 
     Each worker process starts with the caches it was forked with, so
     without this every worker of a pool sweep decodes each program it
     meets (and a replacement worker decodes them all again).  The pool
     calls this in the parent just before the first fork: workers inherit
-    the warm caches copy-on-write and hit them on first use.  Specs that
-    name a registry workload warm the registry's shared build
-    (:meth:`RunSpec.program`), so workers inherit the built and hashed
-    programs too and a cell builds nothing; a :class:`Workload`-object
-    spec is built fresh here and again in its cell — builds are
-    deterministic (the result-cache contract), so the content-keyed
-    entries warmed here match what each child computes.
+    the warm caches copy-on-write and hit them on first use.  The tables
+    come from :func:`repro.session.static_tables`, the rule
+    :func:`~repro.session.run_pipeline` applies, so exactly the keys a
+    cell reads are warmed.  Replay and record cells run no VM in a
+    worker and are skipped.  Registry-named specs warm the shared build
+    (:meth:`RunSpec.program`), so workers build and hash nothing; a
+    :class:`Workload`-object spec is built here and again in its cell —
+    builds are deterministic, so the content keys match.
 
-    Returns the number of distinct (program, markers, watchdog)
-    combinations warmed.  Safe to call directly before a serial sweep or
-    from user harnesses; failures during a workload build are left for
-    the run itself to report.
+    Returns the number of distinct decoded programs warmed.  Safe to
+    call directly before a serial sweep or from user harnesses; failures
+    during a workload build are left for the run itself to report.
     """
-    from repro.analysis import instrument_program_cached
-    from repro.vm.decode import get_decoded_program
-
-    warmed = 0
+    warmed = set()
     seen = set()
-    programs: Dict[str, object] = {}
+    programs: Dict[str, Program] = {}
     for spec in specs:
-        tool = spec.tool()
         armed = spec.livelock_bound is not None
-        combo = (
-            spec.workload_name,
-            tool.spin,
-            tool.spin_max_blocks,
-            tool.inline_depth,
-            armed,
-        )
-        if combo in seen:
+        cell = (spec.workload_name, spec.config, armed)
+        if spec.trace_mode != "live" or cell in seen:
             continue
-        seen.add(combo)
+        seen.add(cell)
         try:
             program = programs.get(spec.workload_name)
             if program is None:
                 program = programs[spec.workload_name] = spec.program()
-            imap = None
-            if tool.spin or armed:
-                imap = instrument_program_cached(
-                    program,
-                    max_blocks=tool.spin_max_blocks,
-                    inline_depth=tool.inline_depth,
-                )
-            get_decoded_program(program, imap, armed)
+            _, tables = static_tables(program, spec.tool(), armed)
+            warmed.add(get_decoded_program(program, tables, armed).key)
         except Exception:
             continue
-        warmed += 1
-    return warmed
+    return len(warmed)
 
 
 @dataclass
@@ -1440,7 +1426,9 @@ class WorkerPool:
                 return self._exit(job, "crash", f"unreadable result: {exc}")
             kind, payload = msg[0], msg[1]
             if kind == "hb":
-                if payload > job.last_steps:
+                # Any change is progress: a replay miss restarts the
+                # counter at each phase (record, store, stream).
+                if payload != job.last_steps:
                     job.last_steps = payload
                     job.last_progress_t = time.monotonic()
                 rss = msg[2]

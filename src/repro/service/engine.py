@@ -37,13 +37,14 @@ Robustness properties, each asserted by ``scripts/service_smoke.py``:
   RSS + disk usage against its :class:`~repro.harness.resources.
   ResourceBudget` (:func:`~repro.harness.resources.assess_pressure`).
   Under ``degraded`` pressure new program cells run as trace replays
-  (a recording already in the store is streamed in bounded memory;
-  identical report fingerprint), and responses
-  say so; under ``critical`` pressure all queued work is shed with
-  explicit ``shed`` responses.  The daemon degrades; it does not
-  die.  A shed, like an error that depends on the moment (deadline,
-  timeout, a hung, crashed or over-budget worker), is never served
-  from the verdict index: the client's retry runs.
+  (identical report fingerprint; a recording the store lacks is first
+  recorded and stored in the worker, then streamed in bounded memory
+  like one it holds), and responses say so; under ``critical``
+  pressure all queued work is shed with explicit ``shed`` responses.
+  The daemon degrades; it does not die.  A shed, like an error that
+  depends on the moment (deadline, timeout, a hung, crashed or
+  over-budget worker), is never served from the verdict index: the
+  client's retry runs.
 
 Program cells reuse the sweep engine's content keys
 (:func:`~repro.harness.checkpoint.spec_key`), so the service shares its

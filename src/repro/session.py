@@ -229,6 +229,25 @@ class SessionResult:
         )
 
 
+def static_tables(
+    program: Program, tool: ToolConfig, livelock_armed: bool
+) -> Tuple[Optional[InstrumentationMap], Optional[InstrumentationMap]]:
+    """The static phase's one rule: ``(tool tables, machine tables)``.
+
+    A spinning tool reads its own tables.  An armed watchdog consumes
+    marked-loop events, so when it alone is armed the machine still
+    reads the tables at the tool's window; otherwise there are none.
+    The machine decodes for its tables; ``prewarm_static`` warms
+    through this function.
+    """
+    if not (tool.spin or livelock_armed):
+        return None, None
+    tables = instrument_program_cached(
+        program, max_blocks=tool.spin_max_blocks, inline_depth=tool.inline_depth
+    )
+    return (tables if tool.spin else None), tables
+
+
 def run_pipeline(
     source: Union[Program, Trace, TraceStream],
     tool: Union[ToolConfig, str],
@@ -278,33 +297,12 @@ def run_pipeline(
             notes=() if isinstance(source, Trace) else ("streaming-decode",),
         )
 
-    imap: Optional[InstrumentationMap] = None
-    lock_sites = frozenset()
-    instrument_s = 0.0
-    if tool.spin or tool.infer_locks:
-        instrument_start = time.perf_counter()
-        if tool.spin:
-            # Content-keyed cache: repeats and sibling configs with the
-            # same spin window share one static analysis, so instrument_s
-            # is what this run paid (near zero on a hit).
-            imap = instrument_program_cached(
-                source,
-                max_blocks=tool.spin_max_blocks,
-                inline_depth=tool.inline_depth,
-            )
-        if tool.infer_locks:
-            lock_sites = lock_site_locations(source)
-        instrument_s = time.perf_counter() - instrument_start
-    # The livelock watchdog consumes marked-loop events, so it needs the
-    # marker tables even under a non-spin tool (watchdog plumbing, not
-    # charged to the tool being measured).
-    watch_imap = imap
-    if watch_imap is None and livelock_bound is not None:
-        watch_imap = instrument_program_cached(
-            source,
-            max_blocks=tool.spin_max_blocks,
-            inline_depth=tool.inline_depth,
-        )
+    start = time.perf_counter()
+    imap, tables = static_tables(source, tool, livelock_bound is not None)
+    lock_sites = lock_site_locations(source) if tool.infer_locks else frozenset()
+    # Timed only when the tool has static work of its own: tables read
+    # for the watchdog alone are plumbing, not the measured tool's cost.
+    instrument_s = time.perf_counter() - start if tool.spin or tool.infer_locks else 0.0
 
     detector = RaceDetector(tool, symbolize=symbolize, lock_sites=lock_sites)
     if scheduler is None or isinstance(scheduler, str):
@@ -313,7 +311,7 @@ def run_pipeline(
         source,
         scheduler=scheduler,
         listener=detector,
-        instrumentation=watch_imap,
+        instrumentation=tables,
         max_steps=max_steps,
         faults=faults,
         livelock_bound=livelock_bound,

@@ -104,12 +104,13 @@ def _trace_meta(trace: Trace) -> dict:
     }
 
 
-def _encode_payload(trace: Trace) -> bytes:
+def _encode_payload(trace: Trace, store: Optional["TraceStore"] = None) -> bytes:
+    """The payload bytes of ``trace``, counted in ``store.encoded``."""
     lines = [json.dumps(_trace_meta(trace), separators=(",", ":"))]
-    lines.extend(
-        json.dumps(_encode_event(e), separators=(",", ":"))
-        for e in trace.columns.iter_events()
-    )
+    for e in trace.columns.iter_events():
+        lines.append(json.dumps(_encode_event(e), separators=(",", ":")))
+        if store is not None:
+            store.encoded += 1
     # mtime=0 keeps the compressed bytes deterministic for a given trace
     return gzip.compress("\n".join(lines).encode(), mtime=0)
 
@@ -157,9 +158,11 @@ class TraceStore(FramedStore):
     SCHEMA = TRACE_SCHEMA
     SUFFIX = ".trc"
     OFF_NOTE = "store-off"
+    #: events this store's puts have encoded: a worker's heartbeat
+    encoded = 0
 
     def encode(self, trace: Trace) -> bytes:
-        return _encode_payload(trace)
+        return _encode_payload(trace, self)
 
     def decode(self, payload: bytes) -> Trace:
         return _decode_payload(payload)

@@ -16,6 +16,7 @@ from array import array
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
+    Callable,
     Dict,
     FrozenSet,
     Iterable,
@@ -27,7 +28,7 @@ from typing import (
     Union,
 )
 
-from repro.analysis import instrument_program, lock_site_locations
+from repro.analysis import instrument_program_cached, lock_site_locations
 from repro.detectors import RaceDetector, ToolConfig
 from repro.isa.program import CodeLocation, Program, SyncKind
 from repro.vm import Machine
@@ -195,6 +196,7 @@ def record_trace(
     fault_plan: Optional[FaultPlan] = None,
     livelock_bound: Optional[int] = None,
     scheduler: Optional[str] = None,
+    machine_sink: Optional[Callable[[object], None]] = None,
 ) -> Trace:
     """Execute ``program`` once and capture everything replays need.
 
@@ -207,14 +209,20 @@ def record_trace(
     the historical seeded-random default, so a forensic recording of a
     round-robin or adversarial failure replays the interleaving that
     actually failed instead of a random stand-in.  The VM's row buffer
-    flushes straight into the recording's columns.
+    flushes straight into the recording's columns.  The marker tables
+    come from the instrumentation cache, so recording a program again
+    (another seed, scheduler or fault plan) reuses them.
+    ``machine_sink`` gets the :class:`Machine` before it runs, as in
+    :func:`repro.session.run_pipeline`.
     """
     # Imported lazily: repro.harness.triage imports this module, so a
     # module-level import of the registry would be circular.
     from repro.harness.registry import build_scheduler, canonical_scheduler
 
     sched_spec = canonical_scheduler(scheduler)
-    imap = instrument_program(program, max_blocks=max_blocks, inline_depth=inline_depth)
+    imap = instrument_program_cached(
+        program, max_blocks=max_blocks, inline_depth=inline_depth
+    )
     columns = EventColumns()
     machine = Machine(
         program,
@@ -225,6 +233,8 @@ def record_trace(
         faults=fault_plan,
         livelock_bound=livelock_bound,
     )
+    if machine_sink is not None:
+        machine_sink(machine)
     result = machine.run()
     symbols = [
         (seg.name, seg.base, seg.size) for seg in machine.memory.symbols.segments()

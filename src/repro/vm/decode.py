@@ -41,27 +41,25 @@ executes right after instruction *i* of the same frame, and no other
 thread can touch this frame's registers in between.
 
 Decoded programs are **content-keyed and cached**
-(:func:`get_decoded_program`): the key is the program's
-:meth:`~repro.isa.program.Program.fingerprint`, a canonical digest of
-the instrumentation map's marker tables, and the watchdog-armed flag.
-Two fresh builds of the same workload share one decoded program; the
-same program under different marker tables (spin on vs off, different
-``spin_max_blocks``) never shares marked-load flags.  The cache is
-process-local; the parallel runner pre-warms it before forking so
-workers inherit the decoded programs copy-on-write — together with the
-registry's shared builds they were decoded from
-(:func:`repro.harness.registry.shared_program`), whose fingerprints are
-already memoized, so a worker's cache probe hashes nothing.
+(:func:`get_decoded_program`, a :class:`repro.lru.LRU`): the key is the
+program's fingerprint, a canonical digest of the marker tables, and the
+watchdog-armed flag.  Two fresh builds of the same workload share one
+decoded program; different marker tables (spin on vs off, another
+``spin_max_blocks``) never share marked-load flags.  The cache is
+process-local; the parallel runner pre-warms it for live cells before
+forking, so workers inherit copy-on-write the decoded programs and the
+registry's shared builds (:func:`repro.harness.registry.shared_program`)
+with their memoized fingerprints: a worker's cache probe hashes nothing.
 """
 
 from __future__ import annotations
 
 import hashlib
-from collections import OrderedDict
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.isa import instructions as ins
 from repro.isa.program import CodeLocation, Function, Program
+from repro.lru import LRU
 from repro.vm import events as ev
 from repro.vm.events import COND_READ, LOOP_EXIT
 from repro.vm.frames import ThreadStatus
@@ -881,11 +879,8 @@ def _decode_unknown(instr: ins.Instruction, loc: CodeLocation) -> Handler:
 # The decode cache
 
 
-#: decoded-program cache: content key -> DecodedProgram, LRU-bounded
-_CACHE: "OrderedDict[str, DecodedProgram]" = OrderedDict()
-_CACHE_MAX = 256
-_HITS = 0
-_MISSES = 0
+#: decoded-program cache: content key -> DecodedProgram
+_DECODED: "LRU[DecodedProgram]" = LRU()
 
 
 def get_decoded_program(
@@ -901,29 +896,12 @@ def get_decoded_program(
     table, injector — at run time, so reuse across machines is sound).
     Different marker tables or a different watchdog-armed flag miss.
     """
-    global _HITS, _MISSES
     key = decode_key(program, instrumentation, livelock_armed)
-    cached = _CACHE.get(key)
-    if cached is not None:
-        _HITS += 1
-        _CACHE.move_to_end(key)
-        return cached
-    _MISSES += 1
-    decoded = decode_program(program, instrumentation, livelock_armed, key=key)
-    _CACHE[key] = decoded
-    while len(_CACHE) > _CACHE_MAX:
-        _CACHE.popitem(last=False)
-    return decoded
+    return _DECODED.get(
+        key, lambda: decode_program(program, instrumentation, livelock_armed, key=key)
+    )
 
 
-def decode_cache_info() -> Dict[str, int]:
-    """Cache statistics: entries, hits, misses (for tests and telemetry)."""
-    return {"entries": len(_CACHE), "hits": _HITS, "misses": _MISSES}
-
-
-def clear_decode_cache() -> None:
-    """Drop every cached decoded program (tests; never required)."""
-    global _HITS, _MISSES
-    _CACHE.clear()
-    _HITS = 0
-    _MISSES = 0
+#: cache statistics (entries, hits, misses), and a reset for tests
+decode_cache_info = _DECODED.info
+clear_decode_cache = _DECODED.clear

@@ -361,6 +361,7 @@ class Machine:
             tid = scheduler_pick(runnable)
             # One instruction of ``tid``.
             thread = threads[tid]
+            # Guards outside input: a user Scheduler may return any tid.
             if thread.status is not runnable_status:
                 raise MachineError(f"thread {tid} not runnable")
             if not thread.started:

@@ -788,6 +788,26 @@ class TestWorkerPoolPoll:
         assert done.kind == "ok", done.payload
         assert done.payload.events == len(events)
 
+    def test_replay_miss_heartbeat_moves_through_every_phase(self, tmp_path):
+        """A replay cell that misses the store records, stores and
+        analyzes in the worker — together longer than the hang window.
+        Each phase must move the heartbeat's counter, or the cell is
+        killed as hung."""
+        spec = RunSpec("raytrace", "helgrind-lib-spin7", trace_mode="replay")
+        pool = WorkerPool(1, heartbeat_s=0.05, hung_after_s=0.5, trace_dir=tmp_path)
+        exits = []
+        deadline = time.monotonic() + 120
+        try:
+            pool.submit(spec, token="miss")
+            while not exits and time.monotonic() < deadline:
+                pool.wait()
+                exits = pool.poll()
+        finally:
+            pool.shutdown()
+        (done,) = exits
+        assert done.kind == "ok", done.payload
+        assert done.payload.fingerprint == run("raytrace", "helgrind-lib-spin7").fingerprint
+
     def test_unpicklable_unit_outside_the_table_is_an_error_exit(self):
         """A unit outside the pool's table travels pickled; one that
         cannot be pickled comes back as that token's ``error`` exit,

@@ -114,7 +114,7 @@ class TestDecodeSharing:
     def test_lru_bound(self, monkeypatch):
         import repro.vm.decode as decode_mod
 
-        monkeypatch.setattr(decode_mod, "_CACHE_MAX", 3)
+        monkeypatch.setattr(decode_mod._DECODED, "maxsize", 3)
         for i in range(5):
             get_decoded_program(_spin_program(f"p{i}"), None, False)
         assert decode_cache_info()["entries"] == 3
@@ -137,6 +137,16 @@ class TestInstrumentCache:
         instrument_program_cached(p, max_blocks=3)
         instrument_program_cached(p, max_blocks=7, inline_depth=0)
         assert instrument_cache_info()["entries"] == 3
+
+    def test_recordings_share_one_static_phase(self):
+        """A second recording of a program (another seed) reuses the
+        first one's marker tables instead of re-running the analysis."""
+        from repro.trace import record_trace
+
+        record_trace(resolve_workload("streamcluster").fresh_program(), seed=1)
+        record_trace(resolve_workload("streamcluster").fresh_program(), seed=2)
+        info = instrument_cache_info()
+        assert (info["misses"], info["hits"]) == (1, 1)
 
 
 class TestFingerprintMemo:
@@ -189,6 +199,42 @@ class TestCrossProcessReuse:
             == first.outcomes[0].report.fingerprint()
         )
         assert second.outcomes[0].steps == first.outcomes[0].steps
+
+    def test_prewarm_skips_replay_and_record_cells(self):
+        """Replay and record cells run no VM in a worker: nothing of
+        theirs is worth warming."""
+        specs = [
+            RunSpec("streamcluster", tool, trace_mode=mode)
+            for tool in ("helgrind-lib-spin7", "drd")
+            for mode in ("replay", "record")
+        ]
+        assert prewarm_static(specs) == 0
+        assert decode_cache_info()["entries"] == 0
+        assert instrument_cache_info()["entries"] == 0
+
+    def test_prewarm_warms_exactly_what_live_cells_read(self):
+        """Spin, non-spin and watchdog-armed non-spin cells all hit both
+        caches after the prewarm, and the prewarm left nothing unread."""
+        wl = Workload(name="_decode_prewarm_rule", build=_spin_program)
+        register_workload(wl)
+        try:
+            specs = [
+                RunSpec(wl.name, tool, max_steps=500, livelock_bound=bound)
+                for tool in ("helgrind-lib-spin7", "helgrind-lib", "drd")
+                for bound in (None, 50)
+            ]
+            # three decodes: marked (spin unarmed), marked and armed
+            # (every armed cell reads the tables at window 7) and
+            # unmarked (the unarmed non-spin cells)
+            assert prewarm_static(specs) == 3
+            warm = decode_cache_info(), instrument_cache_info()
+            for spec in specs:
+                spec.execute()
+            assert decode_cache_info()["misses"] == warm[0]["misses"]
+            assert instrument_cache_info()["misses"] == warm[1]["misses"]
+            assert decode_cache_info()["entries"] == 3
+        finally:
+            unregister_workload(wl.name)
 
     def test_prewarm_fills_both_caches(self):
         wl = Workload(name="_decode_prewarm_wl", build=_spin_program)

@@ -1,8 +1,11 @@
 """Interpreter edge cases: deep stacks, yields, spawn trees, print order."""
 
+import pytest
+
+import repro
 from repro.isa import instructions as ins
 from repro.isa.builder import ProgramBuilder
-from repro.vm import Machine
+from repro.vm import Machine, MachineError, Scheduler
 
 from tests.conftest import run_program
 
@@ -172,3 +175,27 @@ class TestEventCount:
         machine = Machine(pb.build())
         machine.run()
         assert machine.event_count >= 2  # the store + thread events
+
+
+class TestSchedulerContract:
+    def test_user_scheduler_picking_a_blocked_thread_is_refused(self):
+        """A scheduler is outside input: one that returns a thread the
+        runnable list did not offer (here main, blocked in its join)
+        gets a MachineError, not a step of a blocked thread."""
+
+        class AlwaysMain(Scheduler):
+            def __init__(self):
+                super().__init__(window=0)
+
+            def pick(self, runnable):
+                return 0
+
+        pb = ProgramBuilder("t")
+        w = pb.function("worker")
+        w.nop(5)
+        w.ret()
+        mn = pb.function("main")
+        mn.join(mn.spawn("worker", []))
+        mn.halt()
+        with pytest.raises(MachineError, match="thread 0 not runnable"):
+            repro.run(pb.build(), "drd", scheduler=AlwaysMain())
