@@ -3,8 +3,9 @@
 Records the largest PARSEC stand-in traces once each, then analyzes
 every recording two ways in fresh interpreters with
 :func:`repro.trace.analyze_trace`: materialized (``TraceStore.get``, a
-full ``Trace``) and streamed (``TraceStore.open_stream``, a
-:class:`~repro.trace.TraceStream` decoded in bounded chunks).  The
+``Trace`` with decoded columns) and streamed (``TraceStore.open_stream``,
+a ``Trace`` whose :class:`~repro.trace.FileColumns` decode bounded
+chunks off the file).  The
 probe children report the peak traced allocation of the store-read +
 analysis region (``tracemalloc``; byte-precise and deterministic, where
 ``ru_maxrss`` carries kilobyte granularity and import-transient slack)

@@ -23,12 +23,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import List, Optional, Sequence, Union
 
 from repro.detectors import ToolConfig
-from repro.harness.parallel import ResultCache, RunRecord, RunSpec, run_sweep
-from repro.harness.resources import ResourceBudget
+from repro.harness.parallel import RunRecord, RunSpec, outcome_status, run_sweep
 from repro.harness.registry import resolve_tool
 from repro.harness.triage import CaptureUnit, capture_failures, chaos_oracle_predicate
 from repro.session import SessionResult
@@ -83,12 +81,11 @@ def verify_case(
     status = record.status
     if record.failed:
         problems.append(f"infrastructure failure: {status} {record.error}".strip())
-    elif status == "cached":
+    elif status == "cached" and outcome is not None:
         # A cache hit replays the stored outcome; re-derive the status it
-        # would have had so the oracle still applies.
-        status = outcome.result.status if outcome is not None else "cached"
-        if status in ("deadlock", "step-limit") and outcome.result.faults_injected:
-            status = "fault"
+        # would have had so the oracle still applies.  A journaled record
+        # without a cache entry has no outcome and stays "cached".
+        status = outcome_status(outcome)
     if not record.failed and status not in case.expect_statuses:
         problems.append(
             f"status {status!r} not in expected {case.expect_statuses!r}"
@@ -126,15 +123,7 @@ def run_chaos(
     cases: Optional[Sequence[ChaosCase]] = None,
     config: Optional[Union[str, ToolConfig]] = None,
     workers: int = 0,
-    cache: Optional[ResultCache] = None,
-    timeout_s: Optional[float] = None,
-    retries: int = 1,
-    journal_dir: Optional[Union[str, Path]] = None,
-    resume: bool = False,
-    heartbeat_s: Optional[float] = None,
-    poison_threshold: Optional[int] = None,
-    forensics_dir: Optional[Union[str, Path]] = None,
-    budget: Optional[ResourceBudget] = None,
+    **sweep,
 ) -> ChaosReport:
     """Run the chaos suite as one sweep; verify every case.
 
@@ -142,19 +131,20 @@ def run_chaos(
     through :func:`repro.harness.registry.resolve_tool`.  Verdicts are
     listed by fault class.
 
-    Execution and supervision knobs (``workers``, ``cache``,
+    ``workers`` and the supervision keywords in ``sweep`` (``cache``,
     ``timeout_s``, ``retries``, ``journal_dir``/``resume``,
     ``heartbeat_s``, ``poison_threshold``, ``forensics_dir``,
-    ``budget``) pass straight through to
-    :func:`~repro.harness.parallel.run_sweep`.  ``resume`` requires a
-    ``cache`` (``ValueError`` otherwise): the journal restores records,
-    but the note/livelock oracles also inspect detector outcomes, which
-    only the cache can replay.  With ``forensics_dir`` set, infrastructure failures are captured by
-    the sweep and *oracle mismatches* are captured here — re-executed
-    under ``record_trace`` with the case's fault plan, shrunk via ddmin
-    with the oracle itself as the "still fails" predicate.
+    ``budget``) go to :func:`~repro.harness.parallel.run_sweep`.
+    ``resume`` requires a ``cache`` (``ValueError`` otherwise): the
+    journal restores records, but the note/livelock oracles also inspect
+    detector outcomes, which only the cache can replay.  With
+    ``forensics_dir`` set, infrastructure failures are captured by the
+    sweep and *oracle mismatches* are captured here — re-executed under
+    ``record_trace`` with the case's fault plan, shrunk via ddmin with
+    the oracle itself as the "still fails" predicate.
     """
-    if resume and cache is None:
+    forensics_dir = sweep.get("forensics_dir")
+    if sweep.get("resume") and sweep.get("cache") is None:
         raise ValueError(
             "resume needs a result cache: the journal restores run records but "
             "not the detector outcomes (livelock reports, protocol notes) that "
@@ -166,19 +156,7 @@ def run_chaos(
     config = resolve_tool(config) if config else ToolConfig.helgrind_lib_spin(7)
     start = time.perf_counter()
     specs = [chaos_spec(c, config) for c in cases]
-    result = run_sweep(
-        specs,
-        workers=workers,
-        cache=cache,
-        timeout_s=timeout_s,
-        retries=retries,
-        journal_dir=journal_dir,
-        resume=resume,
-        heartbeat_s=heartbeat_s,
-        poison_threshold=poison_threshold,
-        forensics_dir=forensics_dir,
-        budget=budget,
-    )
+    result = run_sweep(specs, workers=workers, **sweep)
     report = ChaosReport(records=list(result.records))
     mismatches: List[CaptureUnit] = []
     for case, spec, record, outcome in zip(

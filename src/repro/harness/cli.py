@@ -48,7 +48,8 @@ Resource-governance options (sweep/chaos)::
 
     --mem-budget SIZE    per-worker RSS cap ("256m", "2g"); over-budget
                          workers are preempted and retried once in
-                         degraded mode, then quarantined
+                         degraded mode, then quarantined (needs
+                         --heartbeat and pooled workers)
     --disk-quota SIZE    byte quota for the result cache and the trace
                          store (LRU eviction; full disk degrades to
                          cache-off instead of failing the sweep)
@@ -137,6 +138,22 @@ def _budget(args: argparse.Namespace):
         wall_budget_s=args.wall_budget,
     )
     return budget if budget.governed else None
+
+
+def _sweep_options(args: argparse.Namespace) -> dict:
+    """The supervision keywords ``sweep``, ``grand`` and ``chaos`` hand
+    to :func:`~repro.harness.parallel.run_sweep`."""
+    return dict(
+        cache=_cache(args),
+        timeout_s=args.timeout,
+        retries=args.retries,
+        journal_dir=args.journal_dir,
+        resume=args.resume,
+        heartbeat_s=args.heartbeat,
+        poison_threshold=args.poison_threshold,
+        forensics_dir=args.forensics_dir,
+        budget=_budget(args),
+    )
 
 
 def cmd_t1(args: argparse.Namespace) -> None:
@@ -376,20 +393,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             dataclasses.replace(s, trace_mode=args.trace_mode, scheduler=args.scheduler)
             for s in specs
         ]
-    result = run_sweep(
-        specs,
-        workers=args.workers,
-        cache=_cache(args),
-        timeout_s=args.timeout,
-        retries=args.retries,
-        journal_dir=args.journal_dir,
-        resume=args.resume,
-        heartbeat_s=args.heartbeat,
-        poison_threshold=args.poison_threshold,
-        forensics_dir=args.forensics_dir,
-        trace_dir=args.trace_dir,
-        budget=_budget(args),
-    )
+    try:
+        result = run_sweep(
+            specs, workers=args.workers, trace_dir=args.trace_dir, **_sweep_options(args)
+        )
+    except ValueError as exc:
+        print(f"sweep: {exc}", file=sys.stderr)
+        return 2
     title = (
         f"Sweep — {len(workloads)} workload(s) x {len(configs)} tool(s) "
         f"x {len(seeds)} seed(s) on {args.workers} worker(s)"
@@ -413,22 +423,18 @@ def cmd_grand(args: argparse.Namespace) -> int:
         else list(ToolConfig.presets())
     )
     specs = grand_specs(configs, suite_limit=args.limit or None)
-    result = run_sweep(
-        specs,
-        # --workers 0 (the global default) means serial for `sweep`, but
-        # the grand sweep exists to use the machine: None → one per CPU.
-        workers=args.workers or None,
-        cache=_cache(args),
-        timeout_s=args.timeout,
-        retries=args.retries,
-        journal_dir=args.journal_dir,
-        resume=args.resume,
-        heartbeat_s=args.heartbeat,
-        poison_threshold=args.poison_threshold,
-        forensics_dir=args.forensics_dir,
-        trace_dir=args.trace_dir,
-        budget=_budget(args),
-    )
+    try:
+        result = run_sweep(
+            specs,
+            # --workers 0 (the global default) means serial for `sweep`, but
+            # the grand sweep exists to use the machine: None → one per CPU.
+            workers=args.workers or None,
+            trace_dir=args.trace_dir,
+            **_sweep_options(args),
+        )
+    except ValueError as exc:
+        print(f"grand: {exc}", file=sys.stderr)
+        return 2
     title = f"Grand sweep — {len(specs)} replay cell(s) over {len(configs)} tool(s)"
     return _print_sweep(result, title)
 
@@ -441,15 +447,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         report = run_chaos(
             config=args.tool or f"helgrind-lib-spin{args.k}",
             workers=args.workers,
-            cache=_cache(args),
-            timeout_s=args.timeout,
-            retries=args.retries,
-            journal_dir=args.journal_dir,
-            resume=args.resume,
-            heartbeat_s=args.heartbeat,
-            poison_threshold=args.poison_threshold,
-            forensics_dir=args.forensics_dir,
-            budget=_budget(args),
+            **_sweep_options(args),
         )
     except ValueError as exc:
         print(f"chaos: {exc}", file=sys.stderr)
@@ -527,7 +525,7 @@ def cmd_triage(args: argparse.Namespace) -> int:
         )
     print(
         f"  replayed: status={trace.status} steps={trace.steps} "
-        f"events={trace.meta['events']} racy_contexts={detector.report.racy_contexts}"
+        f"events={len(trace.columns)} racy_contexts={detector.report.racy_contexts}"
     )
     reproduced = trace.status != "ok" or detector.report.racy_contexts > 0
     print(f"  failure {'REPRODUCED' if reproduced else 'not reproduced'}")
@@ -563,14 +561,14 @@ def cmd_trace(args: argparse.Namespace) -> int:
         rows = [
             [
                 key[:16] + "…",
-                meta["program"],
-                meta.get("scheduler", "random"),
-                meta["seed"],
-                meta["status"],
-                meta["events"],
+                trace.program_name,
+                trace.scheduler,
+                trace.seed,
+                trace.status,
+                len(trace.columns),
                 f"{size / 1024:.1f}K",
             ]
-            for key, meta, size in store.entries()
+            for key, trace, size in store.entries()
         ]
         print(
             format_table(
@@ -607,15 +605,15 @@ def cmd_trace(args: argparse.Namespace) -> int:
         key = key_for_spec(spec)
         # The checksum pass plus the metadata line answer everything the
         # summary prints; the events stay compressed on disk.
-        stream = store.open_stream(key)
-        if stream is None:
+        trace = store.open_stream(key)
+        if trace is None:
             print(f"trace record: store round-trip failed for {key}", file=sys.stderr)
             return 1
         print(
             f"recorded {workload} seed {seed} scheduler "
-            f"{stream.scheduler} -> {key[:16]}…: "
-            f"status={stream.status} steps={stream.steps} "
-            f"events={stream.meta['events']}"
+            f"{trace.scheduler} -> {key[:16]}…: "
+            f"status={trace.status} steps={trace.steps} "
+            f"events={len(trace.columns)}"
         )
         return 0
 
@@ -789,7 +787,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         default=None,
         help=(
             "sweep/chaos: per-worker RSS cap (e.g. 256m, 2g); over-budget "
-            "workers are preempted and retried once in degraded mode"
+            "workers are preempted and retried once in degraded mode "
+            "(needs --heartbeat and pooled workers)"
         ),
     )
     parser.add_argument(

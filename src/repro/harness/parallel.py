@@ -205,7 +205,7 @@ class RunSpec:
 
         A replay or record cell streams its stored recording
         (:meth:`~repro.trace.TraceStore.open_stream`) — constant memory,
-        and the stream's decoded-event count is what ``machine_sink``
+        and the reader's decoded-event count is what ``machine_sink``
         gets as the heartbeat's progress counter.  On a miss the cell
         records the program, stores the recording and streams it back;
         ``machine_sink`` gets each phase's counter in turn (VM steps,
@@ -620,10 +620,10 @@ def _worker_main(
     exceeds the sweep's memory budget.  The counter belongs to whatever
     the unit hands to ``machine_sink``: a :class:`~repro.vm.Machine`
     counts VM steps, a :class:`~repro.trace.TraceStore` the events its
-    puts have encoded, a :class:`~repro.trace.TraceStream` decoded
-    events; it restarts at -1 for every unit.  ``degraded`` marks a
-    post-preemption retry; it only decides whether the smoke-test
-    ballast is allocated.
+    puts have encoded, a :class:`~repro.trace.FileColumns` reader
+    decoded events; it restarts at -1 for every unit.  ``degraded``
+    marks a post-preemption retry; it only decides whether the
+    smoke-test ballast is allocated.
     """
     import gc
 
@@ -651,7 +651,7 @@ def _worker_main(
             if not state["running"]:
                 return True
             # The progress counter: VM steps, events a store encoded,
-            # or decoded events of a stream (-1 before any of them).
+            # or events a file reader decoded (-1 before any of them).
             source = state["source"]
             if source is None:
                 steps = -1
@@ -946,7 +946,7 @@ def run_sweep(
         trace cell is recorded at most once, in the parent, before any
         fan-out (:func:`prewarm_traces`).
     :param budget: a :class:`~repro.harness.resources.ResourceBudget`.
-        With ``max_rss_bytes`` set (and heartbeats on), a worker whose
+        With ``max_rss_bytes`` set, a worker whose
         self-sampled RSS exceeds the cap is preempted and retried once
         in degraded mode, outside the attempt budget (replay cells
         stream their recording in constant memory on every attempt);
@@ -957,9 +957,10 @@ def run_sweep(
         cache-off degradation on ENOSPC — see ``SweepResult.notes``).
         ``wall_budget_s`` stops dispatching new runs once that long
         has passed since this call (trace prewarm included);
-        undispatched specs are recorded as ``"wall-budget"``.  Budgets
-        need worker isolation: the serial path (``workers=0``) runs
-        ungoverned.
+        undispatched specs are recorded as ``"wall-budget"``.  Workers
+        report their RSS only in heartbeats, so an RSS cap without
+        ``heartbeat_s``, or on the serial path (``workers=0``), is
+        rejected with ``ValueError`` rather than silently ignored.
 
     Results are deterministic and bit-identical to serial execution:
     workers add no scheduling or RNG state of their own, so only the
@@ -975,6 +976,13 @@ def run_sweep(
     to ``KeyboardInterrupt``, so a terminated sweep still reaps its
     workers and keeps its journal.
     """
+    if budget is not None and budget.max_rss_bytes is not None:
+        if not heartbeat_s or (workers is not None and workers <= 0):
+            raise ValueError(
+                "an RSS budget needs pooled workers with heartbeats "
+                "(workers >= 1 and heartbeat_s set): the pool sees a "
+                "worker's RSS only in its heartbeats"
+            )
     # The wall budget counts from here: trace recording and cache
     # warming are sweep time too.
     wall_deadline = None

@@ -19,7 +19,7 @@ cache keys, trace keys, sweep cells and ``repro.run`` by name all share
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.harness.workload import Workload
 from repro.isa.program import Program
@@ -152,20 +152,14 @@ def tool_names() -> List[str]:
 # separately at build time — a spec names a scheduling *policy*, not one
 # concrete interleaving.
 
-#: scheduler kind → (constructor params that accept the run seed, other
-#: accepted integer parameters)
-_SCHEDULER_KINDS: Dict[str, tuple] = {
-    "random": (True, ("penalty",)),
-    "round-robin": (False, ("penalty",)),
-    "adversarial": (True, ("burst",)),
+#: scheduler kind → the integer parameters its spec accepts
+_SCHEDULER_KINDS: Dict[str, Tuple[str, ...]] = {
+    "random": ("penalty",),
+    "round-robin": ("penalty",),
+    "adversarial": ("burst",),
 }
 
 DEFAULT_SCHEDULER = "random"
-
-
-def scheduler_names() -> List[str]:
-    """The recognized scheduler kinds."""
-    return list(_SCHEDULER_KINDS)
 
 
 def canonical_scheduler(spec: Optional[str] = None) -> str:
@@ -186,7 +180,7 @@ def canonical_scheduler(spec: Optional[str] = None) -> str:
             f"unknown scheduler {kind!r}; expected one of "
             f"{sorted(_SCHEDULER_KINDS)}"
         )
-    _, allowed = _SCHEDULER_KINDS[kind]
+    allowed = _SCHEDULER_KINDS[kind]
     params: Dict[str, int] = {}
     if rest.strip():
         from repro.vm.scheduler import check_param

@@ -39,9 +39,7 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 from repro.isa import instructions as ins
 from repro.isa.instructions import is_terminator
 from repro.isa.program import CodeLocation, Program
-from repro.trace import (
-    Trace, TraceStream, open_trace_file, record_trace, save_trace_file,
-)
+from repro.trace import Trace, open_trace_file, record_trace, save_trace_file
 
 log = logging.getLogger(__name__)
 
@@ -198,12 +196,16 @@ def shrink_failure(
     livelock_bound: Optional[int] = None,
     step_budget: int = DEFAULT_STEP_BUDGET,
     scheduler: Optional[str] = None,
+    recorded: Optional[Trace] = None,
 ) -> Tuple[Optional[Trace], ShrinkResult]:
     """ddmin-minimize a failing program and its schedule seed.
 
     ``build`` must return a *fresh* failing program each call (the
     workload's ``fresh_program``); ``predicate`` decides whether a trial
-    trace still fails the interesting way.  Returns the minimized trace
+    trace still fails the interesting way.  ``recorded``, when the
+    caller already holds the unmodified program's recording at ``seed``,
+    serves as the baseline trial instead of a re-run (it still counts
+    in ``trials`` and ``steps_spent``).  Returns the minimized trace
     (``None`` if even the unmodified program no longer fails — a flaky
     or environment-dependent failure the shrinker cannot hold) and the
     shrink statistics.
@@ -211,30 +213,33 @@ def shrink_failure(
     budget = StepBudget(step_budget)
     trials = 0
 
-    def try_repro(nop_locs: Sequence[CodeLocation], trial_seed: int) -> Optional[Trace]:
+    def try_repro(
+        nop_locs: Sequence[CodeLocation], trial_seed: int, trace: Optional[Trace] = None
+    ) -> Optional[Trace]:
         nonlocal trials
         trials += 1
-        program = apply_nops(build(), nop_locs)
-        try:
-            trace = record_trace(
-                program,
-                seed=trial_seed,
-                max_steps=max_steps,
-                max_blocks=max_blocks,
-                inline_depth=inline_depth,
-                fault_plan=fault_plan,
-                livelock_bound=livelock_bound,
-                scheduler=scheduler,
-            )
-        except Exception:
-            # Nopping can orphan registers or thread structure; a run
-            # that *raises* is a different failure, not our repro.
-            return None
+        if trace is None:
+            program = apply_nops(build(), nop_locs)
+            try:
+                trace = record_trace(
+                    program,
+                    seed=trial_seed,
+                    max_steps=max_steps,
+                    max_blocks=max_blocks,
+                    inline_depth=inline_depth,
+                    fault_plan=fault_plan,
+                    livelock_bound=livelock_bound,
+                    scheduler=scheduler,
+                )
+            except Exception:
+                # Nopping can orphan registers or thread structure; a run
+                # that *raises* is a different failure, not our repro.
+                return None
         budget.charge(trace.steps)
         return trace if predicate(trace) else None
 
     candidates = shrink_candidates(build())
-    baseline = try_repro([], seed)
+    baseline = try_repro([], seed, recorded)
     if baseline is None:
         return None, ShrinkResult(
             candidates=len(candidates),
@@ -370,7 +375,8 @@ def _write_artifact(
     shrink_stats: Optional[ShrinkResult] = None
     if shrink:
         shrunk, shrink_stats = shrink_failure(
-            workload.fresh_program, predicate, step_budget=step_budget, **env
+            workload.fresh_program, predicate, step_budget=step_budget,
+            recorded=trace, **env
         )
 
     dest.mkdir(parents=True, exist_ok=True)
@@ -484,9 +490,9 @@ def replay_artifact(
     path: Union[str, Path],
     config=None,
     shrunk: bool = False,
-) -> Tuple[TraceStream, "object"]:
+) -> Tuple[Trace, "object"]:
     """Stream an artifact's trace file through the session pipeline;
-    returns ``(stream, finalized detector)``.
+    returns ``(trace, finalized detector)``, the trace read off the file.
 
     ``config`` defaults to the tool configuration the failure was
     captured under (stored in ``repro.json``); pass a
@@ -503,9 +509,9 @@ def replay_artifact(
     name = meta["shrunk"] if shrunk else meta["trace"]
     if name is None:
         raise ValueError(f"{path} has no shrunk trace")
-    stream = open_trace_file(path / name)
+    trace = open_trace_file(path / name)
     if config is None:
         config = ToolConfig(**meta["config"])
     # analyze_trace resolves preset names and finalizes the detector
     # from the trace's termination status.
-    return stream, analyze_trace(stream, config).detector
+    return trace, analyze_trace(trace, config).detector

@@ -111,10 +111,6 @@ class Function:
     def block(self, label: str) -> BasicBlock:
         return self.blocks[label]
 
-    @property
-    def entry_block(self) -> BasicBlock:
-        return self.blocks[self.entry]
-
     def locations(self) -> Iterator[Tuple[CodeLocation, Instruction]]:
         """Iterate all (location, instruction) pairs in block order."""
         for label, block in self.blocks.items():

@@ -124,8 +124,8 @@ class TraceUploadUnit:
     def execute(self, machine_sink=None, trace_dir=None) -> SessionResult:
         from repro.trace import open_trace_file
 
-        # The stream's decoded-event count is the heartbeat's progress
-        # counter: no VM runs here.
+        # The file reader's decoded-event count is the heartbeat's
+        # progress counter: no VM runs here.
         return run_pipeline(
             open_trace_file(self.path), self.tool, machine_sink=machine_sink
         )

@@ -55,7 +55,9 @@ from repro.harness.registry import (
 )
 from repro.harness.workload import Workload
 from repro.isa import Program, ProgramBuilder
-from repro.trace import Trace, TraceStream, open_trace_file, replay_trace, synthesize_result
+from repro.trace import (
+    FileColumns, Trace, open_trace_file, replay_trace, synthesize_result,
+)
 from repro.vm import Machine
 from repro.vm.faults import FaultPlan
 from repro.vm.machine import RunResult
@@ -116,11 +118,10 @@ class SessionResult:
     #: wall-clock of machine + detector (a replay: delivery plus
     #: finalize), seconds
     run_s: float = 0.0
-    #: the recording a replay analyzed (``None`` for live runs): a
-    #: :class:`~repro.trace.Trace`, or the
-    #: :class:`~repro.trace.TraceStream` a stored recording was read
-    #: through without materializing it
-    trace: Union[Trace, TraceStream, None] = None
+    #: the recording a replay analyzed (``None`` for live runs); one
+    #: read off a file keeps its rows there (its ``columns`` are a
+    #: :class:`~repro.trace.FileColumns` reader)
+    trace: Optional[Trace] = None
     #: structured provenance/degradation notes (e.g. ``"streaming-decode"``
     #: when a recording was analyzed without materialization)
     notes: Tuple[str, ...] = ()
@@ -249,7 +250,7 @@ def static_tables(
 
 
 def run_pipeline(
-    source: Union[Program, Trace, TraceStream],
+    source: Union[Program, Trace],
     tool: Union[ToolConfig, str],
     *,
     workload: Optional[Workload] = None,
@@ -265,24 +266,23 @@ def run_pipeline(
 
     A :class:`Program` runs live: the cached instrumentation phase and
     lock-site inference when the tool needs them, the machine feeding
-    the detector, then finalization from the run's status.  A recording
-    (a :class:`Trace`, or a :class:`TraceStream` read off a store in
-    constant memory) replays: :func:`~repro.trace.replay_trace`, then
-    finalization from ``trace.status``, so the report fingerprint is the
-    live run's; the arguments that shape an execution do not apply, and
-    a stream that turns out malformed raises
-    :class:`~repro.trace.TraceStreamCorruption`.
+    the detector, then finalization from the run's status.  A
+    :class:`Trace` (in memory, or read off a file in constant memory)
+    replays: :func:`~repro.trace.replay_trace`, then finalization from
+    ``trace.status``, so the report fingerprint is the live run's; the
+    arguments that shape an execution do not apply, and a file that
+    turns out malformed raises :class:`~repro.trace.TraceStreamCorruption`.
 
     ``scheduler`` is a :class:`Scheduler` or a canonical spec string
     seeded with ``seed`` (``None``: seeded random).  ``machine_sink``
-    receives the :class:`Machine` (or the stream) before execution
-    starts: the worker heartbeat reads its progress counter from the
-    side.
+    receives the :class:`Machine` (or the recording's columns) before
+    execution starts: the worker heartbeat reads its progress counter
+    from the side.
     """
     tool = resolve_tool(tool)
     if not isinstance(source, Program):
         if machine_sink is not None:
-            machine_sink(source)
+            machine_sink(source.columns)
         start = time.perf_counter()
         detector = replay_trace(source, tool)
         report = detector.finalize(partial=source.status != "ok")
@@ -294,7 +294,7 @@ def run_pipeline(
             workload=workload,
             run_s=time.perf_counter() - start,
             trace=source,
-            notes=() if isinstance(source, Trace) else ("streaming-decode",),
+            notes=("streaming-decode",) if isinstance(source.columns, FileColumns) else (),
         )
 
     start = time.perf_counter()

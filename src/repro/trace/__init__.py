@@ -12,10 +12,10 @@ columns (:class:`EventColumns`) plus the metadata needed to re-filter it
 per configuration (each marked loop's effective block count, the symbol
 map).  :func:`analyze_trace` then runs any
 :class:`~repro.detectors.ToolConfig` over the recorded rows with no VM
-in the loop — from an in-memory :class:`Trace` or from a
-:class:`TraceStream` that decodes a stored recording in bounded chunks
-without materializing it — and its report fingerprint is bit-identical
-to a live run's:
+in the loop — from a :class:`Trace` in memory or from one opened off a
+file, whose :class:`FileColumns` decode the rows in bounded chunks
+without materializing them — and its report fingerprint is
+bit-identical to a live run's:
 
 * the rows reach the same detector kernel a live run's VM flush feeds
   (``consume_batch``), which drops what the configuration ignores
@@ -32,10 +32,11 @@ to a live run's:
 compressed, checksummed, and quarantined-on-corruption like the sweep
 result cache — so one recording can serve any number of offline
 analyses.  Store-backed replays (sweep cells, ``trace analyze``, service
-uploads) stream their recording through :meth:`TraceStore.open_stream`
+uploads) open their recording through :meth:`TraceStore.open_stream`
 instead of materializing it.  Outside a store a recording is one framed
 file: :func:`save_trace_file` writes it and :func:`open_trace_file`
-streams it back.
+opens it the same way.  Either way the result is a :class:`Trace`, the
+one recording type.
 """
 
 from repro.trace.trace import (
@@ -46,7 +47,7 @@ from repro.trace.trace import (
     replay_trace,
     synthesize_result,
 )
-from repro.trace.stream import TraceStream, TraceStreamCorruption
+from repro.trace.stream import FileColumns, TraceStreamCorruption
 from repro.trace.store import (
     TraceStore, key_for_spec, open_trace_file, save_trace_file, trace_key,
 )
@@ -54,9 +55,9 @@ from repro.trace.hbgraph import HbGraph, HbNode, build_hb_graph
 
 __all__ = [
     "EventColumns",
+    "FileColumns",
     "Trace",
     "TraceStore",
-    "TraceStream",
     "TraceStreamCorruption",
     "analyze_trace",
     "record_trace",

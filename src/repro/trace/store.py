@@ -15,6 +15,12 @@ The payload is gzip-compressed JSONL — one metadata line followed by
 one line per event — so a multi-hundred-thousand-event recording stays
 a few hundred kilobytes on disk.  Outside a store the same frame is a
 recording's one file form (:func:`save_trace_file`, :func:`open_trace_file`).
+
+Every read hands back a :class:`Trace`, its metadata mapped from the
+payload's first line by one helper: :meth:`TraceStore.get` decodes the
+events into :class:`EventColumns`, while :meth:`TraceStore.open_stream`
+and :func:`open_trace_file` leave them on file behind a
+:class:`~repro.trace.stream.FileColumns` reader.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from typing import Iterator, Optional, Tuple, Union
 from repro.durable import Corruption, FramedStore, atomic_write, temp_path
 from repro.durable import DIGEST_LEN as _DIGEST_LEN  # noqa: F401 — codec tests
 from repro.durable import FRAME_HEADER as _TRACE_HEADER  # noqa: F401 — codec tests
-from repro.trace.stream import TraceStream, TraceStreamCorruption, read_meta_line
+from repro.trace.stream import FileColumns, TraceStreamCorruption, read_meta_line
 from repro.trace.trace import (
     EventColumns,
     Trace,
@@ -115,18 +121,13 @@ def _encode_payload(trace: Trace, store: Optional["TraceStore"] = None) -> bytes
     return gzip.compress("\n".join(lines).encode(), mtime=0)
 
 
-def _decode_payload(payload: bytes) -> Trace:
-    lines = gzip.decompress(payload).decode().split("\n")
-    meta = json.loads(lines[0])
-    events = [_decode_event(json.loads(line)) for line in lines[1:] if line]
-    if len(events) != meta["events"]:
-        raise Corruption(
-            f"event-count-mismatch: meta says {meta['events']}, got {len(events)}"
-        )
+def _trace_from_meta(meta: dict, columns) -> Trace:
+    """The :class:`Trace` a payload's metadata line describes, over
+    ``columns`` (decoded :class:`EventColumns`, or a file reader)."""
     return Trace(
         program_name=meta["program"],
         seed=meta["seed"],
-        columns=EventColumns.from_events(events),
+        columns=columns,
         loop_sizes={int(k): v for k, v in meta["loop_sizes"].items()},
         lock_sites=frozenset(_loc_parse(l) for l in meta["lock_sites"]),
         symbols=[tuple(s) for s in meta["symbols"]],
@@ -135,8 +136,20 @@ def _decode_payload(payload: bytes) -> Trace:
         steps=meta["steps"],
         ok=meta["ok"],
         status=meta["status"],
+        # pre-scheduler recordings ran under the seeded random scheduler
         scheduler=meta.get("scheduler", "random"),
     )
+
+
+def _decode_payload(payload: bytes) -> Trace:
+    lines = gzip.decompress(payload).decode().split("\n")
+    meta = json.loads(lines[0])
+    events = [_decode_event(json.loads(line)) for line in lines[1:] if line]
+    if len(events) != meta["events"]:
+        raise Corruption(
+            f"event-count-mismatch: meta says {meta['events']}, got {len(events)}"
+        )
+    return _trace_from_meta(meta, EventColumns.from_events(events))
 
 
 # ---------------------------------------------------------------------------
@@ -167,9 +180,9 @@ class TraceStore(FramedStore):
     def decode(self, payload: bytes) -> Trace:
         return _decode_payload(payload)
 
-    def _open_entry(self, path: Path, key: str) -> Optional[TraceStream]:
-        """A stream over an entry, or ``None`` on a miss or a corrupt
-        entry (which is quarantined first)."""
+    def _open_entry(self, path: Path, key: str) -> Optional[Trace]:
+        """An entry opened for streaming, or ``None`` on a miss or a
+        corrupt entry (which is quarantined first)."""
         try:
             return _open_verified(path, key)
         except OSError:
@@ -178,46 +191,50 @@ class TraceStore(FramedStore):
             self._quarantine(path, key, exc.reason)
             return None
 
-    def open_stream(self, key: str) -> Optional[TraceStream]:
+    def open_stream(self, key: str) -> Optional[Trace]:
         """Open an entry for chunked row iteration, without materializing it.
 
         Verifies the frame (header + full sha256, streamed in chunks)
         and decodes only the metadata line, then hands back a
-        :class:`~repro.trace.stream.TraceStream` positioned at the
+        :class:`Trace` whose columns are a
+        :class:`~repro.trace.stream.FileColumns` positioned at the
         payload.  Misses and corruption behave exactly like :meth:`get`
         — quarantine, count, return ``None``.  Corruption that only
         manifests *mid-stream* (checksum-valid but malformed payload)
         raises :class:`~repro.trace.stream.TraceStreamCorruption` from
-        the iterator; pass it to :meth:`quarantine_stream`.
+        the row iterator; pass the trace to :meth:`quarantine_stream`.
         """
         path = self._path(key)
-        stream = self._open_entry(path, key)
-        if stream is None:
+        trace = self._open_entry(path, key)
+        if trace is None:
             self.misses += 1
             return None
         self.hits += 1
         self._touch(path)
-        return stream
+        return trace
 
-    def quarantine_stream(self, stream: TraceStream, reason: str) -> None:
-        """Quarantine the entry behind a stream that corrupted mid-read.
+    def quarantine_stream(self, trace: Trace, reason: str) -> None:
+        """Quarantine the entry behind a streamed trace that corrupted
+        mid-read.
 
         Readers of one key race: another worker may already have moved
         the bad entry to ``corrupt/``, or re-recorded the key over it.
-        Either way the file now at the key is not the one this stream
-        read, so it is left alone; this never raises.
+        Either way the file now at the key is not the one this reader
+        saw, so it is left alone; this never raises.
         """
-        path = Path(stream.path)
+        reader = trace.columns
+        path = Path(reader.path)
         try:
-            same = stream.inode is None or path.stat().st_ino == stream.inode
+            same = reader.inode is None or path.stat().st_ino == reader.inode
         except OSError:
             same = False  # already moved away
         if same:
-            self._quarantine(path, stream.key or path.stem, reason)
+            self._quarantine(path, reader.key or path.stem, reason)
         self.misses += 1
 
-    def entries(self) -> Iterator[Tuple[str, dict, int]]:
-        """Yield ``(key, metadata, size_bytes)`` per valid entry.
+    def entries(self) -> Iterator[Tuple[str, Trace, int]]:
+        """Yield ``(key, trace, size_bytes)`` per valid entry, each trace
+        opened as :meth:`open_stream` opens it.
 
         Takes :meth:`open_stream`'s path — a chunked checksum pass, then
         only the metadata line decompressed — so listing a large store
@@ -225,26 +242,26 @@ class TraceStore(FramedStore):
         side effect, exactly like ``get``.
         """
         for path in sorted(self._entries()):
-            stream = self._open_entry(path, path.stem)
-            if stream is None:
+            trace = self._open_entry(path, path.stem)
+            if trace is None:
                 continue
             try:
                 size = path.stat().st_size
             except OSError:
                 continue  # raced away after validation
-            yield path.stem, stream.meta, size
+            yield path.stem, trace, size
 
 
-def _open_verified(path: Path, key: str = "") -> TraceStream:
+def _open_verified(path: Path, key: str = "") -> Trace:
     """Verify a framed trace file in constant memory, decode only its
-    metadata line and open a stream over it.  Raises ``OSError`` on a
-    miss and :class:`~repro.durable.Corruption` otherwise."""
+    metadata line and open the recording over a file reader.  Raises
+    ``OSError`` on a miss and :class:`~repro.durable.Corruption`
+    otherwise."""
     offset = TraceStore.verify_file(path)
     try:
-        return TraceStream(
-            path=path, payload_offset=offset, meta=read_meta_line(path, offset), key=key
-        )
-    except (OSError, EOFError, ValueError, TypeError, AttributeError) as exc:
+        meta = read_meta_line(path, offset)
+        return _trace_from_meta(meta, FileColumns(path, offset, meta["events"], key))
+    except (OSError, EOFError, ValueError, TypeError, AttributeError, KeyError) as exc:
         raise Corruption(f"undecodable: {type(exc).__name__}") from exc
 
 
@@ -255,7 +272,7 @@ def save_trace_file(trace: Trace, path: Union[str, Path]) -> None:
     atomic_write(temp_path(path), path, TraceStore._frame(_encode_payload(trace)))
 
 
-def open_trace_file(path: Union[str, Path]) -> TraceStream:
+def open_trace_file(path: Union[str, Path]) -> Trace:
     """Open a bare RPRT-framed trace file for streaming, outside any store.
 
     Validates the frame (header + full checksum, constant memory) and

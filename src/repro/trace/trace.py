@@ -4,9 +4,10 @@ A :class:`Trace` stores its event stream column-wise
 (:class:`EventColumns`): the VM's row buffer flushes straight into the
 columns while recording, and a replay feeds the columns to the detector
 kernel as rows — a recording is just another event source.  A stored
-recording can also be replayed without materializing it, through a
-:class:`~repro.trace.stream.TraceStream`; :func:`analyze_trace` takes
-either.  The event codec at the bottom serves the store's payload
+recording opens as the same :class:`Trace` without materializing it:
+its columns are then a :class:`~repro.trace.stream.FileColumns` reader
+that decodes rows off the file, and :func:`analyze_trace` reads either
+kind of columns.  The event codec at the bottom serves the store's payload
 (:mod:`repro.trace.store`), the one on-disk form of a recording.
 """
 
@@ -38,7 +39,7 @@ from repro.vm.machine import RunResult
 from repro.vm.memory import SymbolMap
 
 if TYPE_CHECKING:
-    from repro.trace.stream import TraceStream
+    from repro.trace.stream import FileColumns
 
 
 class EventColumns:
@@ -126,6 +127,10 @@ class EventColumns:
             self.atomic, self.in_library, self.aux,
         )
 
+    def row_batches(self) -> Tuple[Iterator[tuple]]:
+        """The stream as one batch of kernel rows."""
+        return (self.rows(),)
+
     def iter_events(self) -> Iterator[ev.Event]:
         """The stream as Event objects, built on demand."""
         for step, row in zip(self.step, self.rows()):
@@ -138,11 +143,18 @@ class EventColumns:
 
 @dataclass
 class Trace:
-    """A recorded execution: event columns plus replay metadata."""
+    """A recorded execution: event columns plus replay metadata.
+
+    ``columns`` are :class:`EventColumns` for a recording in memory, or
+    a :class:`~repro.trace.stream.FileColumns` reader for one opened off
+    a file (:meth:`~repro.trace.TraceStore.open_stream`,
+    :func:`~repro.trace.open_trace_file`); both serve
+    :meth:`row_batches` and :meth:`note_events`.
+    """
 
     program_name: str
     seed: int
-    columns: EventColumns
+    columns: Union[EventColumns, "FileColumns"]
     #: effective basic-block size per marked loop id (for spin(k) filtering)
     loop_sizes: Dict[int, int]
     #: statically inferred lock-acquire CAS sites (for infer_locks replays)
@@ -173,18 +185,13 @@ class Trace:
             sm.add(name, base, size)
         return sm
 
-    def row_batches(self) -> Tuple[Iterator[tuple]]:
-        """The recording as one batch of detector-kernel rows."""
-        return (self.columns.rows(),)
+    def row_batches(self) -> Iterable[Iterable[tuple]]:
+        """The recording as batches of detector-kernel rows."""
+        return self.columns.row_batches()
 
     def note_events(self) -> List[ev.Event]:
         """The bookkeeping events (thread start/exit, prints, faults)."""
         return self.columns.notes()
-
-
-#: what offline analysis reads: a recording in memory, or one streamed
-#: off a store without materialization
-TraceSource = Union[Trace, "TraceStream"]
 
 
 def record_trace(
@@ -261,7 +268,7 @@ def record_trace(
 # ---------------------------------------------------------------------------
 
 
-def _validate_replay(trace: TraceSource, config: ToolConfig) -> None:
+def _validate_replay(trace: Trace, config: ToolConfig) -> None:
     """Reject a spin config the recording's instrumentation cannot serve."""
     if config.spin:
         if config.spin_max_blocks > trace.max_blocks:
@@ -276,16 +283,15 @@ def _validate_replay(trace: TraceSource, config: ToolConfig) -> None:
             )
 
 
-def replay_trace(trace: TraceSource, config) -> RaceDetector:
+def replay_trace(trace: Trace, config) -> RaceDetector:
     """Run one tool configuration over a recorded execution.
 
     The replayed interleaving is identical for every configuration —
-    something re-execution-based tools cannot guarantee.  ``trace`` is
-    an in-memory :class:`Trace`, whose columns feed the detector kernel
-    in one ``consume_batch`` call, or a
-    :class:`~repro.trace.stream.TraceStream`, which feeds it bounded
-    chunks straight off the decoder; the kernel filters the rows for the
-    configuration inline either way.  Low-level primitive: the returned
+    something re-execution-based tools cannot guarantee.  In-memory
+    columns feed the detector kernel in one ``consume_batch`` call; a
+    recording opened off a file feeds it bounded chunks straight off the
+    decoder; the kernel filters the rows for the configuration inline
+    either way.  Low-level primitive: the returned
     detector is *not* finalized, so callers can inspect live state; most
     callers want :func:`analyze_trace`, which also seals the report with
     the trace's termination status.  ``config`` may be a
@@ -307,12 +313,11 @@ def replay_trace(trace: TraceSource, config) -> RaceDetector:
     return detector
 
 
-def analyze_trace(trace: TraceSource, config):
+def analyze_trace(trace: Trace, config):
     """Run a tool configuration over a recording with no VM in the loop.
 
-    ``trace`` is an in-memory :class:`Trace` or a
-    :class:`~repro.trace.stream.TraceStream` read off a store in
-    constant memory; ``config`` is a :class:`~repro.detectors.ToolConfig`
+    ``trace`` is a :class:`Trace` in memory or one opened off a store or
+    file, read in constant memory; ``config`` is a :class:`~repro.detectors.ToolConfig`
     or a preset name.  Returns the :class:`~repro.session.SessionResult`
     of :func:`repro.session.run_pipeline`, whose report fingerprint is
     bit-identical to the live run's.
@@ -322,15 +327,14 @@ def analyze_trace(trace: TraceSource, config):
     return run_pipeline(trace, config)
 
 
-def synthesize_result(trace: TraceSource) -> RunResult:
+def synthesize_result(trace: Trace) -> RunResult:
     """Reconstruct the machine-level outcome a recording observed.
 
     Offline analyses have no :class:`~repro.vm.machine.RunResult`; sweep
     bookkeeping (status tables, fault accounting, output checks) still
     wants one.  Termination flags come from ``trace.status``; outputs
     and the fault count from the recorded bookkeeping events — for a
-    :class:`~repro.trace.stream.TraceStream`, the ones its last pass
-    kept.
+    recording opened off a file, the ones its last pass kept.
     """
     status = trace.status
     notes = trace.note_events()

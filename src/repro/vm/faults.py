@@ -486,8 +486,3 @@ class FaultInjector:
             return runnable
         kept = [t for t in runnable if t not in starved]
         return kept if kept else runnable
-
-    @property
-    def pending_stores(self) -> int:
-        """Delayed stores still buffered (lost if the run ends first)."""
-        return len(self._pending)

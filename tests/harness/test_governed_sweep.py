@@ -135,6 +135,29 @@ class TestRssPreemption:
         assert rec.peak_rss > 0  # heartbeats sampled something real
 
 
+class TestRssBudgetNeedsHeartbeats:
+    """Workers report RSS only in heartbeats: a cap the pool could never
+    see is an error, not a silently ungoverned sweep."""
+
+    @pytest.mark.parametrize(
+        "run", [dict(workers=1), dict(workers=0, heartbeat_s=0.05)], ids=["no-hb", "serial"]
+    )
+    def test_unenforceable_rss_cap_is_rejected(self, tmp_path, run):
+        with pytest.raises(ValueError, match="heartbeat"):
+            run_sweep(
+                _specs(1), trace_dir=tmp_path, budget=ResourceBudget(max_rss_bytes=1), **run
+            )
+
+    def test_cli_reports_the_rejection_in_one_line(self, capsys):
+        from repro.harness.cli import main
+
+        argv = ["--limit", "1", "--seeds", "1", "--workers", "1", "--mem-budget", "1m"]
+        assert main([*argv, "sweep"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("sweep: ") and "heartbeat" in err
+        assert err.count("\n") == 1
+
+
 class TestCacheQuota:
     def _fill(self, cache, n, size=1000):
         t = 1_000_000_000

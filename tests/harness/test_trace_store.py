@@ -8,6 +8,7 @@ tool configuration is deliberately *excluded* so one recording serves
 every preset of a sweep cell.
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -67,13 +68,24 @@ class TestRoundTrip:
 
     def test_entries_reads_meta_only(self, store, trace):
         store.put(KEY, trace)
-        [(key, meta, size)] = list(store.entries())
+        [(key, stored, size)] = list(store.entries())
         assert key == KEY
-        assert meta["program"] == trace.program_name
-        assert meta["seed"] == trace.seed
-        assert meta["scheduler"] == trace.scheduler
-        assert meta["events"] == len(trace.events)
+        assert stored.program_name == trace.program_name
+        assert stored.seed == trace.seed
+        assert stored.scheduler == trace.scheduler
+        assert len(stored.columns) == len(trace.events)
+        assert stored.columns.decoded == 0  # no event decoded
         assert size > 0
+
+    def test_get_and_open_stream_agree_on_every_metadata_field(self, store):
+        trace = record_trace(flag_handoff_program(), seed=3, scheduler="round-robin")
+        store.put(KEY, trace)
+        got, streamed = store.get(KEY), store.open_stream(KEY)
+        fields = [f.name for f in dataclasses.fields(Trace) if f.name != "columns"]
+        assert len(fields) == 11
+        for name in fields:
+            assert getattr(streamed, name) == getattr(got, name) == getattr(trace, name), name
+        assert len(streamed.columns) == len(got.columns) == len(trace.columns)
 
 
 class TestCorruption:

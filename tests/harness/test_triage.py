@@ -24,7 +24,7 @@ from repro.harness.triage import (
 from repro.harness.workload import Workload
 from repro.isa import instructions as ins
 from repro.trace import (
-    TraceStream,
+    FileColumns,
     analyze_trace,
     open_trace_file,
     record_trace,
@@ -142,6 +142,27 @@ class TestCaptureAndReplay:
         # the tool config round-trips through the artifact
         assert ToolConfig(**meta["config"]) == CONFIG
 
+    def test_capture_records_the_failing_run_once(self, tmp_path, monkeypatch):
+        import repro.harness.triage as triage
+
+        calls = []
+        real = triage.record_trace
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("seed"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(triage, "record_trace", counting)
+        spec = chaos_spec(_case("drop-flag-store"), CONFIG)
+        record = _failure_record(spec, "livelock", 1, "")
+        dest = capture_failure(spec, record, tmp_path)
+        shrink = load_artifact(dest)["shrink"]
+        # the artifact's recording doubles as the shrinker's baseline
+        # trial: one recording per trial, none on top
+        assert shrink["trials"] > 1
+        assert len(calls) == shrink["trials"]
+        assert calls[0] == spec.effective_seed()
+
     def test_replay_artifact_reproduces_shrunk_failure(self, tmp_path):
         case = _case("drop-flag-store")
         spec = chaos_spec(case, CONFIG)
@@ -186,7 +207,7 @@ class TestCaptureAndReplay:
         dest = capture_failure(spec, record, tmp_path, shrink=False)
         assert load_artifact(dest)["shrunk"] is None
         stream, detector = replay_artifact(dest)
-        assert isinstance(stream, TraceStream)
+        assert isinstance(stream.columns, FileColumns)
         trace = record_trace(
             spec.resolve().fresh_program(),
             seed=spec.effective_seed(),
@@ -195,7 +216,7 @@ class TestCaptureAndReplay:
             fault_plan=spec.fault_plan,
             livelock_bound=spec.livelock_bound,
         )
-        assert stream.meta["events"] == len(trace.columns)
+        assert len(stream.columns) == len(trace.columns)
         expected = analyze_trace(trace, CONFIG).report.fingerprint()
         assert detector.report.fingerprint() == expected
         with pytest.raises(ValueError, match="no shrunk trace"):

@@ -7,7 +7,7 @@ same (program, seed, faults) cell under that preset.  The golden verdict
 corpus (``tests/integration/test_golden_corpus.py``) pins that for the
 suite, the chaos cases whose traces truncate partially (deadlock /
 livelock / fault-killed threads) and PARSEC; this module gates the
-streamed source (a :class:`~repro.trace.TraceStream` read off a store)
+streamed source (a :class:`~repro.trace.Trace` read off a store)
 against the in-memory one.
 
 Also pinned here: the no-spin wide-loop regression (the replay filter
@@ -28,8 +28,8 @@ from repro.harness.chaos import chaos_spec
 from repro.harness.parallel import RunSpec, prewarm_traces, run_sweep, sweep_specs
 from repro.harness.registry import resolve_tool
 from repro.trace import (
+    FileColumns,
     TraceStore,
-    TraceStream,
     TraceStreamCorruption,
     analyze_trace,
     open_trace_file,
@@ -106,8 +106,8 @@ def _streamed(store, wl):
 class TestStreamingDifferential:
     """The bounded-memory source is fingerprint-invisible.
 
-    :func:`analyze_trace` over a :class:`~repro.trace.TraceStream` must
-    match it over the in-memory :class:`Trace` bit-for-bit on the full
+    :func:`analyze_trace` over a :class:`Trace` opened off a store must
+    match it over the in-memory one bit-for-bit on the full
     report fingerprint — across the whole
     120-case suite, every named preset, and the chaos cases whose
     recordings truncate partially — and since the in-memory path is
@@ -239,7 +239,7 @@ class TestSchedulerRecording:
     def test_scheduler_survives_the_trace_file(self, tmp_path):
         trace = record_trace(flag_handoff_program(), seed=2, scheduler="round-robin")
         save_trace_file(trace, tmp_path / "t.trc")
-        assert open_trace_file(tmp_path / "t.trc").meta["scheduler"] == "round-robin"
+        assert open_trace_file(tmp_path / "t.trc").scheduler == "round-robin"
 
     def test_reopened_file_answers_the_trace_metadata(self, tmp_path):
         trace = record_trace(flag_handoff_program(), seed=2, scheduler="round-robin")
@@ -448,7 +448,7 @@ class TestStoreBackedReplayStreams:
         stream = TraceStore(tmp_path).open_stream(key)
         assert stream is not None
         # the re-recorded entry streams cleanly to its full length
-        assert sum(len(rows) for rows in stream.row_batches()) == stream.meta["events"]
+        assert sum(len(rows) for rows in stream.row_batches()) == len(stream.columns)
 
 
 class TestSessionTraceRuns:
@@ -498,7 +498,7 @@ class TestSessionTraceRuns:
         inmem = repro.run(config="helgrind-lib-spin7", trace=trace)
         assert offline.report.fingerprint() == inmem.report.fingerprint()
         assert offline.notes == ("streaming-decode",)
-        assert isinstance(offline.trace, TraceStream)  # never materialized
+        assert isinstance(offline.trace.columns, FileColumns)  # never materialized
         assert offline.seed == 2
         assert inmem.notes == ()  # the in-memory path is unchanged
 

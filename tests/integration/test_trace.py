@@ -104,7 +104,7 @@ class TestTraceFile:
         assert back.steps == trace.steps
         assert back.loop_sizes == trace.loop_sizes
         assert back.lock_sites == trace.lock_sites
-        assert [tuple(s) for s in back.meta["symbols"]] == trace.symbols
+        assert back.symbols == trace.symbols
         assert _stream_rows(back) == list(trace.columns.rows())
         assert back.status == trace.status == "ok"
 

@@ -249,7 +249,7 @@ class TestCorruptStreams:
         assert len(store.quarantined) == 1
         fresh = store.open_stream("k")
         assert fresh is not None
-        assert sum(len(chunk) for chunk in fresh.row_batches()) == fresh.meta["events"]
+        assert sum(len(chunk) for chunk in fresh.row_batches()) == len(fresh.columns)
 
     def test_event_count_mismatch_is_corruption(self, tmp_path):
         # A payload that decodes fine but holds fewer events than its
